@@ -12,8 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +31,6 @@ from .nncore import (
     read_fragment,
     rng_stream,
     softmax,
-    softmax_policy,
     write_fragment,
 )
 
@@ -290,8 +287,7 @@ def rollout_recommendation_step(ctx: TrainContext, u, state, mask, recent_cats, 
     Returns (transition, selection_episode_or_None, next_state).
     """
     st = ctx.settings
-    logits, _ = ctx.rec_agent.actor.forward(state.vec)
-    item, logprob, _ = softmax_policy(logits, mask=mask, rng=ctx.rng)
+    item, logprob = rec.recommend(state, ctx.rec_agent, mask, ctx.rng)
 
     gains = _VARIANT_GAINS[st.variant]
     episode = None
@@ -385,15 +381,11 @@ def compute_advantages(traj: Trajectory, gamma):
     return traj
 
 
-def critic_targets(traj: Trajectory, gamma):
-    """One-step TD targets, bootstrapping zero past terminal transitions."""
-    n = len(traj)
-    targets = np.zeros(n)
-    for t, tr in enumerate(traj.transitions):
-        if tr.done or t == n - 1:
-            targets[t] = tr.reward
-        else:
-            targets[t] = tr.reward + gamma * traj.transitions[t + 1].value
+def critic_targets(rewards, values, gamma):
+    """One-step TD targets from recorded critic values; the last step of
+    an episode bootstraps zero (rollouts end at the first done step)."""
+    targets = np.array(rewards, dtype=np.float64)
+    targets[:-1] += gamma * np.asarray(values[1:], dtype=np.float64)
     return targets
 
 
@@ -405,33 +397,39 @@ def actor_loss(traj: Trajectory) -> float:
 
 def critic_loss(traj: Trajectory, gamma, critic_mode="v") -> float:
     """Mean squared TD error of the recorded critic predictions."""
-    targets = critic_targets(traj, gamma)
+    targets = critic_targets(
+        [tr.reward for tr in traj.transitions], [tr.value for tr in traj.transitions], gamma
+    )
     preds = np.array(
         [tr.q_taken if critic_mode == "qmax" else tr.value for tr in traj.transitions]
     )
     return float(((preds - targets) ** 2).mean())
 
 
-def _head_grads(logits_list, actions, masks, advantages, preds_and_targets, critic_mode, scale):
-    """Per-step dlogits/dvalues for the combined actor+critic objective."""
+def _head_grads(fwd, actions, avail, advantages, targets, critic_mode, scale):
+    """Per-step dlogits/dvalues and losses of the combined actor+critic objective.
+
+    `avail` marks the actions selectable at step 0; each step's action is
+    masked out of every later step. The critic prediction is the single
+    value ("v") or the entry of the action taken ("qmax").
+    """
+    avail = avail.copy()
     dlogits, dvalues, aloss, closs = [], [], 0.0, 0.0
     n = len(actions)
-    for t in range(n):
-        z = np.where(masks[t], logits_list[t], -np.inf)
-        probs = softmax(z)
+    for t, a in enumerate(actions):
+        probs = softmax(np.where(avail, fwd["logits"][t], -np.inf))
+        avail[a] = False
         onehot = np.zeros_like(probs)
-        onehot[actions[t]] = 1.0
+        onehot[a] = 1.0
         dlogits.append(-(advantages[t] * scale / n) * (onehot - probs))
-        aloss += -np.log(probs[actions[t]]) * advantages[t] / n
-        pred, target, width = preds_and_targets[t]
-        err = pred - target
+        aloss += -np.log(probs[a]) * advantages[t] / n
+        v = fwd["values"][t]
+        col = 0 if critic_mode == "v" else a
+        err = float(v[col]) - targets[t]
         closs += err * err / n
-        if critic_mode == "v":
-            dvalues.append(np.array([2.0 * err * scale / n]))
-        else:
-            dv = np.zeros(width)
-            dv[actions[t]] = 2.0 * err * scale / n
-            dvalues.append(dv)
+        dv = np.zeros(len(v))
+        dv[col] = 2.0 * err * scale / n
+        dvalues.append(dv)
     return dlogits, dvalues, float(aloss), float(closs)
 
 
@@ -444,21 +442,12 @@ def recommender_losses(ctx_agent, traj: Trajectory, gamma, critic_mode="v", accu
     items = [tr.action for tr in traj.transitions]
     track_rewards = [tr.track_reward for tr in traj.transitions]
     fwd = rec.trajectory_forward(ctx_agent, traj.user, items, track_rewards)
-    targets = critic_targets(traj, gamma)
-    masks = []
-    m = np.ones(ctx_agent.n_items, dtype=bool)
-    for it in items:
-        masks.append(m.copy())
-        m[it] = False
-    pt = []
-    for t in range(len(items)):
-        v = fwd["values"][t]
-        if critic_mode == "v":
-            pt.append((float(v[0]), targets[t], 1))
-        else:
-            pt.append((float(v[items[t]]), targets[t], ctx_agent.n_items))
+    targets = critic_targets(
+        [tr.reward for tr in traj.transitions], [tr.value for tr in traj.transitions], gamma
+    )
     dlogits, dvalues, aloss, closs = _head_grads(
-        fwd["logits"], items, masks, traj.advantages, pt, critic_mode, scale
+        fwd, items, np.ones(ctx_agent.n_items, dtype=bool), traj.advantages, targets,
+        critic_mode, scale,
     )
     if accumulate:
         rec.trajectory_backward(ctx_agent, fwd, dlogits, dvalues)
@@ -472,30 +461,14 @@ def selector_losses(agent, ep: sel.SelectionEpisode, gamma, critic_mode="v", acc
     the rollout; they are constants with respect to the replayed forward.
     """
     fwd = sel.episode_forward(agent, ep)
-    recorded = np.asarray(ep.values)
     if ep.advantages is None:
         ep.returns = discounted_returns(ep.rewards, gamma)
-        ep.advantages = ep.returns - recorded
-    advantages = ep.advantages
-    n = ep.length
-    targets = np.zeros(n)
-    for t in range(n):
-        targets[t] = ep.rewards[t] + (gamma * recorded[t + 1] if t < n - 1 else 0.0)
-    masks = []
+        ep.advantages = ep.returns - np.asarray(ep.values)
     avail = np.ones(agent.pool_size, dtype=bool)
     avail[len(ep.pool) :] = False
-    for slot in ep.slots:
-        masks.append(avail.copy())
-        avail[slot] = False
-    pt = []
-    for t in range(n):
-        v = fwd["values"][t]
-        if critic_mode == "v":
-            pt.append((float(v[0]), targets[t], 1))
-        else:
-            pt.append((float(v[ep.slots[t]]), targets[t], agent.pool_size))
     dlogits, dvalues, aloss, closs = _head_grads(
-        fwd["logits"], ep.slots, masks, advantages, pt, critic_mode, scale
+        fwd, ep.slots, avail, ep.advantages, critic_targets(ep.rewards, ep.values, gamma),
+        critic_mode, scale,
     )
     if accumulate:
         sel.episode_backward(agent, fwd, dlogits, dvalues)
@@ -532,14 +505,6 @@ def majority_category_ratio(categories) -> float:
     return float(counts.max() / len(categories))
 
 
-def _eval_workers():
-    raw = os.environ.get("DARLR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _eval_episode(agent, d: ds.Dataset, seed, idx, greedy):
     rng = rng_stream(seed, "eval-episode", idx)
     u = int(rng.integers(d.n_users))
@@ -552,11 +517,10 @@ def _eval_episode(agent, d: ds.Dataset, seed, idx, greedy):
     step = 0
     while True:
         step += 1
-        logits, _ = agent.actor.forward(state.vec)
         if greedy:
-            item = greedy_action(logits, mask)
+            item = greedy_action(agent.actor.forward(state.vec)[0], mask)
         else:
-            item, _, _ = softmax_policy(logits, mask=mask, rng=rng)
+            item, _ = rec.recommend(state, agent, mask, rng)
         reward, done, _ = env_step(
             u, item, step, "eval", None, d.truth_matrix, recent_cats,
             d.items.primary_category,
@@ -578,19 +542,11 @@ def _eval_episode(agent, d: ds.Dataset, seed, idx, greedy):
 def evaluate(agent, d: ds.Dataset, matrix, episodes, seed, greedy=False) -> EvalReport:
     """Roll out evaluation episodes against the ground-truth environment.
 
-    Per-episode RNG streams derive from (seed, index), so results are
-    identical no matter how many workers DARLR_THREADS allows.
+    Each episode owns an RNG stream derived from (seed, index).
     """
     if d.truth_matrix is None:
         raise ValueError("evaluation requires a ground-truth matrix")
-    workers = _eval_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda i: _eval_episode(agent, d, seed, i, greedy), range(episodes))
-            )
-    else:
-        results = [_eval_episode(agent, d, seed, i, greedy) for i in range(episodes)]
+    results = [_eval_episode(agent, d, seed, i, greedy) for i in range(episodes)]
 
     arrays = {
         key: np.array([r[key] for r in results])
@@ -624,7 +580,6 @@ class TrainResult:
     sel_agent: sel.SelectorAgent
     matrix: ShapedRewardMatrix
     steps_total: int
-    rng_state: dict
     dataset_hash: str
 
 
@@ -689,8 +644,7 @@ def train(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSettings) -
     return TrainResult(
         settings=settings, metrics_rows=rows, parts_log=parts_log,
         rec_agent=rec_agent, sel_agent=sel_agent, matrix=matrix,
-        steps_total=steps_total, rng_state=rng.bit_generator.state,
-        dataset_hash=ds.content_hash(d),
+        steps_total=steps_total, dataset_hash=ds.content_hash(d),
     )
 
 
@@ -749,9 +703,6 @@ def save_bundle(dir_path, result: TrainResult, wm: wmod.WorldModelEnsemble):
                 "matrix:range": np.array([result.matrix.r_min, result.matrix.r_max]),
             },
         )
-    with open(out / "rng.json", "w") as fh:
-        json.dump(result.rng_state, fh, sort_keys=True)
-        fh.write("\n")
     wmod.save_world_model(wm, out / "worldmodel.ckpt")
 
 
@@ -761,6 +712,8 @@ def load_bundle(dir_path, d: ds.Dataset):
     with open(root / "config.json") as fh:
         config = json.load(fh)
     settings = TrainSettings.from_dict(config["settings"])
+    if config["config_hash"] != config_hash(settings):
+        raise ValueError("bundle config.json settings do not match its config_hash")
     if config["dataset_hash"] != ds.content_hash(d):
         raise ValueError("bundle was trained on a different dataset (hash mismatch)")
     rec_agent, sel_agent = build_agents(d, settings)
@@ -775,9 +728,7 @@ def load_bundle(dir_path, d: ds.Dataset):
     matrix.previous = state["matrix:previous"].copy()
     matrix.write_count = state["matrix:write_count"].copy()
     wm = wmod.load_world_model(root / "worldmodel.ckpt", d)
-    with open(root / "rng.json") as fh:
-        rng_state = json.load(fh)
     return {
         "settings": settings, "rec_agent": rec_agent, "sel_agent": sel_agent,
-        "matrix": matrix, "wm": wm, "rng_state": rng_state, "config": config,
+        "matrix": matrix, "wm": wm, "config": config,
     }

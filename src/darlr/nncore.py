@@ -141,14 +141,11 @@ class Linear:
 class Mlp:
     """Stack of Linear layers with tanh on the hidden layers, linear output."""
 
-    def __init__(self, name, widths, seed, activation="tanh"):
+    def __init__(self, name, widths, seed):
         if len(widths) < 2:
             raise ValueError("mlp needs at least input and output widths")
-        if activation not in ("tanh", "linear"):
-            raise ValueError(f"unsupported activation '{activation}'")
         self.name = name
         self.widths = list(widths)
-        self.activation = activation
         self.layers = [
             Linear(f"{name}/L{i}", widths[i], widths[i + 1], seed)
             for i in range(len(widths) - 1)
@@ -165,8 +162,7 @@ class Mlp:
         h = np.asarray(x, dtype=np.float64)
         for i, layer in enumerate(self.layers):
             z, lt = layer.forward(h)
-            hidden = i < len(self.layers) - 1
-            if hidden and self.activation == "tanh":
+            if i < len(self.layers) - 1:
                 h = np.tanh(z)
                 tapes.append((lt, h))
             else:
@@ -216,7 +212,7 @@ class SeqEncoder:
     residual add). The encoding of the last window position is the output.
     """
 
-    def __init__(self, name, width, window, seed, heads=1, layers=1, ff_mult=2):
+    def __init__(self, name, width, window, seed, heads=1, layers=1):
         if heads < 1 or width % heads != 0:
             raise ValueError("model width must be divisible by the head count")
         self.name = name
@@ -225,7 +221,7 @@ class SeqEncoder:
         self.heads = heads
         self.n_layers = layers
         d = width
-        ff = ff_mult * d
+        ff = 2 * d
 
         def blk(tag, shape, fan=None, zero=False):
             full = f"{name}/{tag}"
@@ -367,17 +363,72 @@ class SeqEncoder:
         return [dx[pad + i].copy() for i in range(tape["n_tokens"])]
 
 
-def softmax_policy(logits, mask=None, temperature=1.0, rng=None):
-    """Sample an action from a masked, temperature-scaled softmax.
+def replay_forward(agent, inputs, encode_first):
+    """Replay a windowed actor-critic over one episode, keeping tapes.
+
+    `agent` has `proj` (token projection), `encoder`, `actor`, `critic`
+    and `window`. Each input is projected to a token; the state at step t
+    encodes the last `window` tokens up to t, except that with
+    `encode_first` False the state at step 0 is the bare first token.
+    Both heads read every state.
+    """
+    tokens, tok_tapes = [], []
+    for x in inputs:
+        t, tape = agent.proj.forward(x)
+        tokens.append(t)
+        tok_tapes.append(tape)
+    states, enc_tapes = [], []
+    for t in range(len(tokens)):
+        if t == 0 and not encode_first:
+            states.append(tokens[0])
+            enc_tapes.append(None)
+            continue
+        lo = max(0, t + 1 - agent.window)
+        vec, tape = agent.encoder.encode(tokens[lo : t + 1])
+        states.append(vec)
+        enc_tapes.append((lo, tape))
+    logits, a_tapes, values, c_tapes = [], [], [], []
+    for s in states:
+        lg, at = agent.actor.forward(s)
+        vl, ct = agent.critic.forward(s)
+        logits.append(lg)
+        a_tapes.append(at)
+        values.append(vl)
+        c_tapes.append(ct)
+    return {
+        "tokens": tokens, "tok_tapes": tok_tapes, "states": states,
+        "enc_tapes": enc_tapes, "logits": logits, "a_tapes": a_tapes,
+        "values": values, "c_tapes": c_tapes,
+    }
+
+
+def replay_backward(agent, fwd, dlogits, dvalues):
+    """Push per-step head gradients back through encoder and projection.
+
+    Accumulates parameter gradients and returns the gradient at each
+    projection input, for the caller to route into its own tables.
+    """
+    dtokens = [np.zeros(agent.encoder.width) for _ in fwd["tokens"]]
+    for t, enc in enumerate(fwd["enc_tapes"]):
+        dstate = agent.actor.backward(fwd["a_tapes"][t], dlogits[t])
+        dstate = dstate + agent.critic.backward(fwd["c_tapes"][t], dvalues[t])
+        if enc is None:
+            dtokens[t] += dstate
+        else:
+            lo, tape = enc
+            for j, dt in enumerate(agent.encoder.backward(tape, dstate)):
+                dtokens[lo + j] += dt
+    return [agent.proj.backward(tape, dt) for tape, dt in zip(fwd["tok_tapes"], dtokens)]
+
+
+def softmax_policy(logits, mask=None, rng=None):
+    """Sample an action from a masked softmax.
 
     `mask` marks selectable entries with True (None = all selectable).
     Returns (action, logprob, probs); probs are exactly zero on masked-out
     entries.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    logits = np.asarray(logits, dtype=np.float64)
-    z = logits / temperature
+    z = np.asarray(logits, dtype=np.float64)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if not mask.any():

@@ -11,7 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nncore import Linear, Mlp, SeqEncoder, make_block, rng_stream, softmax_policy
+from .nncore import (
+    Linear,
+    Mlp,
+    SeqEncoder,
+    make_block,
+    replay_backward,
+    replay_forward,
+    rng_stream,
+    softmax_policy,
+)
 
 
 @dataclass
@@ -90,50 +99,19 @@ def trajectory_forward(agent: RecommenderAgent, user, items, track_rewards):
     `items` and `track_rewards` are the per-step recommended items and the
     rewards that entered the state-tracker tokens.
     """
-    n = len(items)
     inputs = [agent.token_input(user, None, 0.0)]
-    for j in range(n - 1):
+    for j in range(len(items) - 1):
         inputs.append(agent.token_input(user, items[j], track_rewards[j]))
-    tokens, tok_tapes = [], []
-    for x in inputs:
-        t, tape = agent.proj.forward(x)
-        tokens.append(t)
-        tok_tapes.append(tape)
-    states, enc_tapes = [], []
-    for t in range(n):
-        lo = max(0, t + 1 - agent.window)
-        vec, tape = agent.encoder.encode(tokens[lo : t + 1])
-        states.append(vec)
-        enc_tapes.append((lo, tape))
-    logits, a_tapes, values, c_tapes = [], [], [], []
-    for s in states:
-        lg, at = agent.actor.forward(s)
-        vl, ct = agent.critic.forward(s)
-        logits.append(lg)
-        a_tapes.append(at)
-        values.append(vl)
-        c_tapes.append(ct)
-    return {
-        "user": user, "items": list(items), "tokens": tokens, "tok_tapes": tok_tapes,
-        "states": states, "enc_tapes": enc_tapes, "logits": logits,
-        "a_tapes": a_tapes, "values": values, "c_tapes": c_tapes,
-    }
+    fwd = replay_forward(agent, inputs, encode_first=True)
+    fwd.update(user=user, items=list(items))
+    return fwd
 
 
 def trajectory_backward(agent: RecommenderAgent, fwd, dlogits, dvalues):
     """Backprop per-step head gradients down to the embedding tables."""
-    n = len(fwd["states"])
     d = agent.d_emb
-    dtokens = [np.zeros(agent.d_model) for _ in fwd["tokens"]]
-    for t in range(n):
-        dstate = agent.actor.backward(fwd["a_tapes"][t], dlogits[t])
-        dstate = dstate + agent.critic.backward(fwd["c_tapes"][t], dvalues[t])
-        lo, tape = fwd["enc_tapes"][t]
-        for j, dt in enumerate(agent.encoder.backward(tape, dstate)):
-            dtokens[lo + j] += dt
     user = fwd["user"]
-    for j, (tape, dt) in enumerate(zip(fwd["tok_tapes"], dtokens)):
-        dx = agent.proj.backward(tape, dt)
+    for j, dx in enumerate(replay_backward(agent, fwd, dlogits, dvalues)):
         agent.emb_user.grad[user] += dx[:d]
         if j > 0:  # token 0 carries the zero start-item slot
             agent.emb_item.grad[fwd["items"][j - 1]] += dx[d : 2 * d]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rewardmath as rm
-from .nncore import Linear, Mlp, SeqEncoder, softmax_policy
+from .nncore import Linear, Mlp, SeqEncoder, replay_backward, replay_forward, softmax_policy
 
 
 @dataclass
@@ -179,49 +179,14 @@ def episode_forward(agent: SelectorAgent, ep: SelectionEpisode):
 
     Deterministic given the agent parameters and the episode record, so
     running it before any update reproduces the rollout numbers exactly.
+    State 0 is the bare projected token, as in `init_state`.
     """
-    n = ep.length
     inputs = [np.concatenate([ep.s_rec, ep.p_u])]
-    for row in ep.p_rows[: n - 1]:
+    for row in ep.p_rows[: ep.length - 1]:
         inputs.append(np.concatenate([ep.s_rec, row]))
-    tokens, tok_tapes = [], []
-    for x in inputs:
-        t, tape = agent.proj.forward(x)
-        tokens.append(t)
-        tok_tapes.append(tape)
-    states, enc_tapes = [tokens[0]], [None]
-    for t in range(1, n):
-        lo = max(0, t + 1 - agent.window)
-        vec, tape = agent.encoder.encode(tokens[lo : t + 1])
-        states.append(vec)
-        enc_tapes.append((lo, tape))
-    logits, a_tapes, values, c_tapes = [], [], [], []
-    for s in states:
-        lg, at = agent.actor.forward(s)
-        vl, ct = agent.critic.forward(s)
-        logits.append(lg)
-        a_tapes.append(at)
-        values.append(vl)
-        c_tapes.append(ct)
-    return {
-        "tokens": tokens, "tok_tapes": tok_tapes, "states": states,
-        "enc_tapes": enc_tapes, "logits": logits, "a_tapes": a_tapes,
-        "values": values, "c_tapes": c_tapes,
-    }
+    return replay_forward(agent, inputs, encode_first=False)
 
 
 def episode_backward(agent: SelectorAgent, fwd, dlogits, dvalues):
     """Push per-step head gradients back through encoder and projection."""
-    n = len(fwd["states"])
-    dtokens = [np.zeros(agent.d_state) for _ in fwd["tokens"]]
-    for t in range(n):
-        dstate = agent.actor.backward(fwd["a_tapes"][t], dlogits[t])
-        dstate = dstate + agent.critic.backward(fwd["c_tapes"][t], dvalues[t])
-        if t == 0:
-            dtokens[0] += dstate
-        else:
-            lo, tape = fwd["enc_tapes"][t]
-            for j, dt in enumerate(agent.encoder.backward(tape, dstate)):
-                dtokens[lo + j] += dt
-    for tape, dt in zip(fwd["tok_tapes"], dtokens):
-        agent.proj.backward(tape, dt)
+    replay_backward(agent, fwd, dlogits, dvalues)

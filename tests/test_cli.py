@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +139,7 @@ class TestTrainPolicy:
         assert m1 != m2
         for seed_dir in (out / "seed_1", out / "seed_2"):
             for name in ("config.json", "recommender.frag", "selector.frag",
-                         "matrix.frag", "rng.json", "worldmodel.ckpt", "metrics.csv"):
+                         "matrix.frag", "worldmodel.ckpt", "metrics.csv"):
                 assert (seed_dir / name).exists()
 
     def test_hash_mismatch_rejected(self, workspace, tmp_path, capsys):
@@ -183,6 +184,19 @@ class TestEval:
         cli.main(args)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_edited_config_rejected(self, workspace, trained_bundle, tmp_path, capsys):
+        bundle = tmp_path / "edited"
+        shutil.copytree(trained_bundle, bundle)
+        config = json.loads((bundle / "config.json").read_text())
+        config["settings"]["lr"] *= 2
+        (bundle / "config.json").write_text(json.dumps(config))
+        rc = cli.main(["eval", "--bundle", str(bundle), "--data", workspace["data"],
+                       "--episodes", "5", "--seed", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "config_hash" in err[0]
 
 
 class TestAblate:

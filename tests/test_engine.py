@@ -450,15 +450,6 @@ class TestEvaluate:
         assert report.length == pytest.approx(2.0, abs=0)
         assert report.mcd == pytest.approx(1.0, abs=0)
 
-    def test_worker_count_invariance(self, tiny_dataset, smoke_run, monkeypatch):
-        monkeypatch.setenv("DARLR_THREADS", "1")
-        a = engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, 12, 5)
-        monkeypatch.setenv("DARLR_THREADS", "4")
-        b = engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, 12, 5)
-        assert a.r_tra == b.r_tra
-        assert a.reward_error == b.reward_error
-        assert np.array_equal(a.per_episode["r_tra"], b.per_episode["r_tra"])
-
     def test_seed_deterministic(self, tiny_dataset, smoke_run):
         a = engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, 10, 11)
         b = engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, 10, 11)

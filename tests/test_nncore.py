@@ -215,10 +215,6 @@ class TestSoftmaxPolicy:
         with pytest.raises(ValueError, match="masked"):
             nn.softmax_policy(np.zeros(3), np.zeros(3, dtype=bool), rng=nn.rng_stream(0))
 
-    def test_temperature_must_be_positive(self):
-        with pytest.raises(ValueError, match="temperature"):
-            nn.softmax_policy(np.zeros(3), temperature=0.0, rng=nn.rng_stream(0))
-
     def test_sampling_reproducible(self):
         logits = np.array([0.3, 1.2, -0.5, 0.0])
         a = [nn.softmax_policy(logits, rng=nn.rng_stream(4, "x"))[0] for _ in range(3)]
