@@ -689,11 +689,11 @@ def save_bundle(dir_path, result: TrainResult, wm: wmod.WorldModelEnsemble):
     with open(out / "config.json", "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(out / "recommender.frag", "w") as fh:
+    with open(out / "recommender.frag", "wb") as fh:
         write_fragment(fh, block_state(result.rec_agent.blocks()))
-    with open(out / "selector.frag", "w") as fh:
+    with open(out / "selector.frag", "wb") as fh:
         write_fragment(fh, block_state(result.sel_agent.blocks()))
-    with open(out / "matrix.frag", "w") as fh:
+    with open(out / "matrix.frag", "wb") as fh:
         write_fragment(
             fh,
             {
@@ -707,7 +707,10 @@ def save_bundle(dir_path, result: TrainResult, wm: wmod.WorldModelEnsemble):
 
 
 def load_bundle(dir_path, d: ds.Dataset):
-    """Rebuild agents, matrix, and world model from a bundle directory."""
+    """Rebuild settings, agents and matrix from a bundle directory.
+
+    The bundle's `worldmodel.ckpt` is not read; `load_world_model` loads it.
+    """
     root = Path(dir_path)
     with open(root / "config.json") as fh:
         config = json.load(fh)
@@ -717,18 +720,14 @@ def load_bundle(dir_path, d: ds.Dataset):
     if config["dataset_hash"] != ds.content_hash(d):
         raise ValueError("bundle was trained on a different dataset (hash mismatch)")
     rec_agent, sel_agent = build_agents(d, settings)
-    with open(root / "recommender.frag") as fh:
+    with open(root / "recommender.frag", "rb") as fh:
         load_block_state(rec_agent.blocks(), read_fragment(fh))
-    with open(root / "selector.frag") as fh:
+    with open(root / "selector.frag", "rb") as fh:
         load_block_state(sel_agent.blocks(), read_fragment(fh))
-    with open(root / "matrix.frag") as fh:
+    with open(root / "matrix.frag", "rb") as fh:
         state = read_fragment(fh)
     rng_range = state["matrix:range"]
     matrix = ShapedRewardMatrix(state["matrix:current"], rng_range[0], rng_range[1])
     matrix.previous = state["matrix:previous"].copy()
     matrix.write_count = state["matrix:write_count"].copy()
-    wm = wmod.load_world_model(root / "worldmodel.ckpt", d)
-    return {
-        "settings": settings, "rec_agent": rec_agent, "sel_agent": sel_agent,
-        "matrix": matrix, "wm": wm, "config": config,
-    }
+    return {"settings": settings, "rec_agent": rec_agent, "sel_agent": sel_agent, "matrix": matrix}

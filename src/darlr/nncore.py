@@ -485,74 +485,41 @@ def load_block_state(blocks, state):
 
 
 def write_fragment(fh, state):
-    """Write a state mapping as a text fragment (17 significant digits)."""
+    """Write a state mapping to a binary file as (name, value) .npy records.
+
+    Each record is a 0-d unicode array holding the name, then the value;
+    integers are stored as 0-d int64 arrays. Records are in name order, so
+    the same state always gives the same bytes.
+    """
     for name in sorted(state):
         v = state[name]
-        if isinstance(v, (int, np.integer)):
-            fh.write(f"int {name} {int(v)}\n")
-            continue
-        arr = np.asarray(v)
-        kind = "i" if arr.dtype.kind in "iu" else "f"
-        dims = " ".join(str(s) for s in arr.shape)
-        fh.write(f"array {name} {kind} {arr.ndim} {dims}\n")
-        flat = arr.reshape(-1)
-        if kind == "i":
-            body = (str(int(x)) for x in flat)
-        else:
-            body = (format(float(x), ".17g") for x in flat)
-        line = []
-        for tok in body:
-            line.append(tok)
-            if len(line) == 16:
-                fh.write(" ".join(line) + "\n")
-                line = []
-        if line:
-            fh.write(" ".join(line) + "\n")
+        value = np.int64(v) if isinstance(v, (int, np.integer)) else np.asarray(v)
+        np.save(fh, np.str_(name), allow_pickle=False)
+        np.save(fh, value, allow_pickle=False)
 
 
 def read_fragment(fh):
-    """Parse a text fragment back into a {name: array-or-int} mapping."""
+    """Read (name, value) records until EOF into a {name: array} mapping.
+
+    Records are read with `np.lib.format.read_array(allow_pickle=False)`,
+    which accepts only the .npy format: no pickle and no zip archive. A
+    truncated record, trailing bytes or any other format raises ValueError.
+    """
     state = {}
-    header = None
-    buf = []
-    need = 0
-
-    def finish():
-        name, kind, shape = header
-        if kind == "i":
-            arr = np.array([int(t) for t in buf], dtype=np.int64)
-        else:
-            arr = np.array([float(t) for t in buf], dtype=np.float64)
-        state[name] = arr.reshape(shape)
-
-    for raw in fh:
-        line = raw.strip()
-        if not line:
-            continue
-        if header is not None and need > 0:
-            toks = line.split()
-            buf.extend(toks)
-            need -= len(toks)
-            if need <= 0:
-                finish()
-                header, buf, need = None, [], 0
-            continue
-        parts = line.split()
-        if parts[0] == "int":
-            state[parts[1]] = int(parts[2])
-        elif parts[0] == "array":
-            name, kind, ndim = parts[1], parts[2], int(parts[3])
-            shape = tuple(int(x) for x in parts[4 : 4 + ndim])
-            count = int(np.prod(shape)) if shape else 1
-            if count == 0:
-                state[name] = np.zeros(shape, dtype=np.int64 if kind == "i" else np.float64)
-            else:
-                header, buf, need = (name, kind, shape), [], count
-        else:
-            raise ValueError(f"bad fragment line: {line!r}")
-    if header is not None:
-        raise ValueError("truncated fragment")
-    return state
+    while True:
+        pos = fh.tell()
+        if not fh.read(1):
+            return state
+        fh.seek(pos)
+        try:
+            name = np.lib.format.read_array(fh, allow_pickle=False)
+            value = np.lib.format.read_array(fh, allow_pickle=False)
+        except ValueError:
+            name = None
+        if name is None or name.ndim != 0 or name.dtype.kind != "U":
+            where = getattr(fh, "name", "input")
+            raise ValueError(f"{where} is not a darlr checkpoint fragment (bad record at byte {pos})")
+        state[str(name)] = value
 
 
 # --- finite-difference verification ----------------------------------------

@@ -265,20 +265,19 @@ def save_world_model(wm: WorldModelEnsemble, path):
         "K": wm.K, "d_emb": wm.d_emb, "hidden": wm.hidden, "seed": wm.seed,
         "r_min": wm.r_min, "r_max": wm.r_max, "dataset_hash": wm.dataset_hash,
     }
-    with open(path, "w") as fh:
-        fh.write("darlr-wm 1\n")
-        fh.write("manifest " + json.dumps(manifest, sort_keys=True) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(b"darlr-wm 2\n")
+        fh.write(("manifest " + json.dumps(manifest, sort_keys=True) + "\n").encode())
         write_fragment(fh, block_state(wm.blocks()))
 
 
 def load_world_model(path, d: ds.Dataset) -> WorldModelEnsemble:
     """Rebuild an ensemble against a dataset and restore its parameters."""
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != "darlr-wm 1":
+    with open(path, "rb") as fh:
+        if fh.readline() != b"darlr-wm 2\n":
             raise ValueError(f"not a world-model checkpoint: {path}")
-        mline = fh.readline().strip()
-        if not mline.startswith("manifest "):
+        mline = fh.readline()
+        if not mline.startswith(b"manifest "):
             raise ValueError("world-model checkpoint has no manifest")
         manifest = json.loads(mline[len("manifest ") :])
         state = read_fragment(fh)

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import darlr
 from darlr import cli
 from darlr import dataset as ds
 from darlr import engine
@@ -198,6 +202,18 @@ class TestEval:
         assert len(err) == 1
         assert err[0].startswith("error:") and "config_hash" in err[0]
 
+    def test_text_fragment_rejected(self, workspace, trained_bundle, tmp_path, capsys):
+        # a recommender.frag in the text layout written before .npy records
+        bundle = tmp_path / "text"
+        shutil.copytree(trained_bundle, bundle)
+        (bundle / "recommender.frag").write_text("array rec/emb_item f 1 2\n0.5 0.25\n")
+        rc = cli.main(["eval", "--bundle", str(bundle), "--data", workspace["data"],
+                       "--episodes", "5", "--seed", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "not a darlr checkpoint fragment" in err[0]
+
 
 class TestAblate:
     def test_six_variants_times_seeds(self, workspace, tmp_path, capsys):
@@ -225,3 +241,17 @@ def test_missing_config_file(tmp_path, capsys):
     rc = cli.main(["gen-data", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "no such file" in capsys.readouterr().err
+
+
+def test_module_entry_point(tmp_path):
+    # `python -m darlr.cli` runs the CLI without an installed `darlr` script
+    src = str(Path(darlr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "darlr.cli", "eval", "--bundle", str(tmp_path / "b"),
+         "--data", str(tmp_path / "missing"), "--episodes", "1", "--seed", "0"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

@@ -465,11 +465,14 @@ class TestBundle:
     def test_round_trip_and_resumed_evaluation(self, tiny_dataset, tiny_wm, smoke_run, tmp_path):
         engine.save_bundle(tmp_path / "b", smoke_run, tiny_wm)
         loaded = engine.load_bundle(tmp_path / "b", tiny_dataset)
-        # parameters restored bit-exactly
-        for a, b in zip(smoke_run.rec_agent.blocks(), loaded["rec_agent"].blocks()):
-            assert np.array_equal(a.values, b.values), a.name
-        for a, b in zip(smoke_run.sel_agent.blocks(), loaded["sel_agent"].blocks()):
-            assert np.array_equal(a.values, b.values), a.name
+        # parameters and Adam state restored bit-exactly
+        for agent in ("rec_agent", "sel_agent"):
+            for a, b in zip(getattr(smoke_run, agent).blocks(), loaded[agent].blocks()):
+                for field in ("values", "adam_m", "adam_v"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), (a.name, field)
+                assert a.step_count == b.step_count, a.name
+        assert smoke_run.matrix.r_min == loaded["matrix"].r_min
+        assert smoke_run.matrix.r_max == loaded["matrix"].r_max
         assert np.array_equal(smoke_run.matrix.current, loaded["matrix"].current)
         assert np.array_equal(smoke_run.matrix.previous, loaded["matrix"].previous)
         assert np.array_equal(smoke_run.matrix.write_count, loaded["matrix"].write_count)
@@ -477,6 +480,10 @@ class TestBundle:
         direct = engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, 10, 21)
         resumed = engine.evaluate(loaded["rec_agent"], tiny_dataset, loaded["matrix"], 10, 21)
         assert reports_equal(direct, resumed)
+        # saving the same result again writes the same bytes
+        engine.save_bundle(tmp_path / "b2", smoke_run, tiny_wm)
+        for name in ("recommender.frag", "selector.frag", "matrix.frag", "worldmodel.ckpt"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "b2" / name).read_bytes(), name
 
     def test_wrong_dataset_rejected(self, tiny_dataset, tiny_wm, smoke_run, tmp_path):
         engine.save_bundle(tmp_path / "b", smoke_run, tiny_wm)

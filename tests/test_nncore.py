@@ -268,7 +268,7 @@ class TestFragments:
             blk.adam_v[...] = rng.random(size=blk.adam_v.shape)
             blk.step_count = 17
         state = nn.block_state(m.blocks())
-        buf = io.StringIO()
+        buf = io.BytesIO()
         nn.write_fragment(buf, state)
         buf.seek(0)
         loaded = nn.read_fragment(buf)
@@ -282,18 +282,49 @@ class TestFragments:
 
     def test_awkward_floats_survive(self):
         vals = np.array([1.0 / 3.0, 1e-300, -1e300, 0.1 + 0.2, 2.0**-52])
-        buf = io.StringIO()
+        buf = io.BytesIO()
         nn.write_fragment(buf, {"x": vals})
         buf.seek(0)
         assert np.array_equal(nn.read_fragment(buf)["x"], vals)
 
     def test_int_arrays(self):
-        buf = io.StringIO()
+        buf = io.BytesIO()
         nn.write_fragment(buf, {"c": np.arange(5, dtype=np.int64), "n": 42})
         buf.seek(0)
         out = nn.read_fragment(buf)
         assert out["n"] == 42
         assert np.array_equal(out["c"], np.arange(5))
+
+    @staticmethod
+    def _fragment_bytes():
+        buf = io.BytesIO()
+        nn.write_fragment(buf, {"c": np.arange(5, dtype=np.int64), "x": np.ones((2, 3)), "n": 7})
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("cut", [1, 100, "value"])
+    def test_truncated_record_rejected(self, cut):
+        raw = self._fragment_bytes()
+        if cut == "value":
+            # the last record stops between its name and its value
+            name = io.BytesIO()
+            np.save(name, np.str_("y"))
+            raw += name.getvalue()
+        else:
+            raw = raw[:-cut]
+        with pytest.raises(ValueError, match="not a darlr checkpoint fragment"):
+            nn.read_fragment(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("tail", [b"\n", b"x", b"\x93NUMPY"])
+    def test_trailing_bytes_rejected(self, tail):
+        raw = self._fragment_bytes() + tail
+        with pytest.raises(ValueError, match="not a darlr checkpoint fragment"):
+            nn.read_fragment(io.BytesIO(raw))
+
+    def test_text_format_rejected(self):
+        # the text layout written before fragments became .npy records
+        old = b"array c i 1 5\n0 1 2 3 4\nint n 7\n"
+        with pytest.raises(ValueError, match="not a darlr checkpoint fragment"):
+            nn.read_fragment(io.BytesIO(old))
 
     def test_missing_key_raises(self):
         m = nn.Mlp("m", [2, 2], seed=0)

@@ -203,8 +203,9 @@ class TestCheckpoint:
         assert np.array_equal(pm_a.static_uncertainty, pm_b.static_uncertainty)
         assert loaded.dataset_hash == tiny_wm.dataset_hash
 
-    def test_bad_magic_rejected(self, tiny_dataset, tmp_path):
+    @pytest.mark.parametrize("text", ["not a checkpoint\n", "darlr-wm 1\n"], ids=["junk", "text_v1"])
+    def test_bad_magic_rejected(self, tiny_dataset, tmp_path, text):
         path = tmp_path / "junk.ckpt"
-        path.write_text("not a checkpoint\n")
-        with pytest.raises(ValueError, match="checkpoint"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="not a world-model checkpoint"):
             wmod.load_world_model(path, tiny_dataset)
