@@ -34,9 +34,12 @@ def _load_json(path):
         raise CliError(f"no such file: {path}", code=2)
     try:
         with open(p) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid JSON in {path}: {exc}", code=2)
+    if not isinstance(data, dict):
+        raise CliError(f"{path}: expected a JSON object, got {type(data).__name__}", code=2)
+    return data
 
 
 def _check_keys(data, allowed, what):
@@ -53,10 +56,9 @@ def cmd_gen_data(args):
     fields = {f.name for f in dataclasses.fields(ds.SyntheticSpec)}
     _check_keys(data, fields, "synthetic spec")
     try:
-        spec = ds.SyntheticSpec(**data)
-        d = ds.generate_synthetic(spec)
-    except ds.DatasetError as exc:
-        raise CliError(str(exc), code=2)
+        d = ds.generate_synthetic(ds.SyntheticSpec(**data))
+    except (ds.DatasetError, TypeError) as exc:  # TypeError: a value of the wrong type
+        raise CliError(f"synthetic spec: {exc}", code=2)
     ds.save_dataset(d, args.out)
     print(f"wrote dataset '{d.name}' ({d.n_users} users x {d.n_items} items, "
           f"{len(d.train_log)} interactions) to {args.out}")

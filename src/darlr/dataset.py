@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,12 +25,8 @@ class DatasetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
-    user_id: int
-    item_id: int
-    feedback: float
-    step: int
+# One logged interaction per element; a log is always sorted by (user_id, step).
+LOG_DTYPE = [("user_id", "<i8"), ("item_id", "<i8"), ("feedback", "<f8"), ("step", "<i8")]
 
 
 @dataclass
@@ -51,7 +48,7 @@ class UserCatalog:
 
 @dataclass
 class Dataset:
-    train_log: list
+    train_log: np.ndarray  # LOG_DTYPE records
     users: UserCatalog
     items: ItemCatalog
     truth_matrix: np.ndarray | None
@@ -106,6 +103,11 @@ def _dense_labels(rng, n, n_labels):
     return labels[rng.permutation(n)]
 
 
+def _rank_in_run(keys):
+    """0, 1, 2, ... within each run of equal values of a sorted array."""
+    return np.arange(len(keys)) - np.searchsorted(keys, keys)
+
+
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Low-rank truth matrix plus a popularity-skewed sparse log.
 
@@ -152,12 +154,10 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     if spec.noise_sd > 0:
         fb = np.clip(fb + rng.normal(0.0, spec.noise_sd, size=n_records), 0.0, 1.0)
 
-    next_step = np.zeros(nu, dtype=np.int64)
-    log = []
-    for u, i, r in zip(users_c, items_c, fb):
-        log.append(InteractionRecord(int(u), int(i), float(r), int(next_step[u])))
-        next_step[u] += 1
-    log.sort(key=lambda rec: (rec.user_id, rec.step))
+    by_user = np.argsort(users_c, kind="stable")  # steps count a user's records in this order
+    log = np.empty(n_records, dtype=LOG_DTYPE)
+    log["user_id"], log["item_id"], log["feedback"] = users_c[by_user], items_c[by_user], fb[by_user]
+    log["step"] = _rank_in_run(log["user_id"])
 
     return Dataset(
         train_log=log,
@@ -179,33 +179,27 @@ def save_dataset(d: Dataset, dir_path):
     with open(out / "interactions.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["user_id", "item_id", "feedback", "step"])
-        for rec in d.train_log:
-            w.writerow([rec.user_id, rec.item_id, repr(rec.feedback), rec.step])
+        w.writerows([u, i, repr(fb), step] for u, i, fb, step in d.train_log.tolist())
 
     n_uf = d.users.features.shape[1]
     with open(out / "users.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["user_id"] + [f"feat_{j}" for j in range(n_uf)])
-        for u in range(d.users.count):
-            w.writerow([u] + [int(v) for v in d.users.features[u]])
+        w.writerows([u] + feats for u, feats in enumerate(d.users.features.tolist()))
 
     n_if = d.items.features.shape[1]
     with open(out / "items.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["item_id", "category"] + [f"feat_{j}" for j in range(n_if)])
-        for i in range(d.items.count):
-            w.writerow(
-                [i, int(d.items.primary_category[i])]
-                + [int(v) for v in d.items.features[i]]
-            )
+        cats = d.items.primary_category.tolist()
+        w.writerows([i, cats[i]] + feats for i, feats in enumerate(d.items.features.tolist()))
 
     if d.truth_matrix is not None:
         with open(out / "truth.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["user_id", "item_id", "feedback"])
-            for u in range(d.users.count):
-                for i in range(d.items.count):
-                    w.writerow([u, i, repr(float(d.truth_matrix[u, i]))])
+            for u, row in enumerate(d.truth_matrix.tolist()):
+                w.writerows([u, i, repr(v)] for i, v in enumerate(row))
 
     manifest = {"r_min": d.r_min, "r_max": d.r_max, "name": d.name, "seed": d.seed}
     with open(out / "manifest.json", "w") as fh:
@@ -213,23 +207,61 @@ def save_dataset(d: Dataset, dir_path):
         fh.write("\n")
 
 
-def _read_csv(path, expect_prefix):
+def _read_table(path, expect_prefix, dtype):
+    """The rows below a CSV header; any fault is a DatasetError naming the file.
+
+    A structured dtype reads just its leading columns; a plain dtype reads
+    every column, and the rows must be as wide as the header.
+    """
     if not path.exists():
         raise DatasetError(f"missing file: {path.name}")
+    names = np.dtype(dtype).names
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DatasetError(f"{path.name}: missing header row")
-    header = rows[0]
-    if header[: len(expect_prefix)] != expect_prefix:
-        raise DatasetError(f"{path.name}: header must start with {expect_prefix}")
-    return header, rows[1:]
+        line = fh.readline()
+        if not line:
+            raise DatasetError(f"{path.name}: missing header row")
+        header = next(csv.reader([line]))
+        if header[: len(expect_prefix)] != expect_prefix:
+            raise DatasetError(f"{path.name}: header must start with {expect_prefix}")
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is the caller's error ("empty log", "no users")
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(
+                    fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                    usecols=range(len(names)) if names else None, ndmin=1 if names else 2,
+                )
+        except ValueError as exc:  # numpy's hint names a loadtxt argument: drop it
+            raise DatasetError(f"{path.name}: {str(exc).split('; use `usecols`')[0]}") from None
+    if not names and len(rows) and rows.shape[1] != len(header):
+        raise DatasetError(f"{path.name}: {rows.shape[1]} fields in a row, {len(header)} in the header")
+    return rows
 
 
-def _dense_remap(values):
-    uniq = sorted(set(values))
-    remap = {v: i for i, v in enumerate(uniq)}
-    return [remap[v] for v in values]
+def _catalog(rows, name, what, n_fixed):
+    """Sorted raw ids, and every other column in id order, coded densely.
+
+    A table with only its n_fixed leading columns gets one all-zero feature.
+    """
+    if not len(rows):
+        raise DatasetError(f"{name}: no {what}s")
+    rows = rows[np.argsort(rows[:, 0], kind="stable")]
+    if (rows[1:, 0] == rows[:-1, 0]).any():
+        raise DatasetError(f"{name}: duplicate {what}_id")
+    if rows.shape[1] == n_fixed:
+        rows = np.pad(rows, ((0, 0), (0, 1)))
+    return rows[:, 0], [np.unique(c, return_inverse=True)[1].reshape(-1) for c in rows[:, 1:].T]
+
+
+def _dense_ids(name, rows, user_ids, item_ids):
+    """Dense (user, item) indices of a table's rows, found in the sorted raw ids."""
+    u, i = (np.minimum(np.searchsorted(ids, rows[f]), len(ids) - 1)
+            for f, ids in (("user_id", user_ids), ("item_id", item_ids)))
+    bad = np.flatnonzero((user_ids[u] != rows["user_id"]) | (item_ids[i] != rows["item_id"]))
+    if len(bad):
+        ru, ri = int(rows["user_id"][bad[0]]), int(rows["item_id"][bad[0]])
+        raise DatasetError(f"{name}: id out of range ({ru},{ri})")
+    return u, i
 
 
 def load_dataset(dir_path) -> Dataset:
@@ -245,83 +277,46 @@ def load_dataset(dir_path) -> Dataset:
             raise DatasetError(f"manifest.json: missing '{key}'")
     r_min, r_max = float(manifest["r_min"]), float(manifest["r_max"])
 
-    _, user_rows = _read_csv(root / "users.csv", ["user_id"])
-    if not user_rows:
-        raise DatasetError("users.csv: no users")
-    raw_uid = [int(r[0]) for r in user_rows]
-    if len(set(raw_uid)) != len(raw_uid):
-        raise DatasetError("users.csv: duplicate user_id")
-    uid_order = np.argsort(raw_uid, kind="stable")
-    user_remap = {raw_uid[j]: i for i, j in enumerate(uid_order)}
-    n_uf = len(user_rows[0]) - 1
-    user_features = np.zeros((len(user_rows), max(n_uf, 1)), dtype=np.int64)
-    for j in uid_order:
-        row = user_rows[j]
-        feats = [int(v) for v in row[1:]] if n_uf else [0]
-        user_features[user_remap[raw_uid[j]]] = feats
-    for col in range(user_features.shape[1]):
-        dense = _dense_remap(user_features[:, col].tolist())
-        user_features[:, col] = dense
+    users_csv = _read_table(root / "users.csv", ["user_id"], np.int64)
+    user_ids, user_codes = _catalog(users_csv, "users.csv", "user", 1)
+    items_csv = _read_table(root / "items.csv", ["item_id", "category"], np.int64)
+    item_ids, (categories, *item_codes) = _catalog(items_csv, "items.csv", "item", 2)
 
-    header, item_rows = _read_csv(root / "items.csv", ["item_id", "category"])
-    if not item_rows:
-        raise DatasetError("items.csv: no items")
-    raw_iid = [int(r[0]) for r in item_rows]
-    if len(set(raw_iid)) != len(raw_iid):
-        raise DatasetError("items.csv: duplicate item_id")
-    iid_order = np.argsort(raw_iid, kind="stable")
-    item_remap = {raw_iid[j]: i for i, j in enumerate(iid_order)}
-    n_if = len(item_rows[0]) - 2
-    categories = np.zeros(len(item_rows), dtype=np.int64)
-    item_features = np.zeros((len(item_rows), max(n_if, 1)), dtype=np.int64)
-    for j in iid_order:
-        row = item_rows[j]
-        idx = item_remap[raw_iid[j]]
-        categories[idx] = int(row[1])
-        item_features[idx] = [int(v) for v in row[2:]] if n_if else [0]
-    dense_cat = _dense_remap(categories.tolist())
-    categories = np.asarray(dense_cat, dtype=np.int64)
-    for col in range(item_features.shape[1]):
-        dense = _dense_remap(item_features[:, col].tolist())
-        item_features[:, col] = dense
-
-    _, inter_rows = _read_csv(root / "interactions.csv", ["user_id", "item_id", "feedback", "step"])
-    if not inter_rows:
+    log = _read_table(root / "interactions.csv", ["user_id", "item_id", "feedback", "step"], LOG_DTYPE)
+    if not len(log):
         raise DatasetError("empty log")
-    log = []
-    seen = set()
-    for row in inter_rows:
-        ru, ri = int(row[0]), int(row[1])
-        if ru not in user_remap or ri not in item_remap:
-            raise DatasetError(f"interactions.csv: id out of range ({ru},{ri})")
-        fb = float(row[2])
-        if not (r_min - 1e-12 <= fb <= r_max + 1e-12):
-            raise DatasetError(f"interactions.csv: feedback {fb} outside [{r_min},{r_max}]")
-        step = int(row[3])
-        key = (ru, ri, step)
-        if key in seen:
-            raise DatasetError(f"interactions.csv: duplicate (user,item,step) {key}")
-        seen.add(key)
-        log.append(InteractionRecord(user_remap[ru], item_remap[ri], fb, step))
-    log.sort(key=lambda rec: (rec.user_id, rec.step))
+    users, items = _dense_ids("interactions.csv", log, user_ids, item_ids)
+    fb = log["feedback"]
+    bad = np.flatnonzero(~((r_min - 1e-12 <= fb) & (fb <= r_max + 1e-12)))
+    if len(bad):
+        fb = float(fb[bad[0]])
+        raise DatasetError(f"interactions.csv: feedback {fb} outside [{r_min},{r_max}]")
+    # equal triples are adjacent in this stable order; name the first row that repeats one
+    order = np.lexsort((log["step"], items, users))
+    triples = np.stack([users[order], items[order], log["step"][order]], axis=1)
+    repeats = order[1:][(triples[1:] == triples[:-1]).all(axis=1)]
+    if len(repeats):
+        j = repeats.min()
+        key = (int(log["user_id"][j]), int(log["item_id"][j]), int(log["step"][j]))
+        raise DatasetError(f"interactions.csv: duplicate (user,item,step) {key}")
+    log["user_id"], log["item_id"] = users, items
+    log = log[np.lexsort((log["step"], users))]
 
     truth = None
     truth_path = root / "truth.csv"
     if truth_path.exists():
-        _, truth_rows = _read_csv(truth_path, ["user_id", "item_id", "feedback"])
-        truth = np.full((len(user_rows), len(item_rows)), np.nan)
-        for row in truth_rows:
-            ru, ri = int(row[0]), int(row[1])
-            if ru not in user_remap or ri not in item_remap:
-                raise DatasetError(f"truth.csv: id out of range ({ru},{ri})")
-            truth[user_remap[ru], item_remap[ri]] = float(row[2])
+        rows = _read_table(truth_path, ["user_id", "item_id", "feedback"], LOG_DTYPE[:3])
+        truth = np.full((len(user_ids), len(item_ids)), np.nan)
+        truth[_dense_ids("truth.csv", rows, user_ids, item_ids)] = rows["feedback"]
         if np.isnan(truth).any():
             raise DatasetError("truth.csv: matrix is not dense")
 
     return Dataset(
         train_log=log,
-        users=UserCatalog(count=len(user_rows), features=user_features),
-        items=ItemCatalog(count=len(item_rows), primary_category=categories, features=item_features),
+        users=UserCatalog(count=len(user_ids), features=np.stack(user_codes, axis=1)),
+        items=ItemCatalog(
+            count=len(item_ids), primary_category=categories, features=np.stack(item_codes, axis=1)
+        ),
         truth_matrix=truth,
         r_min=r_min,
         r_max=r_max,
@@ -337,8 +332,7 @@ def content_hash(d: Dataset) -> str:
     h.update(d.users.features.astype("<i8").tobytes())
     h.update(d.items.primary_category.astype("<i8").tobytes())
     h.update(d.items.features.astype("<i8").tobytes())
-    for rec in d.train_log:
-        h.update(f"{rec.user_id},{rec.item_id},{rec.feedback!r},{rec.step}".encode())
+    h.update("".join(f"{u},{i},{fb!r},{step}" for u, i, fb, step in d.train_log.tolist()).encode())
     if d.truth_matrix is not None:
         h.update(d.truth_matrix.astype("<f8").tobytes())
     return h.hexdigest()
@@ -384,24 +378,19 @@ def behavior_stats(d: Dataset, k: int, alpha: float = 1.0) -> BehaviorStats:
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     stats = BehaviorStats(order=k, alpha=alpha, n_items=d.n_items)
-    stats.item_totals = np.zeros(d.n_items)
-    cat = d.items.primary_category
-
-    by_user = {}
-    for rec in d.train_log:
-        by_user.setdefault(rec.user_id, []).append(rec)
-    for recs in by_user.values():
-        recs.sort(key=lambda r: r.step)
-        items = [r.item_id for r in recs]
-        for j, item in enumerate(items):
-            stats.item_totals[item] += 1
-            for m in range(1, k + 1):
-                if j < m:
-                    break
-                pattern = tuple(int(cat[items[j - p]]) for p in range(m, 0, -1))
-                vec = stats.pattern_counts.get(pattern)
-                if vec is None:
-                    vec = np.zeros(d.n_items)
-                    stats.pattern_counts[pattern] = vec
-                vec[item] += 1
+    items = d.train_log["item_id"]
+    stats.item_totals = np.bincount(items, minlength=d.n_items).astype(np.float64)
+    cats = d.items.primary_category[items]
+    rank = _rank_in_run(d.train_log["user_id"])  # step order within each user's run
+    for m in range(1, k + 1):
+        at = np.flatnonzero(rank >= m)
+        if not len(at):
+            break
+        # the categories of the m items before each position, oldest first
+        windows = np.stack([cats[at - p] for p in range(m, 0, -1)], axis=1)
+        patterns, which = np.unique(windows, axis=0, return_inverse=True)
+        counts = np.bincount(
+            which.reshape(-1) * d.n_items + items[at], minlength=len(patterns) * d.n_items
+        ).reshape(len(patterns), d.n_items).astype(np.float64)
+        stats.pattern_counts.update(zip(map(tuple, patterns.tolist()), counts))
     return stats

@@ -87,7 +87,6 @@ class RewardParts:
 
 @dataclass
 class Transition:
-    state: np.ndarray
     action: int
     logprob: float
     reward: float
@@ -328,7 +327,7 @@ def rollout_recommendation_step(ctx: TrainContext, u, state, mask, recent_cats, 
     )
     value, q_taken = _critic_scalar(ctx.rec_agent, state.vec, item, st.critic_mode)
     transition = Transition(
-        state=state.vec.copy(), action=item, logprob=logprob, reward=reward,
+        action=item, logprob=logprob, reward=reward,
         value=value, track_reward=base_r, parts=parts, done=done,
         done_reason=reason, q_taken=q_taken,
     )

@@ -40,9 +40,14 @@ def cosine(a, b) -> float:
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
+def _gain_cosine(a, b) -> float:
+    """Cosine, or 0 for an all-zero row, as `selector.candidate_pool` ranks it."""
+    return cosine(a, b) if np.any(a) and np.any(b) else 0.0
+
+
 def similarity_gain(p_u, p_cand) -> float:
     """Cosine between the target user's preference row and a candidate's."""
-    return cosine(p_u, p_cand)
+    return _gain_cosine(p_u, p_cand)
 
 
 def diversity_gain(cand, selected) -> float:
@@ -52,7 +57,7 @@ def diversity_gain(cand, selected) -> float:
     """
     if len(selected) == 0:
         return 0.0
-    return float(np.mean([1.0 - cosine(row, cand) for row in selected]))
+    return float(np.mean([1.0 - _gain_cosine(row, cand) for row in selected]))
 
 
 def intrinsic_reward(r_hat: float, g: GainPair, c: PenaltyCoeffs) -> float:

@@ -154,12 +154,12 @@ def train_world_model(
     """
     if K < 1:
         raise ValueError("need at least one ensemble member")
-    if not d.train_log:
+    if len(d.train_log) == 0:
         raise ValueError("cannot train a world model on an empty log")
     cfg = cfg or AdamConfig()
-    u_all = np.array([r.user_id for r in d.train_log], dtype=np.int64)
-    i_all = np.array([r.item_id for r in d.train_log], dtype=np.int64)
-    r_all = np.array([r.feedback for r in d.train_log])
+    u_all = d.train_log["user_id"]
+    i_all = d.train_log["item_id"]
+    r_all = d.train_log["feedback"]
     n = len(r_all)
 
     members = []

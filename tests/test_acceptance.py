@@ -121,7 +121,7 @@ def test_criterion_2_gradient_correctness():
         for i, item in enumerate(items):
             traj.transitions.append(
                 engine.Transition(
-                    state=np.zeros(4), action=int(item), logprob=-1.0,
+                    action=int(item), logprob=-1.0,
                     reward=float(rngs.random()), value=float(rngs.normal() * 0.3),
                     track_reward=float(rngs.random()), parts=None,
                     done=i == 2, done_reason="max_length" if i == 2 else None,
@@ -266,7 +266,7 @@ def test_criterion_6_policy_gradient_sanity():
             traj = engine.Trajectory(user=0)
             traj.transitions.append(
                 engine.Transition(
-                    state=state.vec.copy(), action=item, logprob=logprob, reward=r,
+                    action=item, logprob=logprob, reward=r,
                     value=float(value[0]), track_reward=r, parts=None, done=True,
                     done_reason="max_length",
                 )

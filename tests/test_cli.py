@@ -76,6 +76,15 @@ class TestGenData:
         assert "unknown keys" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("spec", [[1, 2], "users", {"users": "5", "items": 5}, {"users": 5, "items": 5.5}])
+    def test_spec_of_wrong_type_rejected(self, tmp_path, capsys, spec):
+        spec_path = write_json(tmp_path / "s.json", spec)
+        assert cli.main(["gen-data", "--spec", spec_path, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "x").exists()
+
+
 class TestTrainWm:
     def test_outputs_exist(self, workspace):
         assert Path(workspace["wm"]).exists()
@@ -104,6 +113,14 @@ class TestTrainWm:
         rc = cli.main(["train-wm", "--config", bad, "--data", workspace["data"], "--out", str(tmp_path / "w")])
         assert rc == 2
         assert "unknown keys" in capsys.readouterr().err
+
+
+    def test_config_not_an_object_rejected(self, workspace, tmp_path, capsys):
+        bad = write_json(tmp_path / "wm.json", [1, 2])
+        rc = cli.main(["train-wm", "--config", bad, "--data", workspace["data"], "--out", str(tmp_path / "w")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "expected a JSON object" in err[0]
 
 
 class TestTrainPolicy:
@@ -145,6 +162,16 @@ class TestTrainPolicy:
             for name in ("config.json", "recommender.frag", "selector.frag",
                          "matrix.frag", "worldmodel.ckpt", "metrics.csv"):
                 assert (seed_dir / name).exists()
+
+    def test_config_not_an_object_rejected(self, workspace, tmp_path, capsys):
+        bad = write_json(tmp_path / "policy.json", [1, 2])
+        rc = cli.main([
+            "train-policy", "--config", bad, "--data", workspace["data"],
+            "--wm", workspace["wm"], "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "expected a JSON object" in err[0]
 
     def test_hash_mismatch_rejected(self, workspace, tmp_path, capsys):
         other_spec = write_json(tmp_path / "s.json", {**SPEC, "seed": 77})

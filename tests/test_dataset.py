@@ -1,11 +1,13 @@
 import csv
 import json
+import re
 from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from darlr import cli
 from darlr import dataset as ds
 from darlr.nncore import rng_stream
 
@@ -79,19 +81,116 @@ class TestLoadDataset:
             ds.load_dataset(tmp_path)
 
 
+def _nan_feedback(header, row):
+    col = header.index("feedback") if "feedback" in header else len(header) - 1
+    return header, row[:col] + ["nan"] + row[col + 1 :]
+
+
+# each case rewrites the header and the last data row of one CSV file
+MALFORMED = {
+    "short_row": lambda header, row: (header, row[:-1]),
+    "id_x0": lambda header, row: (header, ["x0"] + row[1:]),
+    "id_float": lambda header, row: (header, ["1.0"] + row[1:]),
+    "blank_field": lambda header, row: (header, row[:1] + [""] + row[2:]),
+    "nan_feedback": _nan_feedback,
+    "missing_header_column": lambda header, row: (header[:-1], row),
+}
+CSV_FILES = ["interactions.csv", "users.csv", "items.csv", "truth.csv"]
+
+
+def write_valid_layout(root):
+    truth = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
+    write_layout(root, [[0, 1, 0.5, 0], [1, 2, 0.25, 0], [2, 0, 0.75, 1]], 3, 3, truth=truth)
+
+
+def corrupt(path, case):
+    lines = path.read_text().splitlines()
+    header, row = MALFORMED[case](lines[0].split(","), lines[-1].split(","))
+    path.write_text("\n".join([",".join(header)] + lines[1:-1] + [",".join(row)]) + "\n")
+
+
+class TestLoadRemap:
+    def test_sparse_shuffled_ids_match_loop_reference(self, tmp_path):
+        d = ds.generate_synthetic(ds.SyntheticSpec(users=9, items=11, log_density=0.4, seed=4))
+        ds.save_dataset(d, tmp_path)
+        rng = rng_stream(4, "shuffle")
+        user_raw, item_raw = rng.permutation(50)[:9] * 7 + 3, rng.permutation(60)[:11] * 5 - 20
+        for name, cols in (("users.csv", [user_raw]), ("items.csv", [item_raw]),
+                           ("interactions.csv", [user_raw, item_raw]), ("truth.csv", [user_raw, item_raw])):
+            lines = (tmp_path / name).read_text().splitlines()
+            rows = [line.split(",") for line in lines[1:]]
+            for row in rows:
+                for j, raw in enumerate(cols):
+                    row[j] = str(raw[int(row[j])])
+            rows = [rows[k] for k in rng.permutation(len(rows))]
+            (tmp_path / name).write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+        loaded = ds.load_dataset(tmp_path)
+        # loop reference: a raw id's dense index is its rank among the raw ids
+        u_dense = [sorted(user_raw.tolist()).index(raw) for raw in user_raw.tolist()]
+        i_dense = [sorted(item_raw.tolist()).index(raw) for raw in item_raw.tolist()]
+        records = sorted((u_dense[u], i_dense[i], fb, step) for u, i, fb, step in d.train_log.tolist())
+        assert sorted(loaded.train_log.tolist()) == records
+        keys = loaded.train_log[["user_id", "step"]].tolist()
+        assert keys == sorted(keys)
+        assert np.array_equal(loaded.truth_matrix[np.ix_(u_dense, i_dense)], d.truth_matrix)
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("name", CSV_FILES)
+    def test_error_names_the_file(self, tmp_path, name, case):
+        write_valid_layout(tmp_path)
+        ds.load_dataset(tmp_path)
+        corrupt(tmp_path / name, case)
+        with pytest.raises(ds.DatasetError, match=re.escape(name)):
+            ds.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    @pytest.mark.parametrize("name", CSV_FILES)
+    def test_cli_prints_one_error_line(self, tmp_path, capsys, name, case):
+        write_valid_layout(tmp_path / "data")
+        corrupt(tmp_path / "data" / name, case)
+        (tmp_path / "wm.json").write_text("{}")
+        rc = cli.main([
+            "train-wm", "--config", str(tmp_path / "wm.json"), "--data", str(tmp_path / "data"),
+            "--out", str(tmp_path / "wm.ckpt"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: ") and name in err[0]
+        assert not (tmp_path / "wm.ckpt").exists()
+
+    def test_quoted_numbers_load(self, tmp_path):
+        write_valid_layout(tmp_path)
+        plain = ds.load_dataset(tmp_path)
+        for name in CSV_FILES:
+            with open(tmp_path / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            with open(tmp_path / name, "w", newline="") as fh:
+                csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+        assert '"0"' in (tmp_path / "interactions.csv").read_text()
+        assert ds.content_hash(ds.load_dataset(tmp_path)) == ds.content_hash(plain)
+
+    def test_header_only_file_is_one_error(self, tmp_path):
+        write_valid_layout(tmp_path)
+        (tmp_path / "users.csv").write_text("user_id,feat_0\n")
+        with pytest.raises(ds.DatasetError, match="users.csv: no users"):
+            ds.load_dataset(tmp_path)
+
+
 class TestGenerateSynthetic:
     def test_deterministic_in_seed(self):
         a = ds.generate_synthetic(ds.SyntheticSpec(users=10, items=12, seed=7))
         b = ds.generate_synthetic(ds.SyntheticSpec(users=10, items=12, seed=7))
         assert ds.content_hash(a) == ds.content_hash(b)
-        assert a.train_log == b.train_log
+        assert np.array_equal(a.train_log, b.train_log)
 
     def test_noiseless_full_log_equals_truth(self):
         spec = ds.SyntheticSpec(users=6, items=8, noise_sd=0.0, log_density=1.0, seed=3)
         d = ds.generate_synthetic(spec)
         assert len(d.train_log) == 48
-        for rec in d.train_log:
-            assert rec.feedback == d.truth_matrix[rec.user_id, rec.item_id]
+        log = d.train_log
+        assert np.array_equal(log["feedback"], d.truth_matrix[log["user_id"], log["item_id"]])
 
     def test_density_record_count(self):
         spec = ds.SyntheticSpec(users=50, items=40, log_density=0.05, seed=1)
@@ -108,11 +207,11 @@ class TestGenerateSynthetic:
 
     def test_pairs_distinct_and_steps_dense(self):
         d = ds.generate_synthetic(ds.SyntheticSpec(users=8, items=9, log_density=0.4, seed=5))
-        pairs = [(r.user_id, r.item_id) for r in d.train_log]
+        pairs = [(u, i) for u, i, _, _ in d.train_log.tolist()]
         assert len(pairs) == len(set(pairs))
         by_user = defaultdict(list)
-        for r in d.train_log:
-            by_user[r.user_id].append(r.step)
+        for u, _, _, step in d.train_log.tolist():
+            by_user[u].append(step)
         for steps in by_user.values():
             assert sorted(steps) == list(range(len(steps)))
 
@@ -134,7 +233,7 @@ class TestSaveLoadRoundTrip:
         d = ds.generate_synthetic(ds.SyntheticSpec(users=7, items=9, log_density=0.3, seed=11))
         ds.save_dataset(d, tmp_path)
         d2 = ds.load_dataset(tmp_path)
-        assert d2.train_log == d.train_log
+        assert np.array_equal(d2.train_log, d.train_log)
         assert d2.n_users == d.n_users and d2.n_items == d.n_items
         assert np.array_equal(d2.users.features, d.users.features)
         assert np.array_equal(d2.items.primary_category, d.items.primary_category)
@@ -146,10 +245,10 @@ class TestSaveLoadRoundTrip:
 
 def toy_dataset(items_by_user, n_items, categories):
     """Hand-built dataset, category id = categories[item]."""
-    log = []
-    for u, items in enumerate(items_by_user):
-        for step, item in enumerate(items):
-            log.append(ds.InteractionRecord(u, item, 0.5, step))
+    log = np.array(
+        [(u, item, 0.5, step) for u, items in enumerate(items_by_user) for step, item in enumerate(items)],
+        dtype=ds.LOG_DTYPE,
+    )
     n_users = len(items_by_user)
     return ds.Dataset(
         train_log=log,
@@ -186,16 +285,34 @@ class TestBehaviorStats:
         expected = defaultdict(lambda: np.zeros(15))
         totals = np.zeros(15)
         by_user = defaultdict(list)
-        for r in d.train_log:
-            by_user[r.user_id].append(r)
+        for u, item, _, step in d.train_log.tolist():
+            by_user[u].append((step, item))
         for recs in by_user.values():
-            recs = sorted(recs, key=lambda r: r.step)
-            for j, r in enumerate(recs):
-                totals[r.item_id] += 1
+            items = [item for _, item in sorted(recs)]
+            for j, item in enumerate(items):
+                totals[item] += 1
                 if j >= 1:
-                    prev_cat = int(d.items.primary_category[recs[j - 1].item_id])
-                    expected[(prev_cat,)][r.item_id] += 1
+                    prev_cat = int(d.items.primary_category[items[j - 1]])
+                    expected[(prev_cat,)][item] += 1
         assert np.array_equal(stats.item_totals, totals)
+        assert set(stats.pattern_counts) == set(expected)
+        for pattern, counts in expected.items():
+            assert np.array_equal(stats.pattern_counts[pattern], counts)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_higher_orders_match_loop_reference(self, k):
+        d = ds.generate_synthetic(ds.SyntheticSpec(users=9, items=14, categories=3, log_density=0.5, seed=13))
+        stats = ds.behavior_stats(d, k=k, alpha=1.0)
+        expected = defaultdict(lambda: np.zeros(14))
+        cat = d.items.primary_category
+        by_user = defaultdict(list)
+        for u, item, _, step in d.train_log.tolist():
+            by_user[u].append((step, item))
+        for recs in by_user.values():
+            items = [item for _, item in sorted(recs)]
+            for j, item in enumerate(items):
+                for m in range(1, min(j, k) + 1):
+                    expected[tuple(int(cat[x]) for x in items[j - m : j])][item] += 1
         assert set(stats.pattern_counts) == set(expected)
         for pattern, counts in expected.items():
             assert np.array_equal(stats.pattern_counts[pattern], counts)

@@ -110,7 +110,7 @@ class TestAdvantages:
         for i, (r, v) in enumerate(zip(rewards, values)):
             t.transitions.append(
                 engine.Transition(
-                    state=np.zeros(1), action=0, logprob=-1.0, reward=r, value=v,
+                    action=0, logprob=-1.0, reward=r, value=v,
                     track_reward=r, parts=None, done=i == len(rewards) - 1,
                     done_reason="max_length" if i == len(rewards) - 1 else None,
                 )
@@ -285,7 +285,7 @@ class TestLosses:
         for i, (item, r) in enumerate([(2, 0.5), (0, 0.9), (4, 0.2)]):
             traj.transitions.append(
                 engine.Transition(
-                    state=np.zeros(6), action=item, logprob=-1.0, reward=r,
+                    action=item, logprob=-1.0, reward=r,
                     value=float(rngs.normal()), track_reward=r, parts=None,
                     done=i == 2, done_reason="max_length" if i == 2 else None,
                     q_taken=0.0,
@@ -347,7 +347,7 @@ class TestLosses:
         traj = engine.Trajectory(user=0)
         traj.transitions.append(
             engine.Transition(
-                state=state.vec.copy(), action=target, logprob=float(np.log(before)),
+                action=target, logprob=float(np.log(before)),
                 reward=1.0, value=0.0, track_reward=1.0, parts=None, done=True,
                 done_reason="max_length",
             )

@@ -53,6 +53,12 @@ class TestSimilarityGain:
             assert rm.similarity_gain(a, c * b) == pytest.approx(rm.similarity_gain(a, b), abs=1e-9)
 
 
+    def test_zero_row_is_zero(self):
+        row = np.array([0.2, 0.5, 0.3])
+        assert rm.similarity_gain(np.zeros(3), row) == 0.0
+        assert rm.similarity_gain(row, np.zeros(3)) == 0.0
+
+
 class TestDiversityGain:
     def test_empty_selection_is_zero(self):
         assert rm.diversity_gain(np.ones(3), []) == 0.0
@@ -63,6 +69,11 @@ class TestDiversityGain:
 
     def test_orthogonal_selection_is_one(self):
         assert rm.diversity_gain(np.array([1.0, 0.0]), [np.array([0.0, 1.0])]) == pytest.approx(1.0)
+
+    def test_zero_row_counts_as_orthogonal(self):
+        row = np.array([0.4, 0.1, 0.5])
+        assert rm.diversity_gain(np.zeros(3), [row, row]) == 1.0
+        assert rm.diversity_gain(row, [np.zeros(3), row]) == pytest.approx(0.5, abs=1e-12)
 
     def test_order_invariant_and_bounded(self):
         rng = rng_stream(2, "div")

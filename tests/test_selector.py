@@ -208,6 +208,23 @@ class TestRunSelection:
                 assert probs[used] == 0.0
             avail[slot] = False
 
+    def test_zero_preference_rows_score_cosine_zero(self):
+        # a world model that predicts r_min for all of a user's items leaves an
+        # all-zero row; it must not crash the selection, as target or as candidate
+        rows = self.rows[:9].copy()  # the pool holds every other user
+        rows[[0, 4]] = 0.0
+        matrix = make_matrix(rows)
+        for target in (0, 1):
+            ep = sel.run_selection(
+                target, 2, self.s_rec, matrix, self.agent, 8, self.coeffs, rng_stream(4, "zero")
+            )
+            if target == 1:
+                assert 4 in ep.selected and 0 in ep.selected
+            assert np.isfinite(ep.rewards).all()
+            for t, user in enumerate(ep.selected):
+                if target == 0 or user in (0, 4):
+                    assert ep.sims[t] == 0.0
+
     def test_pool_exhaustion_raises(self):
         small = make_matrix(rng_stream(8, "m").random((4, 10)))
         with pytest.raises(ValueError, match="pool"):

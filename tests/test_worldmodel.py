@@ -128,10 +128,7 @@ class TestPredictMatrix:
 
 def two_item_stats(n_obs_on_a, n_items=2, alpha=1.0):
     """Behavior stats with n observations, all on item 0."""
-    items_by_user = [[0] * n_obs_on_a]
-    log = []
-    for step, item in enumerate(items_by_user[0]):
-        log.append(ds.InteractionRecord(0, item, 0.5, step))
+    log = np.array([(0, 0, 0.5, step) for step in range(n_obs_on_a)], dtype=ds.LOG_DTYPE)
     d = ds.Dataset(
         train_log=log,
         users=ds.UserCatalog(count=1, features=np.zeros((1, 1), dtype=np.int64)),
