@@ -51,6 +51,27 @@ def _check_keys(data, allowed, what):
 _WM_KEYS = {"members": 2, "d_emb": 8, "hidden": [32], "epochs": 100, "batch": 128, "lr": 1e-3, "seed": 0}
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_wm_types(cfg):
+    def fail(key, want):
+        raise CliError(f"world-model config: '{key}' must be {want}, got {cfg[key]!r}", code=2)
+
+    for key in ("members", "epochs", "batch", "d_emb"):
+        if not (_is_int(cfg[key]) and cfg[key] >= 1):
+            fail(key, "an integer >= 1")
+    if not _is_int(cfg["seed"]):
+        fail("seed", "an integer")
+    lr = cfg["lr"]
+    if not (isinstance(lr, (int, float)) and not isinstance(lr, bool) and 0 < lr <= sys.float_info.max):
+        fail("lr", "a finite number > 0")
+    hidden = cfg["hidden"]
+    if not (isinstance(hidden, list) and hidden and all(_is_int(h) and h >= 1 for h in hidden)):
+        fail("hidden", "a non-empty list of integers >= 1")
+
+
 def cmd_gen_data(args):
     data = _load_json(args.spec)
     fields = {f.name for f in dataclasses.fields(ds.SyntheticSpec)}
@@ -69,6 +90,7 @@ def cmd_train_wm(args):
     cfg = dict(_WM_KEYS)
     cfg.update(_load_json(args.config))
     _check_keys(cfg, _WM_KEYS, "world-model config")
+    _check_wm_types(cfg)
     try:
         d = ds.load_dataset(args.data)
     except ds.DatasetError as exc:

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -264,18 +265,39 @@ def _dense_ids(name, rows, user_ids, item_ids):
     return u, i
 
 
-def load_dataset(dir_path) -> Dataset:
-    """Load and validate the CSV layout; ids re-indexed densely."""
-    root = Path(dir_path)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
+def _read_manifest(path):
+    """The manifest object, with `r_min` < `r_max` as finite floats."""
+    if not path.exists():
         raise DatasetError("missing file: manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(path, "rb") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DatasetError(f"manifest.json: invalid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DatasetError(f"manifest.json: expected a JSON object, got {type(manifest).__name__}")
     for key in ("r_min", "r_max"):
         if key not in manifest:
             raise DatasetError(f"manifest.json: missing '{key}'")
-    r_min, r_max = float(manifest["r_min"]), float(manifest["r_max"])
+        value = manifest[key]
+        number = math.nan
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            number = float(value) if abs(value) <= sys.float_info.max else math.inf
+        if not math.isfinite(number):
+            raise DatasetError(f"manifest.json: '{key}' must be a finite number, got {value!r}")
+        manifest[key] = number
+    if manifest["r_min"] >= manifest["r_max"]:
+        raise DatasetError(
+            f"manifest.json: r_min {manifest['r_min']} must be below r_max {manifest['r_max']}"
+        )
+    return manifest
+
+
+def load_dataset(dir_path) -> Dataset:
+    """Load and validate the CSV layout; ids re-indexed densely."""
+    root = Path(dir_path)
+    manifest = _read_manifest(root / "manifest.json")
+    r_min, r_max = manifest["r_min"], manifest["r_max"]
 
     users_csv = _read_table(root / "users.csv", ["user_id"], np.int64)
     user_ids, user_codes = _catalog(users_csv, "users.csv", "user", 1)

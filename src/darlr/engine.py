@@ -405,31 +405,29 @@ def critic_loss(traj: Trajectory, gamma, critic_mode="v") -> float:
     return float(((preds - targets) ** 2).mean())
 
 
-def _head_grads(fwd, actions, avail, advantages, targets, critic_mode, scale):
-    """Per-step dlogits/dvalues and losses of the combined actor+critic objective.
+def _head_grads(logits, values, actions, avail, advantages, targets, critic_mode, scale):
+    """dlogits/dvalues and losses of one episode's actor+critic objective.
 
-    `avail` marks the actions selectable at step 0; each step's action is
-    masked out of every later step. The critic prediction is the single
-    value ("v") or the entry of the action taken ("qmax").
+    `logits` and `values` are the episode's rows of a replay. `avail`
+    marks the actions selectable at step 0; each step's action is masked
+    out of every later step. The critic prediction is the single value
+    ("v") or the entry of the action taken ("qmax").
     """
-    avail = avail.copy()
-    dlogits, dvalues, aloss, closs = [], [], 0.0, 0.0
     n = len(actions)
-    for t, a in enumerate(actions):
-        probs = softmax(np.where(avail, fwd["logits"][t], -np.inf))
-        avail[a] = False
-        onehot = np.zeros_like(probs)
-        onehot[a] = 1.0
-        dlogits.append(-(advantages[t] * scale / n) * (onehot - probs))
-        aloss += -np.log(probs[a]) * advantages[t] / n
-        v = fwd["values"][t]
-        col = 0 if critic_mode == "v" else a
-        err = float(v[col]) - targets[t]
-        closs += err * err / n
-        dv = np.zeros(len(v))
-        dv[col] = 2.0 * err * scale / n
-        dvalues.append(dv)
-    return dlogits, dvalues, float(aloss), float(closs)
+    steps = np.arange(n)
+    actions = np.asarray(actions, dtype=np.int64)
+    mask = np.tile(avail, (n, 1))
+    mask[:, actions] &= steps[:, None] <= steps  # action t is gone after step t
+    probs = softmax(np.where(mask, logits, -np.inf))
+    onehot = np.zeros_like(probs)
+    onehot[steps, actions] = 1.0
+    dlogits = -(advantages * scale / n)[:, None] * (onehot - probs)
+    aloss = float((-np.log(probs[steps, actions]) * advantages / n).sum())
+    cols = 0 if critic_mode == "v" else actions
+    err = values[steps, cols] - targets
+    dvalues = np.zeros_like(values)
+    dvalues[steps, cols] = 2.0 * err * scale / n
+    return dlogits, dvalues, aloss, float((err * err / n).sum())
 
 
 def recommender_losses(ctx_agent, traj: Trajectory, gamma, critic_mode="v", accumulate=True, scale=1.0):
@@ -445,33 +443,40 @@ def recommender_losses(ctx_agent, traj: Trajectory, gamma, critic_mode="v", accu
         [tr.reward for tr in traj.transitions], [tr.value for tr in traj.transitions], gamma
     )
     dlogits, dvalues, aloss, closs = _head_grads(
-        fwd, items, np.ones(ctx_agent.n_items, dtype=bool), traj.advantages, targets,
-        critic_mode, scale,
+        fwd["logits"], fwd["values"], items, np.ones(ctx_agent.n_items, dtype=bool),
+        traj.advantages, targets, critic_mode, scale,
     )
     if accumulate:
         rec.trajectory_backward(ctx_agent, fwd, dlogits, dvalues)
     return aloss, closs
 
 
-def selector_losses(agent, ep: sel.SelectionEpisode, gamma, critic_mode="v", accumulate=True, scale=1.0):
-    """Replay a selection episode and (optionally) accumulate gradients.
-
+def _selection_replay(agent, episodes, gamma, critic_mode, accumulate, scale):
+    """Replay selection episodes as one batch; returns the summed losses.
     Advantages and TD targets come from the critic values recorded during
-    the rollout; they are constants with respect to the replayed forward.
-    """
-    fwd = sel.episode_forward(agent, ep)
-    if ep.advantages is None:
-        ep.returns = discounted_returns(ep.rewards, gamma)
-        ep.advantages = ep.returns - np.asarray(ep.values)
-    avail = np.ones(agent.pool_size, dtype=bool)
-    avail[len(ep.pool) :] = False
-    dlogits, dvalues, aloss, closs = _head_grads(
-        fwd, ep.slots, avail, ep.advantages, critic_targets(ep.rewards, ep.values, gamma),
-        critic_mode, scale,
-    )
+    the rollout; they are constants with respect to the replayed forward."""
+    fwd = sel.episode_forward(agent, episodes)
+    dlogits, dvalues = np.empty_like(fwd["logits"]), np.empty_like(fwd["values"])
+    aloss, closs, lo = 0.0, 0.0, 0
+    for ep in episodes:
+        if ep.advantages is None:
+            ep.returns = discounted_returns(ep.rewards, gamma)
+            ep.advantages = ep.returns - np.asarray(ep.values)
+        avail = np.arange(agent.pool_size) < len(ep.pool)
+        rows = slice(lo, lo + ep.length)
+        dlogits[rows], dvalues[rows], a, c = _head_grads(
+            fwd["logits"][rows], fwd["values"][rows], ep.slots, avail, ep.advantages,
+            critic_targets(ep.rewards, ep.values, gamma), critic_mode, scale,
+        )
+        aloss, closs, lo = aloss + a, closs + c, rows.stop
     if accumulate:
         sel.episode_backward(agent, fwd, dlogits, dvalues)
     return aloss, closs
+
+
+def selector_losses(agent, ep: sel.SelectionEpisode, gamma, critic_mode="v", accumulate=True, scale=1.0):
+    """Replay one selection episode and (optionally) accumulate gradients."""
+    return _selection_replay(agent, [ep], gamma, critic_mode, accumulate, scale)
 
 
 def update_recommender(agent, traj, gamma, adam_cfg, critic_mode="v"):
@@ -483,17 +488,13 @@ def update_recommender(agent, traj, gamma, adam_cfg, critic_mode="v"):
 
 
 def update_selector(agent, episodes, gamma, adam_cfg, critic_mode="v"):
-    """One update over all selection episodes of a trajectory (batched)."""
+    """One update over all selection episodes of a trajectory (one batch)."""
     if not episodes:
         return 0.0, 0.0
     scale = 1.0 / len(episodes)
-    aloss = closs = 0.0
-    for ep in episodes:
-        a, c = selector_losses(agent, ep, gamma, critic_mode, accumulate=True, scale=scale)
-        aloss += a * scale
-        closs += c * scale
+    aloss, closs = _selection_replay(agent, episodes, gamma, critic_mode, True, scale)
     adam_step(agent.blocks(), adam_cfg)
-    return aloss, closs
+    return aloss * scale, closs * scale
 
 
 # --- evaluation --------------------------------------------------------------

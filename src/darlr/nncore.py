@@ -109,6 +109,24 @@ def adam_step(blocks, cfg: AdamConfig):
         b.step_count = t
 
 
+# Steps per block of materialised gradient products. A batched backward sums
+# them in step order, so it gives the bits of one backward call per step.
+_ORDER_BLOCK = 16
+
+
+def add_in_order(grad, parts):
+    """grad += parts[0]; grad += parts[1]; ... with the sums in that order."""
+    for part in parts:
+        grad += part
+
+
+def _add_products_in_order(grad, x, dy):
+    """grad += x[i].T @ dy[i] for each step i of (steps, rows, n) stacks, in order."""
+    for lo in range(0, len(x), _ORDER_BLOCK):
+        xt, d = x[lo : lo + _ORDER_BLOCK].swapaxes(-1, -2), dy[lo : lo + _ORDER_BLOCK]
+        add_in_order(grad, xt * d if x.shape[1] == 1 else xt @ d)  # one row: an outer product
+
+
 class Linear:
     """Dense layer y = x W + b with gradient accumulation."""
 
@@ -128,13 +146,17 @@ class Linear:
         return x @ self.w.values + self.b.values, x
 
     def backward(self, tape, dy):
+        """Accumulate gradients; a 3-D input is a stack of steps summed in order."""
         x = tape
         if x.ndim == 1:
             self.w.grad += np.outer(x, dy)
             self.b.grad += dy
-        else:
+        elif x.ndim == 2:
             self.w.grad += x.T @ dy
             self.b.grad += dy.sum(axis=0)
+        else:
+            _add_products_in_order(self.w.grad, x, dy)
+            add_in_order(self.b.grad, dy.sum(axis=1))
         return dy @ self.w.values.T
 
 
@@ -145,7 +167,6 @@ class Mlp:
         if len(widths) < 2:
             raise ValueError("mlp needs at least input and output widths")
         self.name = name
-        self.widths = list(widths)
         self.layers = [
             Linear(f"{name}/L{i}", widths[i], widths[i + 1], seed)
             for i in range(len(widths) - 1)
@@ -180,17 +201,18 @@ class Mlp:
 
 
 def _layer_norm_forward(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
+    # the same operations as x.mean and x.var, without recentring twice
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + _LN_EPS)
+    xhat = xc * inv
     return gain.values * xhat + bias.values, (xhat, inv)
 
 
 def _layer_norm_backward(cache, gain, bias, dy):
-    xhat, inv = cache
-    gain.grad += (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    bias.grad += dy.sum(axis=tuple(range(dy.ndim - 1)))
+    xhat, inv = cache  # (windows, window, width)
+    add_in_order(gain.grad, (dy * xhat).sum(axis=1))
+    add_in_order(bias.grad, dy.sum(axis=1))
     dxhat = dy * gain.values
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -219,7 +241,6 @@ class SeqEncoder:
         self.width = width
         self.window = window
         self.heads = heads
-        self.n_layers = layers
         d = width
         ff = 2 * d
 
@@ -262,143 +283,123 @@ class SeqEncoder:
         return out
 
     def encode(self, tokens):
-        """Encode a token history; returns (state, tape)."""
+        """Encode one token history; returns (state, tape)."""
         n = len(tokens)
         if n == 0:
             raise ValueError("cannot encode an empty token list")
         if n > self.window:
             raise ValueError(f"got {n} tokens for window {self.window}")
-        w, d, h = self.window, self.width, self.heads
-        dk = d // h
-        pad = w - n
-        x = np.empty((w, d))
-        x[:pad] = self.start.values
-        for i, t in enumerate(tokens):
-            t = np.asarray(t, dtype=np.float64)
-            if t.shape != (d,):
-                raise ValueError(f"token width {t.shape} != ({d},)")
-            x[pad + i] = t
-        x = x + self.pos.values
-
-        scale = 1.0 / math.sqrt(dk)
-        layer_tapes = []
-        for p in self.layer_params:
-            x_in = x
-            n1, ln1_cache = _layer_norm_forward(x_in, p["ln1_g"], p["ln1_b"])
-            q = n1 @ p["wq"].values + p["bq"].values
-            k = n1 @ p["wk"].values + p["bk"].values
-            v = n1 @ p["wv"].values + p["bv"].values
-            qh = q.reshape(w, h, dk).transpose(1, 0, 2)
-            kh = k.reshape(w, h, dk).transpose(1, 0, 2)
-            vh = v.reshape(w, h, dk).transpose(1, 0, 2)
-            scores = np.einsum("hid,hjd->hij", qh, kh) * scale
-            attn = softmax(scores, axis=-1)
-            ctxh = np.einsum("hij,hjd->hid", attn, vh)
-            ctx = ctxh.transpose(1, 0, 2).reshape(w, d)
-            attn_out = ctx @ p["wo"].values + p["bo"].values
-            x_mid = x_in + attn_out
-            n2, ln2_cache = _layer_norm_forward(x_mid, p["ln2_g"], p["ln2_b"])
-            a1 = np.tanh(n2 @ p["w1"].values + p["b1"].values)
-            f = a1 @ p["w2"].values + p["b2"].values
-            x = x_mid + f
-            layer_tapes.append(
-                {
-                    "x_in": x_in, "n1": n1, "ln1": ln1_cache,
-                    "qh": qh, "kh": kh, "vh": vh, "attn": attn, "ctx": ctx,
-                    "x_mid": x_mid, "n2": n2, "ln2": ln2_cache, "a1": a1,
-                }
-            )
-        tape = {"n_tokens": n, "pad": pad, "layers": layer_tapes}
-        return x[-1].copy(), tape
+        x = np.asarray(tokens, dtype=np.float64)
+        if x.shape != (n, self.width):
+            raise ValueError(f"token width {x.shape[1:]} != ({self.width},)")
+        pad = self.window - n
+        windows = np.empty((1, self.window, self.width))
+        windows[0, pad:] = x
+        states, tape = self.forward(windows, (np.arange(self.window) < pad)[None])
+        return states[0], tape
 
     def backward(self, tape, ds):
-        """Push a gradient at the output state back to the input tokens.
+        """Accumulate parameter gradients; returns one gradient per input token."""
+        dx = self.backward_batch(tape, np.reshape(ds, (1, self.width)))[0]
+        return list(dx[int(tape["pad"][0].sum()) :])
 
-        Accumulates parameter gradients and returns a list with one
-        gradient array per input token.
+    def _split(self, x):  # (B, window, width) -> (B, heads, window, width / heads)
+        return x.reshape(len(x), self.window, self.heads, self.width // self.heads).transpose(0, 2, 1, 3)
+
+    def _merge(self, xh):
+        return xh.transpose(0, 2, 1, 3).reshape(len(xh), self.window, self.width)
+
+    def forward(self, windows, pad):
+        """Encode B left-padded windows (B, window, width) in one pass; `pad`
+        (B, window) marks the start-token slots. Returns (states, tape)."""
+        x = np.where(pad[..., None], self.start.values, windows) + self.pos.values
+        scale = 1.0 / math.sqrt(self.width // self.heads)
+        layer_tapes = []
+        for p in self.layer_params:
+            n1, ln1_cache = _layer_norm_forward(x, p["ln1_g"], p["ln1_b"])
+            qh, kh, vh = (
+                self._split(n1 @ p[f"w{c}"].values + p[f"b{c}"].values) for c in "qkv"
+            )
+            # einsum, not @: BLAS would sum the products in another order
+            attn = softmax(np.einsum("bhid,bhjd->bhij", qh, kh) * scale, axis=-1)
+            ctx = self._merge(np.einsum("bhij,bhjd->bhid", attn, vh))
+            x_mid = x + (ctx @ p["wo"].values + p["bo"].values)
+            n2, ln2_cache = _layer_norm_forward(x_mid, p["ln2_g"], p["ln2_b"])
+            a1 = np.tanh(n2 @ p["w1"].values + p["b1"].values)
+            x = x_mid + (a1 @ p["w2"].values + p["b2"].values)
+            layer_tapes.append(
+                {
+                    "n1": n1, "ln1": ln1_cache, "qh": qh, "kh": kh, "vh": vh, "attn": attn,
+                    "ctx": ctx, "n2": n2, "ln2": ln2_cache, "a1": a1,
+                }
+            )
+        return x[:, -1].copy(), {"pad": pad, "layers": layer_tapes}
+
+    def backward_batch(self, tape, ds):
+        """Push gradients at the B states (B, width) back to every window slot.
+
+        Accumulates parameter gradients window by window in batch order.
         """
-        w, d, h = self.window, self.width, self.heads
-        dk = d // h
-        scale = 1.0 / math.sqrt(dk)
-        dx = np.zeros((w, d))
-        dx[-1] = ds
+        scale = 1.0 / math.sqrt(self.width // self.heads)
+        dx = np.zeros(tape["pad"].shape + (self.width,))
+        dx[:, -1] = ds
         for p, lt in zip(reversed(self.layer_params), reversed(tape["layers"])):
             # feed-forward branch
-            df = dx
-            da1 = df @ p["w2"].values.T
-            p["w2"].grad += lt["a1"].T @ df
-            p["b2"].grad += df.sum(axis=0)
-            dh1 = da1 * (1.0 - lt["a1"] ** 2)
+            dh1 = (dx @ p["w2"].values.T) * (1.0 - lt["a1"] ** 2)
+            for c, x_in, dy in (("2", lt["a1"], dx), ("1", lt["n2"], dh1)):
+                _add_products_in_order(p[f"w{c}"].grad, x_in, dy)
+                add_in_order(p[f"b{c}"].grad, dy.sum(axis=1))
             dn2 = dh1 @ p["w1"].values.T
-            p["w1"].grad += lt["n2"].T @ dh1
-            p["b1"].grad += dh1.sum(axis=0)
             dx_mid = dx + _layer_norm_backward(lt["ln2"], p["ln2_g"], p["ln2_b"], dn2)
             # attention branch
-            dattn_out = dx_mid
-            dctx = dattn_out @ p["wo"].values.T
-            p["wo"].grad += lt["ctx"].T @ dattn_out
-            p["bo"].grad += dattn_out.sum(axis=0)
-            dctxh = dctx.reshape(w, h, dk).transpose(1, 0, 2)
-            dattn = np.einsum("hid,hjd->hij", dctxh, lt["vh"])
-            dvh = np.einsum("hij,hid->hjd", lt["attn"], dctxh)
-            inner = (dattn * lt["attn"]).sum(axis=-1, keepdims=True)
-            dscores = lt["attn"] * (dattn - inner)
-            dqh = np.einsum("hij,hjd->hid", dscores, lt["kh"]) * scale
-            dkh = np.einsum("hij,hid->hjd", dscores, lt["qh"]) * scale
-            dq = dqh.transpose(1, 0, 2).reshape(w, d)
-            dk_ = dkh.transpose(1, 0, 2).reshape(w, d)
-            dv = dvh.transpose(1, 0, 2).reshape(w, d)
-            dn1 = dq @ p["wq"].values.T + dk_ @ p["wk"].values.T + dv @ p["wv"].values.T
-            p["wq"].grad += lt["n1"].T @ dq
-            p["bq"].grad += dq.sum(axis=0)
-            p["wk"].grad += lt["n1"].T @ dk_
-            p["bk"].grad += dk_.sum(axis=0)
-            p["wv"].grad += lt["n1"].T @ dv
-            p["bv"].grad += dv.sum(axis=0)
+            _add_products_in_order(p["wo"].grad, lt["ctx"], dx_mid)
+            add_in_order(p["bo"].grad, dx_mid.sum(axis=1))
+            dctxh = self._split(dx_mid @ p["wo"].values.T)
+            attn = lt["attn"]
+            dattn = np.einsum("bhid,bhjd->bhij", dctxh, lt["vh"])
+            dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+            dq = self._merge(np.einsum("bhij,bhjd->bhid", dscores, lt["kh"]) * scale)
+            dk = self._merge(np.einsum("bhij,bhid->bhjd", dscores, lt["qh"]) * scale)
+            dv = self._merge(np.einsum("bhij,bhid->bhjd", attn, dctxh))
+            dn1 = dq @ p["wq"].values.T + dk @ p["wk"].values.T + dv @ p["wv"].values.T
+            for c, dy in (("q", dq), ("k", dk), ("v", dv)):
+                _add_products_in_order(p[f"w{c}"].grad, lt["n1"], dy)
+                add_in_order(p[f"b{c}"].grad, dy.sum(axis=1))
             dx = dx_mid + _layer_norm_backward(lt["ln1"], p["ln1_g"], p["ln1_b"], dn1)
-        self.pos.grad += dx
-        pad = tape["pad"]
-        if pad > 0:
-            self.start.grad += dx[:pad].sum(axis=0)
-        return [dx[pad + i].copy() for i in range(tape["n_tokens"])]
+        add_in_order(self.pos.grad, dx)
+        add_in_order(self.start.grad, np.where(tape["pad"][..., None], dx, 0.0).sum(axis=1))
+        return dx
 
 
-def replay_forward(agent, inputs, encode_first):
-    """Replay a windowed actor-critic over one episode, keeping tapes.
+def replay_forward(agent, inputs, lengths, encode_first):
+    """Replay a windowed actor-critic over concatenated episodes, keeping tapes.
 
     `agent` has `proj` (token projection), `encoder`, `actor`, `critic`
-    and `window`. Each input is projected to a token; the state at step t
-    encodes the last `window` tokens up to t, except that with
-    `encode_first` False the state at step 0 is the bare first token.
-    Both heads read every state.
+    and `window`; `inputs` stacks the projection inputs of episodes of the
+    given `lengths`. The state at step t encodes the episode's last
+    `window` tokens up to t, never another episode's; with `encode_first`
+    False an episode's state 0 is its bare first token. One batched pass.
     """
-    tokens, tok_tapes = [], []
-    for x in inputs:
-        t, tape = agent.proj.forward(x)
-        tokens.append(t)
-        tok_tapes.append(tape)
-    states, enc_tapes = [], []
-    for t in range(len(tokens)):
-        if t == 0 and not encode_first:
-            states.append(tokens[0])
-            enc_tapes.append(None)
-            continue
-        lo = max(0, t + 1 - agent.window)
-        vec, tape = agent.encoder.encode(tokens[lo : t + 1])
-        states.append(vec)
-        enc_tapes.append((lo, tape))
-    logits, a_tapes, values, c_tapes = [], [], [], []
-    for s in states:
-        lg, at = agent.actor.forward(s)
-        vl, ct = agent.critic.forward(s)
-        logits.append(lg)
-        a_tapes.append(at)
-        values.append(vl)
-        c_tapes.append(ct)
+    # Rows pass the dense layers as (N, 1, width) stacks: one matmul per row
+    # gives each the bits of the rollout's one-row call.
+    tokens, tok_tape = agent.proj.forward(np.asarray(inputs, dtype=np.float64)[:, None])
+    tokens = tokens[:, 0]
+    first = np.repeat(np.cumsum(lengths) - lengths, lengths)  # episode start of each row
+    rows = np.arange(len(tokens))
+    if not encode_first:
+        rows = rows[rows != first]
+    index = rows[:, None] + np.arange(1 - agent.window, 1)
+    pad = index < first[rows, None]
+    index[pad] = 0
+    encoded, enc_tape = agent.encoder.forward(tokens[index], pad)
+    states = tokens.copy()
+    states[rows] = encoded
+    logits, a_tape = agent.actor.forward(states[:, None])
+    values, c_tape = agent.critic.forward(states[:, None])
     return {
-        "tokens": tokens, "tok_tapes": tok_tapes, "states": states,
-        "enc_tapes": enc_tapes, "logits": logits, "a_tapes": a_tapes,
-        "values": values, "c_tapes": c_tapes,
+        "tok_tape": tok_tape, "states": states, "rows": rows,
+        "index": index, "enc_tape": enc_tape, "logits": logits[:, 0], "a_tape": a_tape,
+        "values": values[:, 0], "c_tape": c_tape,
     }
 
 
@@ -408,17 +409,15 @@ def replay_backward(agent, fwd, dlogits, dvalues):
     Accumulates parameter gradients and returns the gradient at each
     projection input, for the caller to route into its own tables.
     """
-    dtokens = [np.zeros(agent.encoder.width) for _ in fwd["tokens"]]
-    for t, enc in enumerate(fwd["enc_tapes"]):
-        dstate = agent.actor.backward(fwd["a_tapes"][t], dlogits[t])
-        dstate = dstate + agent.critic.backward(fwd["c_tapes"][t], dvalues[t])
-        if enc is None:
-            dtokens[t] += dstate
-        else:
-            lo, tape = enc
-            for j, dt in enumerate(agent.encoder.backward(tape, dstate)):
-                dtokens[lo + j] += dt
-    return [agent.proj.backward(tape, dt) for tape, dt in zip(fwd["tok_tapes"], dtokens)]
+    dstates = agent.actor.backward(fwd["a_tape"], np.asarray(dlogits)[:, None])[:, 0]
+    dstates += agent.critic.backward(fwd["c_tape"], np.asarray(dvalues)[:, None])[:, 0]
+    rows = fwd["rows"]
+    dwindows = agent.encoder.backward_batch(fwd["enc_tape"], dstates[rows])
+    dtokens = dstates.copy()  # a bare first token keeps its state's gradient
+    dtokens[rows] = 0.0
+    keep = ~fwd["enc_tape"]["pad"]
+    np.add.at(dtokens, fwd["index"][keep], dwindows[keep])
+    return agent.proj.backward(fwd["tok_tape"], dtokens[:, None])[:, 0]
 
 
 def softmax_policy(logits, mask=None, rng=None):

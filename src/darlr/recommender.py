@@ -15,6 +15,7 @@ from .nncore import (
     Linear,
     Mlp,
     SeqEncoder,
+    add_in_order,
     make_block,
     replay_backward,
     replay_forward,
@@ -38,7 +39,6 @@ class RecommenderAgent:
         self.n_users = n_users
         self.n_items = n_items
         self.d_emb = d_emb
-        self.d_model = d_model
         self.window = window
         self.emb_user = make_block(
             "rec/emb_user", (n_users, d_emb), rng_stream(seed, "init", "rec/emb_user")
@@ -100,9 +100,8 @@ def trajectory_forward(agent: RecommenderAgent, user, items, track_rewards):
     rewards that entered the state-tracker tokens.
     """
     inputs = [agent.token_input(user, None, 0.0)]
-    for j in range(len(items) - 1):
-        inputs.append(agent.token_input(user, items[j], track_rewards[j]))
-    fwd = replay_forward(agent, inputs, encode_first=True)
+    inputs += [agent.token_input(user, i, r) for i, r in zip(items[:-1], track_rewards)]
+    fwd = replay_forward(agent, inputs, [len(items)], encode_first=True)
     fwd.update(user=user, items=list(items))
     return fwd
 
@@ -110,8 +109,6 @@ def trajectory_forward(agent: RecommenderAgent, user, items, track_rewards):
 def trajectory_backward(agent: RecommenderAgent, fwd, dlogits, dvalues):
     """Backprop per-step head gradients down to the embedding tables."""
     d = agent.d_emb
-    user = fwd["user"]
-    for j, dx in enumerate(replay_backward(agent, fwd, dlogits, dvalues)):
-        agent.emb_user.grad[user] += dx[:d]
-        if j > 0:  # token 0 carries the zero start-item slot
-            agent.emb_item.grad[fwd["items"][j - 1]] += dx[d : 2 * d]
+    dx = replay_backward(agent, fwd, dlogits, dvalues)
+    add_in_order(agent.emb_user.grad[fwd["user"]], dx[:, :d])
+    np.add.at(agent.emb_item.grad, fwd["items"][:-1], dx[1:, d : 2 * d])

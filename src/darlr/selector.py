@@ -20,8 +20,6 @@ from .nncore import Linear, Mlp, SeqEncoder, replay_backward, replay_forward, so
 @dataclass
 class SelectorState:
     vec: np.ndarray
-    s_rec: np.ndarray
-    p_row: np.ndarray
 
 
 @dataclass
@@ -40,6 +38,7 @@ class SelectionEpisode:
     divs: list = field(default_factory=list)
     ref_rewards: list = field(default_factory=list)
     rewards: list = field(default_factory=list)  # per-step intrinsic rewards
+    tokens: list = field(default_factory=list)  # projected tokens of p_u, then p_rows
     returns: np.ndarray | None = None
     advantages: np.ndarray | None = None
 
@@ -102,22 +101,21 @@ def init_state(s_rec, p_u, agent: SelectorAgent) -> SelectorState:
     p_u = np.asarray(p_u, dtype=np.float64)
     if s_rec.shape != (agent.d_rec,) or p_u.shape != (agent.n_items,):
         raise ValueError("state parts do not match the agent widths")
-    return SelectorState(vec=agent.token(s_rec, p_u), s_rec=s_rec, p_row=p_u)
+    return SelectorState(vec=agent.token(s_rec, p_u))
 
 
 def advance_state(ep: SelectionEpisode, newly_selected_p, agent: SelectorAgent) -> SelectorState:
     """Next selection state: encode the last window of projected tokens.
 
     Token t comes from the user picked at step t-1, so the state
-    progressively absorbs the selected users' preference rows.
+    progressively absorbs the selected users' preference rows. Each token
+    is projected once and kept on the episode.
     """
-    newly_selected_p = np.asarray(newly_selected_p, dtype=np.float64)
-    tokens = [agent.token(ep.s_rec, ep.p_u)]
-    for row in ep.p_rows[:-1]:
-        tokens.append(agent.token(ep.s_rec, row))
-    tokens.append(agent.token(ep.s_rec, newly_selected_p))
-    vec, _ = agent.encoder.encode(tokens[-agent.window :])
-    return SelectorState(vec=vec, s_rec=ep.s_rec, p_row=newly_selected_p)
+    for row in ([ep.p_u] + ep.p_rows[:-1])[len(ep.tokens) :]:
+        ep.tokens.append(agent.token(ep.s_rec, row))
+    ep.tokens.append(agent.token(ep.s_rec, newly_selected_p))
+    vec, _ = agent.encoder.encode(ep.tokens[-agent.window :])
+    return SelectorState(vec=vec)
 
 
 def run_selection(
@@ -142,6 +140,7 @@ def run_selection(
         p_u=matrix.current[u].copy(), pool=pool,
     )
     state = init_state(ep.s_rec, ep.p_u, agent)
+    ep.tokens.append(state.vec)
     available = np.ones(agent.pool_size, dtype=bool)
     available[len(pool) :] = False
     running_sum = 0.0
@@ -174,17 +173,19 @@ def run_selection(
     return ep
 
 
-def episode_forward(agent: SelectorAgent, ep: SelectionEpisode):
-    """Replay an episode with tapes for training; returns the forward bundle.
+def episode_forward(agent: SelectorAgent, episodes):
+    """Replay one episode, or a list of them as one batch, with tapes.
 
-    Deterministic given the agent parameters and the episode record, so
-    running it before any update reproduces the rollout numbers exactly.
-    State 0 is the bare projected token, as in `init_state`.
+    Reproduces the rollout numbers exactly while the parameters are
+    unchanged. State 0 of each episode is its bare token (`init_state`).
     """
-    inputs = [np.concatenate([ep.s_rec, ep.p_u])]
-    for row in ep.p_rows[: ep.length - 1]:
-        inputs.append(np.concatenate([ep.s_rec, row]))
-    return replay_forward(agent, inputs, encode_first=False)
+    episodes = [episodes] if isinstance(episodes, SelectionEpisode) else episodes
+    lengths = [ep.length for ep in episodes]
+    inputs = np.concatenate([
+        np.hstack([np.broadcast_to(ep.s_rec, (n, agent.d_rec)), [ep.p_u] + ep.p_rows[: n - 1]])
+        for ep, n in zip(episodes, lengths)
+    ])
+    return replay_forward(agent, inputs, lengths, encode_first=False)
 
 
 def episode_backward(agent: SelectorAgent, fwd, dlogits, dvalues):

@@ -123,6 +123,25 @@ class TestTrainWm:
         assert len(err) == 1 and "expected a JSON object" in err[0]
 
 
+    @pytest.mark.parametrize("bad", [
+        {"members": "2"}, {"members": 0}, {"members": 2.0}, {"members": True},
+        {"epochs": 0}, {"epochs": None}, {"batch": 0}, {"batch": -4}, {"batch": 1.5},
+        {"d_emb": 0}, {"d_emb": False}, {"seed": 1.5}, {"seed": "0"}, {"seed": True},
+        {"lr": 0}, {"lr": -0.1}, {"lr": float("nan")}, {"lr": "0.1"}, {"lr": True}, {"lr": None},
+        {"hidden": 5}, {"hidden": []}, {"hidden": [0]}, {"hidden": [8, "8"]},
+        {"hidden": [True]}, {"hidden": {"0": 8}},
+    ])
+    def test_config_value_of_wrong_type_rejected(self, workspace, tmp_path, capsys, bad):
+        cfg = write_json(tmp_path / "wm.json", bad)
+        out = tmp_path / "w.ckpt"
+        rc = cli.main(["train-wm", "--config", cfg, "--data", workspace["data"], "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        key = next(iter(bad))
+        assert len(err) == 1 and err[0].startswith(f"error: world-model config: '{key}' must be")
+        assert not out.exists()
+
+
 class TestTrainPolicy:
     def test_r_static_bundle_has_frozen_matrix(self, workspace, tmp_path):
         out = tmp_path / "run"

@@ -178,6 +178,58 @@ class TestMalformedCsv:
             ds.load_dataset(tmp_path)
 
 
+# each case is the text of manifest.json
+BAD_MANIFESTS = {
+    "invalid_json": '{"r_min": 0.0, "r_max": 1.0',
+    "not_utf8": b'{"r_min": 0, "r_max": "\xff"}',
+    "not_an_object": "[0.0, 1.0]",
+    "r_min_string": '{"r_min": "x", "r_max": 1.0}',
+    "r_max_null": '{"r_min": 0.0, "r_max": null}',
+    "r_min_bool": '{"r_min": false, "r_max": 1.0}',
+    "r_max_nan": '{"r_min": 0.0, "r_max": NaN}',
+    "r_max_infinity": '{"r_min": 0.0, "r_max": Infinity}',
+    "r_max_huge_int": '{"r_min": 0, "r_max": 1' + "0" * 400 + "}",
+    "r_min_equals_r_max": '{"r_min": 1.0, "r_max": 1.0}',
+    "r_min_above_r_max": '{"r_min": 2, "r_max": 1}',
+}
+
+
+class TestMalformedManifest:
+    @staticmethod
+    def write(root, case):
+        text = BAD_MANIFESTS[case]
+        path = root / "manifest.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+    def test_error_names_the_file(self, tmp_path, case):
+        write_valid_layout(tmp_path)
+        self.write(tmp_path, case)
+        with pytest.raises(ds.DatasetError, match="manifest.json"):
+            ds.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+    def test_cli_prints_one_error_line(self, tmp_path, capsys, case):
+        write_valid_layout(tmp_path / "data")
+        self.write(tmp_path / "data", case)
+        (tmp_path / "wm.json").write_text("{}")
+        rc = cli.main([
+            "train-wm", "--config", str(tmp_path / "wm.json"), "--data", str(tmp_path / "data"),
+            "--out", str(tmp_path / "wm.ckpt"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: manifest.json")
+        assert not (tmp_path / "wm.ckpt").exists()
+
+    def test_integer_range_loads_as_floats(self, tmp_path):
+        write_valid_layout(tmp_path)
+        (tmp_path / "manifest.json").write_text('{"r_min": 0, "r_max": 1}')
+        d = ds.load_dataset(tmp_path)
+        assert (d.r_min, d.r_max) == (0.0, 1.0)
+        assert isinstance(d.r_min, float) and isinstance(d.r_max, float)
+
+
 class TestGenerateSynthetic:
     def test_deterministic_in_seed(self):
         a = ds.generate_synthetic(ds.SyntheticSpec(users=10, items=12, seed=7))

@@ -332,6 +332,33 @@ class TestLosses:
 
         assert gradient_check(agent.blocks(), loss, back) < 1e-4
 
+    @pytest.mark.parametrize("critic_mode", ["v", "qmax"])
+    def test_update_selector_sums_episode_gradients(self, monkeypatch, critic_mode):
+        from darlr import selector as sel
+        from darlr.nncore import zero_grads
+
+        rng = rng_stream(7, "m")
+        matrix = engine.ShapedRewardMatrix(rng.random((9, 5)) + 0.1, 0.0, 1.0)
+        agent = sel.SelectorAgent(
+            5, 4, 3, pool_size=6, window=2, seed=8, hidden=(8,),
+            critic_out=1 if critic_mode == "v" else 6,
+        )
+        episodes = [
+            sel.run_selection(u, 1, rng.normal(size=4), matrix, agent, k, rm.PenaltyCoeffs(), rng_stream(u))
+            for u, k in ((2, 4), (5, 1), (6, 3))
+        ]
+        captured = []
+        monkeypatch.setattr(
+            engine, "adam_step", lambda blocks, cfg: captured.extend(b.grad.copy() for b in blocks)
+        )
+        engine.update_selector(agent, episodes, 0.9, AdamConfig(), critic_mode)
+        zero_grads(agent.blocks())
+        for ep in episodes:
+            engine.selector_losses(agent, ep, 0.9, critic_mode, accumulate=True, scale=1 / 3)
+        assert len(captured) == len(agent.blocks())
+        for blk, g in zip(agent.blocks(), captured):  # one batch sums in episode order
+            assert np.array_equal(g, blk.grad), blk.name
+
     def test_one_step_positive_advantage_raises_probability(self):
         # linear actor on a constant state: one update must increase pi(a)
         d = ds.generate_synthetic(ds.SyntheticSpec(users=3, items=5, categories=2, log_density=0.6, seed=1))

@@ -182,6 +182,134 @@ class TestSeqEncoder:
                 assert abs(fd - dtoks[j][i]) / denom < 1e-4
 
 
+def reference_window(e, tokens, ds, grads):
+    """One window, one step at a time with 2-D arrays: the encoder math as a
+    plain per-window loop. Adds the parameter gradients of `ds` at the
+    output into `grads`; returns the state and the token gradients."""
+    w, d, h = e.window, e.width, e.heads
+    dk, pad = d // h, e.window - len(tokens)
+    scale = 1.0 / math.sqrt(dk)
+    x = np.vstack([np.tile(e.start.values, (pad, 1)), tokens]) + e.pos.values
+
+    def norm(x, g, b):
+        mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        return g * ((x - mu) * inv) + b, (x - mu) * inv, inv
+
+    def norm_back(cache, g, gname, bname, dy):
+        xhat, inv = cache
+        grads[gname] += (dy * xhat).sum(axis=0)
+        grads[bname] += dy.sum(axis=0)
+        dxhat = dy * g
+        return (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
+
+    def split(a):
+        return a.reshape(w, h, dk).transpose(1, 0, 2)
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(w, d)
+
+    tapes = []
+    for li, p in enumerate(e.layer_params):
+        v = {k: blk.values for k, blk in p.items()}
+        n1, *c1 = norm(x, v["ln1_g"], v["ln1_b"])
+        qh, kh, vh = (split(n1 @ v[f"w{c}"] + v[f"b{c}"]) for c in "qkv")
+        attn = nn.softmax(np.einsum("hid,hjd->hij", qh, kh) * scale, axis=-1)
+        ctx = merge(np.einsum("hij,hjd->hid", attn, vh))
+        x_mid = x + (ctx @ v["wo"] + v["bo"])
+        n2, *c2 = norm(x_mid, v["ln2_g"], v["ln2_b"])
+        a1 = np.tanh(n2 @ v["w1"] + v["b1"])
+        x = x_mid + (a1 @ v["w2"] + v["b2"])
+        tapes.append((li, v, n1, c1, qh, kh, vh, attn, ctx, n2, c2, a1))
+    state = x[-1].copy()
+    dx = np.zeros((w, d))
+    dx[-1] = ds
+    for li, v, n1, c1, qh, kh, vh, attn, ctx, n2, c2, a1 in reversed(tapes):
+        def g(name, li=li):
+            return f"e/l{li}/{name}"
+
+        grads[g("w2")] += a1.T @ dx
+        grads[g("b2")] += dx.sum(axis=0)
+        dh1 = (dx @ v["w2"].T) * (1.0 - a1**2)
+        grads[g("w1")] += n2.T @ dh1
+        grads[g("b1")] += dh1.sum(axis=0)
+        dx_mid = dx + norm_back(c2, v["ln2_g"], g("ln2_g"), g("ln2_b"), dh1 @ v["w1"].T)
+        grads[g("wo")] += ctx.T @ dx_mid
+        grads[g("bo")] += dx_mid.sum(axis=0)
+        dctxh = split(dx_mid @ v["wo"].T)
+        dattn = np.einsum("hid,hjd->hij", dctxh, vh)
+        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+        dq = merge(np.einsum("hij,hjd->hid", dscores, kh) * scale)
+        dk_ = merge(np.einsum("hij,hid->hjd", dscores, qh) * scale)
+        dv = merge(np.einsum("hij,hid->hjd", attn, dctxh))
+        for c, dy in (("q", dq), ("k", dk_), ("v", dv)):
+            grads[g(f"w{c}")] += n1.T @ dy
+            grads[g(f"b{c}")] += dy.sum(axis=0)
+        dn1 = dq @ v["wq"].T + dk_ @ v["wk"].T + dv @ v["wv"].T
+        dx = dx_mid + norm_back(c1, v["ln1_g"], g("ln1_g"), g("ln1_b"), dn1)
+    grads["e/pos"] += dx
+    grads["e/start"] += dx[:pad].sum(axis=0)
+    return state, dx[pad:]
+
+
+class TestBatchedEncoder:
+    LENGTHS = [1, 2, 3, 3, 1, 2, 3, 1, 2, 3]  # more than 8 windows: a pairwise sum would show
+
+    def setup(self, heads, layers):
+        e = nn.SeqEncoder("e", 4, window=3, seed=12, heads=heads, layers=layers)
+        rng = nn.rng_stream(12, "batch")
+        windows = rng.normal(size=(len(self.LENGTHS), 3, 4))  # padded slots hold noise
+        pad = np.arange(3) < 3 - np.array(self.LENGTHS)[:, None]
+        return e, windows, pad, rng.normal(size=(len(self.LENGTHS), 4))
+
+    @pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2)])
+    def test_forward_matches_single_windows(self, heads, layers):
+        e, windows, pad, _ = self.setup(heads, layers)
+        states, _ = e.forward(windows, pad)
+        for b, n in enumerate(self.LENGTHS):
+            s, _ = e.encode(list(windows[b, 3 - n :]))
+            assert np.array_equal(states[b], s)
+
+    @pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2)])
+    def test_matches_per_window_reference(self, heads, layers):
+        # the batched arithmetic is the per-window arithmetic: equal bits
+        e, windows, pad, ds = self.setup(heads, layers)
+        for blk in e.blocks():  # move every parameter off its initial value
+            blk.values += nn.rng_stream(5, blk.name).normal(size=blk.values.shape) * 0.1
+        states, tape = e.forward(windows, pad)
+        dwindows = e.backward_batch(tape, ds)
+        grads = {blk.name: np.zeros_like(blk.values) for blk in e.blocks()}
+        for b, n in enumerate(self.LENGTHS):
+            state, dtokens = reference_window(e, windows[b, 3 - n :], ds[b], grads)
+            assert np.array_equal(states[b], state)
+            assert np.array_equal(dwindows[b, 3 - n :], dtokens)
+        for blk in e.blocks():
+            assert np.array_equal(blk.grad, grads[blk.name]), blk.name
+
+    @pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2)])
+    def test_backward_matches_summed_single_windows(self, heads, layers):
+        # the batch sums its windows' gradients in batch order, so it gives
+        # the bits of one backward call per window
+        e, windows, pad, ds = self.setup(heads, layers)
+        _, tape = e.forward(windows, pad)
+        dwindows = e.backward_batch(tape, ds)
+        batched = [b.grad.copy() for b in e.blocks()]
+        nn.zero_grads(e.blocks())
+        for b, n in enumerate(self.LENGTHS):
+            _, tape = e.encode(list(windows[b, 3 - n :]))
+            assert np.array_equal(dwindows[b, 3 - n :], e.backward(tape, ds[b]))
+        for blk, g in zip(e.blocks(), batched):
+            assert np.array_equal(g, blk.grad), blk.name
+
+    def test_add_in_order_is_a_running_sum(self):
+        # each 1.0 is lost next to 1e16 one at a time, but not in a pairwise sum
+        parts = np.array([1e16] + [1.0] * 30 + [-1e16])[:, None]
+        grad = np.zeros(1)
+        nn.add_in_order(grad, parts)
+        assert grad[0] == 0.0
+        assert parts.sum(axis=0)[0] != 0.0
+
+
 class TestSoftmaxPolicy:
     def test_uniform_logits(self):
         rng = nn.rng_stream(0, "s")

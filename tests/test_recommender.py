@@ -154,3 +154,35 @@ class TestTrajectoryReplay:
             return float(sum(lg @ w for lg, w in zip(fwd["logits"], wv)))
 
         assert gradient_check(a.blocks(), loss, back) < 1e-4
+
+    def test_states_match_rollout_beyond_window(self):
+        a = make_agent(n_users=3, n_items=10, window=3, seed=14)
+        items = [2, 5, 0, 7, 9, 1, 4]
+        rewards = [0.2, 0.9, 0.4, 0.6, 0.1, 0.8, 0.3]
+        s = rec.init_episode(2, a)
+        states = [s.vec.copy()]
+        for it, r in zip(items[:-1], rewards[:-1]):
+            s = rec.track(s, it, r, a)
+            states.append(s.vec.copy())
+        fwd = rec.trajectory_forward(a, 2, items, rewards)
+        assert len(fwd["states"]) == 7
+        for t in range(7):
+            assert np.allclose(fwd["states"][t], states[t], atol=0)
+
+    def test_backward_gradients_beyond_window(self):
+        a = make_agent(n_users=3, n_items=8, window=3, seed=15, layers=2, hidden=(6,), critic_out=8)
+        items = [2, 5, 0, 7, 1]
+        rewards = [0.2, 0.9, 0.4, 0.6, 0.1]
+        rng = rng_stream(15, "w")
+        wl, wv = rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
+
+        def loss():
+            fwd = rec.trajectory_forward(a, 1, items, rewards)
+            return float((fwd["logits"] * wl).sum() + (fwd["values"] * wv).sum())
+
+        def back():
+            fwd = rec.trajectory_forward(a, 1, items, rewards)
+            rec.trajectory_backward(a, fwd, wl.copy(), wv.copy())
+            return float((fwd["logits"] * wl).sum() + (fwd["values"] * wv).sum())
+
+        assert gradient_check(a.blocks(), loss, back) < 1e-4

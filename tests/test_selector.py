@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,48 @@ class TestEpisodeReplay:
             probs = softmax(np.where(avail, fwd["logits"][t], -np.inf))
             assert np.log(probs[slot]) == pytest.approx(ep.logprobs[t], abs=1e-12)
             avail[slot] = False
+
+    @staticmethod
+    def two_episodes():
+        rng = rng_stream(13, "setup")
+        matrix = make_matrix(rng.random((10, 6)) + 0.1)
+        agent = make_agent(
+            n_items=6, pool_size=8, d_rec=3, window=3, seed=14, heads=2, layers=2, hidden=(8,)
+        )
+        eps = [
+            sel.run_selection(u, 2, rng.normal(size=3), matrix, agent, k, rm.PenaltyCoeffs(), rng_stream(u))
+            for u, k in ((4, 5), (7, 4))
+        ]
+        return agent, eps
+
+    def test_batched_episodes_do_not_mix(self):
+        agent, (a, b) = self.two_episodes()
+        fwd = sel.episode_forward(agent, [a, b])
+        assert len(fwd["logits"]) == 9
+        assert fwd["values"][:, 0].tolist() == a.values + b.values  # the rollout's, exactly
+        other = dataclasses.replace(
+            a, s_rec=a.s_rec * 2.0, p_u=a.p_u + 0.5, p_rows=[r[::-1] for r in a.p_rows]
+        )
+        moved = sel.episode_forward(agent, [other, b])
+        assert np.array_equal(fwd["logits"][5:], moved["logits"][5:])
+        assert np.array_equal(fwd["values"][5:], moved["values"][5:])
+        assert not np.allclose(fwd["logits"][:5], moved["logits"][:5])
+        alone = sel.episode_forward(agent, b)
+        assert np.array_equal(alone["logits"], fwd["logits"][5:])
+        assert np.array_equal(alone["values"], fwd["values"][5:])
+
+    def test_batched_backward_gradients(self):
+        agent, eps = self.two_episodes()
+        rng = rng_stream(16, "w")
+        wl, wv = rng.normal(size=(9, 8)), rng.normal(size=(9, 1))
+
+        def loss():
+            fwd = sel.episode_forward(agent, eps)
+            return float((fwd["logits"] * wl).sum() + (fwd["values"] * wv).sum())
+
+        def back():
+            fwd = sel.episode_forward(agent, eps)
+            sel.episode_backward(agent, fwd, wl.copy(), wv.copy())
+            return float((fwd["logits"] * wl).sum() + (fwd["values"] * wv).sum())
+
+        assert gradient_check(agent.blocks(), loss, back) < 1e-4
