@@ -167,6 +167,8 @@ def cmd_train_policy(args):
 
 
 def cmd_eval(args):
+    if args.episodes < 1:
+        raise CliError(f"--episodes must be >= 1, got {args.episodes}", code=2)
     try:
         d = ds.load_dataset(args.data)
     except ds.DatasetError as exc:

@@ -420,8 +420,28 @@ def replay_backward(agent, fwd, dlogits, dvalues):
     return agent.proj.backward(fwd["tok_tape"], dtokens[:, None])[:, 0]
 
 
+def sample_rows(z, rngs):
+    """Sample one action per row of masked logits `z` (N, n), row k with rngs[k].
+
+    Masked-out entries hold -inf and get probability exactly zero. Each row
+    draws one `random()` and takes the first entry whose cumulative
+    probability exceeds it (`searchsorted`, side="right"); a draw past the
+    last cdf entry takes the last entry, and a pick of a zero-probability
+    entry walks back to the nearest selectable one before it.
+    Returns (actions, probs).
+    """
+    probs = softmax(z)
+    actions = []
+    for p, cdf, rng in zip(probs, np.cumsum(probs, axis=-1), rngs):
+        action = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(p) - 1)
+        while p[action] == 0.0:
+            action -= 1
+        actions.append(action)
+    return np.array(actions), probs
+
+
 def softmax_policy(logits, mask=None, rng=None):
-    """Sample an action from a masked softmax.
+    """Sample an action from a masked softmax: the one-row case of `sample_rows`.
 
     `mask` marks selectable entries with True (None = all selectable).
     Returns (action, logprob, probs); probs are exactly zero on masked-out
@@ -433,27 +453,11 @@ def softmax_policy(logits, mask=None, rng=None):
         if not mask.any():
             raise ValueError("all actions are masked")
         z = np.where(mask, z, -np.inf)
-    probs = softmax(z)
     if rng is None:
         raise ValueError("softmax_policy needs an rng to sample")
-    cdf = np.cumsum(probs)
-    r = rng.random()
-    action = int(np.searchsorted(cdf, r, side="right"))
-    action = min(action, len(probs) - 1)
-    while probs[action] == 0.0:
-        action -= 1
+    actions, probs = sample_rows(z[None], [rng])
+    action, probs = int(actions[0]), probs[0]
     return action, float(np.log(probs[action])), probs
-
-
-def greedy_action(logits, mask=None):
-    """Deterministic argmax over selectable entries (lowest index on ties)."""
-    z = np.asarray(logits, dtype=np.float64)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            raise ValueError("all actions are masked")
-        z = np.where(mask, z, -np.inf)
-    return int(np.argmax(z))
 
 
 # --- checkpoint fragments -------------------------------------------------

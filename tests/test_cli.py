@@ -261,6 +261,18 @@ class TestEval:
         assert err[0].startswith("error:") and "not a darlr checkpoint fragment" in err[0]
 
 
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_episode_count_below_one_rejected_before_loading(self, tmp_path, capsys, episodes):
+        rc = cli.main(["eval", "--bundle", str(tmp_path / "no-bundle"), "--data",
+                       str(tmp_path / "no-data"), "--episodes", episodes, "--seed", "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0] == f"error: --episodes must be >= 1, got {episodes}"
+
+
 class TestAblate:
     def test_six_variants_times_seeds(self, workspace, tmp_path, capsys):
         out = tmp_path / "ab"

@@ -438,6 +438,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="alpha_shape"):
             engine.TrainSettings(alpha_shape=0.0).validate()
 
+    @pytest.mark.parametrize("episodes", [0, -2])
+    def test_eval_episodes_below_one_rejected_when_evaluating(self, episodes):
+        with pytest.raises(ValueError, match="eval_episodes"):
+            engine.TrainSettings(eval_episodes=episodes).validate()
+        engine.TrainSettings(eval_episodes=episodes, eval_every=0).validate()
+
     def test_qmax_mode_runs(self, tiny_dataset, tiny_wm):
         result = engine.train(
             tiny_dataset, tiny_wm, smoke_settings(critic_mode="qmax", epochs=1)
@@ -486,6 +492,100 @@ class TestEvaluate:
         a = engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, 6, 2, greedy=True)
         b = engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, 6, 2, greedy=True)
         assert reports_equal(a, b)
+
+
+def reference_episode(agent, d, seed, idx, greedy):
+    """Evaluation episode `idx` played alone, one encode and one actor call
+    per step: the loop that lockstep evaluation must reproduce bit for bit."""
+    rng = rng_stream(seed, "eval-episode", idx)
+    u = int(rng.integers(d.n_users))
+    state = rec.init_episode(u, agent)
+    mask = np.ones(d.n_items, dtype=bool)
+    cats, visited, total, step = [], [], 0.0, 0
+    while True:
+        step += 1
+        if greedy:
+            logits, _ = agent.actor.forward(state.vec)
+            item = int(np.argmax(np.where(mask, logits, -np.inf)))
+        else:
+            item, _ = rec.recommend(state, agent, mask, rng)
+        reward, done, _ = engine.env_step(
+            u, item, step, "eval", None, d.truth_matrix, cats, d.items.primary_category
+        )
+        total += reward
+        visited.append((u, item))
+        cats.append(int(d.items.primary_category[item]))
+        mask[item] = False
+        if done or not mask.any():
+            break
+        state = rec.track(state, item, reward, agent)
+    return {
+        "r_tra": total, "length": step, "r_each": total / step,
+        "mcd": engine.majority_category_ratio(cats), "visited": visited,
+    }
+
+
+def reference_reward_error(episodes, matrix, d):
+    visited = sorted({pair for ep in episodes for pair in ep["visited"]})
+    uu = np.array([p[0] for p in visited])
+    ii = np.array([p[1] for p in visited])
+    return float(np.abs(matrix.current[uu, ii] - d.truth_matrix[uu, ii]).mean())
+
+
+# name: (synthetic catalog, or None for tiny_dataset; the length every
+# episode must have, or None)
+LOCKSTEP_CASES = {
+    "tiny": (None, None),
+    "catalog_runs_out": (dict(users=6, items=6, categories=6), 6),
+    "one_category": (dict(users=5, items=8, categories=1), 2),
+    "length_cap": (dict(users=5, items=40, categories=40), 30),
+}
+
+
+def lockstep_case(name, smoke_run, tiny_dataset):
+    spec, length = LOCKSTEP_CASES[name]
+    if spec is None:
+        return smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, length
+    d = ds.generate_synthetic(ds.SyntheticSpec(log_density=0.5, seed=9, **spec))
+    agent, _ = engine.build_agents(d, smoke_settings())
+    current = rng_stream(2, "matrix").uniform(size=d.truth_matrix.shape)
+    return agent, d, engine.ShapedRewardMatrix(current, 0.0, 1.0), length
+
+
+class TestLockstepEvaluation:
+    EPISODES = 130  # crosses two block boundaries
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+    def test_matches_episodes_played_alone(self, case, greedy, smoke_run, tiny_dataset):
+        agent, d, matrix, length = lockstep_case(case, smoke_run, tiny_dataset)
+        report = engine.evaluate(agent, d, matrix, self.EPISODES, 5, greedy=greedy)
+        ref = [reference_episode(agent, d, 5, i, greedy) for i in range(self.EPISODES)]
+        for key in ("r_tra", "length", "r_each", "mcd"):
+            assert np.array_equal(report.per_episode[key], np.array([r[key] for r in ref])), key
+        assert report.reward_error == reference_reward_error(ref, matrix, d)
+        if length is not None:
+            assert np.all(report.per_episode["length"] == length)
+
+    def test_eval_episode_is_its_row(self, smoke_run, tiny_dataset):
+        agent, d, matrix = smoke_run.rec_agent, tiny_dataset, smoke_run.matrix
+        report = engine.evaluate(agent, d, matrix, self.EPISODES, 5)
+        for idx in (0, 63, 64, 129):
+            episode = engine._eval_episode(agent, d, 5, idx, False)
+            assert episode == reference_episode(agent, d, 5, idx, False)
+            for key in ("r_tra", "length", "r_each", "mcd"):
+                assert episode[key] == report.per_episode[key][idx], key
+
+    def test_block_size_does_not_change_results(self, smoke_run, tiny_dataset, monkeypatch):
+        args = (smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, 30, 8)
+        default = engine.evaluate(*args)
+        monkeypatch.setattr(engine, "_EVAL_BLOCK", 7)
+        assert reports_equal(engine.evaluate(*args), default)
+
+    @pytest.mark.parametrize("episodes", [0, -3])
+    def test_episode_count_below_one_rejected(self, episodes, smoke_run, tiny_dataset):
+        with pytest.raises(ValueError, match="at least one episode"):
+            engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, episodes, 1)
 
 
 class TestBundle:

@@ -349,6 +349,99 @@ class TestSoftmaxPolicy:
         assert len(set(a)) == 1
 
 
+def reference_softmax_policy(logits, mask=None, rng=None):
+    """The one-row sampler as written before `sample_rows`, kept as the reference."""
+    z = np.asarray(logits, dtype=np.float64)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if not mask.any():
+            raise ValueError("all actions are masked")
+        z = np.where(mask, z, -np.inf)
+    probs = nn.softmax(z)
+    cdf = np.cumsum(probs)
+    r = rng.random()
+    action = int(np.searchsorted(cdf, r, side="right"))
+    action = min(action, len(probs) - 1)
+    while probs[action] == 0.0:
+        action -= 1
+    return action, float(np.log(probs[action])), probs
+
+
+class FixedDraw:
+    """An rng whose every draw is `r`."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+class TestSampleRows:
+    def masked_rows(self, n_rows=40, n=23, seed=0):
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(scale=3.0, size=(n_rows, n))
+        masks = rng.random((n_rows, n)) < 0.5
+        masks[np.arange(n_rows), rng.integers(n, size=n_rows)] = True
+        masks[0] = False
+        masks[0, 7] = True  # one selectable action
+        return logits, masks
+
+    def test_rows_match_one_row_reference(self):
+        logits, masks = self.masked_rows()
+        for draw in range(5):
+            rngs = [nn.rng_stream(draw, "row", k) for k in range(len(logits))]
+            actions, probs = nn.sample_rows(np.where(masks, logits, -np.inf), rngs)
+            for k in range(len(logits)):
+                a, _, p = reference_softmax_policy(
+                    logits[k], masks[k], nn.rng_stream(draw, "row", k)
+                )
+                assert actions[k] == a
+                assert np.array_equal(probs[k], p)
+        assert np.all(probs[~masks] == 0.0)
+
+    def test_softmax_policy_matches_reference(self):
+        logits, masks = self.masked_rows(n_rows=60, seed=1)
+        rng, ref_rng = nn.rng_stream(3, "one"), nn.rng_stream(3, "one")
+        for row, mask in zip(logits, masks):
+            for m in (mask, None):
+                a, lp, p = nn.softmax_policy(row, m, rng=rng)
+                ra, rlp, rp = reference_softmax_policy(row, m, rng=ref_rng)
+                assert (a, lp) == (ra, rlp)
+                assert np.array_equal(p, rp)
+
+    def test_draw_on_a_cdf_entry_takes_the_next_action(self):
+        # side="right": a draw equal to cdf[k] picks k + 1, never a masked
+        # leading entry whose cdf is still zero
+        logits = np.zeros((2, 4))
+        mask = np.array([[True] * 4, [False, True, True, True]])
+        draws = [FixedDraw(0.5), FixedDraw(0.0)]
+        actions, _ = nn.sample_rows(np.where(mask, logits, -np.inf), draws)
+        refs = [reference_softmax_policy(logits[k], mask[k], draws[k])[0] for k in range(2)]
+        assert actions.tolist() == refs == [2, 1]
+
+    def test_forced_walk_back(self):
+        # the largest draw lies past a cdf that sums to just under one, so the
+        # pick lands on the masked last entry and walks back over both
+        r = np.nextafter(1.0, 0.0)
+        rng = np.random.default_rng(5)
+        mask = np.array([True, True, True, True, False, False])
+        for _ in range(1000):
+            logits = rng.normal(size=6)
+            if np.cumsum(nn.softmax(np.where(mask, logits, -np.inf)))[-1] <= r:
+                break
+        else:
+            pytest.fail("no logits whose cdf ends below the largest draw")
+        ref, _, _ = reference_softmax_policy(logits, mask, FixedDraw(r))
+        assert ref == 3
+        actions, _ = nn.sample_rows(
+            np.where(mask, np.stack([logits, logits[::-1]]), -np.inf), [FixedDraw(r), FixedDraw(0.0)]
+        )
+        assert actions[0] == 3
+        assert actions[1] == reference_softmax_policy(logits[::-1], mask, FixedDraw(0.0))[0]
+        assert nn.softmax_policy(logits, mask, rng=FixedDraw(r))[0] == 3
+
+
 class TestAdam:
     def test_zero_grad_only_bumps_step(self):
         b = nn.make_block("p", (3,))
