@@ -1,9 +1,11 @@
 """Batch command-line entry points.
 
 Subcommands: gen-data, train-wm, train-policy, eval, ablate. Config files
-are JSON with exhaustive key validation; every output lands under the
-directory given by --out. Errors are single machine-parsable lines on
-stderr with a nonzero exit code.
+are JSON objects read by one typed loader (`engine.config_from_dict`),
+which rejects unknown keys and values of the wrong type or range before
+any data is read. Every output lands under the directory given by --out.
+Errors are single machine-parsable lines on stderr with a nonzero exit
+code.
 """
 
 from __future__ import annotations
@@ -42,44 +44,16 @@ def _load_json(path):
     return data
 
 
-def _check_keys(data, allowed, what):
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise CliError(f"{what}: unknown keys: {', '.join(sorted(unknown))}", code=2)
-
-
-_WM_KEYS = {"members": 2, "d_emb": 8, "hidden": [32], "epochs": 100, "batch": 128, "lr": 1e-3, "seed": 0}
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_wm_types(cfg):
-    def fail(key, want):
-        raise CliError(f"world-model config: '{key}' must be {want}, got {cfg[key]!r}", code=2)
-
-    for key in ("members", "epochs", "batch", "d_emb"):
-        if not (_is_int(cfg[key]) and cfg[key] >= 1):
-            fail(key, "an integer >= 1")
-    if not _is_int(cfg["seed"]):
-        fail("seed", "an integer")
-    lr = cfg["lr"]
-    if not (isinstance(lr, (int, float)) and not isinstance(lr, bool) and 0 < lr <= sys.float_info.max):
-        fail("lr", "a finite number > 0")
-    hidden = cfg["hidden"]
-    if not (isinstance(hidden, list) and hidden and all(_is_int(h) and h >= 1 for h in hidden)):
-        fail("hidden", "a non-empty list of integers >= 1")
+def _config(cls, data, what):
+    try:
+        return engine.config_from_dict(cls, data, what)
+    except engine.ConfigError as exc:
+        raise CliError(str(exc), code=2)
 
 
 def cmd_gen_data(args):
-    data = _load_json(args.spec)
-    fields = {f.name for f in dataclasses.fields(ds.SyntheticSpec)}
-    _check_keys(data, fields, "synthetic spec")
-    try:
-        d = ds.generate_synthetic(ds.SyntheticSpec(**data))
-    except (ds.DatasetError, TypeError) as exc:  # TypeError: a value of the wrong type
-        raise CliError(f"synthetic spec: {exc}", code=2)
+    spec = _config(ds.SyntheticSpec, _load_json(args.spec), "synthetic spec")
+    d = ds.generate_synthetic(spec)
     ds.save_dataset(d, args.out)
     print(f"wrote dataset '{d.name}' ({d.n_users} users x {d.n_items} items, "
           f"{len(d.train_log)} interactions) to {args.out}")
@@ -87,18 +61,14 @@ def cmd_gen_data(args):
 
 
 def cmd_train_wm(args):
-    cfg = dict(_WM_KEYS)
-    cfg.update(_load_json(args.config))
-    _check_keys(cfg, _WM_KEYS, "world-model config")
-    _check_wm_types(cfg)
+    cfg = _config(wmod.WorldModelConfig, _load_json(args.config), "world-model config")
     try:
         d = ds.load_dataset(args.data)
     except ds.DatasetError as exc:
         raise CliError(str(exc), code=2)
     wm = wmod.train_world_model(
-        d, K=cfg["members"], epochs=cfg["epochs"], batch=cfg["batch"],
-        cfg=AdamConfig(lr=cfg["lr"]), seed=cfg["seed"], d_emb=cfg["d_emb"],
-        hidden=tuple(cfg["hidden"]),
+        d, K=cfg.members, epochs=cfg.epochs, batch=cfg.batch, cfg=AdamConfig(lr=cfg.lr),
+        seed=cfg.seed, d_emb=cfg.d_emb, hidden=cfg.hidden,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -113,20 +83,25 @@ def cmd_train_wm(args):
     return 0
 
 
-def _policy_setup(args, need_variant_check=True):
+def _seed_list(seeds, what):
+    """A run directory per seed: seeds must be distinct integers, at least one."""
+    if not (isinstance(seeds, list) and seeds and all(type(s) is int for s in seeds)
+            and len(set(seeds)) == len(seeds)):
+        raise CliError(f"{what} must be a non-empty list of distinct integers, got {seeds!r}", code=2)
+    return seeds
+
+
+def _policy_config(args):
+    """Settings and seed list of train-policy and ablate; reads no data."""
     raw = _load_json(args.config)
-    seeds = raw.pop("seeds", [0])
-    if not isinstance(seeds, list) or not seeds:
-        raise CliError("config: 'seeds' must be a non-empty list", code=2)
+    seeds = _seed_list(raw.pop("seeds", [0]), "config: 'seeds'")
     if getattr(args, "seed", None):
         try:
             seeds = [int(s) for s in args.seed.split(",")]
         except ValueError:
             raise CliError(f"bad --seed list: {args.seed}", code=2)
-    try:
-        settings = engine.TrainSettings.from_dict(raw)
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"config: {exc}", code=2)
+        _seed_list(seeds, "--seed")
+    settings = _config(engine.TrainSettings, raw, "config")
     variant = getattr(args, "variant", None)
     if variant is not None:
         if variant not in engine.VARIANTS:
@@ -134,6 +109,10 @@ def _policy_setup(args, need_variant_check=True):
                 f"unknown variant '{variant}'; valid: {', '.join(engine.VARIANTS)}", code=2
             )
         settings = dataclasses.replace(settings, variant=variant)
+    return settings, seeds
+
+
+def _policy_inputs(args):
     try:
         d = ds.load_dataset(args.data)
     except ds.DatasetError as exc:
@@ -141,7 +120,7 @@ def _policy_setup(args, need_variant_check=True):
     wm = wmod.load_world_model(args.wm, d)
     if wm.dataset_hash != ds.content_hash(d):
         raise CliError("world model was trained on a different dataset (hash mismatch)", code=2)
-    return d, wm, settings, seeds
+    return d, wm
 
 
 def _run_one(d, wm, settings, seed, run_dir):
@@ -154,7 +133,8 @@ def _run_one(d, wm, settings, seed, run_dir):
 
 
 def cmd_train_policy(args):
-    d, wm, settings, seeds = _policy_setup(args)
+    settings, seeds = _policy_config(args)
+    d, wm = _policy_inputs(args)
     out = Path(args.out)
     for seed in seeds:
         result = _run_one(d, wm, settings, seed, out / f"seed_{seed}")
@@ -186,26 +166,25 @@ def cmd_eval(args):
     return 0
 
 
+ABLATION_COLUMNS = ["variant", "seed", "R_tra", "R_tra_std", "R_each", "Length", "MCD", "reward_error"]
+
+
 def cmd_ablate(args):
-    d, wm, settings, seeds = _policy_setup(args)
+    settings, seeds = _policy_config(args)
+    # each run's last evaluation row is its row of ablation.csv
+    if settings.epochs < 1 or settings.eval_every < 1:
+        raise CliError("config: ablate needs an evaluation row: 'epochs' and 'eval_every' "
+                       "must be >= 1", code=2)
+    d, wm = _policy_inputs(args)
     out = Path(args.out)
     rows = []
     for variant in ABLATION_ORDER:
         v_settings = dataclasses.replace(settings, variant=variant)
         for seed in seeds:
             result = _run_one(d, wm, v_settings, seed, out / variant / f"seed_{seed}")
-            last = result.metrics_rows[-1]
-            rows.append({"variant": variant, "seed": seed, **{
-                k: last[k] for k in ("R_tra", "R_tra_std", "R_each", "Length", "MCD", "reward_error")
-            }})
-            print(f"{variant} seed {seed}: R_tra={last['R_tra']:.4f}")
-    with open(out / "ablation.csv", "w") as fh:
-        cols = ["variant", "seed", "R_tra", "R_tra_std", "R_each", "Length", "MCD", "reward_error"]
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            cells = [str(row["variant"]), str(row["seed"])]
-            cells += [repr(float(row[c])) for c in cols[2:]]
-            fh.write(",".join(cells) + "\n")
+            rows.append({**result.metrics_rows[-1], "variant": variant, "seed": seed})
+            print(f"{variant} seed {seed}: R_tra={rows[-1]['R_tra']:.4f}")
+    engine.write_metrics_csv(rows, out / "ablation.csv", ABLATION_COLUMNS)
     print(f"wrote {len(rows)} rows to {out / 'ablation.csv'}")
     return 0
 

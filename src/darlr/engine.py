@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,7 +145,7 @@ class TrainSettings:
     d_model: int = 32
     d_pref: int = 32
     d_emb: int = 16
-    hidden: tuple = (64,)
+    hidden: tuple[int, ...] = (64,)
     encoder_layers: int = 1
     encoder_heads: int = 1
     entropy_k: int = 1
@@ -163,24 +165,27 @@ class TrainSettings:
             raise ValueError(f"unknown variant '{self.variant}'; valid: {', '.join(VARIANTS)}")
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must be in [0, 1]")
-        if self.k_sel < 1:
-            raise ValueError("k_sel must be >= 1")
-        for name in ("w_sel", "w_rec"):
+        for name in ("k_sel", "w_sel", "w_rec", "d_model", "encoder_heads", "trajectories_per_epoch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("entropy_k", "epochs", "eval_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.max_steps is not None and self.max_steps < 0:
+            raise ValueError("max_steps must be >= 0 or null")
         for name in ("lambda_s", "lambda_d", "lambda_u", "lambda_e"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("uncertainty_eps", "laplace_alpha", "lr"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
         if not (0.0 < self.alpha_shape <= 1.0):
             raise ValueError("alpha_shape must be in (0, 1]")
         if self.critic_mode not in ("v", "qmax"):
             raise ValueError("critic_mode must be 'v' or 'qmax'")
-        if self.entropy_k < 0:
-            raise ValueError("entropy_k must be >= 0")
-        if self.laplace_alpha <= 0:
-            raise ValueError("laplace_alpha must be > 0")
-        if self.lr <= 0 or self.epochs < 0 or self.trajectories_per_epoch < 1:
-            raise ValueError("bad loop sizes")
+        # the recommender encodes d_model-wide tokens, the selector d_model + d_pref
+        if self.d_model % self.encoder_heads or (self.d_model + self.d_pref) % self.encoder_heads:
+            raise ValueError("encoder_heads must divide d_model and d_model + d_pref")
         if self.eval_every > 0 and self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1 when eval_every > 0")
 
@@ -195,16 +200,62 @@ class TrainSettings:
 
     @classmethod
     def from_dict(cls, data):
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        kwargs = dict(data)
-        if "hidden" in kwargs:
-            kwargs["hidden"] = tuple(kwargs["hidden"])
-        s = cls(**kwargs)
-        s.validate()
-        return s
+        return config_from_dict(cls, data, "config")
+
+
+class ConfigError(ValueError):
+    """A JSON config with an unknown or missing key, or a bad value."""
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON value test and description of each field type a config may declare.
+# A float field also takes an integer and keeps it an integer, so
+# `config.json` and `config_hash` hold every value as it was written.
+_JSON_TYPES = {
+    int: (_is_int, "an integer"),
+    float: (
+        lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
+        "a finite number",
+    ),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    int | None: (lambda v: v is None or _is_int(v), "an integer or null"),
+    tuple[int, ...]: (
+        lambda v: isinstance(v, list) and all(_is_int(h) and h >= 1 for h in v),
+        "a list of integers >= 1",
+    ),
+}
+
+
+def config_from_dict(cls, data, what):
+    """Build the config dataclass `cls` from a JSON object.
+
+    Rejects unknown and missing keys, then checks each value's JSON type
+    against the field's declared type, then calls `cls.validate()` for the
+    ranges. Raises ConfigError with a message that starts with `what`.
+    Values are not coerced; a JSON list becomes a tuple.
+    """
+    fields = dataclasses.fields(cls)
+    unknown = set(data) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"{what}: unknown keys: {', '.join(sorted(unknown))}")
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in data]
+    if missing:
+        raise ConfigError(f"{what}: missing keys: {', '.join(missing)}")
+    types = typing.get_type_hints(cls)
+    for key, value in data.items():
+        ok, want = _JSON_TYPES[types[key]]
+        if not ok(value):
+            raise ConfigError(f"{what}: '{key}' must be {want}, got {value!r}")
+    config = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+    return config
 
 
 def config_hash(settings: TrainSettings) -> str:
@@ -698,15 +749,15 @@ def train(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSettings) -
 METRICS_COLUMNS = ["epoch", "steps", "R_tra", "R_tra_std", "R_each", "Length", "MCD", "reward_error"]
 
 
-def write_metrics_csv(rows, path):
+def write_metrics_csv(rows, path, columns=METRICS_COLUMNS):
+    """One line per row dict: strings and integers as written, other numbers
+    as repr(float), which reads back bit-exact."""
     with open(path, "w") as fh:
-        fh.write(",".join(METRICS_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            cells = []
-            for col in METRICS_COLUMNS:
-                v = row[col]
-                cells.append(str(v) if isinstance(v, int) else repr(float(v)))
-            fh.write(",".join(cells) + "\n")
+            cells = [row[c] for c in columns]
+            fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v)) for v in cells))
+            fh.write("\n")
 
 
 def read_metrics_csv(path):

@@ -37,6 +37,28 @@ class WorldModelDivergence(RuntimeError):
     pass
 
 
+@dataclass
+class WorldModelConfig:
+    """`train-wm` config: ensemble size, member widths and the training loop."""
+
+    members: int = 2
+    d_emb: int = 8
+    hidden: tuple[int, ...] = (32,)
+    epochs: int = 100
+    batch: int = 128
+    lr: float = 1e-3
+    seed: int = 0
+
+    def validate(self):
+        for key in ("members", "d_emb", "epochs", "batch"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"'{key}' must be an integer >= 1, got {getattr(self, key)!r}")
+        if self.lr <= 0:
+            raise ValueError(f"'lr' must be a finite number > 0, got {self.lr!r}")
+        if not self.hidden:
+            raise ValueError("'hidden' must be a non-empty list of integers >= 1, got []")
+
+
 class WorldModelMember:
     """One Gaussian reward predictor: field embeddings + pairwise + MLP head."""
 
@@ -216,26 +238,14 @@ def predict_matrix(wm: WorldModelEnsemble) -> PredictionMatrix:
 
 # --- entropy penalty ---------------------------------------------------------
 
-def entropy_penalty(stats: ds.BehaviorStats, recent_categories, item) -> float:
-    """Per-action decomposition of the behavior-entropy penalty.
-
-    Returns log of the smoothed behavior probability of `item` after the
-    given category pattern, shifted by +log(n_items) so a uniform behavior
-    policy scores exactly zero everywhere. Unseen patterns back off to
-    shorter suffixes and finally the unconditional distribution.
-    """
-    probs = stats.probs(recent_categories)
-    return float(np.log(probs[int(item)]) + math.log(stats.n_items))
-
-
 def state_entropy_penalty(stats: ds.BehaviorStats, recent_categories) -> float:
     """State-level penalty: negated behavior-expectation of the per-action term.
 
     Zero for a uniform behavior policy, increasingly negative the more the
     logged behavior concentrates after this pattern.
     """
-    probs = stats.probs(recent_categories)
-    return float(-(probs * (np.log(probs) + math.log(stats.n_items))).sum())
+    per_action = EntropyTable(stats).vector(recent_categories)
+    return float(-(stats.probs(recent_categories) * per_action).sum())
 
 
 class EntropyTable:
@@ -245,17 +255,21 @@ class EntropyTable:
         self.stats = stats
         self._cache = {}
 
-    def _vector(self, pattern):
+    def vector(self, pattern):
+        """Per-action penalty after `pattern`: log of the smoothed behavior
+        probability of each item, shifted by +log(n_items) so a uniform
+        behavior policy scores exactly zero everywhere. Unseen patterns back
+        off to shorter suffixes and finally the unconditional distribution.
+        """
         key = tuple(int(c) for c in pattern)[-self.stats.order :] if self.stats.order else ()
         vec = self._cache.get(key)
         if vec is None:
-            probs = self.stats.probs(key)
-            vec = np.log(probs) + math.log(self.stats.n_items)
+            vec = np.log(self.stats.probs(key)) + math.log(self.stats.n_items)
             self._cache[key] = vec
         return vec
 
     def penalty(self, recent_categories, item) -> float:
-        return float(self._vector(recent_categories)[int(item)])
+        return float(self.vector(recent_categories)[int(item)])
 
 
 # --- checkpoint --------------------------------------------------------------

@@ -30,6 +30,7 @@ def write_json(path, data):
     return str(path)
 
 
+NAN, INF = float("nan"), float("inf")
 SPEC = {"users": 12, "items": 15, "categories": 4, "log_density": 0.3, "seed": 5}
 WM_CFG = {"members": 2, "epochs": 8, "batch": 32, "lr": 0.003, "seed": 2}
 POLICY_CFG = {
@@ -76,7 +77,14 @@ class TestGenData:
         assert "unknown keys" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("spec", [[1, 2], "users", {"users": "5", "items": 5}, {"users": 5, "items": 5.5}])
+    @pytest.mark.parametrize("spec", [
+        [1, 2], "users", {"users": "5", "items": 5}, {"users": 5, "items": 5.5},
+        {"users": 5, "items": 5, "noise_sd": NAN}, {"users": 5, "items": 5, "noise_sd": INF},
+        {"users": 5, "items": 5, "popularity_skew": NAN}, {"users": 5, "items": 5, "log_density": True},
+        {"users": 5, "items": 5, "categories": True}, {"users": 5, "items": 5, "seed": 1.5},
+        {"users": 5, "items": 5, "seed": "5"}, {"users": 5, "items": 5, "latent_dim": None},
+        {"users": 5},
+    ])
     def test_spec_of_wrong_type_rejected(self, tmp_path, capsys, spec):
         spec_path = write_json(tmp_path / "s.json", spec)
         assert cli.main(["gen-data", "--spec", spec_path, "--out", str(tmp_path / "x")]) == 2
@@ -131,10 +139,10 @@ class TestTrainWm:
         {"hidden": 5}, {"hidden": []}, {"hidden": [0]}, {"hidden": [8, "8"]},
         {"hidden": [True]}, {"hidden": {"0": 8}},
     ])
-    def test_config_value_of_wrong_type_rejected(self, workspace, tmp_path, capsys, bad):
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, bad):
         cfg = write_json(tmp_path / "wm.json", bad)
         out = tmp_path / "w.ckpt"
-        rc = cli.main(["train-wm", "--config", cfg, "--data", workspace["data"], "--out", str(out)])
+        rc = cli.main(["train-wm", "--config", cfg, "--data", str(tmp_path / "no-data"), "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         key = next(iter(bad))
@@ -142,7 +150,66 @@ class TestTrainWm:
         assert not out.exists()
 
 
+# Bad policy values, each merged into POLICY_CFG: wrong JSON types,
+# non-finite numbers, out-of-range values, bad seed lists, an unknown key.
+BAD_POLICY = {
+    "k_sel=2.5": {"k_sel": 2.5},
+    "epochs=1.5": {"epochs": 1.5},
+    "w_rec=2.5": {"w_rec": 2.5},
+    "max_steps='5'": {"max_steps": "5"},
+    "max_steps=-1": {"max_steps": -1},
+    "d_model=0": {"d_model": 0},
+    "d_model=true": {"d_model": True},
+    "lambda_u=nan": {"lambda_u": NAN},
+    "lr=inf": {"lr": INF},
+    "lr=true": {"lr": True},
+    "uncertainty_eps=-1": {"uncertainty_eps": -1},
+    "uncertainty_eps=0": {"uncertainty_eps": 0},
+    "eval_greedy='no'": {"eval_greedy": "no"},
+    "eval_every=-1": {"eval_every": -1},
+    "encoder_heads=3": {"encoder_heads": 3},
+    "encoder_heads=2,d_pref=5": {"encoder_heads": 2, "d_pref": 5},
+    "encoder_heads=0": {"encoder_heads": 0},
+    "hidden=[0]": {"hidden": [0]},
+    "hidden=16": {"hidden": 16},
+    "candidate_pool=null": {"candidate_pool": None},
+    "variant=5": {"variant": 5},
+    "seeds=[1.5]": {"seeds": [1.5]},
+    "seeds=[1,1]": {"seeds": [1, 1]},
+    "seeds=[true]": {"seeds": [True]},
+    "seeds=[]": {"seeds": []},
+    "seeds=3": {"seeds": 3},
+    "unknown": {"k_selection": 3},
+}
+
+
+@pytest.mark.parametrize("command", ["train-policy", "ablate"])
+@pytest.mark.parametrize("bad", BAD_POLICY.values(), ids=BAD_POLICY.keys())
+def test_bad_policy_config_rejected_before_loading(tmp_path, capsys, command, bad):
+    cfg = write_json(tmp_path / "policy.json", {**POLICY_CFG, **bad})
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", cfg, "--data", str(tmp_path / "no-data"),
+                   "--wm", str(tmp_path / "no-wm"), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: ")
+    assert not out.exists()
+
+
 class TestTrainPolicy:
+    @pytest.mark.parametrize("seeds", ["1,1", "1,x", "2,1.5"])
+    def test_bad_seed_flag_rejected_before_loading(self, tmp_path, capsys, seeds):
+        out = tmp_path / "out"
+        rc = cli.main([
+            "train-policy", "--config", write_json(tmp_path / "policy.json", POLICY_CFG),
+            "--data", str(tmp_path / "no-data"),
+            "--wm", str(tmp_path / "no-wm"), "--out", str(out), "--seed", seeds,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--seed" in err[0]
+        assert not out.exists()
+
     def test_r_static_bundle_has_frozen_matrix(self, workspace, tmp_path):
         out = tmp_path / "run"
         rc = cli.main([
@@ -293,6 +360,18 @@ class TestAblate:
             rows = engine.read_metrics_csv(out / variant / f"seed_{seed}" / "metrics.csv")
             assert float(cells[2]) == rows[-1]["R_tra"]
             assert float(cells[7]) == rows[-1]["reward_error"]
+
+
+    @pytest.mark.parametrize("key", ["eval_every", "epochs"])
+    def test_no_evaluation_row_rejected_before_loading(self, tmp_path, capsys, key):
+        cfg = write_json(tmp_path / "policy.json", {**POLICY_CFG, key: 0})
+        out = tmp_path / "ab"
+        rc = cli.main(["ablate", "--config", cfg, "--data", str(tmp_path / "no-data"),
+                       "--wm", str(tmp_path / "no-wm"), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config: ablate needs an evaluation row")
+        assert not out.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

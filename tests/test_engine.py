@@ -427,8 +427,15 @@ class TestTrain:
             assert {"r_hat", "r_prev", "p_u", "p_e", "mean_sim", "mean_div", "kind"} <= set(entry)
 
     def test_unknown_settings_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown config keys"):
+        with pytest.raises(ValueError, match="unknown keys: variance"):
             engine.TrainSettings.from_dict({"variance": 1.0})
+
+    def test_from_dict_keeps_values_as_written(self):
+        # integer-valued floats stay integers, so config.json and the hash do not change
+        s = engine.TrainSettings.from_dict({"lambda_s": 5, "lr": 1, "hidden": [16, 8]})
+        assert s == engine.TrainSettings(lambda_s=5, lr=1, hidden=(16, 8))
+        assert type(s.to_dict()["lambda_s"]) is int
+        assert engine.TrainSettings.from_dict({"hidden": []}).hidden == ()
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError, match="variant"):

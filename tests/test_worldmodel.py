@@ -142,29 +142,41 @@ def two_item_stats(n_obs_on_a, n_items=2, alpha=1.0):
     return ds.behavior_stats(d, k=0, alpha=alpha)
 
 
+def reference_penalty(stats, pattern, item):
+    """Per-action entropy penalty written out: log of the Laplace-smoothed
+    behavior probability of `item` after `pattern`, plus log(n_items)."""
+    counts = stats.counts_for(pattern)
+    p = (counts[item] + stats.alpha) / (counts.sum() + stats.alpha * stats.n_items)
+    return math.log(p) + math.log(stats.n_items)
+
+
 class TestEntropyPenalty:
     def test_uniform_behavior_zero_everywhere(self):
         stats = ds.BehaviorStats(order=0, alpha=1.0, n_items=4)
         stats.item_totals = np.full(4, 25.0)
+        table = wmod.EntropyTable(stats)
         for item in range(4):
-            assert abs(wmod.entropy_penalty(stats, (), item)) < 1e-12
+            assert abs(table.penalty((), item)) < 1e-12
         assert abs(wmod.state_entropy_penalty(stats, ())) < 1e-12
 
     def test_two_item_deterministic_values(self):
         # unsmoothed limit: log 2 on the observed item
         stats = two_item_stats(1, alpha=1e-12)
-        assert wmod.entropy_penalty(stats, (), 0) == pytest.approx(math.log(2), abs=1e-9)
+        assert wmod.EntropyTable(stats).penalty((), 0) == pytest.approx(math.log(2), abs=1e-9)
         # one observation smoothed with alpha=1: probability 2/3 -> log(4/3)
         stats = two_item_stats(1, alpha=1.0)
-        assert wmod.entropy_penalty(stats, (), 0) == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
+        assert wmod.EntropyTable(stats).penalty((), 0) == pytest.approx(
+            math.log(4.0 / 3.0), abs=1e-12
+        )
 
     def test_unseen_pattern_equals_backoff_value(self, tiny_dataset):
         stats = ds.behavior_stats(tiny_dataset, k=2, alpha=1.0)
+        table = wmod.EntropyTable(stats)
         seen_1gram = next(p for p in stats.pattern_counts if len(p) == 1)
         unseen = (99,) + seen_1gram
         for item in (0, 5, 11):
-            assert wmod.entropy_penalty(stats, unseen, item) == pytest.approx(
-                wmod.entropy_penalty(stats, seen_1gram, item), abs=1e-15
+            assert table.penalty(unseen, item) == pytest.approx(
+                table.penalty(seen_1gram, item), abs=1e-15
             )
 
     def test_concentrated_state_penalty_negative(self):
@@ -174,16 +186,17 @@ class TestEntropyPenalty:
     def test_table_caches_and_matches_function(self, tiny_dataset):
         stats = ds.behavior_stats(tiny_dataset, k=1, alpha=1.0)
         table = wmod.EntropyTable(stats)
-        pattern = next(iter(stats.pattern_counts))
-        for item in range(tiny_dataset.n_items):
-            assert table.penalty(pattern, item) == pytest.approx(
-                wmod.entropy_penalty(stats, pattern, item), abs=1e-15
-            )
+        for pattern in list(stats.pattern_counts)[:3] + [(), (99,)]:
+            for item in range(tiny_dataset.n_items):
+                assert table.penalty(pattern, item) == pytest.approx(
+                    reference_penalty(stats, pattern, item), abs=1e-15
+                )
+            assert table.vector(pattern) is table.vector(pattern)
 
     def test_beta_expectation_is_state_divergence(self):
         stats = two_item_stats(30, n_items=4, alpha=1.0)
         probs = stats.probs(())
-        per_action = np.array([wmod.entropy_penalty(stats, (), i) for i in range(4)])
+        per_action = np.array([reference_penalty(stats, (), i) for i in range(4)])
         assert wmod.state_entropy_penalty(stats, ()) == pytest.approx(
             -(probs * per_action).sum(), abs=1e-12
         )
