@@ -97,7 +97,6 @@ class Transition:
     parts: RewardParts | None
     done: bool
     done_reason: str | None
-    q_taken: float = 0.0
 
 
 @dataclass
@@ -157,7 +156,6 @@ class TrainSettings:
     eval_every: int = 1
     eval_greedy: bool = False
     max_steps: int | None = None
-    critic_mode: str = "v"
     seed: int = 0
 
     def validate(self):
@@ -168,7 +166,7 @@ class TrainSettings:
         for name in ("k_sel", "w_sel", "w_rec", "d_model", "encoder_heads", "trajectories_per_epoch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("entropy_k", "epochs", "eval_every"):
+        for name in ("d_pref", "d_emb", "encoder_layers", "entropy_k", "epochs", "eval_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.max_steps is not None and self.max_steps < 0:
@@ -181,8 +179,8 @@ class TrainSettings:
                 raise ValueError(f"{name} must be > 0")
         if not (0.0 < self.alpha_shape <= 1.0):
             raise ValueError("alpha_shape must be in (0, 1]")
-        if self.critic_mode not in ("v", "qmax"):
-            raise ValueError("critic_mode must be 'v' or 'qmax'")
+        if self.candidate_pool < self.k_sel:
+            raise ValueError("candidate_pool must be >= k_sel")
         # the recommender encodes d_model-wide tokens, the selector d_model + d_pref
         if self.d_model % self.encoder_heads or (self.d_model + self.d_pref) % self.encoder_heads:
             raise ValueError("encoder_heads must divide d_model and d_model + d_pref")
@@ -197,10 +195,6 @@ class TrainSettings:
         out = dataclasses.asdict(self)
         out["hidden"] = list(self.hidden)
         return out
-
-    @classmethod
-    def from_dict(cls, data):
-        return config_from_dict(cls, data, "config")
 
 
 class ConfigError(ValueError):
@@ -268,18 +262,15 @@ def pool_width(settings: TrainSettings, n_users: int) -> int:
 
 
 def build_agents(d: ds.Dataset, settings: TrainSettings):
-    critic_out_rec = 1 if settings.critic_mode == "v" else d.n_items
-    pw = pool_width(settings, d.n_users)
-    critic_out_sel = 1 if settings.critic_mode == "v" else pw
     rec_agent = rec.RecommenderAgent(
         d.n_users, d.n_items, settings.d_emb, settings.d_model, settings.w_rec,
         settings.seed, heads=settings.encoder_heads, layers=settings.encoder_layers,
-        hidden=settings.hidden, critic_out=critic_out_rec,
+        hidden=settings.hidden,
     )
     sel_agent = sel.SelectorAgent(
-        d.n_items, settings.d_model, settings.d_pref, pw, settings.w_sel,
-        settings.seed, heads=settings.encoder_heads, layers=settings.encoder_layers,
-        hidden=settings.hidden, critic_out=critic_out_sel,
+        d.n_items, settings.d_model, settings.d_pref, pool_width(settings, d.n_users),
+        settings.w_sel, settings.seed, heads=settings.encoder_heads,
+        layers=settings.encoder_layers, hidden=settings.hidden,
     )
     return rec_agent, sel_agent
 
@@ -324,13 +315,6 @@ class TrainContext:
         self.sel_agent = sel_agent
         self.settings = settings
         self.rng = rng
-
-
-def _critic_scalar(agent, state_vec, action, critic_mode):
-    out, _ = agent.critic.forward(state_vec)
-    if critic_mode == "v":
-        return float(out[0]), 0.0
-    return float(out.max()), float(out[action])
 
 
 def rollout_recommendation_step(ctx: TrainContext, u, state, mask, recent_cats, step_index):
@@ -378,11 +362,11 @@ def rollout_recommendation_step(ctx: TrainContext, u, state, mask, recent_cats, 
         u, item, step_index, "train", ctx.matrix, None, recent_cats,
         ctx.dataset.items.primary_category,
     )
-    value, q_taken = _critic_scalar(ctx.rec_agent, state.vec, item, st.critic_mode)
+    value, _ = ctx.rec_agent.critic.forward(state.vec)
     transition = Transition(
         action=item, logprob=logprob, reward=reward,
-        value=value, track_reward=base_r, parts=parts, done=done,
-        done_reason=reason, q_taken=q_taken,
+        value=float(value[0]), track_reward=base_r, parts=parts, done=done,
+        done_reason=reason,
     )
     next_state = rec.track(state, item, base_r, ctx.rec_agent)
     return transition, episode, next_state
@@ -441,30 +425,14 @@ def critic_targets(rewards, values, gamma):
     return targets
 
 
-def actor_loss(traj: Trajectory) -> float:
-    """Negative mean of logprob times advantage (advantages held constant)."""
-    lp = np.array([tr.logprob for tr in traj.transitions])
-    return float(-(lp * traj.advantages).mean())
-
-
-def critic_loss(traj: Trajectory, gamma, critic_mode="v") -> float:
-    """Mean squared TD error of the recorded critic predictions."""
-    targets = critic_targets(
-        [tr.reward for tr in traj.transitions], [tr.value for tr in traj.transitions], gamma
-    )
-    preds = np.array(
-        [tr.q_taken if critic_mode == "qmax" else tr.value for tr in traj.transitions]
-    )
-    return float(((preds - targets) ** 2).mean())
-
-
-def _head_grads(logits, values, actions, avail, advantages, targets, critic_mode, scale):
+def _head_grads(logits, values, actions, avail, advantages, targets, scale):
     """dlogits/dvalues and losses of one episode's actor+critic objective.
 
-    `logits` and `values` are the episode's rows of a replay. `avail`
-    marks the actions selectable at step 0; each step's action is masked
-    out of every later step. The critic prediction is the single value
-    ("v") or the entry of the action taken ("qmax").
+    `logits` and `values` are the episode's rows of a replay, `values`
+    one state value per row. `avail` marks the actions selectable at step
+    0; each step's action is masked out of every later step. The actor
+    loss is the mean of -log pi(action) times the advantage, the critic
+    loss the mean squared TD error.
     """
     n = len(actions)
     steps = np.arange(n)
@@ -476,14 +444,12 @@ def _head_grads(logits, values, actions, avail, advantages, targets, critic_mode
     onehot[steps, actions] = 1.0
     dlogits = -(advantages * scale / n)[:, None] * (onehot - probs)
     aloss = float((-np.log(probs[steps, actions]) * advantages / n).sum())
-    cols = 0 if critic_mode == "v" else actions
-    err = values[steps, cols] - targets
-    dvalues = np.zeros_like(values)
-    dvalues[steps, cols] = 2.0 * err * scale / n
+    err = values[:, 0] - targets
+    dvalues = (2.0 * err * scale / n)[:, None]
     return dlogits, dvalues, aloss, float((err * err / n).sum())
 
 
-def recommender_losses(ctx_agent, traj: Trajectory, gamma, critic_mode="v", accumulate=True, scale=1.0):
+def recommender_losses(ctx_agent, traj: Trajectory, gamma, accumulate=True, scale=1.0):
     """Replay the trajectory and (optionally) accumulate gradients.
 
     Returns (actor_loss, critic_loss) computed from the replayed forward
@@ -497,14 +463,14 @@ def recommender_losses(ctx_agent, traj: Trajectory, gamma, critic_mode="v", accu
     )
     dlogits, dvalues, aloss, closs = _head_grads(
         fwd["logits"], fwd["values"], items, np.ones(ctx_agent.n_items, dtype=bool),
-        traj.advantages, targets, critic_mode, scale,
+        traj.advantages, targets, scale,
     )
     if accumulate:
         rec.trajectory_backward(ctx_agent, fwd, dlogits, dvalues)
     return aloss, closs
 
 
-def _selection_replay(agent, episodes, gamma, critic_mode, accumulate, scale):
+def _selection_replay(agent, episodes, gamma, accumulate, scale):
     """Replay selection episodes as one batch; returns the summed losses.
     Advantages and TD targets come from the critic values recorded during
     the rollout; they are constants with respect to the replayed forward."""
@@ -519,7 +485,7 @@ def _selection_replay(agent, episodes, gamma, critic_mode, accumulate, scale):
         rows = slice(lo, lo + ep.length)
         dlogits[rows], dvalues[rows], a, c = _head_grads(
             fwd["logits"][rows], fwd["values"][rows], ep.slots, avail, ep.advantages,
-            critic_targets(ep.rewards, ep.values, gamma), critic_mode, scale,
+            critic_targets(ep.rewards, ep.values, gamma), scale,
         )
         aloss, closs, lo = aloss + a, closs + c, rows.stop
     if accumulate:
@@ -527,25 +493,25 @@ def _selection_replay(agent, episodes, gamma, critic_mode, accumulate, scale):
     return aloss, closs
 
 
-def selector_losses(agent, ep: sel.SelectionEpisode, gamma, critic_mode="v", accumulate=True, scale=1.0):
+def selector_losses(agent, ep: sel.SelectionEpisode, gamma, accumulate=True, scale=1.0):
     """Replay one selection episode and (optionally) accumulate gradients."""
-    return _selection_replay(agent, [ep], gamma, critic_mode, accumulate, scale)
+    return _selection_replay(agent, [ep], gamma, accumulate, scale)
 
 
-def update_recommender(agent, traj, gamma, adam_cfg, critic_mode="v"):
+def update_recommender(agent, traj, gamma, adam_cfg):
     if traj.advantages is None:
         compute_advantages(traj, gamma)
-    losses = recommender_losses(agent, traj, gamma, critic_mode, accumulate=True)
+    losses = recommender_losses(agent, traj, gamma, accumulate=True)
     adam_step(agent.blocks(), adam_cfg)
     return losses
 
 
-def update_selector(agent, episodes, gamma, adam_cfg, critic_mode="v"):
+def update_selector(agent, episodes, gamma, adam_cfg):
     """One update over all selection episodes of a trajectory (one batch)."""
     if not episodes:
         return 0.0, 0.0
     scale = 1.0 / len(episodes)
-    aloss, closs = _selection_replay(agent, episodes, gamma, critic_mode, True, scale)
+    aloss, closs = _selection_replay(agent, episodes, gamma, True, scale)
     adam_step(agent.blocks(), adam_cfg)
     return aloss * scale, closs * scale
 
@@ -687,6 +653,12 @@ def train(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSettings) -
     settings.validate()
     if settings.eval_every > 0 and d.truth_matrix is None:
         raise ValueError("training evaluation requires a ground-truth matrix")
+    pool = pool_width(settings, d.n_users)
+    if _VARIANT_GAINS[settings.variant] is not None and pool < settings.k_sel:
+        raise ValueError(
+            f"k_sel={settings.k_sel} exceeds the candidate pool of {pool} users "
+            "(min(users - 1, candidate_pool))"
+        )
     pm = wmod.predict_matrix(wm)
     matrix = ShapedRewardMatrix.from_prediction(pm, d.r_min, d.r_max)
     stats = ds.behavior_stats(d, settings.entropy_k, settings.laplace_alpha)
@@ -711,8 +683,8 @@ def train(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSettings) -
             traj, episodes = rollout_trajectory(ctx, u)
             steps_total += len(traj)
             compute_advantages(traj, settings.gamma)
-            update_recommender(rec_agent, traj, settings.gamma, adam_cfg, settings.critic_mode)
-            update_selector(sel_agent, episodes, settings.gamma, adam_cfg, settings.critic_mode)
+            update_recommender(rec_agent, traj, settings.gamma, adam_cfg)
+            update_selector(sel_agent, episodes, settings.gamma, adam_cfg)
             for si, tr in enumerate(traj.transitions):
                 parts_log.append(
                     {
@@ -812,7 +784,7 @@ def load_bundle(dir_path, d: ds.Dataset):
     root = Path(dir_path)
     with open(root / "config.json") as fh:
         config = json.load(fh)
-    settings = TrainSettings.from_dict(config["settings"])
+    settings = config_from_dict(TrainSettings, config["settings"], str(root / "config.json"))
     if config["config_hash"] != config_hash(settings):
         raise ValueError("bundle config.json settings do not match its config_hash")
     if config["dataset_hash"] != ds.content_hash(d):

@@ -34,7 +34,7 @@ class RecState:
 class RecommenderAgent:
     def __init__(
         self, n_users, n_items, d_emb, d_model, window, seed,
-        heads=1, layers=1, hidden=(64,), critic_out=1,
+        heads=1, layers=1, hidden=(64,),
     ):
         self.n_users = n_users
         self.n_items = n_items
@@ -49,7 +49,7 @@ class RecommenderAgent:
         self.proj = Linear("rec/proj", 2 * d_emb + 1, d_model, seed)
         self.encoder = SeqEncoder("rec/enc", d_model, window, seed, heads=heads, layers=layers)
         self.actor = Mlp("rec/actor", [d_model] + list(hidden) + [n_items], seed)
-        self.critic = Mlp("rec/critic", [d_model] + list(hidden) + [critic_out], seed)
+        self.critic = Mlp("rec/critic", [d_model] + list(hidden) + [1], seed)
 
     def blocks(self):
         return (

@@ -58,7 +58,7 @@ class SelectorAgent:
 
     def __init__(
         self, n_items, d_rec, d_pref, pool_size, window, seed,
-        heads=1, layers=1, hidden=(64,), critic_out=1,
+        heads=1, layers=1, hidden=(64,),
     ):
         self.n_items = n_items
         self.d_rec = d_rec
@@ -69,7 +69,7 @@ class SelectorAgent:
         self.proj = Linear("sel/proj", d_rec + n_items, self.d_state, seed)
         self.encoder = SeqEncoder("sel/enc", self.d_state, window, seed, heads=heads, layers=layers)
         self.actor = Mlp("sel/actor", [self.d_state] + list(hidden) + [pool_size], seed)
-        self.critic = Mlp("sel/critic", [self.d_state] + list(hidden) + [critic_out], seed)
+        self.critic = Mlp("sel/critic", [self.d_state] + list(hidden) + [1], seed)
 
     def blocks(self):
         return self.proj.blocks() + self.encoder.blocks() + self.actor.blocks() + self.critic.blocks()
@@ -162,7 +162,7 @@ def run_selection(
         ep.selected.append(cand)
         ep.p_rows.append(p_cand)
         ep.logprobs.append(logprob)
-        ep.values.append(float(value.max()))  # scalar critic: the single entry
+        ep.values.append(float(value[0]))
         ep.sims.append(sim)
         ep.divs.append(div)
         ep.ref_rewards.append(ref)

@@ -173,6 +173,12 @@ BAD_POLICY = {
     "hidden=[0]": {"hidden": [0]},
     "hidden=16": {"hidden": 16},
     "candidate_pool=null": {"candidate_pool": None},
+    "candidate_pool=0": {"candidate_pool": 0},
+    "candidate_pool=-1": {"candidate_pool": -1},
+    "k_sel=100,candidate_pool=6": {"k_sel": 100},
+    "d_emb=-1": {"d_emb": -1},
+    "d_pref=-1": {"d_pref": -1},
+    "encoder_layers=-1": {"encoder_layers": -1},
     "variant=5": {"variant": 5},
     "seeds=[1.5]": {"seeds": [1.5]},
     "seeds=[1,1]": {"seeds": [1, 1]},
@@ -270,6 +276,18 @@ class TestTrainPolicy:
         assert rc == 2
         assert "hash" in capsys.readouterr().err
 
+    def test_pool_smaller_than_k_sel_rejected_before_training(self, workspace, tmp_path, capsys):
+        # the pool is min(users - 1, candidate_pool): 11 users on this 12-user set
+        cfg = write_json(tmp_path / "policy.json", {**POLICY_CFG, "k_sel": 20, "candidate_pool": 100})
+        out = tmp_path / "x"
+        rc = cli.main(["train-policy", "--config", cfg, "--data", workspace["data"],
+                       "--wm", workspace["wm"], "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: k_sel=20 exceeds the candidate pool of 11 users "
+                       "(min(users - 1, candidate_pool))"]
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trained_bundle(workspace, tmp_path_factory):
@@ -314,6 +332,20 @@ class TestEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "config_hash" in err[0]
+
+    def test_stale_settings_key_names_the_bundle_file(self, workspace, trained_bundle, tmp_path, capsys):
+        # settings written before a key was removed fail the loader, which
+        # names the bundle's config.json rather than the user's config
+        bundle = tmp_path / "stale"
+        shutil.copytree(trained_bundle, bundle)
+        config = json.loads((bundle / "config.json").read_text())
+        config["settings"]["critic_mode"] = "v"
+        (bundle / "config.json").write_text(json.dumps(config))
+        rc = cli.main(["eval", "--bundle", str(bundle), "--data", workspace["data"],
+                       "--episodes", "5", "--seed", "3"])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {bundle / 'config.json'}: unknown keys: critic_mode"]
 
     def test_text_fragment_rejected(self, workspace, trained_bundle, tmp_path, capsys):
         # a recommender.frag in the text layout written before .npy records

@@ -104,18 +104,48 @@ class TestEnvStep:
             engine.env_step(0, 0, 1, "eval", self.make_matrix(), None, [], self.cats)
 
 
+def actor_loss(traj):
+    """Reference actor loss: minus the mean of the recorded log-probability
+    times the advantage."""
+    lp = np.array([tr.logprob for tr in traj.transitions])
+    return float(-(lp * traj.advantages).mean())
+
+
+def critic_loss(traj, gamma):
+    """Reference critic loss: the mean squared one-step TD error of the
+    recorded values; the last step bootstraps zero."""
+    values = np.array([tr.value for tr in traj.transitions])
+    rewards = np.array([tr.reward for tr in traj.transitions])
+    targets = rewards + gamma * np.append(values[1:], 0.0)
+    return float(((values - targets) ** 2).mean())
+
+
 class TestAdvantages:
     def traj(self, rewards, values):
+        # step i takes action i under uniform logits over len(rewards) + 1
+        # actions, so its log-probability is -log(actions left)
         t = engine.Trajectory(user=0)
         for i, (r, v) in enumerate(zip(rewards, values)):
             t.transitions.append(
                 engine.Transition(
-                    action=0, logprob=-1.0, reward=r, value=v,
+                    action=i, logprob=-np.log(len(rewards) + 1 - i), reward=r, value=v,
                     track_reward=r, parts=None, done=i == len(rewards) - 1,
                     done_reason="max_length" if i == len(rewards) - 1 else None,
                 )
             )
         return t
+
+    def head_losses(self, t, gamma):
+        """(actor, critic) loss of `_head_grads` on logits and values that
+        reproduce the trajectory's recorded log-probabilities and values."""
+        n = len(t)
+        values = np.array([[tr.value] for tr in t.transitions])
+        targets = engine.critic_targets([tr.reward for tr in t.transitions], values[:, 0], gamma)
+        _, _, aloss, closs = engine._head_grads(
+            np.zeros((n, n + 1)), values, [tr.action for tr in t.transitions],
+            np.ones(n + 1, dtype=bool), t.advantages, targets, 1.0,
+        )
+        return aloss, closs
 
     def test_single_transition(self):
         t = engine.compute_advantages(self.traj([1.0], [0.4]), gamma=0.9)
@@ -137,12 +167,14 @@ class TestAdvantages:
         t = self.traj([1.0, 1.0], [0.0, 0.0])
         engine.compute_advantages(t, 0.5)
         t.advantages = np.zeros(2)
-        assert engine.actor_loss(t) == 0.0
+        assert actor_loss(t) == 0.0
+        assert self.head_losses(t, 0.5)[0] == 0.0
 
     def test_terminal_critic_loss(self):
         t = self.traj([1.0], [0.0])
         engine.compute_advantages(t, 0.9)
-        assert engine.critic_loss(t, 0.9) == pytest.approx(1.0)
+        assert critic_loss(t, 0.9) == pytest.approx(1.0)
+        assert self.head_losses(t, 0.9)[1] == pytest.approx(1.0)
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +284,7 @@ class TestRollout:
 class TestLosses:
     def test_replay_matches_trajectory_losses(self, tiny_dataset, tiny_wm, smoke_run):
         # fresh rollout with frozen agents: replayed losses equal the
-        # scalar loss functions computed from the logged trajectory
+        # reference losses computed from the logged trajectory
         settings = smoke_run.settings
         pm = wmod.predict_matrix(tiny_wm)
         matrix = engine.ShapedRewardMatrix.from_prediction(pm, 0.0, 1.0)
@@ -266,17 +298,16 @@ class TestLosses:
         aloss, closs = engine.recommender_losses(
             smoke_run.rec_agent, traj, settings.gamma, accumulate=False
         )
-        assert aloss == pytest.approx(engine.actor_loss(traj), abs=1e-10)
-        assert closs == pytest.approx(engine.critic_loss(traj, settings.gamma), abs=1e-10)
+        assert aloss == pytest.approx(actor_loss(traj), abs=1e-10)
+        assert closs == pytest.approx(critic_loss(traj, settings.gamma), abs=1e-10)
 
-    @pytest.mark.parametrize("critic_mode", ["v", "qmax"])
-    def test_recommender_loss_gradients(self, critic_mode):
+    def test_recommender_loss_gradients(self):
         from darlr.nncore import gradient_check
 
         d = ds.generate_synthetic(ds.SyntheticSpec(users=4, items=6, categories=3, log_density=0.5, seed=3))
         settings = engine.TrainSettings(
             epochs=1, trajectories_per_epoch=1, eval_every=0, k_sel=2, candidate_pool=3,
-            d_model=6, d_pref=4, d_emb=3, hidden=(8,), critic_mode=critic_mode, seed=2,
+            d_model=6, d_pref=4, d_emb=3, hidden=(8,), seed=2,
         )
         agent, _ = engine.build_agents(d, settings)
         # fixed fake trajectory
@@ -288,61 +319,48 @@ class TestLosses:
                     action=item, logprob=-1.0, reward=r,
                     value=float(rngs.normal()), track_reward=r, parts=None,
                     done=i == 2, done_reason="max_length" if i == 2 else None,
-                    q_taken=0.0,
                 )
             )
         engine.compute_advantages(traj, settings.gamma)
 
         def loss():
-            a, c = engine.recommender_losses(
-                agent, traj, settings.gamma, critic_mode, accumulate=False
-            )
+            a, c = engine.recommender_losses(agent, traj, settings.gamma, accumulate=False)
             return a + c
 
         def back():
-            a, c = engine.recommender_losses(
-                agent, traj, settings.gamma, critic_mode, accumulate=True
-            )
+            a, c = engine.recommender_losses(agent, traj, settings.gamma, accumulate=True)
             return a + c
 
         assert gradient_check(agent.blocks(), loss, back) < 1e-4
 
-    @pytest.mark.parametrize("critic_mode", ["v", "qmax"])
-    def test_selector_loss_gradients(self, critic_mode):
+    def test_selector_loss_gradients(self):
         from darlr import selector as sel
         from darlr.nncore import gradient_check
 
         rng = rng_stream(5, "m")
         matrix = engine.ShapedRewardMatrix(rng.random((8, 5)) + 0.1, 0.0, 1.0)
-        critic_out = 1 if critic_mode == "v" else 6
-        agent = sel.SelectorAgent(
-            5, 4, 3, pool_size=6, window=3, seed=6, hidden=(8,), critic_out=critic_out
-        )
+        agent = sel.SelectorAgent(5, 4, 3, pool_size=6, window=3, seed=6, hidden=(8,))
         ep = sel.run_selection(
             2, 1, rng.normal(size=4), matrix, agent, 4, rm.PenaltyCoeffs(), rng_stream(1)
         )
 
         def loss():
-            a, c = engine.selector_losses(agent, ep, 0.9, critic_mode, accumulate=False)
+            a, c = engine.selector_losses(agent, ep, 0.9, accumulate=False)
             return a + c
 
         def back():
-            a, c = engine.selector_losses(agent, ep, 0.9, critic_mode, accumulate=True)
+            a, c = engine.selector_losses(agent, ep, 0.9, accumulate=True)
             return a + c
 
         assert gradient_check(agent.blocks(), loss, back) < 1e-4
 
-    @pytest.mark.parametrize("critic_mode", ["v", "qmax"])
-    def test_update_selector_sums_episode_gradients(self, monkeypatch, critic_mode):
+    def test_update_selector_sums_episode_gradients(self, monkeypatch):
         from darlr import selector as sel
         from darlr.nncore import zero_grads
 
         rng = rng_stream(7, "m")
         matrix = engine.ShapedRewardMatrix(rng.random((9, 5)) + 0.1, 0.0, 1.0)
-        agent = sel.SelectorAgent(
-            5, 4, 3, pool_size=6, window=2, seed=8, hidden=(8,),
-            critic_out=1 if critic_mode == "v" else 6,
-        )
+        agent = sel.SelectorAgent(5, 4, 3, pool_size=6, window=2, seed=8, hidden=(8,))
         episodes = [
             sel.run_selection(u, 1, rng.normal(size=4), matrix, agent, k, rm.PenaltyCoeffs(), rng_stream(u))
             for u, k in ((2, 4), (5, 1), (6, 3))
@@ -351,10 +369,10 @@ class TestLosses:
         monkeypatch.setattr(
             engine, "adam_step", lambda blocks, cfg: captured.extend(b.grad.copy() for b in blocks)
         )
-        engine.update_selector(agent, episodes, 0.9, AdamConfig(), critic_mode)
+        engine.update_selector(agent, episodes, 0.9, AdamConfig())
         zero_grads(agent.blocks())
         for ep in episodes:
-            engine.selector_losses(agent, ep, 0.9, critic_mode, accumulate=True, scale=1 / 3)
+            engine.selector_losses(agent, ep, 0.9, accumulate=True, scale=1 / 3)
         assert len(captured) == len(agent.blocks())
         for blk, g in zip(agent.blocks(), captured):  # one batch sums in episode order
             assert np.array_equal(g, blk.grad), blk.name
@@ -428,14 +446,16 @@ class TestTrain:
 
     def test_unknown_settings_key_rejected(self):
         with pytest.raises(ValueError, match="unknown keys: variance"):
-            engine.TrainSettings.from_dict({"variance": 1.0})
+            engine.config_from_dict(engine.TrainSettings, {"variance": 1.0}, "config")
 
     def test_from_dict_keeps_values_as_written(self):
         # integer-valued floats stay integers, so config.json and the hash do not change
-        s = engine.TrainSettings.from_dict({"lambda_s": 5, "lr": 1, "hidden": [16, 8]})
+        s = engine.config_from_dict(
+            engine.TrainSettings, {"lambda_s": 5, "lr": 1, "hidden": [16, 8]}, "config"
+        )
         assert s == engine.TrainSettings(lambda_s=5, lr=1, hidden=(16, 8))
         assert type(s.to_dict()["lambda_s"]) is int
-        assert engine.TrainSettings.from_dict({"hidden": []}).hidden == ()
+        assert engine.config_from_dict(engine.TrainSettings, {"hidden": []}, "config").hidden == ()
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError, match="variant"):
@@ -445,17 +465,27 @@ class TestTrain:
         with pytest.raises(ValueError, match="alpha_shape"):
             engine.TrainSettings(alpha_shape=0.0).validate()
 
+    def test_pool_below_k_sel_on_the_data_stops_before_training(
+        self, tiny_dataset, tiny_wm, monkeypatch
+    ):
+        # 20 users give a pool of 19; only variants that run selection need k_sel of them
+        calls = []
+        monkeypatch.setattr(wmod, "predict_matrix", lambda wm: calls.append(wm))
+        settings = smoke_settings(k_sel=20, candidate_pool=50)
+        with pytest.raises(ValueError, match=r"k_sel=20 exceeds the candidate pool of 19 users"):
+            engine.train(tiny_dataset, tiny_wm, settings)
+        assert calls == []
+        monkeypatch.undo()
+        result = engine.train(tiny_dataset, tiny_wm, smoke_settings(
+            variant="r_static", k_sel=20, candidate_pool=50
+        ))
+        assert result.steps_total > 0
+
     @pytest.mark.parametrize("episodes", [0, -2])
     def test_eval_episodes_below_one_rejected_when_evaluating(self, episodes):
         with pytest.raises(ValueError, match="eval_episodes"):
             engine.TrainSettings(eval_episodes=episodes).validate()
         engine.TrainSettings(eval_episodes=episodes, eval_every=0).validate()
-
-    def test_qmax_mode_runs(self, tiny_dataset, tiny_wm):
-        result = engine.train(
-            tiny_dataset, tiny_wm, smoke_settings(critic_mode="qmax", epochs=1)
-        )
-        assert result.steps_total > 0
 
 
 def ones_truth_dataset():

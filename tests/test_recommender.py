@@ -170,11 +170,11 @@ class TestTrajectoryReplay:
             assert np.allclose(fwd["states"][t], states[t], atol=0)
 
     def test_backward_gradients_beyond_window(self):
-        a = make_agent(n_users=3, n_items=8, window=3, seed=15, layers=2, hidden=(6,), critic_out=8)
+        a = make_agent(n_users=3, n_items=8, window=3, seed=15, layers=2, hidden=(6,))
         items = [2, 5, 0, 7, 1]
         rewards = [0.2, 0.9, 0.4, 0.6, 0.1]
         rng = rng_stream(15, "w")
-        wl, wv = rng.normal(size=(5, 8)), rng.normal(size=(5, 8))
+        wl, wv = rng.normal(size=(5, 8)), rng.normal(size=(5, 1))
 
         def loss():
             fwd = rec.trajectory_forward(a, 1, items, rewards)
