@@ -126,9 +126,7 @@ def _policy_inputs(args):
 def _run_one(d, wm, settings, seed, run_dir):
     run_settings = dataclasses.replace(settings, seed=seed)
     result = engine.train(d, wm, run_settings)
-    run_dir = Path(run_dir)
     engine.save_bundle(run_dir, result, wm)
-    engine.write_metrics_csv(result.metrics_rows, run_dir / "metrics.csv")
     return result
 
 

@@ -12,7 +12,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,26 +57,19 @@ _VARIANT_GAINS = {
 
 
 class ShapedRewardMatrix:
-    """Mutable reward-estimate matrix with one level of write history."""
+    """Mutable reward-estimate matrix, clipped to [r_min, r_max]."""
 
     def __init__(self, current, r_min, r_max):
         self.current = np.array(current, dtype=np.float64)
-        self.previous = self.current.copy()
-        self.write_count = np.zeros(self.current.shape, dtype=np.int64)
         self.r_min = float(r_min)
         self.r_max = float(r_max)
 
-    @classmethod
-    def from_prediction(cls, pm: wmod.PredictionMatrix, r_min, r_max):
-        return cls(pm.mean, r_min, r_max)
-
     def write(self, u, i, value, alpha_shape=1.0):
-        """Blend `value` into (u, i); the pre-write value becomes `previous`."""
+        """Blend `value` into (u, i) and return the pre-write value."""
         old = self.current[u, i]
         new = (1.0 - alpha_shape) * old + alpha_shape * value
-        self.previous[u, i] = old
         self.current[u, i] = min(max(new, self.r_min), self.r_max)
-        self.write_count[u, i] += 1
+        return old
 
 
 @dataclass
@@ -341,9 +337,8 @@ def rollout_recommendation_step(ctx: TrainContext, u, state, mask, recent_cats, 
             lambda_s=st.lambda_s * gains[0], lambda_d=st.lambda_d * gains[1],
         )
         shaped = rm.shape_reward(episode.ref_rewards)
-        ctx.matrix.write(u, item, shaped, st.alpha_shape)
+        r_prev = float(ctx.matrix.write(u, item, shaped, st.alpha_shape))
         r_hat = float(ctx.matrix.current[u, item])
-        r_prev = float(ctx.matrix.previous[u, item])
         mean_sim, mean_div = episode.mean_sim(), episode.mean_div()
         if st.variant == "pu_static":
             p_u = float(ctx.static_uncertainty[u, item])
@@ -660,7 +655,7 @@ def train(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSettings) -
             "(min(users - 1, candidate_pool))"
         )
     pm = wmod.predict_matrix(wm)
-    matrix = ShapedRewardMatrix.from_prediction(pm, d.r_min, d.r_max)
+    matrix = ShapedRewardMatrix(pm.mean, d.r_min, d.r_max)
     stats = ds.behavior_stats(d, settings.entropy_k, settings.laplace_alpha)
     entropy = wmod.EntropyTable(stats)
     rec_agent, sel_agent = build_agents(d, settings)
@@ -723,13 +718,21 @@ METRICS_COLUMNS = ["epoch", "steps", "R_tra", "R_tra_std", "R_each", "Length", "
 
 def write_metrics_csv(rows, path, columns=METRICS_COLUMNS):
     """One line per row dict: strings and integers as written, other numbers
-    as repr(float), which reads back bit-exact."""
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = [row[c] for c in columns]
-            fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v)) for v in cells))
-            fh.write("\n")
+    as repr(float), which reads back bit-exact. The file is written beside
+    `path` under a dot-prefixed name and then renamed over it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                cells = [row[c] for c in columns]
+                fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v)) for v in cells))
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_metrics_csv(path):
@@ -747,9 +750,8 @@ def read_metrics_csv(path):
 
 # --- checkpoint bundle ---------------------------------------------------
 
-def save_bundle(dir_path, result: TrainResult, wm: wmod.WorldModelEnsemble):
-    out = Path(dir_path)
-    out.mkdir(parents=True, exist_ok=True)
+def _write_bundle_files(out, result: TrainResult, wm: wmod.WorldModelEnsemble):
+    out.mkdir()
     config = {
         "settings": result.settings.to_dict(),
         "config_hash": config_hash(result.settings),
@@ -768,18 +770,44 @@ def save_bundle(dir_path, result: TrainResult, wm: wmod.WorldModelEnsemble):
             fh,
             {
                 "matrix:current": result.matrix.current,
-                "matrix:previous": result.matrix.previous,
-                "matrix:write_count": result.matrix.write_count,
                 "matrix:range": np.array([result.matrix.r_min, result.matrix.r_max]),
             },
         )
     wmod.save_world_model(wm, out / "worldmodel.ckpt")
+    write_metrics_csv(result.metrics_rows, out / "metrics.csv")
+
+
+def save_bundle(dir_path, result: TrainResult, wm: wmod.WorldModelEnsemble):
+    """Write the bundle directory `dir_path` as one unit.
+
+    The files are written into a fresh dot-prefixed sibling directory,
+    which is then renamed to `dir_path`; a bundle already there is renamed
+    aside first and removed after the swap. On any error the sibling is
+    removed and `dir_path` is left as it was.
+    """
+    out = Path(dir_path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
+    try:
+        _write_bundle_files(stage / "new", result, wm)
+        if out.exists():
+            os.rename(out, stage / "old")
+        try:
+            os.rename(stage / "new", out)
+        except OSError:
+            if (stage / "old").exists():
+                os.rename(stage / "old", out)
+            raise
+    finally:
+        shutil.rmtree(stage)
 
 
 def load_bundle(dir_path, d: ds.Dataset):
     """Rebuild settings, agents and matrix from a bundle directory.
 
     The bundle's `worldmodel.ckpt` is not read; `load_world_model` loads it.
+    Of `matrix.frag` only `matrix:current` and `matrix:range` are read; the
+    write history that bundles of earlier versions also hold is ignored.
     """
     root = Path(dir_path)
     with open(root / "config.json") as fh:
@@ -794,10 +822,19 @@ def load_bundle(dir_path, d: ds.Dataset):
         load_block_state(rec_agent.blocks(), read_fragment(fh))
     with open(root / "selector.frag", "rb") as fh:
         load_block_state(sel_agent.blocks(), read_fragment(fh))
-    with open(root / "matrix.frag", "rb") as fh:
+    frag = root / "matrix.frag"
+    with open(frag, "rb") as fh:
         state = read_fragment(fh)
-    rng_range = state["matrix:range"]
-    matrix = ShapedRewardMatrix(state["matrix:current"], rng_range[0], rng_range[1])
-    matrix.previous = state["matrix:previous"].copy()
-    matrix.write_count = state["matrix:write_count"].copy()
+    missing = [name for name in ("matrix:current", "matrix:range") if name not in state]
+    if missing:
+        raise ValueError(f"{frag}: missing record {', '.join(missing)}")
+    current, bounds = state["matrix:current"], state["matrix:range"]
+    if current.shape != (d.n_users, d.n_items):
+        raise ValueError(
+            f"{frag}: matrix:current has shape {current.shape}, "
+            f"expected ({d.n_users}, {d.n_items}) users x items"
+        )
+    if bounds.shape != (2,):
+        raise ValueError(f"{frag}: matrix:range has shape {bounds.shape}, expected (2,)")
+    matrix = ShapedRewardMatrix(current, bounds[0], bounds[1])
     return {"settings": settings, "rec_agent": rec_agent, "sel_agent": sel_agent, "matrix": matrix}

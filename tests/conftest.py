@@ -24,7 +24,7 @@ def tiny_matrix(tiny_wm):
     from darlr.engine import ShapedRewardMatrix
 
     pm = wmod.predict_matrix(tiny_wm)
-    return ShapedRewardMatrix.from_prediction(pm, 0.0, 1.0)
+    return ShapedRewardMatrix(pm.mean, 0.0, 1.0)
 
 
 def rel_err(a, b, floor=1e-6):

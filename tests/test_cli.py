@@ -14,6 +14,7 @@ from darlr import cli
 from darlr import dataset as ds
 from darlr import engine
 from darlr import worldmodel as wmod
+from darlr.nncore import write_fragment
 
 
 def dir_checksums(root):
@@ -216,7 +217,11 @@ class TestTrainPolicy:
         assert len(err) == 1 and err[0].startswith("error:") and "--seed" in err[0]
         assert not out.exists()
 
-    def test_r_static_bundle_has_frozen_matrix(self, workspace, tmp_path):
+    def test_r_static_bundle_has_frozen_matrix(self, workspace, tmp_path, monkeypatch):
+        def no_write(*args, **kwargs):
+            raise AssertionError("r_static wrote to the shaped matrix")
+
+        monkeypatch.setattr(engine.ShapedRewardMatrix, "write", no_write)
         out = tmp_path / "run"
         rc = cli.main([
             "train-policy", "--config", workspace["policy_cfg"], "--data", workspace["data"],
@@ -228,7 +233,6 @@ class TestTrainPolicy:
         wm = wmod.load_world_model(workspace["wm"], d)
         pm = wmod.predict_matrix(wm)
         assert np.array_equal(bundle["matrix"].current, pm.mean)
-        assert np.all(bundle["matrix"].write_count == 0)
 
     def test_unknown_variant_exit_2_lists_names(self, workspace, tmp_path, capsys):
         rc = cli.main([
@@ -359,6 +363,28 @@ class TestEval:
         assert len(err) == 1
         assert err[0].startswith("error:") and "not a darlr checkpoint fragment" in err[0]
 
+    @pytest.mark.parametrize("records, message", [
+        ({"matrix:range": np.array([0.0, 1.0])}, "missing record matrix:current"),
+        ({"matrix:current": np.zeros((3, 4)), "matrix:range": np.array([0.0, 1.0])},
+         "matrix:current has shape (3, 4), expected (12, 15)"),
+        ({"matrix:current": np.zeros((12, 15)), "matrix:range": np.array([0.0, 1.0, 2.0])},
+         "matrix:range has shape (3,), expected (2,)"),
+    ])
+    def test_bad_matrix_records_rejected(self, workspace, trained_bundle, tmp_path, capsys,
+                                         records, message):
+        bundle = tmp_path / "bad-matrix"
+        shutil.copytree(trained_bundle, bundle)
+        with open(bundle / "matrix.frag", "wb") as fh:
+            write_fragment(fh, records)
+        rc = cli.main(["eval", "--bundle", str(bundle), "--data", workspace["data"],
+                       "--episodes", "5", "--seed", "3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bundle / 'matrix.frag'}: ") and message in err[0]
+
 
     @pytest.mark.parametrize("episodes", ["0", "-3"])
     def test_episode_count_below_one_rejected_before_loading(self, tmp_path, capsys, episodes):
@@ -385,6 +411,8 @@ class TestAblate:
         assert len(lines) - 1 == 6 * len(POLICY_CFG["seeds"])
         order = [line.split(",")[0] for line in lines[1:]]
         assert order == list(cli.ABLATION_ORDER)
+        # no temporary file or directory is left beside the outputs
+        assert not list(out.rglob(".*"))
         # comparison rows match the per-run metric files
         for line in lines[1:]:
             cells = line.split(",")

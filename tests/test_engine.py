@@ -8,7 +8,7 @@ from darlr import engine
 from darlr import recommender as rec
 from darlr import rewardmath as rm
 from darlr import worldmodel as wmod
-from darlr.nncore import AdamConfig, rng_stream, softmax
+from darlr.nncore import AdamConfig, read_fragment, rng_stream, softmax, write_fragment
 
 
 def reports_equal(a, b):
@@ -19,11 +19,13 @@ def reports_equal(a, b):
     return all(np.array_equal(a.per_episode[k], b.per_episode[k]) for k in a.per_episode)
 
 
+def dir_bytes(root):
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
 def matrix_digest(m):
     h = hashlib.sha256()
     h.update(m.current.tobytes())
-    h.update(m.previous.tobytes())
-    h.update(m.write_count.tobytes())
     return h.hexdigest()
 
 
@@ -39,19 +41,16 @@ def smoke_settings(**kw):
 class TestShapedRewardMatrix:
     def test_write_tracks_previous(self):
         m = engine.ShapedRewardMatrix(np.full((2, 2), 0.4), 0.0, 1.0)
-        m.write(0, 1, 0.9)
+        assert m.write(0, 1, 0.9) == 0.4
         assert m.current[0, 1] == 0.9
-        assert m.previous[0, 1] == 0.4
-        assert m.write_count[0, 1] == 1
-        m.write(0, 1, 0.1)
-        assert m.previous[0, 1] == 0.9
+        assert m.write(0, 1, 0.1) == 0.9
         assert m.current[0, 1] == pytest.approx(0.1)
+        assert np.array_equal(m.current[[0, 1, 1], [0, 0, 1]], np.full(3, 0.4))
 
     def test_ema_blend(self):
         m = engine.ShapedRewardMatrix(np.full((1, 1), 0.4), 0.0, 1.0)
-        m.write(0, 0, 0.8, alpha_shape=0.5)
+        assert m.write(0, 0, 0.8, alpha_shape=0.5) == 0.4
         assert m.current[0, 0] == pytest.approx(0.6, abs=1e-15)
-        assert m.previous[0, 0] == 0.4
 
     def test_clipped_to_range(self):
         m = engine.ShapedRewardMatrix(np.full((1, 1), 0.4), 0.0, 1.0)
@@ -187,7 +186,7 @@ class TestRollout:
     def make_ctx(self, d, wm, **kw):
         settings = smoke_settings(**kw)
         pm = wmod.predict_matrix(wm)
-        matrix = engine.ShapedRewardMatrix.from_prediction(pm, d.r_min, d.r_max)
+        matrix = engine.ShapedRewardMatrix(pm.mean, d.r_min, d.r_max)
         stats = ds.behavior_stats(d, settings.entropy_k, settings.laplace_alpha)
         rec_agent, sel_agent = engine.build_agents(d, settings)
         return engine.TrainContext(
@@ -213,8 +212,9 @@ class TestRollout:
         assert tr0.parts.r_hat == pytest.approx(
             np.clip(np.mean(ep0.ref_rewards), 0.0, 1.0), abs=1e-12
         )
-        assert tr0.parts.r_prev == pytest.approx(pm_mean[u, item], abs=1e-12)
-        assert ctx.matrix.previous[u, item] == pytest.approx(pm_mean[u, item])
+        assert tr0.parts.r_prev == pm_mean[u, item]
+        # an item is recommended once per trajectory, so this was the only write
+        assert ctx.matrix.current[u, item] == tr0.parts.r_hat
 
     def test_composite_reward_recomputable_from_parts(self, tiny_dataset, tiny_wm):
         ctx = self.make_ctx(tiny_dataset, tiny_wm, variant="full")
@@ -287,7 +287,7 @@ class TestLosses:
         # reference losses computed from the logged trajectory
         settings = smoke_run.settings
         pm = wmod.predict_matrix(tiny_wm)
-        matrix = engine.ShapedRewardMatrix.from_prediction(pm, 0.0, 1.0)
+        matrix = engine.ShapedRewardMatrix(pm.mean, 0.0, 1.0)
         stats = ds.behavior_stats(tiny_dataset, 1, 1.0)
         ctx = engine.TrainContext(
             tiny_dataset, matrix, pm.static_uncertainty, wmod.EntropyTable(stats),
@@ -421,16 +421,27 @@ class TestTrain:
         engine.write_metrics_csv(b.metrics_rows, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
+    def test_failed_metrics_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        engine.write_metrics_csv([{"epoch": 0}], path, ["epoch"])
+        with pytest.raises(KeyError):
+            engine.write_metrics_csv([{"epoch": 1}, {}], path, ["epoch"])
+        assert path.read_text() == "epoch\n0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["m.csv"]
+
     def test_different_seeds_differ(self, tiny_dataset, tiny_wm):
         a = engine.train(tiny_dataset, tiny_wm, smoke_settings(seed=5))
         b = engine.train(tiny_dataset, tiny_wm, smoke_settings(seed=6))
         assert a.metrics_rows != b.metrics_rows
 
-    def test_r_static_matrix_frozen_whole_run(self, tiny_dataset, tiny_wm):
+    def test_r_static_matrix_frozen_whole_run(self, tiny_dataset, tiny_wm, monkeypatch):
+        def no_write(*args, **kwargs):
+            raise AssertionError("r_static wrote to the shaped matrix")
+
+        monkeypatch.setattr(engine.ShapedRewardMatrix, "write", no_write)
         result = engine.train(tiny_dataset, tiny_wm, smoke_settings(variant="r_static"))
         pm = wmod.predict_matrix(tiny_wm)
         assert np.array_equal(result.matrix.current, pm.mean)
-        assert np.all(result.matrix.write_count == 0)
 
     def test_budget_bounds_sampling(self, tiny_dataset, tiny_wm):
         result = engine.train(
@@ -638,16 +649,63 @@ class TestBundle:
         assert smoke_run.matrix.r_min == loaded["matrix"].r_min
         assert smoke_run.matrix.r_max == loaded["matrix"].r_max
         assert np.array_equal(smoke_run.matrix.current, loaded["matrix"].current)
-        assert np.array_equal(smoke_run.matrix.previous, loaded["matrix"].previous)
-        assert np.array_equal(smoke_run.matrix.write_count, loaded["matrix"].write_count)
         # resumed evaluation identical to the in-memory one
         direct = engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, 10, 21)
         resumed = engine.evaluate(loaded["rec_agent"], tiny_dataset, loaded["matrix"], 10, 21)
         assert reports_equal(direct, resumed)
         # saving the same result again writes the same bytes
         engine.save_bundle(tmp_path / "b2", smoke_run, tiny_wm)
-        for name in ("recommender.frag", "selector.frag", "matrix.frag", "worldmodel.ckpt"):
-            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "b2" / name).read_bytes(), name
+        assert dir_bytes(tmp_path / "b") == dir_bytes(tmp_path / "b2")
+        with open(tmp_path / "b" / "matrix.frag", "rb") as fh:
+            assert sorted(read_fragment(fh)) == ["matrix:current", "matrix:range"]
+
+    def test_save_over_existing_bundle_equals_fresh_save(self, tiny_wm, smoke_run, tmp_path):
+        engine.save_bundle(tmp_path / "fresh", smoke_run, tiny_wm)
+        target = tmp_path / "over"
+        target.mkdir()
+        (target / "stale.txt").write_text("left by an earlier run\n")
+        (target / "matrix.frag").write_bytes(b"old")
+        engine.save_bundle(target, smoke_run, tiny_wm)
+        assert dir_bytes(target) == dir_bytes(tmp_path / "fresh")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "over"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_save_leaves_target_as_it_was(self, tiny_wm, smoke_run, tmp_path, monkeypatch,
+                                                 existing):
+        target = tmp_path / "b"
+        if existing:
+            engine.save_bundle(target, smoke_run, tiny_wm)
+            before = dir_bytes(target)
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(wmod, "save_world_model", fail)
+        with pytest.raises(OSError, match="disk full"):
+            engine.save_bundle(target, smoke_run, tiny_wm)
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["b"] if existing else [])
+        if existing:
+            assert dir_bytes(target) == before
+
+    def test_bundle_with_write_history_loads(self, tiny_dataset, tiny_wm, smoke_run, tmp_path):
+        # bundles written before the matrix dropped its write history hold
+        # two more records; they load to the same matrix and evaluation
+        engine.save_bundle(tmp_path / "new", smoke_run, tiny_wm)
+        engine.save_bundle(tmp_path / "old", smoke_run, tiny_wm)
+        with open(tmp_path / "old" / "matrix.frag", "rb") as fh:
+            state = read_fragment(fh)
+        state["matrix:previous"] = np.full_like(state["matrix:current"], 0.5)
+        state["matrix:write_count"] = np.ones(state["matrix:current"].shape, dtype=np.int64)
+        with open(tmp_path / "old" / "matrix.frag", "wb") as fh:
+            write_fragment(fh, state)
+        new = engine.load_bundle(tmp_path / "new", tiny_dataset)
+        old = engine.load_bundle(tmp_path / "old", tiny_dataset)
+        assert np.array_equal(old["matrix"].current, new["matrix"].current)
+        assert (old["matrix"].r_min, old["matrix"].r_max) == (new["matrix"].r_min, new["matrix"].r_max)
+        assert reports_equal(
+            engine.evaluate(old["rec_agent"], tiny_dataset, old["matrix"], 10, 21),
+            engine.evaluate(new["rec_agent"], tiny_dataset, new["matrix"], 10, 21),
+        )
 
     def test_wrong_dataset_rejected(self, tiny_dataset, tiny_wm, smoke_run, tmp_path):
         engine.save_bundle(tmp_path / "b", smoke_run, tiny_wm)
