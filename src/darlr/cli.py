@@ -1,7 +1,7 @@
 """Batch command-line entry points.
 
 Subcommands: gen-data, train-wm, train-policy, eval, ablate. Config files
-are JSON objects read by one typed loader (`engine.config_from_dict`),
+are JSON objects read by one typed loader (`config.config_from_dict`),
 which rejects unknown keys and values of the wrong type or range before
 any data is read. Every output lands under the directory given by --out.
 Errors are single machine-parsable lines on stderr with a nonzero exit
@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from . import dataset as ds
 from . import engine
 from . import worldmodel as wmod
-from .nncore import AdamConfig
+from .config import ConfigError, config_from_dict, read_json_object
+from .nncore import AdamConfig, atomic_open
 
 ABLATION_ORDER = ("r_static", "pu_static", "rhat", "rhat_rs", "rhat_rd", "full")
 
@@ -31,23 +31,18 @@ class CliError(Exception):
 
 
 def _load_json(path):
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise CliError(f"no such file: {path}", code=2)
     try:
-        with open(p) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON in {path}: {exc}", code=2)
-    if not isinstance(data, dict):
-        raise CliError(f"{path}: expected a JSON object, got {type(data).__name__}", code=2)
-    return data
+        return read_json_object(path)
+    except ConfigError as exc:
+        raise CliError(str(exc), code=2)
 
 
 def _config(cls, data, what):
     try:
-        return engine.config_from_dict(cls, data, what)
-    except engine.ConfigError as exc:
+        return config_from_dict(cls, data, what)
+    except ConfigError as exc:
         raise CliError(str(exc), code=2)
 
 
@@ -74,7 +69,7 @@ def cmd_train_wm(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     wmod.save_world_model(wm, out)
     loss_path = out.with_suffix(".loss.csv")
-    with open(loss_path, "w") as fh:
+    with atomic_open(loss_path) as fh:
         fh.write("member,epoch,nll\n")
         for k, history in enumerate(wm.nll_history):
             for e, v in enumerate(history):

@@ -14,9 +14,7 @@ import hashlib
 import json
 import os
 import shutil
-import sys
 import tempfile
-import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,9 +25,11 @@ from . import recommender as rec
 from . import rewardmath as rm
 from . import selector as sel
 from . import worldmodel as wmod
+from .config import config_from_dict, read_json_object
 from .nncore import (
     AdamConfig,
     adam_step,
+    atomic_open,
     block_state,
     load_block_state,
     read_fragment,
@@ -64,11 +64,10 @@ class ShapedRewardMatrix:
         self.r_min = float(r_min)
         self.r_max = float(r_max)
 
-    def write(self, u, i, value, alpha_shape=1.0):
-        """Blend `value` into (u, i) and return the pre-write value."""
+    def write(self, u, i, value):
+        """Store `value`, clipped, at (u, i) and return the pre-write value."""
         old = self.current[u, i]
-        new = (1.0 - alpha_shape) * old + alpha_shape * value
-        self.current[u, i] = min(max(new, self.r_min), self.r_max)
+        self.current[u, i] = min(max(value, self.r_min), self.r_max)
         return old
 
 
@@ -130,7 +129,6 @@ class TrainSettings:
     k_sel: int = 10
     w_sel: int = 5
     w_rec: int = 5
-    alpha_shape: float = 1.0
     lambda_s: float = 1.0
     lambda_d: float = 0.1
     lambda_u: float = 0.1
@@ -142,7 +140,6 @@ class TrainSettings:
     d_emb: int = 16
     hidden: tuple[int, ...] = (64,)
     encoder_layers: int = 1
-    encoder_heads: int = 1
     entropy_k: int = 1
     laplace_alpha: float = 1.0
     lr: float = 1e-3
@@ -159,7 +156,7 @@ class TrainSettings:
             raise ValueError(f"unknown variant '{self.variant}'; valid: {', '.join(VARIANTS)}")
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must be in [0, 1]")
-        for name in ("k_sel", "w_sel", "w_rec", "d_model", "encoder_heads", "trajectories_per_epoch"):
+        for name in ("k_sel", "w_sel", "w_rec", "d_model", "trajectories_per_epoch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         for name in ("d_pref", "d_emb", "encoder_layers", "entropy_k", "epochs", "eval_every"):
@@ -173,13 +170,8 @@ class TrainSettings:
         for name in ("uncertainty_eps", "laplace_alpha", "lr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
-        if not (0.0 < self.alpha_shape <= 1.0):
-            raise ValueError("alpha_shape must be in (0, 1]")
         if self.candidate_pool < self.k_sel:
             raise ValueError("candidate_pool must be >= k_sel")
-        # the recommender encodes d_model-wide tokens, the selector d_model + d_pref
-        if self.d_model % self.encoder_heads or (self.d_model + self.d_pref) % self.encoder_heads:
-            raise ValueError("encoder_heads must divide d_model and d_model + d_pref")
         if self.eval_every > 0 and self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1 when eval_every > 0")
 
@@ -191,61 +183,6 @@ class TrainSettings:
         out = dataclasses.asdict(self)
         out["hidden"] = list(self.hidden)
         return out
-
-
-class ConfigError(ValueError):
-    """A JSON config with an unknown or missing key, or a bad value."""
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# JSON value test and description of each field type a config may declare.
-# A float field also takes an integer and keeps it an integer, so
-# `config.json` and `config_hash` hold every value as it was written.
-_JSON_TYPES = {
-    int: (_is_int, "an integer"),
-    float: (
-        lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max,
-        "a finite number",
-    ),
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    str: (lambda v: isinstance(v, str), "a string"),
-    int | None: (lambda v: v is None or _is_int(v), "an integer or null"),
-    tuple[int, ...]: (
-        lambda v: isinstance(v, list) and all(_is_int(h) and h >= 1 for h in v),
-        "a list of integers >= 1",
-    ),
-}
-
-
-def config_from_dict(cls, data, what):
-    """Build the config dataclass `cls` from a JSON object.
-
-    Rejects unknown and missing keys, then checks each value's JSON type
-    against the field's declared type, then calls `cls.validate()` for the
-    ranges. Raises ConfigError with a message that starts with `what`.
-    Values are not coerced; a JSON list becomes a tuple.
-    """
-    fields = dataclasses.fields(cls)
-    unknown = set(data) - {f.name for f in fields}
-    if unknown:
-        raise ConfigError(f"{what}: unknown keys: {', '.join(sorted(unknown))}")
-    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in data]
-    if missing:
-        raise ConfigError(f"{what}: missing keys: {', '.join(missing)}")
-    types = typing.get_type_hints(cls)
-    for key, value in data.items():
-        ok, want = _JSON_TYPES[types[key]]
-        if not ok(value):
-            raise ConfigError(f"{what}: '{key}' must be {want}, got {value!r}")
-    config = cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from None
-    return config
 
 
 def config_hash(settings: TrainSettings) -> str:
@@ -260,13 +197,11 @@ def pool_width(settings: TrainSettings, n_users: int) -> int:
 def build_agents(d: ds.Dataset, settings: TrainSettings):
     rec_agent = rec.RecommenderAgent(
         d.n_users, d.n_items, settings.d_emb, settings.d_model, settings.w_rec,
-        settings.seed, heads=settings.encoder_heads, layers=settings.encoder_layers,
-        hidden=settings.hidden,
+        settings.seed, layers=settings.encoder_layers, hidden=settings.hidden,
     )
     sel_agent = sel.SelectorAgent(
         d.n_items, settings.d_model, settings.d_pref, pool_width(settings, d.n_users),
-        settings.w_sel, settings.seed, heads=settings.encoder_heads,
-        layers=settings.encoder_layers, hidden=settings.hidden,
+        settings.w_sel, settings.seed, layers=settings.encoder_layers, hidden=settings.hidden,
     )
     return rec_agent, sel_agent
 
@@ -337,7 +272,7 @@ def rollout_recommendation_step(ctx: TrainContext, u, state, mask, recent_cats, 
             lambda_s=st.lambda_s * gains[0], lambda_d=st.lambda_d * gains[1],
         )
         shaped = rm.shape_reward(episode.ref_rewards)
-        r_prev = float(ctx.matrix.write(u, item, shaped, st.alpha_shape))
+        r_prev = float(ctx.matrix.write(u, item, shaped))
         r_hat = float(ctx.matrix.current[u, item])
         mean_sim, mean_div = episode.mean_sim(), episode.mean_div()
         if st.variant == "pu_static":
@@ -718,21 +653,14 @@ METRICS_COLUMNS = ["epoch", "steps", "R_tra", "R_tra_std", "R_each", "Length", "
 
 def write_metrics_csv(rows, path, columns=METRICS_COLUMNS):
     """One line per row dict: strings and integers as written, other numbers
-    as repr(float), which reads back bit-exact. The file is written beside
-    `path` under a dot-prefixed name and then renamed over it."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                cells = [row[c] for c in columns]
-                fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v)) for v in cells))
-                fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    as repr(float), which reads back bit-exact. The file is written through
+    `atomic_open`, so a failed write leaves `path` as it was."""
+    with atomic_open(path) as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            cells = [row[c] for c in columns]
+            fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v)) for v in cells))
+            fh.write("\n")
 
 
 def read_metrics_csv(path):
@@ -810,18 +738,20 @@ def load_bundle(dir_path, d: ds.Dataset):
     write history that bundles of earlier versions also hold is ignored.
     """
     root = Path(dir_path)
-    with open(root / "config.json") as fh:
-        config = json.load(fh)
-    settings = config_from_dict(TrainSettings, config["settings"], str(root / "config.json"))
+    path = root / "config.json"
+    config = read_json_object(path)
+    missing = [key for key in ("settings", "config_hash", "dataset_hash") if key not in config]
+    if missing:
+        raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
+    settings = config_from_dict(TrainSettings, config["settings"], str(path))
     if config["config_hash"] != config_hash(settings):
-        raise ValueError("bundle config.json settings do not match its config_hash")
+        raise ValueError(f"{path}: settings do not match its config_hash")
     if config["dataset_hash"] != ds.content_hash(d):
         raise ValueError("bundle was trained on a different dataset (hash mismatch)")
     rec_agent, sel_agent = build_agents(d, settings)
-    with open(root / "recommender.frag", "rb") as fh:
-        load_block_state(rec_agent.blocks(), read_fragment(fh))
-    with open(root / "selector.frag", "rb") as fh:
-        load_block_state(sel_agent.blocks(), read_fragment(fh))
+    for agent, name in ((rec_agent, "recommender.frag"), (sel_agent, "selector.frag")):
+        with open(root / name, "rb") as fh:
+            load_block_state(agent.blocks(), read_fragment(fh), root / name)
     frag = root / "matrix.frag"
     with open(frag, "rb") as fh:
         state = read_fragment(fh)

@@ -8,9 +8,12 @@ each block knows how to push gradients through itself and nothing else.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -226,7 +229,7 @@ def softmax(z, axis=-1):
 
 
 class SeqEncoder:
-    """Windowed self-attention encoder over a short token history.
+    """Single-head windowed self-attention encoder over a short token history.
 
     Sequences shorter than the window are left-padded with a learned start
     token; learned positional offsets are added per window slot. Layers are
@@ -234,13 +237,10 @@ class SeqEncoder:
     residual add). The encoding of the last window position is the output.
     """
 
-    def __init__(self, name, width, window, seed, heads=1, layers=1):
-        if heads < 1 or width % heads != 0:
-            raise ValueError("model width must be divisible by the head count")
+    def __init__(self, name, width, window, seed, layers=1):
         self.name = name
         self.width = width
         self.window = window
-        self.heads = heads
         d = width
         ff = 2 * d
 
@@ -303,33 +303,25 @@ class SeqEncoder:
         dx = self.backward_batch(tape, np.reshape(ds, (1, self.width)))[0]
         return list(dx[int(tape["pad"][0].sum()) :])
 
-    def _split(self, x):  # (B, window, width) -> (B, heads, window, width / heads)
-        return x.reshape(len(x), self.window, self.heads, self.width // self.heads).transpose(0, 2, 1, 3)
-
-    def _merge(self, xh):
-        return xh.transpose(0, 2, 1, 3).reshape(len(xh), self.window, self.width)
-
     def forward(self, windows, pad):
         """Encode B left-padded windows (B, window, width) in one pass; `pad`
         (B, window) marks the start-token slots. Returns (states, tape)."""
         x = np.where(pad[..., None], self.start.values, windows) + self.pos.values
-        scale = 1.0 / math.sqrt(self.width // self.heads)
+        scale = 1.0 / math.sqrt(self.width)
         layer_tapes = []
         for p in self.layer_params:
             n1, ln1_cache = _layer_norm_forward(x, p["ln1_g"], p["ln1_b"])
-            qh, kh, vh = (
-                self._split(n1 @ p[f"w{c}"].values + p[f"b{c}"].values) for c in "qkv"
-            )
+            q, k, v = (n1 @ p[f"w{c}"].values + p[f"b{c}"].values for c in "qkv")
             # einsum, not @: BLAS would sum the products in another order
-            attn = softmax(np.einsum("bhid,bhjd->bhij", qh, kh) * scale, axis=-1)
-            ctx = self._merge(np.einsum("bhij,bhjd->bhid", attn, vh))
+            attn = softmax(np.einsum("bid,bjd->bij", q, k) * scale, axis=-1)
+            ctx = np.einsum("bij,bjd->bid", attn, v)
             x_mid = x + (ctx @ p["wo"].values + p["bo"].values)
             n2, ln2_cache = _layer_norm_forward(x_mid, p["ln2_g"], p["ln2_b"])
             a1 = np.tanh(n2 @ p["w1"].values + p["b1"].values)
             x = x_mid + (a1 @ p["w2"].values + p["b2"].values)
             layer_tapes.append(
                 {
-                    "n1": n1, "ln1": ln1_cache, "qh": qh, "kh": kh, "vh": vh, "attn": attn,
+                    "n1": n1, "ln1": ln1_cache, "q": q, "k": k, "v": v, "attn": attn,
                     "ctx": ctx, "n2": n2, "ln2": ln2_cache, "a1": a1,
                 }
             )
@@ -340,7 +332,7 @@ class SeqEncoder:
 
         Accumulates parameter gradients window by window in batch order.
         """
-        scale = 1.0 / math.sqrt(self.width // self.heads)
+        scale = 1.0 / math.sqrt(self.width)
         dx = np.zeros(tape["pad"].shape + (self.width,))
         dx[:, -1] = ds
         for p, lt in zip(reversed(self.layer_params), reversed(tape["layers"])):
@@ -354,13 +346,13 @@ class SeqEncoder:
             # attention branch
             _add_products_in_order(p["wo"].grad, lt["ctx"], dx_mid)
             add_in_order(p["bo"].grad, dx_mid.sum(axis=1))
-            dctxh = self._split(dx_mid @ p["wo"].values.T)
+            dctx = dx_mid @ p["wo"].values.T
             attn = lt["attn"]
-            dattn = np.einsum("bhid,bhjd->bhij", dctxh, lt["vh"])
+            dattn = np.einsum("bid,bjd->bij", dctx, lt["v"])
             dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-            dq = self._merge(np.einsum("bhij,bhjd->bhid", dscores, lt["kh"]) * scale)
-            dk = self._merge(np.einsum("bhij,bhid->bhjd", dscores, lt["qh"]) * scale)
-            dv = self._merge(np.einsum("bhij,bhid->bhjd", attn, dctxh))
+            dq = np.einsum("bij,bjd->bid", dscores, lt["k"]) * scale
+            dk = np.einsum("bij,bid->bjd", dscores, lt["q"]) * scale
+            dv = np.einsum("bij,bid->bjd", attn, dctx)
             dn1 = dq @ p["wq"].values.T + dk @ p["wk"].values.T + dv @ p["wv"].values.T
             for c, dy in (("q", dq), ("k", dk), ("v", dv)):
                 _add_products_in_order(p[f"w{c}"].grad, lt["n1"], dy)
@@ -473,18 +465,44 @@ def block_state(blocks):
     return state
 
 
-def load_block_state(blocks, state):
-    """Restore block contents in place from a state mapping."""
+def load_block_state(blocks, state, where):
+    """Restore block contents in place from a state mapping.
+
+    A missing record, or one whose shape differs from the block's, raises
+    ValueError naming `where`.
+    """
     for b in blocks:
-        for suffix, target in (("values", b.values), ("adam_m", b.adam_m), ("adam_v", b.adam_v)):
+        step = np.zeros((), dtype=np.int64)
+        for suffix, target in (
+            ("values", b.values), ("adam_m", b.adam_m), ("adam_v", b.adam_v), ("step_count", step)
+        ):
             key = f"{b.name}:{suffix}"
             if key not in state:
-                raise KeyError(f"checkpoint is missing '{key}'")
-            arr = state[key]
-            if arr.shape != target.shape:
-                raise ValueError(f"shape mismatch for '{key}': {arr.shape} != {target.shape}")
-            target[...] = arr
-        b.step_count = int(state[f"{b.name}:step_count"])
+                raise ValueError(f"{where}: missing record {key}")
+            if np.shape(state[key]) != target.shape:
+                raise ValueError(
+                    f"{where}: {key} has shape {np.shape(state[key])}, expected {target.shape}"
+                )
+            target[...] = state[key]
+        b.step_count = int(step)
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """Open a dot-prefixed temporary file beside `path` for writing.
+
+    When the block ends without error the file is renamed over `path`;
+    otherwise it is removed and `path` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_fragment(fh, state):

@@ -33,8 +33,7 @@ class RecState:
 
 class RecommenderAgent:
     def __init__(
-        self, n_users, n_items, d_emb, d_model, window, seed,
-        heads=1, layers=1, hidden=(64,),
+        self, n_users, n_items, d_emb, d_model, window, seed, layers=1, hidden=(64,),
     ):
         self.n_users = n_users
         self.n_items = n_items
@@ -47,7 +46,7 @@ class RecommenderAgent:
             "rec/emb_item", (n_items, d_emb), rng_stream(seed, "init", "rec/emb_item")
         )
         self.proj = Linear("rec/proj", 2 * d_emb + 1, d_model, seed)
-        self.encoder = SeqEncoder("rec/enc", d_model, window, seed, heads=heads, layers=layers)
+        self.encoder = SeqEncoder("rec/enc", d_model, window, seed, layers=layers)
         self.actor = Mlp("rec/actor", [d_model] + list(hidden) + [n_items], seed)
         self.critic = Mlp("rec/critic", [d_model] + list(hidden) + [1], seed)
 

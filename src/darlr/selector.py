@@ -57,8 +57,7 @@ class SelectorAgent:
     """Projection, windowed encoder, actor over the candidate pool, critic."""
 
     def __init__(
-        self, n_items, d_rec, d_pref, pool_size, window, seed,
-        heads=1, layers=1, hidden=(64,),
+        self, n_items, d_rec, d_pref, pool_size, window, seed, layers=1, hidden=(64,),
     ):
         self.n_items = n_items
         self.d_rec = d_rec
@@ -67,7 +66,7 @@ class SelectorAgent:
         self.pool_size = pool_size
         self.window = window
         self.proj = Linear("sel/proj", d_rec + n_items, self.d_state, seed)
-        self.encoder = SeqEncoder("sel/enc", self.d_state, window, seed, heads=heads, layers=layers)
+        self.encoder = SeqEncoder("sel/enc", self.d_state, window, seed, layers=layers)
         self.actor = Mlp("sel/actor", [self.d_state] + list(hidden) + [pool_size], seed)
         self.critic = Mlp("sel/critic", [self.d_state] + list(hidden) + [1], seed)
 

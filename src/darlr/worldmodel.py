@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import dataset as ds
+from .config import ConfigError, config_from_dict
 from .nncore import (
     AdamConfig,
     Mlp,
     adam_step,
+    atomic_open,
     block_state,
     load_block_state,
     make_block,
@@ -274,37 +276,61 @@ class EntropyTable:
 
 # --- checkpoint --------------------------------------------------------------
 
+@dataclass
+class CheckpointManifest:
+    """The JSON `manifest` line of a world-model checkpoint."""
+
+    K: int
+    d_emb: int
+    hidden: tuple[int, ...]
+    seed: int
+    r_min: float
+    r_max: float
+    dataset_hash: str
+
+    def validate(self):
+        for key in ("K", "d_emb"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"'{key}' must be an integer >= 1, got {getattr(self, key)!r}")
+
+
 def save_world_model(wm: WorldModelEnsemble, path):
-    manifest = {
-        "K": wm.K, "d_emb": wm.d_emb, "hidden": wm.hidden, "seed": wm.seed,
-        "r_min": wm.r_min, "r_max": wm.r_max, "dataset_hash": wm.dataset_hash,
-    }
-    with open(path, "wb") as fh:
+    """Write the checkpoint through `atomic_open`: a failed save leaves `path` as it was."""
+    manifest = CheckpointManifest(
+        wm.K, wm.d_emb, wm.hidden, wm.seed, wm.r_min, wm.r_max, wm.dataset_hash
+    )
+    with atomic_open(path, "wb") as fh:
         fh.write(b"darlr-wm 2\n")
-        fh.write(("manifest " + json.dumps(manifest, sort_keys=True) + "\n").encode())
+        fh.write(("manifest " + json.dumps(asdict(manifest), sort_keys=True) + "\n").encode())
         write_fragment(fh, block_state(wm.blocks()))
 
 
 def load_world_model(path, d: ds.Dataset) -> WorldModelEnsemble:
-    """Rebuild an ensemble against a dataset and restore its parameters."""
+    """Rebuild an ensemble against a dataset and restore its parameters.
+
+    A malformed header, manifest or record raises ValueError naming `path`.
+    """
     with open(path, "rb") as fh:
         if fh.readline() != b"darlr-wm 2\n":
             raise ValueError(f"not a world-model checkpoint: {path}")
         mline = fh.readline()
         if not mline.startswith(b"manifest "):
-            raise ValueError("world-model checkpoint has no manifest")
-        manifest = json.loads(mline[len("manifest ") :])
+            raise ValueError(f"{path}: world-model checkpoint has no manifest")
+        try:
+            manifest = json.loads(mline[len("manifest ") :])
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ConfigError(f"{path}: manifest: invalid JSON: {exc}") from None
+        m = config_from_dict(CheckpointManifest, manifest, f"{path}: manifest")
         state = read_fragment(fh)
     members = [
         WorldModelMember(
-            d.users, d.items, manifest["d_emb"], manifest["hidden"],
-            rng_stream(manifest["seed"], "member", k).integers(2**63), k,
+            d.users, d.items, m.d_emb, m.hidden,
+            rng_stream(m.seed, "member", k).integers(2**63), k,
         )
-        for k in range(manifest["K"])
+        for k in range(m.K)
     ]
     wm = WorldModelEnsemble(
-        members, d.users, d.items, manifest["r_min"], manifest["r_max"],
-        manifest["d_emb"], manifest["hidden"], manifest["seed"], manifest["dataset_hash"],
+        members, d.users, d.items, m.r_min, m.r_max, m.d_emb, m.hidden, m.seed, m.dataset_hash,
     )
-    load_block_state(wm.blocks(), state)
+    load_block_state(wm.blocks(), state, path)
     return wm

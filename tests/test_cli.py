@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ from darlr import cli
 from darlr import dataset as ds
 from darlr import engine
 from darlr import worldmodel as wmod
-from darlr.nncore import write_fragment
+from darlr.nncore import read_fragment, write_fragment
 
 
 def dir_checksums(root):
@@ -29,6 +30,24 @@ def write_json(path, data):
     with open(path, "w") as fh:
         json.dump(data, fh)
     return str(path)
+
+
+def json_text(value):
+    """A string as it is (an edit that breaks the JSON), anything else as JSON."""
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def read_checkpoint(path, header_lines=0):
+    """(header lines, records) of a .frag file or, with two header lines, a worldmodel.ckpt."""
+    with open(path, "rb") as fh:
+        header = [fh.readline() for _ in range(header_lines)]
+        return header, read_fragment(fh)
+
+
+def write_checkpoint(path, header, records):
+    with open(path, "wb") as fh:
+        fh.writelines(header)
+        write_fragment(fh, records)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -152,7 +171,8 @@ class TestTrainWm:
 
 
 # Bad policy values, each merged into POLICY_CFG: wrong JSON types,
-# non-finite numbers, out-of-range values, bad seed lists, an unknown key.
+# non-finite numbers, out-of-range values, bad seed lists, unknown keys
+# (two of them removed keys, at the values they used to default to).
 BAD_POLICY = {
     "k_sel=2.5": {"k_sel": 2.5},
     "epochs=1.5": {"epochs": 1.5},
@@ -168,9 +188,8 @@ BAD_POLICY = {
     "uncertainty_eps=0": {"uncertainty_eps": 0},
     "eval_greedy='no'": {"eval_greedy": "no"},
     "eval_every=-1": {"eval_every": -1},
-    "encoder_heads=3": {"encoder_heads": 3},
-    "encoder_heads=2,d_pref=5": {"encoder_heads": 2, "d_pref": 5},
-    "encoder_heads=0": {"encoder_heads": 0},
+    "encoder_heads=1": {"encoder_heads": 1},
+    "alpha_shape=1.0": {"alpha_shape": 1.0},
     "hidden=[0]": {"hidden": [0]},
     "hidden=16": {"hidden": 16},
     "candidate_pool=null": {"candidate_pool": None},
@@ -200,6 +219,9 @@ def test_bad_policy_config_rejected_before_loading(tmp_path, capsys, command, ba
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: config: ")
+    unknown = set(bad) - {f.name for f in dataclasses.fields(engine.TrainSettings)} - {"seeds"}
+    if unknown:
+        assert err[0] == f"error: config: unknown keys: {', '.join(sorted(unknown))}"
     assert not out.exists()
 
 
@@ -269,6 +291,17 @@ class TestTrainPolicy:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "expected a JSON object" in err[0]
 
+    def test_undecodable_config_rejected(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "policy.json"
+        bad.write_bytes(b'{"lr": "\xff"}')
+        rc = cli.main([
+            "train-policy", "--config", str(bad), "--data", workspace["data"],
+            "--wm", workspace["wm"], "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: invalid JSON: ")
+
     def test_hash_mismatch_rejected(self, workspace, tmp_path, capsys):
         other_spec = write_json(tmp_path / "s.json", {**SPEC, "seed": 77})
         other_data = tmp_path / "other"
@@ -279,6 +312,29 @@ class TestTrainPolicy:
         ])
         assert rc == 2
         assert "hash" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: json.dumps(m)[:-1], "invalid JSON: "),
+        (lambda m: [2], "expected a JSON object, got list"),
+        (lambda m: {**m, "K": "2"}, "'K' must be an integer, got '2'"),
+        (lambda m: {**m, "hidden": 5}, "'hidden' must be a list of integers >= 1, got 5"),
+        (lambda m: {**m, "K": 0}, "'K' must be an integer >= 1, got 0"),
+        (lambda m: {k: v for k, v in m.items() if k != "K"}, "missing keys: K"),
+    ], ids=["truncated", "list", "K='2'", "hidden=5", "K=0", "no-K"])
+    def test_malformed_world_model_manifest_names_the_file(self, workspace, tmp_path, capsys,
+                                                           edit, message):
+        wm = tmp_path / "wm.ckpt"
+        (magic, line), records = read_checkpoint(workspace["wm"], header_lines=2)
+        manifest = json_text(edit(json.loads(line[len(b"manifest "):])))
+        write_checkpoint(wm, [magic, f"manifest {manifest}\n".encode()], records)
+        out = tmp_path / "out"
+        rc = cli.main(["train-policy", "--config", workspace["policy_cfg"], "--data",
+                       workspace["data"], "--wm", str(wm), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {wm}: manifest: ") and message in err[0]
+        assert not out.exists()
 
     def test_pool_smaller_than_k_sel_rejected_before_training(self, workspace, tmp_path, capsys):
         # the pool is min(users - 1, candidate_pool): 11 users on this 12-user set
@@ -338,18 +394,39 @@ class TestEval:
         assert err[0].startswith("error:") and "config_hash" in err[0]
 
     def test_stale_settings_key_names_the_bundle_file(self, workspace, trained_bundle, tmp_path, capsys):
-        # settings written before a key was removed fail the loader, which
-        # names the bundle's config.json rather than the user's config
-        bundle = tmp_path / "stale"
+        # settings written before a key was removed (each at its last value
+        # in use) fail the loader, which names the bundle's config.json
+        # rather than the user's config
+        for key, value in (("critic_mode", "v"), ("alpha_shape", 1.0), ("encoder_heads", 1)):
+            bundle = tmp_path / f"stale-{key}"
+            shutil.copytree(trained_bundle, bundle)
+            config = json.loads((bundle / "config.json").read_text())
+            config["settings"][key] = value
+            (bundle / "config.json").write_text(json.dumps(config))
+            rc = cli.main(["eval", "--bundle", str(bundle), "--data", workspace["data"],
+                           "--episodes", "5", "--seed", "3"])
+            assert rc == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"error: {bundle / 'config.json'}: unknown keys: {key}"]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: [1], "expected a JSON object, got list"),
+        (lambda c: {k: v for k, v in c.items() if k != "config_hash"}, "missing keys: config_hash"),
+        (lambda c: {**c, "settings": 5}, "expected a JSON object, got int"),
+        (lambda c: json.dumps(c)[:-1], "invalid JSON: "),
+    ], ids=["list", "no-config_hash", "settings=5", "truncated"])
+    def test_malformed_config_json_names_the_file(self, workspace, trained_bundle, tmp_path,
+                                                  capsys, edit, message):
+        bundle = tmp_path / "malformed"
         shutil.copytree(trained_bundle, bundle)
         config = json.loads((bundle / "config.json").read_text())
-        config["settings"]["critic_mode"] = "v"
-        (bundle / "config.json").write_text(json.dumps(config))
+        (bundle / "config.json").write_text(json_text(edit(config)))
         rc = cli.main(["eval", "--bundle", str(bundle), "--data", workspace["data"],
                        "--episodes", "5", "--seed", "3"])
         assert rc == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: {bundle / 'config.json'}: unknown keys: critic_mode"]
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bundle / 'config.json'}: ") and message in err[0]
 
     def test_text_fragment_rejected(self, workspace, trained_bundle, tmp_path, capsys):
         # a recommender.frag in the text layout written before .npy records
@@ -384,6 +461,35 @@ class TestEval:
         err = captured.err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {bundle / 'matrix.frag'}: ") and message in err[0]
+
+    @pytest.mark.parametrize("record", ["rec/emb_user:values", "rec/emb_user:step_count"])
+    def test_missing_recommender_record_names_the_file(self, workspace, trained_bundle, tmp_path,
+                                                       capsys, record):
+        bundle = tmp_path / "missing"
+        shutil.copytree(trained_bundle, bundle)
+        frag = bundle / "recommender.frag"
+        _, records = read_checkpoint(frag)
+        del records[record]
+        write_checkpoint(frag, [], records)
+        rc = cli.main(["eval", "--bundle", str(bundle), "--data", workspace["data"],
+                       "--episodes", "5", "--seed", "3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"error: {frag}: missing record {record}"]
+
+    def test_missing_world_model_record_names_the_file(self, workspace, tmp_path, capsys):
+        wm = tmp_path / "wm.ckpt"
+        header, records = read_checkpoint(workspace["wm"], header_lines=2)
+        del records["wm1/head/L0/W:adam_m"]
+        write_checkpoint(wm, header, records)
+        out = tmp_path / "out"
+        rc = cli.main(["train-policy", "--config", workspace["policy_cfg"], "--data",
+                       workspace["data"], "--wm", str(wm), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {wm}: missing record wm1/head/L0/W:adam_m"]
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("episodes", ["0", "-3"])

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from darlr import dataset as ds
 from darlr import engine
 from darlr import worldmodel as wmod
+from darlr.config import config_from_dict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,3 +40,24 @@ CONFIG_TABLES = {
 @pytest.mark.parametrize("title", sorted(CONFIG_TABLES))
 def test_readme_config_table_lists_exactly_the_config_keys(title):
     assert table_keys(title) == CONFIG_TABLES[title]
+
+
+# README walkthrough config file: the dataclass the CLI reads it into
+WALKTHROUGH_CONFIGS = {
+    "spec.json": ds.SyntheticSpec,
+    "wm.json": wmod.WorldModelConfig,
+    "policy.json": engine.TrainSettings,
+}
+
+
+def walkthrough_configs():
+    """{file name: JSON object} of each `cat > NAME <<'EOF'` heredoc in README."""
+    found = re.findall(r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\n", README.read_text(), re.S)
+    return {name: json.loads(body) for name, body in found}
+
+
+@pytest.mark.parametrize("name", sorted(WALKTHROUGH_CONFIGS))
+def test_readme_walkthrough_config_loads(name):
+    data = walkthrough_configs()[name]
+    data.pop("seeds", None)  # train-policy takes the seed list out first
+    config_from_dict(WALKTHROUGH_CONFIGS[name], data, name)

@@ -47,11 +47,6 @@ class TestShapedRewardMatrix:
         assert m.current[0, 1] == pytest.approx(0.1)
         assert np.array_equal(m.current[[0, 1, 1], [0, 0, 1]], np.full(3, 0.4))
 
-    def test_ema_blend(self):
-        m = engine.ShapedRewardMatrix(np.full((1, 1), 0.4), 0.0, 1.0)
-        assert m.write(0, 0, 0.8, alpha_shape=0.5) == 0.4
-        assert m.current[0, 0] == pytest.approx(0.6, abs=1e-15)
-
     def test_clipped_to_range(self):
         m = engine.ShapedRewardMatrix(np.full((1, 1), 0.4), 0.0, 1.0)
         m.write(0, 0, 5.0)
@@ -203,7 +198,7 @@ class TestRollout:
         assert all(tr.parts.kind == "static" for tr in traj.transitions)
 
     def test_full_write_back_semantics(self, tiny_dataset, tiny_wm):
-        ctx = self.make_ctx(tiny_dataset, tiny_wm, variant="full", alpha_shape=1.0)
+        ctx = self.make_ctx(tiny_dataset, tiny_wm, variant="full")
         pm_mean = ctx.matrix.current.copy()
         traj, episodes = engine.rollout_trajectory(ctx, 3)
         tr0, ep0 = traj.transitions[0], episodes[0]
@@ -473,8 +468,6 @@ class TestTrain:
             engine.TrainSettings(variant="nope").validate()
         with pytest.raises(ValueError, match="gamma"):
             engine.TrainSettings(gamma=1.5).validate()
-        with pytest.raises(ValueError, match="alpha_shape"):
-            engine.TrainSettings(alpha_shape=0.0).validate()
 
     def test_pool_below_k_sel_on_the_data_stops_before_training(
         self, tiny_dataset, tiny_wm, monkeypatch

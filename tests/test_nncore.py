@@ -124,10 +124,11 @@ class TestSeqEncoder:
         assert np.allclose(s3, s1, atol=1e-12)
 
     def test_attention_rows_are_probabilities(self):
-        e = nn.SeqEncoder("e", 6, window=4, seed=8, heads=2)
+        e = nn.SeqEncoder("e", 6, window=4, seed=8)
         toks = nn.rng_stream(1, "t").normal(size=(3, 6))
         _, tape = e.encode(list(toks))
         attn = tape["layers"][0]["attn"]
+        assert attn.shape == (1, 4, 4)
         assert np.all(attn >= 0)
         assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -145,10 +146,10 @@ class TestSeqEncoder:
         s2, _ = e.encode(toks)
         assert np.array_equal(s1, s2)
 
-    @pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2)])
-    def test_gradients_match_finite_differences(self, heads, layers):
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_gradients_match_finite_differences(self, layers):
         for seed in range(20):
-            e = nn.SeqEncoder("e", 4, window=3, seed=seed, heads=heads, layers=layers)
+            e = nn.SeqEncoder("e", 4, window=3, seed=seed, layers=layers)
             toks = list(nn.rng_stream(seed, "toks").normal(size=(2, 4)))
             ds_fixed = nn.rng_stream(seed, "ds").normal(size=4)
 
@@ -186,9 +187,9 @@ def reference_window(e, tokens, ds, grads):
     """One window, one step at a time with 2-D arrays: the encoder math as a
     plain per-window loop. Adds the parameter gradients of `ds` at the
     output into `grads`; returns the state and the token gradients."""
-    w, d, h = e.window, e.width, e.heads
-    dk, pad = d // h, e.window - len(tokens)
-    scale = 1.0 / math.sqrt(dk)
+    w, d = e.window, e.width
+    pad = e.window - len(tokens)
+    scale = 1.0 / math.sqrt(d)
     x = np.vstack([np.tile(e.start.values, (pad, 1)), tokens]) + e.pos.values
 
     def norm(x, g, b):
@@ -203,28 +204,22 @@ def reference_window(e, tokens, ds, grads):
         dxhat = dy * g
         return (dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) * inv
 
-    def split(a):
-        return a.reshape(w, h, dk).transpose(1, 0, 2)
-
-    def merge(a):
-        return a.transpose(1, 0, 2).reshape(w, d)
-
     tapes = []
     for li, p in enumerate(e.layer_params):
         v = {k: blk.values for k, blk in p.items()}
         n1, *c1 = norm(x, v["ln1_g"], v["ln1_b"])
-        qh, kh, vh = (split(n1 @ v[f"w{c}"] + v[f"b{c}"]) for c in "qkv")
-        attn = nn.softmax(np.einsum("hid,hjd->hij", qh, kh) * scale, axis=-1)
-        ctx = merge(np.einsum("hij,hjd->hid", attn, vh))
+        q, k, vv = (n1 @ v[f"w{c}"] + v[f"b{c}"] for c in "qkv")
+        attn = nn.softmax(np.einsum("id,jd->ij", q, k) * scale, axis=-1)
+        ctx = np.einsum("ij,jd->id", attn, vv)
         x_mid = x + (ctx @ v["wo"] + v["bo"])
         n2, *c2 = norm(x_mid, v["ln2_g"], v["ln2_b"])
         a1 = np.tanh(n2 @ v["w1"] + v["b1"])
         x = x_mid + (a1 @ v["w2"] + v["b2"])
-        tapes.append((li, v, n1, c1, qh, kh, vh, attn, ctx, n2, c2, a1))
+        tapes.append((li, v, n1, c1, q, k, vv, attn, ctx, n2, c2, a1))
     state = x[-1].copy()
     dx = np.zeros((w, d))
     dx[-1] = ds
-    for li, v, n1, c1, qh, kh, vh, attn, ctx, n2, c2, a1 in reversed(tapes):
+    for li, v, n1, c1, q, k, vv, attn, ctx, n2, c2, a1 in reversed(tapes):
         def g(name, li=li):
             return f"e/l{li}/{name}"
 
@@ -236,12 +231,12 @@ def reference_window(e, tokens, ds, grads):
         dx_mid = dx + norm_back(c2, v["ln2_g"], g("ln2_g"), g("ln2_b"), dh1 @ v["w1"].T)
         grads[g("wo")] += ctx.T @ dx_mid
         grads[g("bo")] += dx_mid.sum(axis=0)
-        dctxh = split(dx_mid @ v["wo"].T)
-        dattn = np.einsum("hid,hjd->hij", dctxh, vh)
+        dctx = dx_mid @ v["wo"].T
+        dattn = np.einsum("id,jd->ij", dctx, vv)
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dq = merge(np.einsum("hij,hjd->hid", dscores, kh) * scale)
-        dk_ = merge(np.einsum("hij,hid->hjd", dscores, qh) * scale)
-        dv = merge(np.einsum("hij,hid->hjd", attn, dctxh))
+        dq = np.einsum("ij,jd->id", dscores, k) * scale
+        dk_ = np.einsum("ij,id->jd", dscores, q) * scale
+        dv = np.einsum("ij,id->jd", attn, dctx)
         for c, dy in (("q", dq), ("k", dk_), ("v", dv)):
             grads[g(f"w{c}")] += n1.T @ dy
             grads[g(f"b{c}")] += dy.sum(axis=0)
@@ -255,25 +250,25 @@ def reference_window(e, tokens, ds, grads):
 class TestBatchedEncoder:
     LENGTHS = [1, 2, 3, 3, 1, 2, 3, 1, 2, 3]  # more than 8 windows: a pairwise sum would show
 
-    def setup(self, heads, layers):
-        e = nn.SeqEncoder("e", 4, window=3, seed=12, heads=heads, layers=layers)
+    def setup(self, layers):
+        e = nn.SeqEncoder("e", 4, window=3, seed=12, layers=layers)
         rng = nn.rng_stream(12, "batch")
         windows = rng.normal(size=(len(self.LENGTHS), 3, 4))  # padded slots hold noise
         pad = np.arange(3) < 3 - np.array(self.LENGTHS)[:, None]
         return e, windows, pad, rng.normal(size=(len(self.LENGTHS), 4))
 
-    @pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2)])
-    def test_forward_matches_single_windows(self, heads, layers):
-        e, windows, pad, _ = self.setup(heads, layers)
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_forward_matches_single_windows(self, layers):
+        e, windows, pad, _ = self.setup(layers)
         states, _ = e.forward(windows, pad)
         for b, n in enumerate(self.LENGTHS):
             s, _ = e.encode(list(windows[b, 3 - n :]))
             assert np.array_equal(states[b], s)
 
-    @pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2)])
-    def test_matches_per_window_reference(self, heads, layers):
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_matches_per_window_reference(self, layers):
         # the batched arithmetic is the per-window arithmetic: equal bits
-        e, windows, pad, ds = self.setup(heads, layers)
+        e, windows, pad, ds = self.setup(layers)
         for blk in e.blocks():  # move every parameter off its initial value
             blk.values += nn.rng_stream(5, blk.name).normal(size=blk.values.shape) * 0.1
         states, tape = e.forward(windows, pad)
@@ -286,11 +281,11 @@ class TestBatchedEncoder:
         for blk in e.blocks():
             assert np.array_equal(blk.grad, grads[blk.name]), blk.name
 
-    @pytest.mark.parametrize("heads,layers", [(1, 1), (2, 2)])
-    def test_backward_matches_summed_single_windows(self, heads, layers):
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_backward_matches_summed_single_windows(self, layers):
         # the batch sums its windows' gradients in batch order, so it gives
         # the bits of one backward call per window
-        e, windows, pad, ds = self.setup(heads, layers)
+        e, windows, pad, ds = self.setup(layers)
         _, tape = e.forward(windows, pad)
         dwindows = e.backward_batch(tape, ds)
         batched = [b.grad.copy() for b in e.blocks()]
@@ -494,7 +489,7 @@ class TestFragments:
         buf.seek(0)
         loaded = nn.read_fragment(buf)
         m2 = nn.Mlp("m", [3, 5, 2], seed=99)
-        nn.load_block_state(m2.blocks(), loaded)
+        nn.load_block_state(m2.blocks(), loaded, "buffer")
         for a, b in zip(m.blocks(), m2.blocks()):
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.adam_m, b.adam_m)
@@ -549,5 +544,22 @@ class TestFragments:
 
     def test_missing_key_raises(self):
         m = nn.Mlp("m", [2, 2], seed=0)
-        with pytest.raises(KeyError):
-            nn.load_block_state(m.blocks(), {})
+        with pytest.raises(ValueError, match="^ckpt: missing record m/L0/W:values$"):
+            nn.load_block_state(m.blocks(), {}, "ckpt")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("m/L0/b:step_count", None, "missing record m/L0/b:step_count"),
+        ("m/L0/W:adam_v", np.zeros((3, 2)), "m/L0/W:adam_v has shape (3, 2), expected (2, 2)"),
+        ("m/L0/b:step_count", np.zeros(2, dtype=np.int64),
+         "m/L0/b:step_count has shape (2,), expected ()"),
+    ])
+    def test_bad_record_names_the_source(self, key, value, message):
+        m = nn.Mlp("m", [2, 2], seed=0)
+        state = nn.block_state(m.blocks())
+        if value is None:
+            del state[key]
+        else:
+            state[key] = value
+        with pytest.raises(ValueError) as info:
+            nn.load_block_state(m.blocks(), state, "ckpt")
+        assert str(info.value) == f"ckpt: {message}"

@@ -256,7 +256,7 @@ class TestEpisodeReplay:
         rng = rng_stream(13, "setup")
         matrix = make_matrix(rng.random((10, 6)) + 0.1)
         agent = make_agent(
-            n_items=6, pool_size=8, d_rec=3, window=3, seed=14, heads=2, layers=2, hidden=(8,)
+            n_items=6, pool_size=8, d_rec=3, window=3, seed=14, layers=2, hidden=(8,)
         )
         eps = [
             sel.run_selection(u, 2, rng.normal(size=3), matrix, agent, k, rm.PenaltyCoeffs(), rng_stream(u))

@@ -213,6 +213,21 @@ class TestCheckpoint:
         assert np.array_equal(pm_a.static_uncertainty, pm_b.static_uncertainty)
         assert loaded.dataset_hash == tiny_wm.dataset_hash
 
+    def test_failed_save_keeps_the_old_checkpoint(self, tiny_wm, tmp_path, monkeypatch):
+        path = tmp_path / "wm.ckpt"
+        wmod.save_world_model(tiny_wm, path)
+        before = path.read_bytes()
+
+        def broken(fh, state):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(wmod, "write_fragment", broken)
+        with pytest.raises(OSError, match="disk full"):
+            wmod.save_world_model(tiny_wm, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["wm.ckpt"]
+
     @pytest.mark.parametrize("text", ["not a checkpoint\n", "darlr-wm 1\n"], ids=["junk", "text_v1"])
     def test_bad_magic_rejected(self, tiny_dataset, tmp_path, text):
         path = tmp_path / "junk.ckpt"
