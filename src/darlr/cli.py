@@ -19,7 +19,7 @@ from . import dataset as ds
 from . import engine
 from . import worldmodel as wmod
 from .config import ConfigError, config_from_dict, read_json_object
-from .nncore import AdamConfig, atomic_open
+from .nncore import atomic_open
 
 ABLATION_ORDER = ("r_static", "pu_static", "rhat", "rhat_rs", "rhat_rd", "full")
 
@@ -61,10 +61,7 @@ def cmd_train_wm(args):
         d = ds.load_dataset(args.data)
     except ds.DatasetError as exc:
         raise CliError(str(exc), code=2)
-    wm = wmod.train_world_model(
-        d, K=cfg.members, epochs=cfg.epochs, batch=cfg.batch, cfg=AdamConfig(lr=cfg.lr),
-        seed=cfg.seed, d_emb=cfg.d_emb, hidden=cfg.hidden,
-    )
+    wm = wmod.train_world_model(d, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     wmod.save_world_model(wm, out)

@@ -1,9 +1,9 @@
 """The one typed loader of every JSON config.
 
 `config_from_dict` reads the synthetic spec, the world-model config, the
-policy config, a bundle's settings and a world-model checkpoint's manifest
-into their dataclasses: unknown and missing keys first, then JSON types,
-then the dataclass's own ranges.
+policy config, a bundle's settings, a world-model checkpoint's manifest
+and a dataset's `manifest.json` into their dataclasses: unknown and
+missing keys first, then JSON types, then the dataclass's own ranges.
 """
 
 from __future__ import annotations

@@ -12,13 +12,13 @@ import csv
 import hashlib
 import json
 import math
-import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, config_from_dict, read_json_object
 from .nncore import rng_stream
 
 
@@ -68,6 +68,20 @@ class Dataset:
 
 
 @dataclass
+class DatasetManifest:
+    """`manifest.json` of a dataset directory: the feedback range and provenance."""
+
+    r_min: float
+    r_max: float
+    name: str = ""
+    seed: int | None = None
+
+    def validate(self):
+        if self.r_min >= self.r_max:
+            raise ValueError(f"r_min {self.r_min} must be below r_max {self.r_max}")
+
+
+@dataclass
 class SyntheticSpec:
     users: int
     items: int
@@ -85,14 +99,14 @@ class SyntheticSpec:
             raise DatasetError("need >=2 items")
         if not (0.0 < self.log_density <= 1.0):
             raise DatasetError("log_density must be in (0, 1]")
-        if self.noise_sd < 0:
-            raise DatasetError("noise_sd must be >= 0")
+        if not (0.0 <= self.noise_sd <= 1.0):
+            raise DatasetError("noise_sd must be in [0, 1]")
         if self.latent_dim < 1:
             raise DatasetError("latent_dim must be >= 1")
         if not (1 <= self.categories <= self.items):
             raise DatasetError("categories must be in [1, items]")
-        if self.popularity_skew < 0:
-            raise DatasetError("popularity_skew must be >= 0")
+        if not (0.0 <= self.popularity_skew <= 10.0):
+            raise DatasetError("popularity_skew must be in [0, 10]")
 
 
 def _dense_labels(rng, n, n_labels):
@@ -202,9 +216,9 @@ def save_dataset(d: Dataset, dir_path):
             for u, row in enumerate(d.truth_matrix.tolist()):
                 w.writerows([u, i, repr(v)] for i, v in enumerate(row))
 
-    manifest = {"r_min": d.r_min, "r_max": d.r_max, "name": d.name, "seed": d.seed}
+    manifest = DatasetManifest(d.r_min, d.r_max, d.name, d.seed)
     with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -265,39 +279,18 @@ def _dense_ids(name, rows, user_ids, item_ids):
     return u, i
 
 
-def _read_manifest(path):
-    """The manifest object, with `r_min` < `r_max` as finite floats."""
-    if not path.exists():
-        raise DatasetError("missing file: manifest.json")
-    try:
-        with open(path, "rb") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise DatasetError(f"manifest.json: invalid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise DatasetError(f"manifest.json: expected a JSON object, got {type(manifest).__name__}")
-    for key in ("r_min", "r_max"):
-        if key not in manifest:
-            raise DatasetError(f"manifest.json: missing '{key}'")
-        value = manifest[key]
-        number = math.nan
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            number = float(value) if abs(value) <= sys.float_info.max else math.inf
-        if not math.isfinite(number):
-            raise DatasetError(f"manifest.json: '{key}' must be a finite number, got {value!r}")
-        manifest[key] = number
-    if manifest["r_min"] >= manifest["r_max"]:
-        raise DatasetError(
-            f"manifest.json: r_min {manifest['r_min']} must be below r_max {manifest['r_max']}"
-        )
-    return manifest
-
-
 def load_dataset(dir_path) -> Dataset:
     """Load and validate the CSV layout; ids re-indexed densely."""
     root = Path(dir_path)
-    manifest = _read_manifest(root / "manifest.json")
-    r_min, r_max = manifest["r_min"], manifest["r_max"]
+    path = root / "manifest.json"
+    if not path.exists():
+        raise DatasetError("missing file: manifest.json")
+    try:
+        manifest = config_from_dict(DatasetManifest, read_json_object(path), str(path))
+    except ConfigError as exc:
+        raise DatasetError(str(exc)) from None
+    # content_hash hashes the repr of the range: a JSON integer is stored as a float
+    r_min, r_max = float(manifest.r_min), float(manifest.r_max)
 
     users_csv = _read_table(root / "users.csv", ["user_id"], np.int64)
     user_ids, user_codes = _catalog(users_csv, "users.csv", "user", 1)
@@ -342,8 +335,8 @@ def load_dataset(dir_path) -> Dataset:
         truth_matrix=truth,
         r_min=r_min,
         r_max=r_max,
-        name=str(manifest.get("name", "")),
-        seed=manifest.get("seed"),
+        name=manifest.name,
+        seed=manifest.seed,
     )
 
 

@@ -165,11 +165,13 @@ class TrainSettings:
         if self.max_steps is not None and self.max_steps < 0:
             raise ValueError("max_steps must be >= 0 or null")
         for name in ("lambda_s", "lambda_d", "lambda_u", "lambda_e"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not (0 <= getattr(self, name) <= 1e6):
+                raise ValueError(f"{name} must be in [0, 1e6]")
         for name in ("uncertainty_eps", "laplace_alpha", "lr"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        if self.lr > 1:
+            raise ValueError("lr must be <= 1")
         if self.candidate_pool < self.k_sel:
             raise ValueError("candidate_pool must be >= k_sel")
         if self.eval_every > 0 and self.eval_episodes < 1:
@@ -661,19 +663,6 @@ def write_metrics_csv(rows, path, columns=METRICS_COLUMNS):
             cells = [row[c] for c in columns]
             fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v)) for v in cells))
             fh.write("\n")
-
-
-def read_metrics_csv(path):
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            vals = line.strip().split(",")
-            row = {}
-            for col, v in zip(header, vals):
-                row[col] = int(v) if col in ("epoch", "steps") else float(v)
-            rows.append(row)
-    return rows
 
 
 # --- checkpoint bundle ---------------------------------------------------

@@ -1,8 +1,9 @@
 """Item-recommendation agent with a windowed sequential state tracker.
 
 Episode state is encoded from tokens built out of the user embedding, the
-embedding of each interacted item, and the scalar reward received; the
-item embedding table doubles as the action representation.
+embedding of each interacted item, and the scalar reward received. The
+actor is an MLP with one logit per item, so the item embedding table feeds
+only the state tokens and does not represent the actions.
 """
 
 from __future__ import annotations

@@ -18,11 +18,6 @@ from .nncore import Linear, Mlp, SeqEncoder, replay_backward, replay_forward, so
 
 
 @dataclass
-class SelectorState:
-    vec: np.ndarray
-
-
-@dataclass
 class SelectionEpisode:
     user: int
     item: int
@@ -94,17 +89,17 @@ def candidate_pool(u, matrix, C):
     return ids[order][: min(C, len(ids))]
 
 
-def init_state(s_rec, p_u, agent: SelectorAgent) -> SelectorState:
-    """Initial selection state: projected concatenation of both context parts."""
+def init_state(s_rec, p_u, agent: SelectorAgent) -> np.ndarray:
+    """Initial selection state vector: projected concatenation of both context parts."""
     s_rec = np.asarray(s_rec, dtype=np.float64)
     p_u = np.asarray(p_u, dtype=np.float64)
     if s_rec.shape != (agent.d_rec,) or p_u.shape != (agent.n_items,):
         raise ValueError("state parts do not match the agent widths")
-    return SelectorState(vec=agent.token(s_rec, p_u))
+    return agent.token(s_rec, p_u)
 
 
-def advance_state(ep: SelectionEpisode, newly_selected_p, agent: SelectorAgent) -> SelectorState:
-    """Next selection state: encode the last window of projected tokens.
+def advance_state(ep: SelectionEpisode, newly_selected_p, agent: SelectorAgent) -> np.ndarray:
+    """Next selection state vector: encode the last window of projected tokens.
 
     Token t comes from the user picked at step t-1, so the state
     progressively absorbs the selected users' preference rows. Each token
@@ -113,8 +108,8 @@ def advance_state(ep: SelectionEpisode, newly_selected_p, agent: SelectorAgent) 
     for row in ([ep.p_u] + ep.p_rows[:-1])[len(ep.tokens) :]:
         ep.tokens.append(agent.token(ep.s_rec, row))
     ep.tokens.append(agent.token(ep.s_rec, newly_selected_p))
-    vec, _ = agent.encoder.encode(ep.tokens[-agent.window :])
-    return SelectorState(vec=vec)
+    state, _ = agent.encoder.encode(ep.tokens[-agent.window :])
+    return state
 
 
 def run_selection(
@@ -139,13 +134,13 @@ def run_selection(
         p_u=matrix.current[u].copy(), pool=pool,
     )
     state = init_state(ep.s_rec, ep.p_u, agent)
-    ep.tokens.append(state.vec)
+    ep.tokens.append(state)
     available = np.ones(agent.pool_size, dtype=bool)
     available[len(pool) :] = False
     running_sum = 0.0
     for t in range(k_sel):
-        logits, _ = agent.actor.forward(state.vec)
-        value, _ = agent.critic.forward(state.vec)
+        logits, _ = agent.actor.forward(state)
+        value, _ = agent.critic.forward(state)
         slot, logprob, _ = softmax_policy(logits, mask=available, rng=rng)
         cand = int(pool[slot])
         p_cand = matrix.current[cand].copy()

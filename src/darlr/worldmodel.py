@@ -167,43 +167,35 @@ class WorldModelEnsemble:
         return out
 
 
-def train_world_model(
-    d: ds.Dataset, K=2, epochs=100, batch=128, cfg=None, seed=0, d_emb=8, hidden=(32,)
-) -> WorldModelEnsemble:
-    """Fit K members by Gaussian negative log-likelihood over the log.
+def train_world_model(d: ds.Dataset, cfg: WorldModelConfig) -> WorldModelEnsemble:
+    """Fit `cfg.members` members by Gaussian negative log-likelihood over the log.
 
     Members differ only in their seeds (initialization and shuffling).
     Raises WorldModelDivergence naming the epoch if the loss goes
     non-finite.
     """
-    if K < 1:
-        raise ValueError("need at least one ensemble member")
+    cfg.validate()
     if len(d.train_log) == 0:
         raise ValueError("cannot train a world model on an empty log")
-    cfg = cfg or AdamConfig()
+    adam = AdamConfig(lr=cfg.lr)
     u_all = d.train_log["user_id"]
     i_all = d.train_log["item_id"]
     r_all = d.train_log["feedback"]
     n = len(r_all)
 
-    members = []
-    wm = WorldModelEnsemble(
-        [], d.users, d.items, d.r_min, d.r_max,
-        d_emb=d_emb, hidden=hidden, seed=seed, dataset_hash=ds.content_hash(d),
-    )
-    wm.members = members
-    wm.nll_history = []
-    for k in range(K):
+    members, histories = [], []
+    for k in range(cfg.members):
         member = WorldModelMember(
-            d.users, d.items, d_emb, hidden, rng_stream(seed, "member", k).integers(2**63), k
+            d.users, d.items, cfg.d_emb, cfg.hidden,
+            rng_stream(cfg.seed, "member", k).integers(2**63), k,
         )
-        shuffle_rng = rng_stream(seed, "member", k, "shuffle")
+        shuffle_rng = rng_stream(cfg.seed, "member", k, "shuffle")
         history = []
-        for epoch in range(epochs):
+        for epoch in range(cfg.epochs):
             perm = shuffle_rng.permutation(n)
             total = 0.0
-            for lo in range(0, n, batch):
-                sel = perm[lo : lo + batch]
+            for lo in range(0, n, cfg.batch):
+                sel = perm[lo : lo + cfg.batch]
                 mu, lv, tape = member.forward(u_all[sel], i_all[sel])
                 res = mu - r_all[sel]
                 inv = np.exp(-lv)
@@ -216,10 +208,15 @@ def train_world_model(
                 dmu = res * inv / m
                 dlv = 0.5 * (1.0 - res**2 * inv) / m
                 member.backward(tape, dmu, dlv)
-                adam_step(member.blocks(), cfg)
+                adam_step(member.blocks(), adam)
             history.append(total / n)
         members.append(member)
-        wm.nll_history.append(history)
+        histories.append(history)
+    wm = WorldModelEnsemble(
+        members, d.users, d.items, d.r_min, d.r_max,
+        cfg.d_emb, cfg.hidden, cfg.seed, ds.content_hash(d),
+    )
+    wm.nll_history = histories
     return wm
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from darlr import dataset as ds
 from darlr import worldmodel as wmod
-from darlr.nncore import AdamConfig
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +14,7 @@ def tiny_dataset():
 @pytest.fixture(scope="session")
 def tiny_wm(tiny_dataset):
     return wmod.train_world_model(
-        tiny_dataset, K=2, epochs=30, batch=64, cfg=AdamConfig(lr=3e-3), seed=3
+        tiny_dataset, wmod.WorldModelConfig(members=2, epochs=30, batch=64, lr=3e-3, seed=3)
     )
 
 

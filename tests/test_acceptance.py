@@ -214,7 +214,9 @@ RQ_POLICY = dict(
 @pytest.fixture(scope="session")
 def variant_sweep():
     d = ds.generate_synthetic(RQ_ENV)
-    wm = wmod.train_world_model(d, K=2, epochs=50, batch=64, cfg=AdamConfig(lr=3e-3), seed=0)
+    wm = wmod.train_world_model(
+        d, wmod.WorldModelConfig(members=2, epochs=50, batch=64, lr=3e-3, seed=0)
+    )
     out = {}
     for variant in ("full", "r_static", "rhat"):
         rows = []

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -103,7 +104,8 @@ class TestGenData:
         {"users": 5, "items": 5, "popularity_skew": NAN}, {"users": 5, "items": 5, "log_density": True},
         {"users": 5, "items": 5, "categories": True}, {"users": 5, "items": 5, "seed": 1.5},
         {"users": 5, "items": 5, "seed": "5"}, {"users": 5, "items": 5, "latent_dim": None},
-        {"users": 5},
+        {"users": 5}, {"users": 5, "items": 5, "noise_sd": 1.01},
+        {"users": 5, "items": 5, "popularity_skew": 10.01},
     ])
     def test_spec_of_wrong_type_rejected(self, tmp_path, capsys, spec):
         spec_path = write_json(tmp_path / "s.json", spec)
@@ -127,10 +129,7 @@ class TestTrainWm:
         assert cli.main(["train-wm", "--config", wm_cfg, "--data", workspace["data"], "--out", str(out2)]) == 0
         assert Path(workspace["wm"]).read_bytes() == out2.read_bytes()
         d = ds.load_dataset(workspace["data"])
-        in_memory = wmod.train_world_model(
-            d, K=WM_CFG["members"], epochs=WM_CFG["epochs"], batch=WM_CFG["batch"],
-            cfg=cli.AdamConfig(lr=WM_CFG["lr"]), seed=WM_CFG["seed"],
-        )
+        in_memory = wmod.train_world_model(d, wmod.WorldModelConfig(**WM_CFG))
         reloaded = wmod.load_world_model(out2, d)
         pm_a = wmod.predict_matrix(in_memory)
         pm_b = wmod.predict_matrix(reloaded)
@@ -184,6 +183,11 @@ BAD_POLICY = {
     "lambda_u=nan": {"lambda_u": NAN},
     "lr=inf": {"lr": INF},
     "lr=true": {"lr": True},
+    "lr=1.01": {"lr": 1.01},
+    "lambda_s=1.01e6": {"lambda_s": 1.01e6},
+    "lambda_d=1.01e6": {"lambda_d": 1.01e6},
+    "lambda_u=1.01e6": {"lambda_u": 1.01e6},
+    "lambda_e=1.01e6": {"lambda_e": 1.01e6},
     "uncertainty_eps=-1": {"uncertainty_eps": -1},
     "uncertainty_eps=0": {"uncertainty_eps": 0},
     "eval_greedy='no'": {"eval_greedy": "no"},
@@ -523,9 +527,10 @@ class TestAblate:
         for line in lines[1:]:
             cells = line.split(",")
             variant, seed = cells[0], int(cells[1])
-            rows = engine.read_metrics_csv(out / variant / f"seed_{seed}" / "metrics.csv")
-            assert float(cells[2]) == rows[-1]["R_tra"]
-            assert float(cells[7]) == rows[-1]["reward_error"]
+            with open(out / variant / f"seed_{seed}" / "metrics.csv", newline="") as fh:
+                last = list(csv.DictReader(fh))[-1]
+            assert float(cells[2]) == float(last["R_tra"])
+            assert float(cells[7]) == float(last["reward_error"])
 
 
     @pytest.mark.parametrize("key", ["eval_every", "epochs"])

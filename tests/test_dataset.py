@@ -191,6 +191,7 @@ BAD_MANIFESTS = {
     "r_max_huge_int": '{"r_min": 0, "r_max": 1' + "0" * 400 + "}",
     "r_min_equals_r_max": '{"r_min": 1.0, "r_max": 1.0}',
     "r_min_above_r_max": '{"r_min": 2, "r_max": 1}',
+    "unknown_key": '{"r_min": 0.0, "r_max": 1.0, "nme": "x"}',
 }
 
 
@@ -219,7 +220,7 @@ class TestMalformedManifest:
         ])
         err = capsys.readouterr().err.splitlines()
         assert rc == 2
-        assert len(err) == 1 and err[0].startswith("error: manifest.json")
+        assert len(err) == 1 and err[0].startswith(f"error: {tmp_path / 'data' / 'manifest.json'}: ")
         assert not (tmp_path / "wm.ckpt").exists()
 
     def test_integer_range_loads_as_floats(self, tmp_path):

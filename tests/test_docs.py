@@ -34,6 +34,7 @@ CONFIG_TABLES = {
     "Policy config": {f.name for f in dataclasses.fields(engine.TrainSettings)} | {"seeds"},
     "World-model config": {f.name for f in dataclasses.fields(wmod.WorldModelConfig)},
     "Synthetic spec": {f.name for f in dataclasses.fields(ds.SyntheticSpec)},
+    "Dataset manifest": {f.name for f in dataclasses.fields(ds.DatasetManifest)},
 }
 
 

@@ -57,13 +57,13 @@ class TestStates:
         a.proj.w.values[...] = np.eye(5)
         a.proj.b.values[...] = 0.0
         s = sel.init_state(np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3]), a)
-        assert np.allclose(s.vec, [1.0, 2.0, 0.1, 0.2, 0.3], atol=0)
+        assert np.allclose(s, [1.0, 2.0, 0.1, 0.2, 0.3], atol=0)
 
     def test_zero_inputs_give_projection_bias(self):
         a = make_agent(n_items=3, pool_size=2, d_rec=2, d_pref=3)
         a.proj.b.values[...] = np.arange(5) * 0.1
         s = sel.init_state(np.zeros(2), np.zeros(3), a)
-        assert np.allclose(s.vec, np.arange(5) * 0.1, atol=1e-15)
+        assert np.allclose(s, np.arange(5) * 0.1, atol=1e-15)
 
     def test_width_mismatch_rejected(self):
         a = make_agent(n_items=3, pool_size=2)
@@ -100,7 +100,7 @@ class TestStates:
         ep2.p_rows = [rng.random(4), newly]
         s1 = sel.advance_state(ep1, newly, a)
         s2 = sel.advance_state(ep2, newly, a)
-        assert np.allclose(s1.vec, s2.vec, atol=0)
+        assert np.allclose(s1, s2, atol=0)
 
     def test_different_new_rows_give_different_states(self):
         a = make_agent(n_items=4, pool_size=3, seed=6)
@@ -113,7 +113,7 @@ class TestStates:
         ep2.p_rows = [r2]
         s1 = sel.advance_state(ep1, r1, a)
         s2 = sel.advance_state(ep2, r2, a)
-        assert not np.allclose(s1.vec, s2.vec)
+        assert not np.allclose(s1, s2)
 
 
 class TestRunSelection:
@@ -174,7 +174,7 @@ class TestRunSelection:
         avail = np.ones(self.agent.pool_size, dtype=bool)
         chosen = []
         for t in range(4):
-            logits, _ = self.agent.actor.forward(state.vec)
+            logits, _ = self.agent.actor.forward(state)
             z = np.where(avail, logits, -np.inf)
             probs = softmax(z)
             r = rng.random()

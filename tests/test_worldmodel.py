@@ -5,7 +5,7 @@ import pytest
 
 from darlr import dataset as ds
 from darlr import worldmodel as wmod
-from darlr.nncore import AdamConfig, block_state
+from darlr.nncore import block_state
 
 
 @pytest.fixture(scope="module")
@@ -16,8 +16,9 @@ def noiseless():
 
 class TestTraining:
     def test_same_seed_identical_parameters(self, tiny_dataset):
-        a = wmod.train_world_model(tiny_dataset, K=2, epochs=3, batch=32, seed=5)
-        b = wmod.train_world_model(tiny_dataset, K=2, epochs=3, batch=32, seed=5)
+        cfg = wmod.WorldModelConfig(members=2, epochs=3, batch=32, seed=5)
+        a = wmod.train_world_model(tiny_dataset, cfg)
+        b = wmod.train_world_model(tiny_dataset, cfg)
         sa, sb = block_state(a.blocks()), block_state(b.blocks())
         assert set(sa) == set(sb)
         for key in sa:
@@ -25,14 +26,16 @@ class TestTraining:
 
     def test_noiseless_dense_fit(self, noiseless):
         w = wmod.train_world_model(
-            noiseless, K=1, epochs=150, batch=64, cfg=AdamConfig(lr=3e-3), seed=5
+            noiseless, wmod.WorldModelConfig(members=1, epochs=150, batch=64, lr=3e-3, seed=5)
         )
         pm = wmod.predict_matrix(w)
         rmse = np.sqrt(np.mean((pm.mean - noiseless.truth_matrix) ** 2))
         assert rmse < 0.05
 
     def test_nll_decreases_first_three_epochs(self, noiseless):
-        w = wmod.train_world_model(noiseless, K=1, epochs=4, batch=64, seed=2)
+        w = wmod.train_world_model(
+            noiseless, wmod.WorldModelConfig(members=1, epochs=4, batch=64, seed=2)
+        )
         h = w.nll_history[0]
         assert h[1] < h[0] and h[2] < h[1] and h[3] < h[2]
 
@@ -40,7 +43,7 @@ class TestTraining:
         with pytest.raises(wmod.WorldModelDivergence, match="epoch"):
             with np.errstate(all="ignore"):
                 wmod.train_world_model(
-                    noiseless, K=1, epochs=3, batch=32, cfg=AdamConfig(lr=1e160), seed=0
+                    noiseless, wmod.WorldModelConfig(members=1, epochs=3, batch=32, lr=1e160, seed=0)
                 )
 
     def test_empty_log_rejected(self, tiny_dataset):
@@ -49,12 +52,14 @@ class TestTraining:
             truth_matrix=None, r_min=0.0, r_max=1.0,
         )
         with pytest.raises(ValueError, match="empty"):
-            wmod.train_world_model(empty, K=1, epochs=1)
+            wmod.train_world_model(empty, wmod.WorldModelConfig(members=1, epochs=1))
 
 
 class TestPredictMatrix:
     def test_single_member_average_is_identity(self, tiny_dataset):
-        w = wmod.train_world_model(tiny_dataset, K=1, epochs=5, batch=32, seed=1)
+        w = wmod.train_world_model(
+            tiny_dataset, wmod.WorldModelConfig(members=1, epochs=5, batch=32, seed=1)
+        )
         pm = wmod.predict_matrix(w)
         member = w.members[0]
         items = np.arange(tiny_dataset.n_items)
