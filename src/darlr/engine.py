@@ -234,7 +234,52 @@ def env_step(u, item, step_index, mode, matrix, truth, recent_categories, item_c
     return reward, False, None
 
 
-# --- rollout -----------------------------------------------------------------
+# --- episodes --------------------------------------------------------------
+
+def play_episodes(agent, users, item_categories, step):
+    """Play one recommender episode per entry of `users`, all in lockstep.
+
+    Each step makes one token projection and one actor pass on (N, 1, width)
+    stacks and one encoder pass over the live episodes' left-padded windows,
+    so every episode gets the bits of being played alone. Then
+    `step(rows, states, z, cats, t)` is called with the live episodes'
+    positions in `users`, their state vectors, their actor logits with the
+    items they already recommended at -inf, every episode's item categories
+    so far, and the 1-based step number. It returns one item, one reward
+    (the next token's) and one done flag per live episode. An episode also
+    ends when no item is left to recommend. Returns each episode's
+    categories, in order.
+    """
+    users = np.asarray(users)
+    n, n_items, window = len(users), len(item_categories), agent.window
+    cats = [[] for _ in range(n)]
+    # one row per live episode: its position in `users`, next token input (a
+    # start token first), left-padded token window and the items it may
+    # still pick; at step t every live window holds min(t, window) tokens
+    rows = np.arange(n)
+    inputs = agent.token_inputs(users)
+    windows = np.zeros((n, window, agent.encoder.width))
+    masks = np.ones((n, n_items), dtype=bool)
+    t = 0
+    while len(rows):
+        t += 1
+        tokens, _ = agent.proj.forward(inputs[:, None])
+        windows = np.concatenate([windows[:, 1:], tokens], axis=1)
+        pad = np.broadcast_to(np.arange(window) < window - t, (len(rows), window))
+        states, _ = agent.encoder.forward(windows, pad)
+        logits, _ = agent.actor.forward(states[:, None])
+        z = np.where(masks, logits[:, 0], -np.inf)
+        items, rewards, done = (np.asarray(v) for v in step(rows, states, z, cats, t))
+        if not np.all((0 <= items) & (items < n_items)):
+            raise ValueError(f"recommended item out of range [0, {n_items}): {items.tolist()}")
+        for r, cat in zip(rows.tolist(), item_categories[items].tolist()):
+            cats[r].append(cat)
+        masks[np.arange(len(rows)), items] = False
+        live = ~done & masks.any(axis=1)
+        rows, windows, masks = rows[live], windows[live], masks[live]
+        inputs = agent.token_inputs(users[rows], items[live], rewards[live])
+    return cats
+
 
 class TrainContext:
     """Bundles everything a rollout needs; built once per training run."""
@@ -250,82 +295,57 @@ class TrainContext:
         self.rng = rng
 
 
-def rollout_recommendation_step(ctx: TrainContext, u, state, mask, recent_cats, step_index):
-    """Recommend, select references, shape, penalize, step the environment.
+def rollout_trajectory(ctx: TrainContext, u):
+    """One full training episode for user u plus its selection episodes.
 
-    Returns (transition, selection_episode_or_None, next_state).
+    Each step samples an item with `ctx.rng`, runs the reference-user
+    selection (except in `r_static`), writes the shaped estimate back,
+    derives the penalties and steps the environment in "train" mode.
     """
-    st = ctx.settings
-    item, logprob = rec.recommend(state, ctx.rec_agent, mask, ctx.rng)
-
+    st, matrix = ctx.settings, ctx.matrix
+    item_cats = ctx.dataset.items.primary_category
     gains = _VARIANT_GAINS[st.variant]
-    episode = None
-    if gains is None:  # frozen-matrix variant: no selection, no write-back
-        r_hat = float(ctx.matrix.current[u, item])
-        parts = RewardParts(
-            r_hat=r_hat, r_prev=r_hat,
-            p_u=float(ctx.static_uncertainty[u, item]),
-            p_e=ctx.entropy.penalty(recent_cats, item),
-            mean_sim=0.0, mean_div=0.0, kind="static",
-        )
-    else:
-        episode = sel.run_selection(
-            u, item, state.vec, ctx.matrix, ctx.sel_agent, st.k_sel, st.coeffs, ctx.rng,
-            lambda_s=st.lambda_s * gains[0], lambda_d=st.lambda_d * gains[1],
-        )
-        shaped = rm.shape_reward(episode.ref_rewards)
-        r_prev = float(ctx.matrix.write(u, item, shaped))
-        r_hat = float(ctx.matrix.current[u, item])
-        mean_sim, mean_div = episode.mean_sim(), episode.mean_div()
-        if st.variant == "pu_static":
-            p_u = float(ctx.static_uncertainty[u, item])
-            kind = "static"
+    traj = Trajectory(user=u)
+    episodes = []
+
+    def step(rows, states, z, cats, t):
+        items, probs = sample_rows(z, [ctx.rng])
+        item, state, recent_cats = int(items[0]), states[0], cats[0]
+        if gains is None:  # frozen-matrix variant: no selection, no write-back
+            r_hat = r_prev = float(matrix.current[u, item])
+            mean_sim = mean_div = 0.0
+        else:
+            episode = sel.run_selection(
+                u, item, state, matrix, ctx.sel_agent, st.k_sel,
+                st.lambda_s * gains[0], st.lambda_d * gains[1], ctx.rng,
+            )
+            episodes.append(episode)
+            r_prev = float(matrix.write(u, item, rm.shape_reward(episode.ref_rewards)))
+            r_hat = float(matrix.current[u, item])
+            mean_sim, mean_div = episode.mean_sim(), episode.mean_div()
+        if gains is None or st.variant == "pu_static":
+            p_u, kind = float(ctx.static_uncertainty[u, item]), "static"
         else:
             p_u = rm.dynamic_uncertainty(r_hat, r_prev, mean_sim, mean_div, st.uncertainty_eps)
             kind = "dynamic"
         parts = RewardParts(
-            r_hat=r_hat, r_prev=r_prev, p_u=p_u,
-            p_e=ctx.entropy.penalty(recent_cats, item),
+            r_hat=r_hat, r_prev=r_prev, p_u=p_u, p_e=ctx.entropy.penalty(recent_cats, item),
             mean_sim=mean_sim, mean_div=mean_div, kind=kind,
         )
+        base_r, done, reason = env_step(u, item, t, "train", matrix, None, recent_cats, item_cats)
+        value, _ = ctx.rec_agent.critic.forward(state)
+        traj.transitions.append(Transition(
+            action=item, logprob=float(np.log(probs[0, item])),
+            reward=rm.recommender_reward(parts.r_hat, parts.p_u, parts.p_e, st.coeffs),
+            value=float(value[0]), track_reward=base_r, parts=parts, done=done,
+            done_reason=reason,
+        ))
+        return items, [base_r], [done]
 
-    reward = rm.recommender_reward(parts.r_hat, parts.p_u, parts.p_e, st.coeffs)
-    base_r, done, reason = env_step(
-        u, item, step_index, "train", ctx.matrix, None, recent_cats,
-        ctx.dataset.items.primary_category,
-    )
-    value, _ = ctx.rec_agent.critic.forward(state.vec)
-    transition = Transition(
-        action=item, logprob=logprob, reward=reward,
-        value=float(value[0]), track_reward=base_r, parts=parts, done=done,
-        done_reason=reason,
-    )
-    next_state = rec.track(state, item, base_r, ctx.rec_agent)
-    return transition, episode, next_state
-
-
-def rollout_trajectory(ctx: TrainContext, u):
-    """One full training episode for user u plus its selection episodes."""
-    state = rec.init_episode(u, ctx.rec_agent)
-    traj = Trajectory(user=u)
-    episodes = []
-    mask = np.ones(ctx.dataset.n_items, dtype=bool)
-    recent_cats = []
-    while True:
-        step_index = len(traj) + 1
-        tr, episode, state = rollout_recommendation_step(
-            ctx, u, state, mask, recent_cats, step_index
-        )
-        traj.transitions.append(tr)
-        if episode is not None:
-            episodes.append(episode)
-        mask[tr.action] = False
-        recent_cats.append(int(ctx.dataset.items.primary_category[tr.action]))
-        if tr.done or not mask.any():
-            if not tr.done:  # catalog exhausted before the protocol cap
-                tr.done = True
-                tr.done_reason = "max_length"
-            break
+    play_episodes(ctx.rec_agent, [u], item_cats, step)
+    last = traj.transitions[-1]
+    if not last.done:  # catalog exhausted before the protocol cap
+        last.done, last.done_reason = True, "max_length"
     return traj, episodes
 
 
@@ -462,60 +482,35 @@ def majority_category_ratio(categories) -> float:
 _EVAL_BLOCK = 64
 
 
-def _play_episodes(agent, d: ds.Dataset, seed, indices, greedy):
+def _eval_block(agent, d: ds.Dataset, seed, indices, greedy):
     """Play the evaluation episodes `indices` in lockstep; one result each.
 
     Episode `idx` draws its user and its actions from its own
-    rng_stream(seed, "eval-episode", idx). Each step makes one token
-    projection and one actor pass on (N, 1, width) stacks and one encoder
-    pass over the live episodes' windows, so every episode gets the bits
-    of being played alone, and `env_step` once per live episode.
+    rng_stream(seed, "eval-episode", idx), so its result does not depend
+    on the other episodes of the block.
     """
     rngs = [rng_stream(seed, "eval-episode", idx) for idx in indices]
-    users = np.array([int(rng.integers(d.n_users)) for rng in rngs])
-    n, window = len(users), agent.window
+    users = [int(rng.integers(d.n_users)) for rng in rngs]
     item_cats = d.items.primary_category
-    totals = [0.0] * n
-    cats, visited = [[] for _ in range(n)], [[] for _ in range(n)]
-    # one row per live episode: its block position, next token input (a
-    # start token first), left-padded token window and the items it may
-    # still pick; at step t every live window holds min(t, window) tokens
-    rows = np.arange(n)
-    inputs = np.concatenate([agent.emb_user.values[users], np.zeros((n, agent.d_emb + 1))], axis=1)
-    windows = np.zeros((n, window, agent.encoder.width))
-    masks = np.ones((n, d.n_items), dtype=bool)
-    step = 0
-    while len(rows):
-        step += 1
-        tokens, _ = agent.proj.forward(inputs[:, None])
-        windows = np.concatenate([windows[:, 1:], tokens], axis=1)
-        pad = np.broadcast_to(np.arange(window) < window - step, (len(rows), window))
-        states, _ = agent.encoder.forward(windows, pad)
-        logits, _ = agent.actor.forward(states[:, None])
-        z = np.where(masks, logits[:, 0], -np.inf)
+    totals, visited = [0.0] * len(users), [[] for _ in users]
+
+    def step(rows, states, z, cats, t):
         if greedy:
             items = np.argmax(z, axis=1)
         else:
             items, _ = sample_rows(z, [rngs[r] for r in rows])
-        rewards = np.empty(len(rows))
-        live = np.empty(len(rows), dtype=bool)
-        for k, (r, item) in enumerate(zip(rows.tolist(), items.tolist())):
-            u = int(users[r])
-            reward, done, _ = env_step(
-                u, item, step, "eval", None, d.truth_matrix, cats[r], item_cats
+        rewards, done = [], []
+        for r, item in zip(rows.tolist(), items.tolist()):
+            reward, end, _ = env_step(
+                users[r], item, t, "eval", None, d.truth_matrix, cats[r], item_cats
             )
-            rewards[k] = reward
             totals[r] += reward
-            visited[r].append((u, item))
-            cats[r].append(int(item_cats[item]))
-            masks[k, item] = False
-            live[k] = not done
-        live &= masks.any(axis=1)
-        rows, windows, masks = rows[live], windows[live], masks[live]
-        inputs = np.concatenate(
-            [agent.emb_user.values[users[rows]], agent.emb_item.values[items[live]],
-             rewards[live, None]], axis=1,
-        )
+            visited[r].append((users[r], item))
+            rewards.append(reward)
+            done.append(end)
+        return items, rewards, done
+
+    cats = play_episodes(agent, users, item_cats, step)
     return [
         {
             "r_tra": total, "length": len(c), "r_each": total / len(c),
@@ -527,7 +522,7 @@ def _play_episodes(agent, d: ds.Dataset, seed, indices, greedy):
 
 def _eval_episode(agent, d: ds.Dataset, seed, idx, greedy):
     """Evaluation episode `idx` played alone; equal to its row of `evaluate`."""
-    return _play_episodes(agent, d, seed, [idx], greedy)[0]
+    return _eval_block(agent, d, seed, [idx], greedy)[0]
 
 
 def evaluate(agent, d: ds.Dataset, matrix, episodes, seed, greedy=False) -> EvalReport:
@@ -543,7 +538,7 @@ def evaluate(agent, d: ds.Dataset, matrix, episodes, seed, greedy=False) -> Eval
     results = []
     for lo in range(0, episodes, _EVAL_BLOCK):
         block = range(lo, min(lo + _EVAL_BLOCK, episodes))
-        results += _play_episodes(agent, d, seed, block, greedy)
+        results += _eval_block(agent, d, seed, block, greedy)
 
     arrays = {
         key: np.array([r[key] for r in results])

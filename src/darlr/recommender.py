@@ -1,4 +1,5 @@
-"""Item-recommendation agent with a windowed sequential state tracker.
+"""Item-recommendation agent: a windowed sequential state encoder with an
+actor and a critic on the encoded state.
 
 Episode state is encoded from tokens built out of the user embedding, the
 embedding of each interacted item, and the scalar reward received. The
@@ -7,8 +8,6 @@ only the state tokens and does not represent the actions.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,15 +20,7 @@ from .nncore import (
     replay_backward,
     replay_forward,
     rng_stream,
-    softmax_policy,
 )
-
-
-@dataclass
-class RecState:
-    user: int
-    vec: np.ndarray
-    tokens: list = field(default_factory=list)  # at most `window` retained
 
 
 class RecommenderAgent:
@@ -60,37 +51,15 @@ class RecommenderAgent:
             + self.critic.blocks()
         )
 
-    def token_input(self, u, item, reward):
-        e_u = self.emb_user.values[u]
-        e_i = np.zeros(self.d_emb) if item is None else self.emb_item.values[item]
-        return np.concatenate([e_u, e_i, [float(reward)]])
-
-    def token(self, u, item, reward):
-        t, _ = self.proj.forward(self.token_input(u, item, reward))
-        return t
-
-
-def init_episode(u, agent: RecommenderAgent) -> RecState:
-    """Fresh episode state: encode a start token derived from the user."""
-    start = agent.token(u, None, 0.0)
-    vec, _ = agent.encoder.encode([start])
-    return RecState(user=u, vec=vec, tokens=[start])
-
-
-def track(state: RecState, item, reward, agent: RecommenderAgent) -> RecState:
-    """Append the (item, reward) token and re-encode the retained window."""
-    if not (0 <= item < agent.n_items):
-        raise ValueError(f"item {item} out of range")
-    tokens = (state.tokens + [agent.token(state.user, item, reward)])[-agent.window :]
-    vec, _ = agent.encoder.encode(tokens)
-    return RecState(user=state.user, vec=vec, tokens=tokens)
-
-
-def recommend(state: RecState, agent: RecommenderAgent, mask, rng):
-    """Sample an item from the actor's policy; mask excludes repeats."""
-    logits, _ = agent.actor.forward(state.vec)
-    item, logprob, _ = softmax_policy(logits, mask=mask, rng=rng)
-    return item, logprob
+    def token_inputs(self, users, items=None, rewards=None):
+        """Projection inputs [e_u, e_i, reward], one row per token; without
+        items, the start tokens [e_u, 0, 0] of the users' episodes."""
+        x = np.zeros((len(users), 2 * self.d_emb + 1))
+        x[:, : self.d_emb] = self.emb_user.values[users]
+        if items is not None:
+            x[:, self.d_emb : -1] = self.emb_item.values[items]
+            x[:, -1] = rewards
+        return x
 
 
 def trajectory_forward(agent: RecommenderAgent, user, items, track_rewards):
@@ -99,9 +68,12 @@ def trajectory_forward(agent: RecommenderAgent, user, items, track_rewards):
     `items` and `track_rewards` are the per-step recommended items and the
     rewards that entered the state-tracker tokens.
     """
-    inputs = [agent.token_input(user, None, 0.0)]
-    inputs += [agent.token_input(user, i, r) for i, r in zip(items[:-1], track_rewards)]
-    fwd = replay_forward(agent, inputs, [len(items)], encode_first=True)
+    n = len(items)
+    inputs = np.concatenate([
+        agent.token_inputs([user]),
+        agent.token_inputs(np.full(n - 1, user), items[:-1], track_rewards[: n - 1]),
+    ])
+    fwd = replay_forward(agent, inputs, [n], encode_first=True)
     fwd.update(user=user, items=list(items))
     return fwd
 

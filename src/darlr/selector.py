@@ -27,7 +27,6 @@ class SelectionEpisode:
     selected: list = field(default_factory=list)  # user ids in selection order
     p_rows: list = field(default_factory=list)  # preference rows at selection time
     slots: list = field(default_factory=list)  # pool indices actually sampled
-    logprobs: list = field(default_factory=list)
     values: list = field(default_factory=list)
     sims: list = field(default_factory=list)
     divs: list = field(default_factory=list)
@@ -113,19 +112,15 @@ def advance_state(ep: SelectionEpisode, newly_selected_p, agent: SelectorAgent) 
 
 
 def run_selection(
-    u, i_t, s_rec, matrix, agent: SelectorAgent, k_sel, coeffs: rm.PenaltyCoeffs, rng,
-    lambda_s=None, lambda_d=None,
+    u, i_t, s_rec, matrix, agent: SelectorAgent, k_sel, lambda_s, lambda_d, rng,
 ) -> SelectionEpisode:
     """Sample k_sel distinct reference users for (u, i_t) with current policy.
 
     Per-step intrinsic reward: running mean of the selected users' reward
-    estimates for i_t, plus weighted similarity and diversity gains. The
-    gain coefficients default to the penalty config but can be overridden
-    by ablation variants. Gains read the matrix as it stands before this
-    recommendation step writes back.
+    estimates for i_t, plus the similarity and diversity gains weighted by
+    `lambda_s` and `lambda_d`. Gains read the matrix as it stands before
+    this recommendation step writes back.
     """
-    lam_s = coeffs.lambda_s if lambda_s is None else lambda_s
-    lam_d = coeffs.lambda_d if lambda_d is None else lambda_d
     pool = candidate_pool(u, matrix, agent.pool_size)
     if len(pool) < k_sel:
         raise ValueError(f"candidate pool exhausted: {len(pool)} users < k_sel={k_sel}")
@@ -141,7 +136,7 @@ def run_selection(
     for t in range(k_sel):
         logits, _ = agent.actor.forward(state)
         value, _ = agent.critic.forward(state)
-        slot, logprob, _ = softmax_policy(logits, mask=available, rng=rng)
+        slot, _, _ = softmax_policy(logits, mask=available, rng=rng)
         cand = int(pool[slot])
         p_cand = matrix.current[cand].copy()
         sim = rm.similarity_gain(ep.p_u, p_cand)
@@ -150,12 +145,11 @@ def run_selection(
         running_sum += ref
         prefix_mean = running_sum / (t + 1)
         reward = rm.intrinsic_reward(
-            prefix_mean, rm.GainPair(sim, div), rm.PenaltyCoeffs(0.0, 0.0, lam_s, lam_d)
+            prefix_mean, rm.GainPair(sim, div), rm.PenaltyCoeffs(0.0, 0.0, lambda_s, lambda_d)
         )
         ep.slots.append(slot)
         ep.selected.append(cand)
         ep.p_rows.append(p_cand)
-        ep.logprobs.append(logprob)
         ep.values.append(float(value[0]))
         ep.sims.append(sim)
         ep.divs.append(div)

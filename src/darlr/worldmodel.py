@@ -35,8 +35,8 @@ _LOGVAR_MIN = -10.0
 _LOGVAR_MAX = 5.0
 
 
-class WorldModelDivergence(RuntimeError):
-    pass
+class WorldModelDivergence(ValueError):
+    """Raised by train_world_model when a member's loss goes non-finite."""
 
 
 @dataclass
@@ -191,25 +191,28 @@ def train_world_model(d: ds.Dataset, cfg: WorldModelConfig) -> WorldModelEnsembl
         )
         shuffle_rng = rng_stream(cfg.seed, "member", k, "shuffle")
         history = []
-        for epoch in range(cfg.epochs):
-            perm = shuffle_rng.permutation(n)
-            total = 0.0
-            for lo in range(0, n, cfg.batch):
-                sel = perm[lo : lo + cfg.batch]
-                mu, lv, tape = member.forward(u_all[sel], i_all[sel])
-                res = mu - r_all[sel]
-                inv = np.exp(-lv)
-                losses = 0.5 * (lv + res**2 * inv)
-                loss = losses.mean()
-                if not np.isfinite(loss):
-                    raise WorldModelDivergence(f"member {k} diverged at epoch {epoch}")
-                total += losses.sum()
-                m = len(sel)
-                dmu = res * inv / m
-                dlv = 0.5 * (1.0 - res**2 * inv) / m
-                member.backward(tape, dmu, dlv)
-                adam_step(member.blocks(), adam)
-            history.append(total / n)
+        # overflow and nan on the way to divergence are reported by the loss
+        # check or by adam_step's gradient check, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(cfg.epochs):
+                perm = shuffle_rng.permutation(n)
+                total = 0.0
+                for lo in range(0, n, cfg.batch):
+                    sel = perm[lo : lo + cfg.batch]
+                    mu, lv, tape = member.forward(u_all[sel], i_all[sel])
+                    res = mu - r_all[sel]
+                    inv = np.exp(-lv)
+                    losses = 0.5 * (lv + res**2 * inv)
+                    loss = losses.mean()
+                    if not np.isfinite(loss):
+                        raise WorldModelDivergence(f"member {k} diverged at epoch {epoch}")
+                    total += losses.sum()
+                    m = len(sel)
+                    dmu = res * inv / m
+                    dlv = 0.5 * (1.0 - res**2 * inv) / m
+                    member.backward(tape, dmu, dlv)
+                    adam_step(member.blocks(), adam)
+                history.append(total / n)
         members.append(member)
         histories.append(history)
     wm = WorldModelEnsemble(

@@ -22,6 +22,7 @@ from darlr.nncore import (
     SeqEncoder,
     gradient_check,
     rng_stream,
+    sample_rows,
     softmax,
 )
 
@@ -142,7 +143,7 @@ def test_criterion_2_gradient_correctness():
         matrix = engine.ShapedRewardMatrix(rngs.random((4, 5)) + 0.1, 0.0, 1.0)
         ep = sel.run_selection(
             traj.user, 1, rngs.normal(size=4), matrix, sel_agent, 2,
-            settings.coeffs, rng_stream(seed, "c2sel"),
+            settings.lambda_s, settings.lambda_d, rng_stream(seed, "c2sel"),
         )
 
         def sloss():
@@ -263,22 +264,33 @@ def test_criterion_6_policy_gradient_sanity():
         cfg = AdamConfig(lr=0.01)
         rng = rng_stream(seed, "bandit")
         for _ in range(500):
-            state = rec.init_episode(0, agent)
-            item, logprob = rec.recommend(state, agent, None, rng)
-            value, _ = agent.critic.forward(state.vec)
-            r = 1.0 if item == target else 0.0
             traj = engine.Trajectory(user=0)
-            traj.transitions.append(
-                engine.Transition(
-                    action=item, logprob=logprob, reward=r,
-                    value=float(value[0]), track_reward=r, parts=None, done=True,
-                    done_reason="max_length",
+
+            def pull(rows, states, z, cats, t):
+                items, probs = sample_rows(z, [rng])
+                item = int(items[0])
+                value, _ = agent.critic.forward(states[0])
+                r = 1.0 if item == target else 0.0
+                traj.transitions.append(
+                    engine.Transition(
+                        action=item, logprob=float(np.log(probs[0, item])), reward=r,
+                        value=float(value[0]), track_reward=r, parts=None, done=True,
+                        done_reason="max_length",
+                    )
                 )
-            )
+                return items, [r], [True]
+
+            engine.play_episodes(agent, [0], np.arange(arms), pull)
             engine.compute_advantages(traj, 0.99)
             engine.update_recommender(agent, traj, 0.99, cfg)
-        logits, _ = agent.actor.forward(rec.init_episode(0, agent).vec)
-        return softmax(logits)[target]
+        final = []
+
+        def look(rows, states, z, cats, t):
+            final.append(softmax(z[0])[target])
+            return [0], [0.0], [True]
+
+        engine.play_episodes(agent, [0], np.arange(arms), look)
+        return final[0]
 
     probs = [final_target_prob(seed) for seed in range(10)]
     print(f"[acceptance] criterion 6 details: min prob {min(probs):.4f} over 10 seeds")

@@ -150,6 +150,14 @@ class TestTrainWm:
         assert len(err) == 1 and "expected a JSON object" in err[0]
 
 
+    def test_diverging_training_prints_one_error_line(self, workspace, tmp_path, capsys):
+        cfg = write_json(tmp_path / "wm.json", {"members": 1, "epochs": 3, "batch": 16, "lr": 1e160})
+        out = tmp_path / "wm.ckpt"
+        rc = cli.main(["train-wm", "--config", cfg, "--data", workspace["data"], "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: member 0 diverged at epoch 0"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wm.json"]
+
     @pytest.mark.parametrize("bad", [
         {"members": "2"}, {"members": 0}, {"members": 2.0}, {"members": True},
         {"epochs": 0}, {"epochs": None}, {"batch": 0}, {"batch": -4}, {"batch": 1.5},

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -5,10 +6,17 @@ import pytest
 
 from darlr import dataset as ds
 from darlr import engine
-from darlr import recommender as rec
 from darlr import rewardmath as rm
+from darlr import selector as sel
 from darlr import worldmodel as wmod
-from darlr.nncore import AdamConfig, read_fragment, rng_stream, softmax, write_fragment
+from darlr.nncore import (
+    AdamConfig,
+    read_fragment,
+    rng_stream,
+    softmax,
+    softmax_policy,
+    write_fragment,
+)
 
 
 def reports_equal(a, b):
@@ -36,6 +44,42 @@ def smoke_settings(**kw):
     )
     base.update(kw)
     return engine.TrainSettings(**base)
+
+
+class ReferenceTracker:
+    """The per-step state tracker that the lockstep player replaced, kept as
+    the reference it must reproduce bit for bit: one projection of a one-row
+    token input and one encode of the retained window per step."""
+
+    def __init__(self, agent, u):
+        self.agent, self.u, self.tokens = agent, u, []
+        self.push(np.zeros(agent.d_emb), 0.0)
+
+    def push(self, e_i, reward):
+        a = self.agent
+        token, _ = a.proj.forward(np.concatenate([a.emb_user.values[self.u], e_i, [float(reward)]]))
+        self.tokens = (self.tokens + [token])[-a.window :]
+        self.vec, _ = a.encoder.encode(self.tokens)
+
+    def track(self, item, reward):
+        self.push(self.agent.emb_item.values[item], reward)
+
+    def recommend(self, mask, rng):
+        logits, _ = self.agent.actor.forward(self.vec)
+        item, logprob, _ = softmax_policy(logits, mask=mask, rng=rng)
+        return item, logprob
+
+
+def start_probs(agent, u):
+    """The policy of user u's first step, as the lockstep player computes it."""
+    out = []
+
+    def step(rows, states, z, cats, t):
+        out.append(softmax(z[0]))
+        return [0], [0.0], [True]
+
+    engine.play_episodes(agent, [u], np.zeros(agent.n_items, dtype=int), step)
+    return out[0]
 
 
 class TestShapedRewardMatrix:
@@ -177,6 +221,74 @@ def smoke_run(tiny_dataset, tiny_wm):
     return engine.train(tiny_dataset, tiny_wm, settings)
 
 
+def reference_rollout(ctx, u):
+    """`rollout_trajectory` as the per-step loop over `ReferenceTracker` that
+    the lockstep player replaced."""
+    st, matrix = ctx.settings, ctx.matrix
+    gains = engine._VARIANT_GAINS[st.variant]
+    item_cats = ctx.dataset.items.primary_category
+    state = ReferenceTracker(ctx.rec_agent, u)
+    traj, episodes = engine.Trajectory(user=u), []
+    mask = np.ones(ctx.dataset.n_items, dtype=bool)
+    recent = []
+    while True:
+        item, logprob = state.recommend(mask, ctx.rng)
+        if gains is None:
+            r_hat = r_prev = float(matrix.current[u, item])
+            p_u, kind, mean_sim, mean_div = float(ctx.static_uncertainty[u, item]), "static", 0.0, 0.0
+        else:
+            ep = sel.run_selection(
+                u, item, state.vec, matrix, ctx.sel_agent, st.k_sel,
+                st.lambda_s * gains[0], st.lambda_d * gains[1], ctx.rng,
+            )
+            episodes.append(ep)
+            r_prev = float(matrix.write(u, item, rm.shape_reward(ep.ref_rewards)))
+            r_hat = float(matrix.current[u, item])
+            mean_sim, mean_div = ep.mean_sim(), ep.mean_div()
+            if st.variant == "pu_static":
+                p_u, kind = float(ctx.static_uncertainty[u, item]), "static"
+            else:
+                p_u = rm.dynamic_uncertainty(r_hat, r_prev, mean_sim, mean_div, st.uncertainty_eps)
+                kind = "dynamic"
+        parts = engine.RewardParts(
+            r_hat, r_prev, p_u, ctx.entropy.penalty(recent, item), mean_sim, mean_div, kind
+        )
+        base_r, done, reason = engine.env_step(
+            u, item, len(traj) + 1, "train", matrix, None, recent, item_cats
+        )
+        value, _ = ctx.rec_agent.critic.forward(state.vec)
+        traj.transitions.append(engine.Transition(
+            item, logprob, rm.recommender_reward(r_hat, p_u, parts.p_e, st.coeffs),
+            float(value[0]), base_r, parts, done, reason,
+        ))
+        mask[item] = False
+        recent.append(int(item_cats[item]))
+        if done or not mask.any():
+            if not done:
+                traj.transitions[-1].done, traj.transitions[-1].done_reason = True, "max_length"
+            return traj, episodes
+        state.track(item, base_r)
+
+
+def assert_selection_episodes_equal(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        for f in dataclasses.fields(sel.SelectionEpisode):
+            u, v = getattr(x, f.name), getattr(y, f.name)
+            assert (u is None and v is None) or np.array_equal(u, v), f.name
+
+
+@pytest.fixture(scope="module")
+def own_category_catalog():
+    """Eight items, each its own category: every episode runs the catalog
+    out at step 8, before the protocol would end it."""
+    d = ds.generate_synthetic(
+        ds.SyntheticSpec(users=12, items=8, categories=8, log_density=0.5, seed=9)
+    )
+    wm = wmod.train_world_model(d, wmod.WorldModelConfig(members=1, epochs=2, seed=1))
+    return d, wm
+
+
 class TestRollout:
     def make_ctx(self, d, wm, **kw):
         settings = smoke_settings(**kw)
@@ -275,6 +387,28 @@ class TestRollout:
             assert traj.transitions[-1].done
             assert traj.transitions[-1].done_reason in ("category_repeat", "max_length")
 
+    @pytest.mark.parametrize("variant,catalog", [
+        ("full", False), ("r_static", False), ("pu_static", False), ("full", True),
+    ])
+    def test_equal_to_the_per_step_loop(
+        self, variant, catalog, tiny_dataset, tiny_wm, own_category_catalog
+    ):
+        d, wm = own_category_catalog if catalog else (tiny_dataset, tiny_wm)
+        ctx, ref_ctx = (self.make_ctx(d, wm, variant=variant) for _ in range(2))
+        for u in (3, 11):
+            traj, episodes = engine.rollout_trajectory(ctx, u)
+            ref, ref_episodes = reference_rollout(ref_ctx, u)
+            # actions, log-probabilities, values, rewards, track rewards,
+            # parts and done reasons, all exact
+            assert traj.transitions == ref.transitions
+            assert_selection_episodes_equal(episodes, ref_episodes)
+            assert (len(episodes) == 0) == (variant == "r_static")
+            if catalog:
+                assert len(traj) == d.n_items
+                assert traj.transitions[-1].done_reason == "max_length"
+        assert np.array_equal(ctx.matrix.current, ref_ctx.matrix.current)
+        assert ctx.rng.random() == ref_ctx.rng.random()
+
 
 class TestLosses:
     def test_replay_matches_trajectory_losses(self, tiny_dataset, tiny_wm, smoke_run):
@@ -336,7 +470,7 @@ class TestLosses:
         matrix = engine.ShapedRewardMatrix(rng.random((8, 5)) + 0.1, 0.0, 1.0)
         agent = sel.SelectorAgent(5, 4, 3, pool_size=6, window=3, seed=6, hidden=(8,))
         ep = sel.run_selection(
-            2, 1, rng.normal(size=4), matrix, agent, 4, rm.PenaltyCoeffs(), rng_stream(1)
+            2, 1, rng.normal(size=4), matrix, agent, 4, 1.0, 0.1, rng_stream(1)
         )
 
         def loss():
@@ -357,7 +491,7 @@ class TestLosses:
         matrix = engine.ShapedRewardMatrix(rng.random((9, 5)) + 0.1, 0.0, 1.0)
         agent = sel.SelectorAgent(5, 4, 3, pool_size=6, window=2, seed=8, hidden=(8,))
         episodes = [
-            sel.run_selection(u, 1, rng.normal(size=4), matrix, agent, k, rm.PenaltyCoeffs(), rng_stream(u))
+            sel.run_selection(u, 1, rng.normal(size=4), matrix, agent, k, 1.0, 0.1, rng_stream(u))
             for u, k in ((2, 4), (5, 1), (6, 3))
         ]
         captured = []
@@ -380,10 +514,8 @@ class TestLosses:
             d_model=4, d_emb=2, hidden=(), seed=3,
         )
         agent, _ = engine.build_agents(d, settings)
-        state = rec.init_episode(0, agent)
         target = 2
-        logits, _ = agent.actor.forward(state.vec)
-        before = softmax(logits)[target]
+        before = start_probs(agent, 0)[target]
         traj = engine.Trajectory(user=0)
         traj.transitions.append(
             engine.Transition(
@@ -395,9 +527,7 @@ class TestLosses:
         engine.compute_advantages(traj, 0.99)
         assert traj.advantages[0] > 0
         engine.update_recommender(agent, traj, 0.99, AdamConfig(lr=1e-3))
-        state2 = rec.init_episode(0, agent)
-        logits2, _ = agent.actor.forward(state2.vec)
-        assert softmax(logits2)[target] > before
+        assert start_probs(agent, 0)[target] > before
 
 
 class TestTrain:
@@ -437,6 +567,28 @@ class TestTrain:
         result = engine.train(tiny_dataset, tiny_wm, smoke_settings(variant="r_static"))
         pm = wmod.predict_matrix(tiny_wm)
         assert np.array_equal(result.matrix.current, pm.mean)
+
+    def test_benchmark_probe_points(self, tiny_dataset, tiny_wm, monkeypatch):
+        # perfbench wraps these module globals to count trajectories and steps
+        lengths, modes = [], []
+        rollout, env_step = engine.rollout_trajectory, engine.env_step
+
+        def counting_rollout(*args, **kwargs):
+            traj, episodes = rollout(*args, **kwargs)
+            lengths.append(len(traj))
+            return traj, episodes
+
+        def counting_env_step(*args, **kwargs):
+            modes.append(args[3])
+            return env_step(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "rollout_trajectory", counting_rollout)
+        monkeypatch.setattr(engine, "env_step", counting_env_step)
+        result = engine.train(tiny_dataset, tiny_wm, smoke_settings(epochs=2, trajectories_per_epoch=3))
+        assert len(lengths) == 6
+        assert sum(lengths) == result.steps_total
+        assert modes.count("train") == result.steps_total
+        assert set(modes) == {"train", "eval"}
 
     def test_budget_bounds_sampling(self, tiny_dataset, tiny_wm):
         result = engine.train(
@@ -540,7 +692,7 @@ def reference_episode(agent, d, seed, idx, greedy):
     per step: the loop that lockstep evaluation must reproduce bit for bit."""
     rng = rng_stream(seed, "eval-episode", idx)
     u = int(rng.integers(d.n_users))
-    state = rec.init_episode(u, agent)
+    state = ReferenceTracker(agent, u)
     mask = np.ones(d.n_items, dtype=bool)
     cats, visited, total, step = [], [], 0.0, 0
     while True:
@@ -549,7 +701,7 @@ def reference_episode(agent, d, seed, idx, greedy):
             logits, _ = agent.actor.forward(state.vec)
             item = int(np.argmax(np.where(mask, logits, -np.inf)))
         else:
-            item, _ = rec.recommend(state, agent, mask, rng)
+            item, _ = state.recommend(mask, rng)
         reward, done, _ = engine.env_step(
             u, item, step, "eval", None, d.truth_matrix, cats, d.items.primary_category
         )
@@ -559,7 +711,7 @@ def reference_episode(agent, d, seed, idx, greedy):
         mask[item] = False
         if done or not mask.any():
             break
-        state = rec.track(state, item, reward, agent)
+        state.track(item, reward)
     return {
         "r_tra": total, "length": step, "r_each": total / step,
         "mcd": engine.majority_category_ratio(cats), "visited": visited,

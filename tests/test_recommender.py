@@ -1,35 +1,63 @@
 import numpy as np
 import pytest
 
+from darlr import engine
 from darlr import recommender as rec
-from darlr.nncore import gradient_check, rng_stream, softmax
+from darlr.nncore import gradient_check, rng_stream, sample_rows, softmax
 
 
 def make_agent(n_users=4, n_items=6, d_emb=3, d_model=5, window=3, seed=0, **kw):
     return rec.RecommenderAgent(n_users, n_items, d_emb, d_model, window, seed, **kw)
 
 
+def played(a, user, items, rewards):
+    """Play `items` for `user` through the lockstep player, `rewards[t]`
+    entering the token after step t; returns the state and the masked
+    logits the player offered at each step."""
+    states, zs = [], []
+
+    def step(rows, s, z, cats, t):
+        states.append(s[0].copy())
+        zs.append(z[0].copy())
+        return [items[t - 1]], [rewards[t - 1]], [t == len(items)]
+
+    engine.play_episodes(a, [user], np.arange(a.n_items), step)
+    return states, zs
+
+
+def first_logits(a, users):
+    """The actor's logits at step 1 of one played episode per user."""
+    out = []
+
+    def step(rows, s, z, cats, t):
+        out.append(z.copy())
+        return np.zeros(len(rows), dtype=int), np.zeros(len(rows)), np.ones(len(rows), dtype=bool)
+
+    engine.play_episodes(a, users, np.arange(a.n_items), step)
+    return out[0]
+
+
 class TestInitEpisode:
     def test_different_users_differ(self):
         a = make_agent(seed=1)
-        s0 = rec.init_episode(0, a)
-        s1 = rec.init_episode(1, a)
-        assert not np.allclose(s0.vec, s1.vec)
+        s0 = played(a, 0, [0], [0.0])[0][0]
+        s1 = played(a, 1, [0], [0.0])[0][0]
+        assert not np.allclose(s0, s1)
 
     def test_zeroed_embeddings_leave_bias_pathway(self):
         a = make_agent(seed=2)
         a.emb_user.values[...] = 0.0
         a.emb_item.values[...] = 0.0
-        s0 = rec.init_episode(0, a)
-        s1 = rec.init_episode(3, a)
-        assert np.array_equal(s0.vec, s1.vec)  # user identity gone, bias only
+        s0 = played(a, 0, [0], [0.0])[0][0]
+        s1 = played(a, 3, [0], [0.0])[0][0]
+        assert np.array_equal(s0, s1)  # user identity gone, bias only
 
     def test_gradient_through_init_path(self):
         a = make_agent(seed=3)
         w = rng_stream(3, "w").normal(size=5)
 
         def forward():
-            x = a.token_input(1, None, 0.0)
+            x = a.token_inputs([1])[0]
             t, pt = a.proj.forward(x)
             s, et = a.encoder.encode([t])
             return s, pt, et
@@ -52,37 +80,41 @@ class TestInitEpisode:
 class TestTrack:
     def test_window_one_ignores_history(self):
         a = make_agent(window=1, seed=4)
-        s = rec.init_episode(0, a)
-        path1 = rec.track(rec.track(s, 1, 0.3, a), 4, 0.9, a)
-        path2 = rec.track(rec.track(s, 2, 0.7, a), 4, 0.9, a)
-        assert np.allclose(path1.vec, path2.vec, atol=0)
+        path1, _ = played(a, 0, [1, 4, 0], [0.3, 0.9, 0.0])
+        path2, _ = played(a, 0, [2, 4, 0], [0.7, 0.9, 0.0])
+        assert np.allclose(path1[2], path2[2], atol=0)
 
     def test_reward_enters_token(self):
         a = make_agent(seed=5)
-        s = rec.init_episode(0, a)
-        s0 = rec.track(s, 2, 0.0, a)
-        s1 = rec.track(s, 2, 1.0, a)
-        assert not np.allclose(s0.vec, s1.vec)
+        s0, _ = played(a, 0, [2, 0], [0.0, 0.0])
+        s1, _ = played(a, 0, [2, 0], [1.0, 0.0])
+        assert not np.allclose(s0[1], s1[1])
 
-    def test_history_buffer_bounded(self):
+    def test_history_buffer_bounded(self, monkeypatch):
         a = make_agent(n_items=50, window=5, seed=6)
-        s = rec.init_episode(0, a)
-        for step in range(40):
-            s = rec.track(s, step % 50, 0.5, a)
-        assert len(s.tokens) == 5
+        shapes = []
+        forward = a.encoder.forward
+
+        def recording_forward(windows, pad):
+            shapes.append(windows.shape)
+            return forward(windows, pad)
+
+        monkeypatch.setattr(a.encoder, "forward", recording_forward)
+        played(a, 0, list(range(40)), [0.5] * 40)
+        assert shapes == [(1, 5, 5)] * 40
 
     def test_causal_outside_window(self):
         a = make_agent(n_items=12, window=2, seed=7)
-        s = rec.init_episode(0, a)
         # two histories differing only in an interaction older than the window
-        h1 = rec.track(rec.track(rec.track(s, 1, 0.1, a), 5, 0.5, a), 7, 0.9, a)
-        h2 = rec.track(rec.track(rec.track(s, 3, 0.8, a), 5, 0.5, a), 7, 0.9, a)
-        assert np.allclose(h1.vec, h2.vec, atol=0)
+        h1, _ = played(a, 0, [1, 5, 7, 0], [0.1, 0.5, 0.9, 0.0])
+        h2, _ = played(a, 0, [3, 5, 7, 0], [0.8, 0.5, 0.9, 0.0])
+        assert np.allclose(h1[3], h2[3], atol=0)
 
     def test_item_range_checked(self):
         a = make_agent(seed=8)
-        with pytest.raises(ValueError, match="range"):
-            rec.track(rec.init_episode(0, a), 99, 0.5, a)
+        for item in (99, -1):
+            with pytest.raises(ValueError, match="range"):
+                played(a, 0, [item], [0.5])
 
 
 class TestRecommend:
@@ -90,34 +122,25 @@ class TestRecommend:
         a = make_agent(n_items=4, seed=9)
         for blk in a.actor.blocks():
             blk.values[...] = 0.0
-        s = rec.init_episode(0, a)
-        rng = rng_stream(9, "draw")
-        counts = np.zeros(4)
-        for _ in range(4000):
-            item, _ = rec.recommend(s, a, None, rng)
-            counts[item] += 1
+        z = first_logits(a, np.zeros(4000, dtype=int))
+        items, _ = sample_rows(z, [rng_stream(9, "draw")] * 4000)
+        counts = np.bincount(items, minlength=4)
         assert np.all(np.abs(counts / 4000 - 0.25) < 0.03)
 
     def test_single_unmasked_forced(self):
         a = make_agent(n_items=4, seed=10)
-        s = rec.init_episode(0, a)
-        mask = np.array([False, False, True, False])
-        item, logprob = rec.recommend(s, a, mask, rng_stream(0))
-        assert item == 2
-        assert logprob == 0.0
+        _, zs = played(a, 0, [0, 1, 3, 2], [0.5] * 4)
+        items, probs = sample_rows(zs[3][None], [rng_stream(0)])
+        assert items[0] == 2
+        assert np.log(probs[0, 2]) == 0.0
 
     def test_empirical_frequencies_match_probs(self):
         a = make_agent(n_items=5, seed=11)
-        s = rec.init_episode(2, a)
-        logits, _ = a.actor.forward(s.vec)
-        probs = softmax(logits)
-        rng = rng_stream(11, "mc")
+        z = first_logits(a, [2])
+        probs = softmax(z[0])
         n = 100_000
-        counts = np.zeros(5)
-        for _ in range(n):
-            item, _ = rec.recommend(s, a, None, rng)
-            counts[item] += 1
-        freq = counts / n
+        items, _ = sample_rows(np.broadcast_to(z, (n, 5)), [rng_stream(11, "mc")] * n)
+        freq = np.bincount(items, minlength=5) / n
         sigma = np.sqrt(probs * (1 - probs) / n)
         assert np.all(np.abs(freq - probs) < 3 * sigma + 1e-12)
 
@@ -127,11 +150,7 @@ class TestTrajectoryReplay:
         a = make_agent(n_users=3, n_items=8, seed=12)
         items = [2, 5, 0, 7]
         rewards = [0.2, 0.9, 0.4, 0.6]
-        s = rec.init_episode(1, a)
-        states = [s.vec.copy()]
-        for it, r in zip(items, rewards):
-            s = rec.track(s, it, r, a)
-            states.append(s.vec.copy())
+        states, _ = played(a, 1, items, rewards)
         fwd = rec.trajectory_forward(a, 1, items, rewards)
         for t in range(4):
             assert np.allclose(fwd["states"][t], states[t], atol=0)
@@ -159,11 +178,7 @@ class TestTrajectoryReplay:
         a = make_agent(n_users=3, n_items=10, window=3, seed=14)
         items = [2, 5, 0, 7, 9, 1, 4]
         rewards = [0.2, 0.9, 0.4, 0.6, 0.1, 0.8, 0.3]
-        s = rec.init_episode(2, a)
-        states = [s.vec.copy()]
-        for it, r in zip(items[:-1], rewards[:-1]):
-            s = rec.track(s, it, r, a)
-            states.append(s.vec.copy())
+        states, _ = played(a, 2, items, rewards)
         fwd = rec.trajectory_forward(a, 2, items, rewards)
         assert len(fwd["states"]) == 7
         for t in range(7):
