@@ -57,17 +57,24 @@ _VARIANT_GAINS = {
 
 
 class ShapedRewardMatrix:
-    """Mutable reward-estimate matrix, clipped to [r_min, r_max]."""
+    """Mutable reward-estimate matrix, clipped to [r_min, r_max].
+
+    `row_norms` caches `np.linalg.norm(current, axis=1)`; `write` keeps it
+    current, so write through it only.
+    """
 
     def __init__(self, current, r_min, r_max):
         self.current = np.array(current, dtype=np.float64)
         self.r_min = float(r_min)
         self.r_max = float(r_max)
+        self.row_norms = np.linalg.norm(self.current, axis=1)
 
     def write(self, u, i, value):
         """Store `value`, clipped, at (u, i) and return the pre-write value."""
         old = self.current[u, i]
         self.current[u, i] = min(max(value, self.r_min), self.r_max)
+        # a one-row slice reduces as its row of the full axis=1 norm does
+        self.row_norms[u : u + 1] = np.linalg.norm(self.current[u : u + 1], axis=1)
         return old
 
 

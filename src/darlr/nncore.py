@@ -41,20 +41,66 @@ class NonFiniteGradient(ValueError):
     """Raised by adam_step when a block's gradient contains inf or nan."""
 
 
-@dataclass
 class ParamBlock:
-    """A named dense parameter array with its gradient and Adam buffers."""
+    """A named dense parameter array with its gradient and Adam buffers.
 
-    name: str
-    values: np.ndarray
-    grad: np.ndarray
-    adam_m: np.ndarray
-    adam_v: np.ndarray
-    step_count: int = 0
+    The four arrays are reshaped views into the flat vectors of the
+    ParamSet that owns the block; write into them, never rebind them.
+    `step_count` is the owning set's.
+    """
+
+    def __init__(self, name, values):
+        self.name = name
+        self.values = values
+        self.grad = np.zeros(values.shape)
+        self.adam_m = np.zeros(values.shape)
+        self.adam_v = np.zeros(values.shape)
+        ParamSet([self])
+
+    @property
+    def step_count(self):
+        return self.params.step_count
+
+    @step_count.setter
+    def step_count(self, t):
+        self.params.step_count = t
+
+
+class ParamSet:
+    """Flat values, grad, adam_m and adam_v vectors shared by a list of blocks.
+
+    The blocks' arrays are copied into the vectors, in block order, and
+    rebound to reshaped views of them; the blocks then belong to this set
+    alone. Adam steps a set as a whole, with one step count, which starts
+    at 0: join blocks before training them.
+    """
+
+    def __init__(self, blocks):
+        self.blocks = list(blocks)
+        self.step_count = 0
+        offsets = np.cumsum([0] + [b.values.size for b in self.blocks])
+        shapes = [b.values.shape for b in self.blocks]
+        # one vector at a time, so each block's old arrays go as it fills
+        for attr in ("values", "grad", "adam_m", "adam_v"):
+            flat = np.concatenate([getattr(b, attr).reshape(-1) for b in self.blocks])
+            setattr(self, attr, flat)
+            for b, shape, lo, hi in zip(self.blocks, shapes, offsets[:-1], offsets[1:]):
+                setattr(b, attr, flat[lo:hi].reshape(shape))
+        for b in self.blocks:
+            b.params = self
+
+
+def _param_sets(blocks):
+    """The sets that `blocks` belong to, in first-seen order, each with its
+    blocks from `blocks`."""
+    sets = {}
+    for b in blocks:
+        sets.setdefault(id(b.params), (b.params, []))[1].append(b)
+    return list(sets.values())
 
 
 def make_block(name, shape, rng=None, fan=None):
-    """Create a ParamBlock.
+    """Create a ParamBlock, a set of one until an owner joins it to others.
 
     With an rng, values are uniform(-a, a) with a = sqrt(6 / (fan_in +
     fan_out)); `fan` overrides the fan pair inferred from the first and
@@ -71,18 +117,17 @@ def make_block(name, shape, rng=None, fan=None):
                 fan = (1, shape[0])
         a = math.sqrt(6.0 / (fan[0] + fan[1]))
         values = rng.uniform(-a, a, size=shape)
-    return ParamBlock(
-        name=name,
-        values=values,
-        grad=np.zeros(shape),
-        adam_m=np.zeros(shape),
-        adam_v=np.zeros(shape),
-    )
+    return ParamBlock(name, values)
 
 
 def zero_grads(blocks):
-    for b in blocks:
-        b.grad[...] = 0.0
+    """Clear the gradients of `blocks`: one fill for each whole set."""
+    for params, members in _param_sets(blocks):
+        if len(members) == len(params.blocks):
+            params.grad.fill(0.0)
+        else:
+            for b in members:
+                b.grad.fill(0.0)
 
 
 @dataclass
@@ -98,18 +143,46 @@ class AdamConfig:
 
 
 def adam_step(blocks, cfg: AdamConfig):
-    """Bias-corrected Adam update over blocks; gradients are cleared."""
-    for b in blocks:
-        if not np.all(np.isfinite(b.grad)):
-            raise NonFiniteGradient(f"non-finite gradient in block '{b.name}'")
-        t = b.step_count + 1
-        b.adam_m[...] = cfg.beta1 * b.adam_m + (1.0 - cfg.beta1) * b.grad
-        b.adam_v[...] = cfg.beta2 * b.adam_v + (1.0 - cfg.beta2) * b.grad**2
-        m_hat = b.adam_m / (1.0 - cfg.beta1**t)
-        v_hat = b.adam_v / (1.0 - cfg.beta2**t)
-        b.values[...] = b.values - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
-        b.grad[...] = 0.0
-        b.step_count = t
+    """Bias-corrected Adam update over whole parameter sets; gradients are cleared.
+
+    `blocks` must hold every block of each set it touches. Each set is
+    updated in place on its flat vectors, with the operations of the
+    per-array update m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g**2,
+    x = x - lr (m / c1) / (sqrt(v / c2) + eps) in that order, so a set
+    gets the bits of stepping each of its blocks alone. A non-finite
+    gradient raises NonFiniteGradient naming the first bad block before
+    any set changes.
+    """
+    sets = _param_sets(blocks)
+    for params, members in sets:
+        if len(members) != len(params.blocks):
+            raise ValueError(
+                f"adam_step got {len(members)} of the {len(params.blocks)} blocks "
+                f"of the set holding '{members[0].name}'"
+            )
+    if not all(np.isfinite(params.grad).all() for params, _ in sets):
+        bad = next(b for b in blocks if not np.isfinite(b.grad).all())
+        raise NonFiniteGradient(f"non-finite gradient in block '{bad.name}'")
+    b1, b2 = cfg.beta1, cfg.beta2
+    for params, _ in sets:
+        t = params.step_count + 1
+        m, v, g = params.adam_m, params.adam_v, params.grad
+        tmp = g * (1.0 - b1)
+        m *= b1
+        m += tmp
+        np.square(g, out=tmp)
+        tmp *= 1.0 - b2
+        v *= b2
+        v += tmp
+        np.divide(v, 1.0 - b2**t, out=tmp)  # tmp: the denominator
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.eps
+        update = m / (1.0 - b1**t)
+        update *= cfg.lr
+        update /= tmp
+        params.values -= update
+        g.fill(0.0)
+        params.step_count = t
 
 
 # Steps per block of materialised gradient products. A batched backward sums
@@ -468,9 +541,10 @@ def block_state(blocks):
 def load_block_state(blocks, state, where):
     """Restore block contents in place from a state mapping.
 
-    A missing record, or one whose shape differs from the block's, raises
-    ValueError naming `where`.
+    A missing record, one whose shape differs from the block's, or blocks
+    of one set whose step counts disagree raise ValueError naming `where`.
     """
+    steps = {}
     for b in blocks:
         step = np.zeros((), dtype=np.int64)
         for suffix, target in (
@@ -484,6 +558,12 @@ def load_block_state(blocks, state, where):
                     f"{where}: {key} has shape {np.shape(state[key])}, expected {target.shape}"
                 )
             target[...] = state[key]
+        first = steps.setdefault(id(b.params), (b, int(step)))
+        if first[1] != int(step):
+            raise ValueError(
+                f"{where}: blocks of one set disagree on step_count: "
+                f"{first[0].name} is at {first[1]}, {b.name} at {int(step)}"
+            )
         b.step_count = int(step)
 
 

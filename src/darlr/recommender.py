@@ -14,6 +14,7 @@ import numpy as np
 from .nncore import (
     Linear,
     Mlp,
+    ParamSet,
     SeqEncoder,
     add_in_order,
     make_block,
@@ -41,15 +42,16 @@ class RecommenderAgent:
         self.encoder = SeqEncoder("rec/enc", d_model, window, seed, layers=layers)
         self.actor = Mlp("rec/actor", [d_model] + list(hidden) + [n_items], seed)
         self.critic = Mlp("rec/critic", [d_model] + list(hidden) + [1], seed)
-
-    def blocks(self):
-        return (
+        self.params = ParamSet(
             [self.emb_user, self.emb_item]
             + self.proj.blocks()
             + self.encoder.blocks()
             + self.actor.blocks()
             + self.critic.blocks()
         )
+
+    def blocks(self):
+        return list(self.params.blocks)
 
     def token_inputs(self, users, items=None, rewards=None):
         """Projection inputs [e_u, e_i, reward], one row per token; without

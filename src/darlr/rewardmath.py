@@ -30,24 +30,40 @@ class PenaltyCoeffs:
                 raise ValueError(f"{name} must be >= 0")
 
 
+def cosine_from_norms(a, b, na, nb) -> float:
+    """Cosine of 1-D rows `a` and `b` given their norms `na` and `nb`
+    (`np.linalg.norm` of each row), or 0 when either norm is 0: an
+    all-zero row scores 0, as `selector.candidate_pool` ranks it."""
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(min(max(a @ b / (na * nb), -1.0), 1.0))  # np.clip's value, faster on a scalar
+
+
+def _rows(rows):
+    """The rows as float arrays, and their norms."""
+    rows = [np.asarray(r, dtype=np.float64) for r in rows]
+    return rows, [np.linalg.norm(r) for r in rows]
+
+
 def cosine(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    (a, b), (na, nb) = _rows([a, b])
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine of a zero-norm vector is undefined")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
+    return cosine_from_norms(a, b, na, nb)
 
 
-def _gain_cosine(a, b) -> float:
-    """Cosine, or 0 for an all-zero row, as `selector.candidate_pool` ranks it."""
-    return cosine(a, b) if np.any(a) and np.any(b) else 0.0
+def mean_dissimilarity(cand, n_cand, rows, norms) -> float:
+    """Mean of 1 - cos of `cand` against each of `rows`, from their norms;
+    0 for no rows."""
+    if len(rows) == 0:
+        return 0.0
+    return float(np.mean([1.0 - cosine_from_norms(r, cand, n, n_cand) for r, n in zip(rows, norms)]))
 
 
 def similarity_gain(p_u, p_cand) -> float:
     """Cosine between the target user's preference row and a candidate's."""
-    return _gain_cosine(p_u, p_cand)
+    (a, b), (na, nb) = _rows([p_u, p_cand])
+    return cosine_from_norms(a, b, na, nb)
 
 
 def diversity_gain(cand, selected) -> float:
@@ -55,9 +71,8 @@ def diversity_gain(cand, selected) -> float:
 
     Zero by definition when nothing has been selected yet.
     """
-    if len(selected) == 0:
-        return 0.0
-    return float(np.mean([1.0 - _gain_cosine(row, cand) for row in selected]))
+    (cand,), (n_cand,) = _rows([cand])
+    return mean_dissimilarity(cand, n_cand, *_rows(selected))
 
 
 def intrinsic_reward(r_hat: float, g: GainPair, c: PenaltyCoeffs) -> float:

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rewardmath as rm
-from .nncore import Linear, Mlp, SeqEncoder, replay_backward, replay_forward, softmax_policy
+from .nncore import (
+    Linear, Mlp, ParamSet, SeqEncoder, replay_backward, replay_forward, softmax_policy,
+)
 
 
 @dataclass
@@ -63,9 +65,12 @@ class SelectorAgent:
         self.encoder = SeqEncoder("sel/enc", self.d_state, window, seed, layers=layers)
         self.actor = Mlp("sel/actor", [self.d_state] + list(hidden) + [pool_size], seed)
         self.critic = Mlp("sel/critic", [self.d_state] + list(hidden) + [1], seed)
+        self.params = ParamSet(
+            self.proj.blocks() + self.encoder.blocks() + self.actor.blocks() + self.critic.blocks()
+        )
 
     def blocks(self):
-        return self.proj.blocks() + self.encoder.blocks() + self.actor.blocks() + self.critic.blocks()
+        return list(self.params.blocks)
 
     def token(self, s_rec, p_row):
         t, _ = self.proj.forward(np.concatenate([s_rec, p_row]))
@@ -75,13 +80,13 @@ class SelectorAgent:
 def candidate_pool(u, matrix, C):
     """Top-C users by preference-row cosine to user u, ids ascending on ties.
 
-    The current user is excluded; recomputed once per recommendation step.
+    The current user is excluded; recomputed once per recommendation step
+    from the matrix's cached row norms.
     """
     rows = matrix.current
     n = rows.shape[0]
     p_u = rows[u]
-    norms = np.linalg.norm(rows, axis=1)
-    sims = rows @ p_u / (np.maximum(norms, 1e-30) * max(np.linalg.norm(p_u), 1e-30))
+    sims = rows @ p_u / (np.maximum(matrix.row_norms, 1e-30) * max(np.linalg.norm(p_u), 1e-30))
     ids = np.delete(np.arange(n), u)
     sims = sims[ids]
     order = np.lexsort((ids, -sims))
@@ -132,6 +137,8 @@ def run_selection(
     ep.tokens.append(state)
     available = np.ones(agent.pool_size, dtype=bool)
     available[len(pool) :] = False
+    coeffs = rm.PenaltyCoeffs(0.0, 0.0, lambda_s, lambda_d)
+    n_u, norms = np.linalg.norm(ep.p_u), []  # norms[t]: of p_rows[t]
     running_sum = 0.0
     for t in range(k_sel):
         logits, _ = agent.actor.forward(state)
@@ -139,17 +146,17 @@ def run_selection(
         slot, _, _ = softmax_policy(logits, mask=available, rng=rng)
         cand = int(pool[slot])
         p_cand = matrix.current[cand].copy()
-        sim = rm.similarity_gain(ep.p_u, p_cand)
-        div = rm.diversity_gain(p_cand, ep.p_rows)
+        n_cand = np.linalg.norm(p_cand)
+        sim = rm.cosine_from_norms(ep.p_u, p_cand, n_u, n_cand)
+        div = rm.mean_dissimilarity(p_cand, n_cand, ep.p_rows, norms)
         ref = float(matrix.current[cand, i_t])
         running_sum += ref
         prefix_mean = running_sum / (t + 1)
-        reward = rm.intrinsic_reward(
-            prefix_mean, rm.GainPair(sim, div), rm.PenaltyCoeffs(0.0, 0.0, lambda_s, lambda_d)
-        )
+        reward = rm.intrinsic_reward(prefix_mean, rm.GainPair(sim, div), coeffs)
         ep.slots.append(slot)
         ep.selected.append(cand)
         ep.p_rows.append(p_cand)
+        norms.append(n_cand)
         ep.values.append(float(value[0]))
         ep.sims.append(sim)
         ep.divs.append(div)

@@ -21,6 +21,7 @@ from .config import ConfigError, config_from_dict
 from .nncore import (
     AdamConfig,
     Mlp,
+    ParamSet,
     adam_step,
     atomic_open,
     block_state,
@@ -89,9 +90,10 @@ class WorldModelMember:
             )
         n_in = len(self.fields) * d_emb
         self.head = Mlp(f"wm{index}/head", [n_in] + list(hidden) + [2], seed)
+        self.params = ParamSet(self.embeddings + self.head.blocks())
 
     def blocks(self):
-        return self.embeddings + self.head.blocks()
+        return list(self.params.blocks)
 
     def _field_indices(self, u_idx, i_idx):
         out = []

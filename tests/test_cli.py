@@ -490,6 +490,27 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.strip().splitlines() == [f"error: {frag}: missing record {record}"]
 
+    def test_step_counts_that_disagree_name_the_file(self, workspace, trained_bundle, tmp_path,
+                                                     capsys):
+        # an agent's blocks share one Adam step count; a record that says
+        # otherwise is a damaged file, not a state to restore
+        bundle = tmp_path / "steps"
+        shutil.copytree(trained_bundle, bundle)
+        frag = bundle / "recommender.frag"
+        _, records = read_checkpoint(frag)
+        steps = int(records["rec/emb_user:step_count"])
+        records["rec/actor/L0/W:step_count"] = np.int64(steps + 4)
+        write_checkpoint(frag, [], records)
+        rc = cli.main(["eval", "--bundle", str(bundle), "--data", workspace["data"],
+                       "--episodes", "5", "--seed", "3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: {frag}: blocks of one set disagree on step_count: "
+            f"rec/emb_user is at {steps}, rec/actor/L0/W at {steps + 4}"
+        ]
+
     def test_missing_world_model_record_names_the_file(self, workspace, tmp_path, capsys):
         wm = tmp_path / "wm.ckpt"
         header, records = read_checkpoint(workspace["wm"], header_lines=2)

@@ -98,6 +98,18 @@ class TestShapedRewardMatrix:
         m.write(0, 0, -3.0)
         assert m.current[0, 0] == 0.0
 
+    @pytest.mark.parametrize("shape", [(1, 1), (9, 5), (50, 40), (300, 257)])
+    def test_row_norms_equal_a_fresh_recompute(self, shape):
+        # candidate_pool ranks by the cached norms: they must stay the bits
+        # of the full axis=1 reduction, all-zero rows included
+        rng = rng_stream(3, "norms", *shape)
+        current = rng.random(shape)
+        current[:: max(1, shape[0] // 3)] = 0.0
+        m = engine.ShapedRewardMatrix(current, 0.0, 1.0)
+        for _ in range(400):
+            m.write(int(rng.integers(shape[0])), int(rng.integers(shape[1])), rng.uniform(-0.2, 1.2))
+        assert np.array_equal(m.row_norms, np.linalg.norm(m.current, axis=1))
+
 
 class TestEnvStep:
     cats = np.array([1, 2, 3, 4, 5, 2])
@@ -590,6 +602,19 @@ class TestTrain:
         assert modes.count("train") == result.steps_total
         assert set(modes) == {"train", "eval"}
 
+    def test_adam_steps_twice_per_trajectory(self, tiny_dataset, tiny_wm, monkeypatch):
+        # perfbench counts engine.adam_step through this module global
+        stepped = []
+        adam_step = engine.adam_step
+
+        def counting_adam_step(blocks, cfg):
+            stepped.append(blocks[0].name.split("/")[0])
+            return adam_step(blocks, cfg)
+
+        monkeypatch.setattr(engine, "adam_step", counting_adam_step)
+        engine.train(tiny_dataset, tiny_wm, smoke_settings(epochs=2, trajectories_per_epoch=3))
+        assert stepped == ["rec", "sel"] * 6
+
     def test_budget_bounds_sampling(self, tiny_dataset, tiny_wm):
         result = engine.train(
             tiny_dataset, tiny_wm,
@@ -781,7 +806,31 @@ class TestLockstepEvaluation:
             engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, episodes, 1)
 
 
+def assert_views_of_flat_vectors(owner):
+    """Each block's four arrays are views into its owner's flat vectors, in
+    block order, so that Adam and zero_grads on the vectors reach them."""
+    params, lo = owner.params, 0
+    for b in owner.blocks():
+        assert b.params is params, b.name
+        for attr in ("values", "grad", "adam_m", "adam_v"):
+            arr, flat = getattr(b, attr), getattr(params, attr)
+            assert arr.base is flat, (b.name, attr)
+            assert arr.ctypes.data == flat.ctypes.data + lo * flat.itemsize, (b.name, attr)
+        lo += b.values.size
+    assert lo == params.values.size
+
+
 class TestBundle:
+    def test_blocks_alias_flat_vectors_after_train_and_load(
+        self, tiny_dataset, tiny_wm, smoke_run, tmp_path
+    ):
+        engine.save_bundle(tmp_path / "b", smoke_run, tiny_wm)
+        loaded = engine.load_bundle(tmp_path / "b", tiny_dataset)
+        for owner in (smoke_run.rec_agent, smoke_run.sel_agent, loaded["rec_agent"],
+                      loaded["sel_agent"], *tiny_wm.members):
+            assert_views_of_flat_vectors(owner)
+        assert loaded["rec_agent"].params.step_count == smoke_run.rec_agent.params.step_count == 10
+
     def test_round_trip_and_resumed_evaluation(self, tiny_dataset, tiny_wm, smoke_run, tmp_path):
         engine.save_bundle(tmp_path / "b", smoke_run, tiny_wm)
         loaded = engine.load_bundle(tmp_path / "b", tiny_dataset)

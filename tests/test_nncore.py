@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from darlr import nncore as nn
+from darlr.recommender import RecommenderAgent
+from darlr.selector import SelectorAgent
+from darlr.worldmodel import WorldModelMember
 
 
 def test_rng_stream_stable_and_distinct():
@@ -473,6 +476,85 @@ class TestAdam:
         b.grad[...] = [np.nan, 0.0]
         with pytest.raises(nn.NonFiniteGradient, match="layer7/bias"):
             nn.adam_step([b], nn.AdamConfig())
+
+    def test_nonfinite_gradient_names_first_bad_block_of_a_set(self):
+        m = nn.Mlp("m", [3, 4, 4, 2], seed=1)
+        params = nn.ParamSet(m.blocks())
+        other = nn.make_block("other", (3,))
+        params.grad[...] = 0.5
+        other.grad[...] = 0.5
+        m.layers[2].w.grad[1, 0] = np.inf
+        m.layers[1].b.grad[2] = np.nan
+        before = params.values.copy()
+        with pytest.raises(nn.NonFiniteGradient, match="^non-finite gradient in block 'm/L1/b'$"):
+            nn.adam_step([other] + m.blocks(), nn.AdamConfig())
+        # no set moved, the sound one included
+        assert np.array_equal(params.values, before)
+        assert np.all(other.values == 0.0) and other.step_count == 0
+        assert params.step_count == 0
+
+    def test_partial_set_rejected(self):
+        params = nn.ParamSet(nn.Mlp("m", [2, 3, 1], seed=0).blocks())
+        with pytest.raises(ValueError, match="got 3 of the 4 blocks of the set holding 'm/L0/b'"):
+            nn.adam_step(params.blocks[1:], nn.AdamConfig())
+
+    def test_zero_grads_clears_only_the_given_blocks(self):
+        params = nn.ParamSet(nn.Mlp("m", [2, 3, 1], seed=0).blocks())
+        params.grad[...] = 1.0
+        nn.zero_grads(params.blocks[:2])
+        assert [bool(np.all(b.grad == 0.0)) for b in params.blocks] == [True, True, False, False]
+        nn.zero_grads(params.blocks)
+        assert np.all(params.grad == 0.0)
+
+
+def reference_adam_step(state, cfg):
+    """The per-block Adam update that flat parameter sets replaced, kept as
+    the reference they must reproduce bit for bit: each block's arrays are
+    updated alone, by one expression each."""
+    for s in state.values():
+        t = s["t"] + 1
+        s["m"] = cfg.beta1 * s["m"] + (1.0 - cfg.beta1) * s["grad"]
+        s["v"] = cfg.beta2 * s["v"] + (1.0 - cfg.beta2) * s["grad"] ** 2
+        m_hat = s["m"] / (1.0 - cfg.beta1**t)
+        v_hat = s["v"] / (1.0 - cfg.beta2**t)
+        s["values"] = s["values"] - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        s["t"] = t
+
+
+def make_owner(kind, d):
+    if kind == "recommender":
+        return RecommenderAgent(d.n_users, d.n_items, 4, 8, 3, seed=1, hidden=(6,))
+    if kind == "selector":
+        return SelectorAgent(d.n_items, 8, 4, 6, 3, seed=2, layers=2, hidden=(6,))
+    return WorldModelMember(d.users, d.items, 4, (6,), seed=3, index=0)
+
+
+@pytest.mark.parametrize("kind", ["recommender", "selector", "wm_member"])
+def test_flat_adam_equals_per_block_reference(kind, tiny_dataset):
+    owner = make_owner(kind, tiny_dataset)
+    blocks = owner.blocks()
+    cfg = nn.AdamConfig(lr=3e-3)
+    ref = {
+        b.name: {"values": b.values.copy(), "m": b.adam_m.copy(), "v": b.adam_v.copy(), "t": 0}
+        for b in blocks
+    }
+    rng = nn.rng_stream(4, "grads", kind)
+    for _ in range(6):
+        for b in blocks:
+            # magnitudes from 1e-8 to 10, both signs, some exact zeros
+            g = rng.choice([-1.0, 0.0, 1.0, 1.0], size=b.values.shape)
+            g *= 10.0 ** rng.uniform(-8.0, 1.0, size=b.values.shape)
+            b.grad[...] = g
+            ref[b.name]["grad"] = g
+        nn.adam_step(blocks, cfg)
+        reference_adam_step(ref, cfg)
+        for b in blocks:
+            r = ref[b.name]
+            assert np.array_equal(b.values, r["values"]), b.name
+            assert np.array_equal(b.adam_m, r["m"]), b.name
+            assert np.array_equal(b.adam_v, r["v"]), b.name
+            assert b.step_count == r["t"]
+    assert np.all(owner.params.grad == 0.0)
 
 
 class TestFragments:

@@ -28,6 +28,46 @@ class TestCosine:
             assert -1.0 <= rm.cosine(a, b) <= 1.0
 
 
+def clipped_cosine(a, b):
+    """The two-norm cosine that the gains computed before norms were passed in."""
+    return float(np.clip(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)), -1.0, 1.0))
+
+
+class TestCosineFromNorms:
+    def test_bits_of_the_clipped_cosine(self):
+        rng = rng_stream(7, "kernel")
+        for k in range(300):
+            a = rng.random(40) if k % 2 else rng.normal(size=40)
+            b = a * rng.uniform(0.5, 3.0) if k % 3 == 0 else rng.normal(size=40)  # near +-1 too
+            b = -b if k % 5 == 0 else b
+            got = rm.cosine_from_norms(a, b, np.linalg.norm(a), np.linalg.norm(b))
+            assert got == clipped_cosine(a, b) == rm.cosine(a, b)
+
+    @pytest.mark.parametrize("zero", ["a", "b", "both"])
+    def test_all_zero_row_scores_zero(self, zero):
+        row = np.array([0.2, 0.5, 0.3])
+        a = np.zeros(3) if zero in ("a", "both") else row
+        b = np.zeros(3) if zero in ("b", "both") else row
+        assert rm.cosine_from_norms(a, b, np.linalg.norm(a), np.linalg.norm(b)) == 0.0
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 4, 9, 17])
+    def test_mean_dissimilarity_bits(self, n_rows):
+        # past eight rows numpy's mean sums pairwise; the kernel keeps its order
+        rng = rng_stream(8, "dissim", n_rows)
+        cand = rng.random(30)
+        rows = list(rng.random((n_rows, 30)))
+        if n_rows:
+            rows[0] = np.zeros(30)
+        want = float(np.mean([1.0 - (clipped_cosine(r, cand) if r.any() else 0.0) for r in rows])) \
+            if rows else 0.0
+        got = rm.mean_dissimilarity(cand, np.linalg.norm(cand), rows, [np.linalg.norm(r) for r in rows])
+        assert got == want == rm.diversity_gain(cand, rows)
+
+    def test_all_zero_candidate_is_one_from_every_row(self):
+        rows = [np.array([0.4, 0.1, 0.5]), np.zeros(3)]
+        assert rm.mean_dissimilarity(np.zeros(3), 0.0, rows, [np.linalg.norm(r) for r in rows]) == 1.0
+
+
 class TestSimilarityGain:
     def test_identical_rows(self):
         row = np.array([0.2, 0.5, 0.3])

@@ -156,12 +156,8 @@ class TestRunSelection:
             5, 7, self.s_rec, self.matrix, self.agent, 5, self.lambda_s, self.lambda_d, rng
         )
         for t in range(5):
-            assert ep.divs[t] == pytest.approx(
-                rm.diversity_gain(ep.p_rows[t], ep.p_rows[:t]), abs=1e-12
-            )
-            assert ep.sims[t] == pytest.approx(
-                rm.similarity_gain(ep.p_u, ep.p_rows[t]), abs=1e-12
-            )
+            assert ep.divs[t] == rm.diversity_gain(ep.p_rows[t], ep.p_rows[:t])
+            assert ep.sims[t] == rm.similarity_gain(ep.p_u, ep.p_rows[t])
 
     def test_scripted_replay_of_same_rng_stream(self):
         seed_tag = (9, "replay")
