@@ -121,13 +121,8 @@ def make_block(name, shape, rng=None, fan=None):
 
 
 def zero_grads(blocks):
-    """Clear the gradients of `blocks`: one fill for each whole set."""
-    for params, members in _param_sets(blocks):
-        if len(members) == len(params.blocks):
-            params.grad.fill(0.0)
-        else:
-            for b in members:
-                b.grad.fill(0.0)
+    for b in blocks:
+        b.grad[...] = 0.0
 
 
 @dataclass

@@ -39,14 +39,11 @@ def cosine_from_norms(a, b, na, nb) -> float:
     return float(min(max(a @ b / (na * nb), -1.0), 1.0))  # np.clip's value, faster on a scalar
 
 
-def _rows(rows):
-    """The rows as float arrays, and their norms."""
-    rows = [np.asarray(r, dtype=np.float64) for r in rows]
-    return rows, [np.linalg.norm(r) for r in rows]
-
-
 def cosine(a, b) -> float:
-    (a, b), (na, nb) = _rows([a, b])
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise ValueError("cosine of a zero-norm vector is undefined")
     return cosine_from_norms(a, b, na, nb)
@@ -62,8 +59,9 @@ def mean_dissimilarity(cand, n_cand, rows, norms) -> float:
 
 def similarity_gain(p_u, p_cand) -> float:
     """Cosine between the target user's preference row and a candidate's."""
-    (a, b), (na, nb) = _rows([p_u, p_cand])
-    return cosine_from_norms(a, b, na, nb)
+    a = np.asarray(p_u, dtype=np.float64)
+    b = np.asarray(p_cand, dtype=np.float64)
+    return cosine_from_norms(a, b, np.linalg.norm(a), np.linalg.norm(b))
 
 
 def diversity_gain(cand, selected) -> float:
@@ -71,8 +69,9 @@ def diversity_gain(cand, selected) -> float:
 
     Zero by definition when nothing has been selected yet.
     """
-    (cand,), (n_cand,) = _rows([cand])
-    return mean_dissimilarity(cand, n_cand, *_rows(selected))
+    cand = np.asarray(cand, dtype=np.float64)
+    rows = [np.asarray(r, dtype=np.float64) for r in selected]
+    return mean_dissimilarity(cand, np.linalg.norm(cand), rows, [np.linalg.norm(r) for r in rows])
 
 
 def intrinsic_reward(r_hat: float, g: GainPair, c: PenaltyCoeffs) -> float:
