@@ -143,7 +143,7 @@ def cmd_eval(args):
         d = ds.load_dataset(args.data)
     except ds.DatasetError as exc:
         raise CliError(str(exc), code=2)
-    bundle = engine.load_bundle(args.bundle, d)
+    bundle = engine.load_policy(args.bundle, d)
     report = engine.evaluate(
         bundle["rec_agent"], d, bundle["matrix"], args.episodes, args.seed,
         greedy=bundle["settings"].eval_greedy,

@@ -8,10 +8,13 @@ truth.csv, and manifest.json declaring the feedback range.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -28,6 +31,12 @@ class DatasetError(ValueError):
 
 # One logged interaction per element; a log is always sorted by (user_id, step).
 LOG_DTYPE = [("user_id", "<i8"), ("item_id", "<i8"), ("feedback", "<f8"), ("step", "<i8")]
+
+# Lines of truth.csv parsed at a time: loading holds the dense matrix plus
+# one chunk's rows, never a full-size table of (user, item, feedback) records.
+_TRUTH_CHUNK = 4096
+# Log records rendered to text at a time by content_hash.
+_HASH_CHUNK = 4096
 
 
 @dataclass
@@ -222,15 +231,11 @@ def save_dataset(d: Dataset, dir_path):
         fh.write("\n")
 
 
-def _read_table(path, expect_prefix, dtype):
-    """The rows below a CSV header; any fault is a DatasetError naming the file.
-
-    A structured dtype reads just its leading columns; a plain dtype reads
-    every column, and the rows must be as wide as the header.
-    """
+@contextlib.contextmanager
+def _open_table(path, expect_prefix):
+    """The open CSV file, just below its checked header, and the header's fields."""
     if not path.exists():
         raise DatasetError(f"missing file: {path.name}")
-    names = np.dtype(dtype).names
     with open(path, newline="") as fh:
         line = fh.readline()
         if not line:
@@ -238,17 +243,37 @@ def _read_table(path, expect_prefix, dtype):
         header = next(csv.reader([line]))
         if header[: len(expect_prefix)] != expect_prefix:
             raise DatasetError(f"{path.name}: header must start with {expect_prefix}")
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is the caller's error ("empty log", "no users")
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(
-                    fh, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                    usecols=range(len(names)) if names else None, ndmin=1 if names else 2,
-                )
-        except ValueError as exc:  # numpy's hint names a loadtxt argument: drop it
-            raise DatasetError(f"{path.name}: {str(exc).split('; use `usecols`')[0]}") from None
-    if not names and len(rows) and rows.shape[1] != len(header):
+        yield fh, header
+
+
+def _parse_rows(name, lines, dtype, rows_before=0):
+    """CSV lines (an open file or an iterator of lines) as an array; a fault
+    is a DatasetError naming the file.
+
+    A structured dtype reads just its leading columns; a plain dtype reads
+    every column. An error's row number counts `rows_before` rows already read.
+    """
+    names = np.dtype(dtype).names
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is the caller's error ("empty log", "no users")
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(
+                lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                usecols=range(len(names)) if names else None, ndmin=1 if names else 2,
+            )
+    except ValueError as exc:  # numpy's hint names a loadtxt argument: drop it
+        msg = str(exc).split("; use `usecols`")[0]
+        msg = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + rows_before), msg)
+        raise DatasetError(f"{name}: {msg}") from None
+
+
+def _read_table(path, expect_prefix, dtype):
+    """The rows below a CSV header, read at once; rows of a plain dtype must
+    be as wide as the header."""
+    with _open_table(path, expect_prefix) as (fh, header):
+        rows = _parse_rows(path.name, fh, dtype)
+    if not np.dtype(dtype).names and len(rows) and rows.shape[1] != len(header):
         raise DatasetError(f"{path.name}: {rows.shape[1]} fields in a row, {len(header)} in the header")
     return rows
 
@@ -279,6 +304,44 @@ def _dense_ids(name, rows, user_ids, item_ids):
     return u, i
 
 
+def _read_log(path, user_ids, item_ids, r_min, r_max):
+    """The checked log of interactions.csv, in dense ids, sorted by (user_id, step)."""
+    log = _read_table(path, ["user_id", "item_id", "feedback", "step"], LOG_DTYPE)
+    if not len(log):
+        raise DatasetError("empty log")
+    users, items = _dense_ids(path.name, log, user_ids, item_ids)
+    fb = log["feedback"]
+    bad = np.flatnonzero(~((r_min - 1e-12 <= fb) & (fb <= r_max + 1e-12)))
+    if len(bad):
+        fb = float(fb[bad[0]])
+        raise DatasetError(f"{path.name}: feedback {fb} outside [{r_min},{r_max}]")
+    # equal triples are adjacent in this stable order; name the first row that repeats one
+    order = np.lexsort((log["step"], items, users))
+    triples = np.stack([users[order], items[order], log["step"][order]], axis=1)
+    repeats = order[1:][(triples[1:] == triples[:-1]).all(axis=1)]
+    if len(repeats):
+        j = repeats.min()
+        key = (int(log["user_id"][j]), int(log["item_id"][j]), int(log["step"][j]))
+        raise DatasetError(f"{path.name}: duplicate (user,item,step) {key}")
+    log["user_id"], log["item_id"] = users, items
+    return log[np.lexsort((log["step"], users))]
+
+
+def _read_truth(path, user_ids, item_ids):
+    """The dense truth matrix, filled from `_TRUTH_CHUNK` lines of truth.csv at a time."""
+    truth = np.full((len(user_ids), len(item_ids)), np.nan)
+    with _open_table(path, ["user_id", "item_id", "feedback"]) as (fh, _):
+        done = 0
+        while line := next(fh, ""):  # each chunk is this line and the ones after it
+            chunk = itertools.chain([line], itertools.islice(fh, _TRUTH_CHUNK - 1))
+            rows = _parse_rows(path.name, chunk, LOG_DTYPE[:3], done)
+            truth[_dense_ids(path.name, rows, user_ids, item_ids)] = rows["feedback"]
+            done += len(rows)
+    if np.isnan(truth).any():
+        raise DatasetError(f"{path.name}: matrix is not dense")
+    return truth
+
+
 def load_dataset(dir_path) -> Dataset:
     """Load and validate the CSV layout; ids re-indexed densely."""
     root = Path(dir_path)
@@ -297,34 +360,9 @@ def load_dataset(dir_path) -> Dataset:
     items_csv = _read_table(root / "items.csv", ["item_id", "category"], np.int64)
     item_ids, (categories, *item_codes) = _catalog(items_csv, "items.csv", "item", 2)
 
-    log = _read_table(root / "interactions.csv", ["user_id", "item_id", "feedback", "step"], LOG_DTYPE)
-    if not len(log):
-        raise DatasetError("empty log")
-    users, items = _dense_ids("interactions.csv", log, user_ids, item_ids)
-    fb = log["feedback"]
-    bad = np.flatnonzero(~((r_min - 1e-12 <= fb) & (fb <= r_max + 1e-12)))
-    if len(bad):
-        fb = float(fb[bad[0]])
-        raise DatasetError(f"interactions.csv: feedback {fb} outside [{r_min},{r_max}]")
-    # equal triples are adjacent in this stable order; name the first row that repeats one
-    order = np.lexsort((log["step"], items, users))
-    triples = np.stack([users[order], items[order], log["step"][order]], axis=1)
-    repeats = order[1:][(triples[1:] == triples[:-1]).all(axis=1)]
-    if len(repeats):
-        j = repeats.min()
-        key = (int(log["user_id"][j]), int(log["item_id"][j]), int(log["step"][j]))
-        raise DatasetError(f"interactions.csv: duplicate (user,item,step) {key}")
-    log["user_id"], log["item_id"] = users, items
-    log = log[np.lexsort((log["step"], users))]
-
-    truth = None
+    log = _read_log(root / "interactions.csv", user_ids, item_ids, r_min, r_max)
     truth_path = root / "truth.csv"
-    if truth_path.exists():
-        rows = _read_table(truth_path, ["user_id", "item_id", "feedback"], LOG_DTYPE[:3])
-        truth = np.full((len(user_ids), len(item_ids)), np.nan)
-        truth[_dense_ids("truth.csv", rows, user_ids, item_ids)] = rows["feedback"]
-        if np.isnan(truth).any():
-            raise DatasetError("truth.csv: matrix is not dense")
+    truth = _read_truth(truth_path, user_ids, item_ids) if truth_path.exists() else None
 
     return Dataset(
         train_log=log,
@@ -341,15 +379,22 @@ def load_dataset(dir_path) -> Dataset:
 
 
 def content_hash(d: Dataset) -> str:
-    """Stable hash of the dataset contents (used by checkpoint manifests)."""
+    """Stable hash of the dataset contents (used by checkpoint manifests).
+
+    The log goes in as the text "{u},{i},{fb!r},{step}" of each record,
+    `_HASH_CHUNK` records at a time; the arrays as their little-endian
+    int64 and float64 bytes, hashed in place where they already are such.
+    """
     h = hashlib.sha256()
     h.update(f"{d.n_users},{d.n_items},{d.r_min!r},{d.r_max!r}".encode())
-    h.update(d.users.features.astype("<i8").tobytes())
-    h.update(d.items.primary_category.astype("<i8").tobytes())
-    h.update(d.items.features.astype("<i8").tobytes())
-    h.update("".join(f"{u},{i},{fb!r},{step}" for u, i, fb, step in d.train_log.tolist()).encode())
+    for codes in (d.users.features, d.items.primary_category, d.items.features):
+        h.update(np.ascontiguousarray(codes, dtype="<i8"))
+    log = d.train_log
+    for lo in range(0, len(log), _HASH_CHUNK):
+        records = log[lo : lo + _HASH_CHUNK].tolist()
+        h.update("".join(f"{u},{i},{fb!r},{step}" for u, i, fb, step in records).encode())
     if d.truth_matrix is not None:
-        h.update(d.truth_matrix.astype("<f8").tobytes())
+        h.update(np.ascontiguousarray(d.truth_matrix, dtype="<f8"))
     return h.hexdigest()
 
 

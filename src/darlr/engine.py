@@ -56,18 +56,27 @@ _VARIANT_GAINS = {
 }
 
 
+_NORM_BLOCK = 64  # matrix rows per norm call when the row norms are first built
+
+
 class ShapedRewardMatrix:
     """Mutable reward-estimate matrix, clipped to [r_min, r_max].
 
-    `row_norms` caches `np.linalg.norm(current, axis=1)`; `write` keeps it
-    current, so write through it only.
+    The matrix takes `current` over: a float64 array is used in place, not
+    copied. `row_norms` caches `np.linalg.norm(current, axis=1)`; `write`
+    keeps it current, so write through it only.
     """
 
     def __init__(self, current, r_min, r_max):
-        self.current = np.array(current, dtype=np.float64)
+        self.current = np.asarray(current, dtype=np.float64)
         self.r_min = float(r_min)
         self.r_max = float(r_max)
-        self.row_norms = np.linalg.norm(self.current, axis=1)
+        # blocks of rows bound the norm's temporaries; each row reduces as in one call
+        self.row_norms = np.empty(len(self.current))
+        for lo in range(0, len(self.current), _NORM_BLOCK):
+            self.row_norms[lo : lo + _NORM_BLOCK] = np.linalg.norm(
+                self.current[lo : lo + _NORM_BLOCK], axis=1
+            )
 
     def write(self, u, i, value):
         """Store `value`, clipped, at (u, i) and return the pre-write value."""
@@ -92,7 +101,6 @@ class RewardParts:
 @dataclass
 class Transition:
     action: int
-    logprob: float
     reward: float
     value: float
     track_reward: float
@@ -203,16 +211,22 @@ def pool_width(settings: TrainSettings, n_users: int) -> int:
     return min(n_users - 1, settings.candidate_pool)
 
 
-def build_agents(d: ds.Dataset, settings: TrainSettings):
-    rec_agent = rec.RecommenderAgent(
+def _build_recommender(d: ds.Dataset, settings: TrainSettings):
+    return rec.RecommenderAgent(
         d.n_users, d.n_items, settings.d_emb, settings.d_model, settings.w_rec,
         settings.seed, layers=settings.encoder_layers, hidden=settings.hidden,
     )
-    sel_agent = sel.SelectorAgent(
+
+
+def _build_selector(d: ds.Dataset, settings: TrainSettings):
+    return sel.SelectorAgent(
         d.n_items, settings.d_model, settings.d_pref, pool_width(settings, d.n_users),
         settings.w_sel, settings.seed, layers=settings.encoder_layers, hidden=settings.hidden,
     )
-    return rec_agent, sel_agent
+
+
+def build_agents(d: ds.Dataset, settings: TrainSettings):
+    return _build_recommender(d, settings), _build_selector(d, settings)
 
 
 # --- environment -------------------------------------------------------------
@@ -316,7 +330,7 @@ def rollout_trajectory(ctx: TrainContext, u):
     episodes = []
 
     def step(rows, states, z, cats, t):
-        items, probs = sample_rows(z, [ctx.rng])
+        items, _ = sample_rows(z, [ctx.rng])
         item, state, recent_cats = int(items[0]), states[0], cats[0]
         if gains is None:  # frozen-matrix variant: no selection, no write-back
             r_hat = r_prev = float(matrix.current[u, item])
@@ -342,8 +356,7 @@ def rollout_trajectory(ctx: TrainContext, u):
         base_r, done, reason = env_step(u, item, t, "train", matrix, None, recent_cats, item_cats)
         value, _ = ctx.rec_agent.critic.forward(state)
         traj.transitions.append(Transition(
-            action=item, logprob=float(np.log(probs[0, item])),
-            reward=rm.recommender_reward(parts.r_hat, parts.p_u, parts.p_e, st.coeffs),
+            action=item, reward=rm.recommender_reward(parts.r_hat, parts.p_u, parts.p_e, st.coeffs),
             value=float(value[0]), track_reward=base_r, parts=parts, done=done,
             done_reason=reason,
         ))
@@ -721,10 +734,16 @@ def save_bundle(dir_path, result: TrainResult, wm: wmod.WorldModelEnsemble):
         shutil.rmtree(stage)
 
 
-def load_bundle(dir_path, d: ds.Dataset):
-    """Rebuild settings, agents and matrix from a bundle directory.
+def _load_agent(agent, path):
+    with open(path, "rb") as fh:
+        load_block_state(agent.blocks(), read_fragment(fh), path)
+    return agent
 
-    The bundle's `worldmodel.ckpt` is not read; `load_world_model` loads it.
+
+def load_policy(dir_path, d: ds.Dataset):
+    """Rebuild what evaluation uses from a bundle: settings, recommender, matrix.
+
+    The bundle's `selector.frag` and `worldmodel.ckpt` are not read.
     Of `matrix.frag` only `matrix:current` and `matrix:range` are read; the
     write history that bundles of earlier versions also hold is ignored.
     """
@@ -739,10 +758,7 @@ def load_bundle(dir_path, d: ds.Dataset):
         raise ValueError(f"{path}: settings do not match its config_hash")
     if config["dataset_hash"] != ds.content_hash(d):
         raise ValueError("bundle was trained on a different dataset (hash mismatch)")
-    rec_agent, sel_agent = build_agents(d, settings)
-    for agent, name in ((rec_agent, "recommender.frag"), (sel_agent, "selector.frag")):
-        with open(root / name, "rb") as fh:
-            load_block_state(agent.blocks(), read_fragment(fh), root / name)
+    rec_agent = _load_agent(_build_recommender(d, settings), root / "recommender.frag")
     frag = root / "matrix.frag"
     with open(frag, "rb") as fh:
         state = read_fragment(fh)
@@ -758,4 +774,15 @@ def load_bundle(dir_path, d: ds.Dataset):
     if bounds.shape != (2,):
         raise ValueError(f"{frag}: matrix:range has shape {bounds.shape}, expected (2,)")
     matrix = ShapedRewardMatrix(current, bounds[0], bounds[1])
-    return {"settings": settings, "rec_agent": rec_agent, "sel_agent": sel_agent, "matrix": matrix}
+    return {"settings": settings, "rec_agent": rec_agent, "matrix": matrix}
+
+
+def load_bundle(dir_path, d: ds.Dataset):
+    """`load_policy` plus the selector agent, under "sel_agent".
+
+    The bundle's `worldmodel.ckpt` is not read; `load_world_model` loads it.
+    """
+    loaded = load_policy(dir_path, d)
+    selector = _build_selector(d, loaded["settings"])
+    loaded["sel_agent"] = _load_agent(selector, Path(dir_path) / "selector.frag")
+    return loaded

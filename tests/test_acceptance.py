@@ -122,7 +122,7 @@ def test_criterion_2_gradient_correctness():
         for i, item in enumerate(items):
             traj.transitions.append(
                 engine.Transition(
-                    action=int(item), logprob=-1.0,
+                    action=int(item),
                     reward=float(rngs.random()), value=float(rngs.normal() * 0.3),
                     track_reward=float(rngs.random()), parts=None,
                     done=i == 2, done_reason="max_length" if i == 2 else None,
@@ -267,13 +267,13 @@ def test_criterion_6_policy_gradient_sanity():
             traj = engine.Trajectory(user=0)
 
             def pull(rows, states, z, cats, t):
-                items, probs = sample_rows(z, [rng])
+                items, _ = sample_rows(z, [rng])
                 item = int(items[0])
                 value, _ = agent.critic.forward(states[0])
                 r = 1.0 if item == target else 0.0
                 traj.transitions.append(
                     engine.Transition(
-                        action=item, logprob=float(np.log(probs[0, item])), reward=r,
+                        action=item, reward=r,
                         value=float(value[0]), track_reward=r, parts=None, done=True,
                         done_reason="max_length",
                     )

@@ -392,6 +392,18 @@ class TestEval:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_reads_neither_selector_nor_world_model(self, workspace, trained_bundle, tmp_path,
+                                                    capsys):
+        bundle = tmp_path / "policy-only"
+        shutil.copytree(trained_bundle, bundle)
+        (bundle / "selector.frag").unlink()
+        (bundle / "worldmodel.ckpt").unlink()
+        args = ["--data", workspace["data"], "--episodes", "5", "--seed", "3"]
+        assert cli.main(["eval", "--bundle", trained_bundle, *args]) == 0
+        full = capsys.readouterr().out
+        assert cli.main(["eval", "--bundle", str(bundle), *args]) == 0
+        assert capsys.readouterr().out == full
+
     def test_edited_config_rejected(self, workspace, trained_bundle, tmp_path, capsys):
         bundle = tmp_path / "edited"
         shutil.copytree(trained_bundle, bundle)

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import re
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -294,6 +296,105 @@ class TestSaveLoadRoundTrip:
         assert np.array_equal(d2.truth_matrix, d.truth_matrix)
         assert (d2.r_min, d2.r_max) == (d.r_min, d.r_max)
         assert ds.content_hash(d2) == ds.content_hash(d)
+
+
+def one_shot_truth(path):
+    """truth.csv read by one np.loadtxt call: the rows, or numpy's error text."""
+    with open(path, newline="") as fh:
+        fh.readline()
+        try:
+            return np.loadtxt(fh, dtype=ds.LOG_DTYPE[:3], delimiter=",", quotechar='"',
+                              comments=None, usecols=range(3), ndmin=1)
+        except ValueError as exc:
+            return str(exc).split("; use `usecols`")[0]
+
+
+class TestChunkedTruth:
+    CHUNK = 4
+
+    @pytest.fixture
+    def layout(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ds, "_TRUTH_CHUNK", self.CHUNK)
+        d = ds.generate_synthetic(ds.SyntheticSpec(users=5, items=7, log_density=0.3, seed=6))
+        ds.save_dataset(d, tmp_path)
+        return tmp_path
+
+    def test_shuffled_quoted_rows_load_as_one_read(self, layout):
+        path = layout / "truth.csv"
+        with open(path, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        rows = [rows[k] for k in rng_stream(6, "truth-order").permutation(len(rows))]
+        # a run of blank lines longer than a chunk must not end the read
+        rows[11:11] = [[]] * (self.CHUNK + 1)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([header] + rows)
+        assert '"0"' in path.read_text()
+        ref = one_shot_truth(path)
+        assert len(ref) == 35 > 3 * self.CHUNK
+        truth = np.full((5, 7), np.nan)
+        truth[ref["user_id"], ref["item_id"]] = ref["feedback"]
+        assert np.array_equal(ds.load_dataset(layout).truth_matrix, truth)
+
+    @pytest.mark.parametrize("case", ["id_x0", "short_row", "nan_feedback"])
+    def test_bad_row_in_a_later_chunk_counts_from_the_first_data_row(self, layout, case):
+        path = layout / "truth.csv"
+        lines = path.read_text().splitlines()
+        at = 1 + 3 * self.CHUNK + 2  # a data row in the fourth chunk
+        _, row = MALFORMED[case](lines[0].split(","), lines[at].split(","))
+        lines[at] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        ref = one_shot_truth(path)
+        with pytest.raises(ds.DatasetError) as err:
+            ds.load_dataset(layout)
+        if isinstance(ref, str):  # numpy rejects the row: its row number, from the whole file
+            assert f"at row {at - 1}" in ref or f"at row {at}" in ref
+            assert str(err.value) == f"truth.csv: {ref}"
+        else:
+            assert str(err.value) == "truth.csv: matrix is not dense"
+
+
+def one_shot_hash(d):
+    """content_hash as one update per array and one for the whole log text."""
+    h = hashlib.sha256()
+    h.update(f"{d.n_users},{d.n_items},{d.r_min!r},{d.r_max!r}".encode())
+    h.update(d.users.features.astype("<i8").tobytes())
+    h.update(d.items.primary_category.astype("<i8").tobytes())
+    h.update(d.items.features.astype("<i8").tobytes())
+    h.update("".join(f"{u},{i},{fb!r},{step}" for u, i, fb, step in d.train_log.tolist()).encode())
+    if d.truth_matrix is not None:
+        h.update(d.truth_matrix.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestContentHash:
+    def test_equals_the_one_shot_formula(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ds, "_HASH_CHUNK", 7)
+        d = ds.generate_synthetic(ds.SyntheticSpec(users=9, items=11, log_density=0.4, seed=8))
+        assert len(d.train_log) > 5 * 7
+        ds.save_dataset(d, tmp_path)
+        for dataset in (d, ds.load_dataset(tmp_path)):
+            assert ds.content_hash(dataset) == one_shot_hash(dataset)
+        # arrays of other widths and layouts hash as their int64 / float64 C-order bytes
+        d.users.features = d.users.features.astype(np.int32)
+        d.truth_matrix = np.asfortranarray(d.truth_matrix)
+        d.train_log = d.train_log[:7]
+        assert ds.content_hash(d) == one_shot_hash(d)
+        d.truth_matrix = None
+        assert ds.content_hash(d) == one_shot_hash(d)
+
+
+class TestLoadMemory:
+    def test_load_peak_within_a_small_multiple_of_the_truth_matrix(self, tmp_path):
+        # numpy reports its buffers to tracemalloc; a full-size table of
+        # (user, item, feedback) records and its index arrays cost about 8x
+        ds.save_dataset(ds.generate_synthetic(ds.SyntheticSpec(users=300, items=400, seed=2)), tmp_path)
+        tracemalloc.start()
+        try:
+            d = ds.load_dataset(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * d.truth_matrix.nbytes
 
 
 def toy_dataset(items_by_user, n_items, categories):

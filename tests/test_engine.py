@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from darlr.nncore import (
     AdamConfig,
     read_fragment,
     rng_stream,
+    sample_rows,
     softmax,
     softmax_policy,
     write_fragment,
@@ -105,10 +107,25 @@ class TestShapedRewardMatrix:
         rng = rng_stream(3, "norms", *shape)
         current = rng.random(shape)
         current[:: max(1, shape[0] // 3)] = 0.0
+        built = np.linalg.norm(current, axis=1)
         m = engine.ShapedRewardMatrix(current, 0.0, 1.0)
+        assert np.array_equal(m.row_norms, built)
         for _ in range(400):
             m.write(int(rng.integers(shape[0])), int(rng.integers(shape[1])), rng.uniform(-0.2, 1.2))
         assert np.array_equal(m.row_norms, np.linalg.norm(m.current, axis=1))
+
+    def test_construction_peak_is_a_fraction_of_the_matrix(self):
+        # numpy reports its buffers to tracemalloc; a copy of the matrix plus
+        # the full-size temporaries of one norm call cost about 3x
+        current = rng_stream(4, "peak").random((600, 200))
+        tracemalloc.start()
+        try:
+            m = engine.ShapedRewardMatrix(current, 0.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.current is current
+        assert peak <= 0.5 * current.nbytes
 
 
 class TestEnvStep:
@@ -154,11 +171,23 @@ class TestEnvStep:
             engine.env_step(0, 0, 1, "eval", self.make_matrix(), None, [], self.cats)
 
 
-def actor_loss(traj):
-    """Reference actor loss: minus the mean of the recorded log-probability
-    times the advantage."""
-    lp = np.array([tr.logprob for tr in traj.transitions])
-    return float(-(lp * traj.advantages).mean())
+def actor_loss(logprobs, traj):
+    """Reference actor loss: minus the mean of each action's log-probability
+    times its advantage."""
+    return float(-(np.asarray(logprobs) * traj.advantages).mean())
+
+
+def record_logprobs(monkeypatch):
+    """The log-probability of each action the engine samples, in order."""
+    logprobs = []
+
+    def sample(z, rngs):
+        items, probs = sample_rows(z, rngs)
+        logprobs.extend(np.log(probs[np.arange(len(items)), items]).tolist())
+        return items, probs
+
+    monkeypatch.setattr(engine, "sample_rows", sample)
+    return logprobs
 
 
 def critic_loss(traj, gamma):
@@ -172,13 +201,12 @@ def critic_loss(traj, gamma):
 
 class TestAdvantages:
     def traj(self, rewards, values):
-        # step i takes action i under uniform logits over len(rewards) + 1
-        # actions, so its log-probability is -log(actions left)
+        # step i takes action i under uniform logits over len(rewards) + 1 actions
         t = engine.Trajectory(user=0)
         for i, (r, v) in enumerate(zip(rewards, values)):
             t.transitions.append(
                 engine.Transition(
-                    action=i, logprob=-np.log(len(rewards) + 1 - i), reward=r, value=v,
+                    action=i, reward=r, value=v,
                     track_reward=r, parts=None, done=i == len(rewards) - 1,
                     done_reason="max_length" if i == len(rewards) - 1 else None,
                 )
@@ -186,8 +214,8 @@ class TestAdvantages:
         return t
 
     def head_losses(self, t, gamma):
-        """(actor, critic) loss of `_head_grads` on logits and values that
-        reproduce the trajectory's recorded log-probabilities and values."""
+        """(actor, critic) loss of `_head_grads` on uniform logits and the
+        trajectory's recorded values."""
         n = len(t)
         values = np.array([[tr.value] for tr in t.transitions])
         targets = engine.critic_targets([tr.reward for tr in t.transitions], values[:, 0], gamma)
@@ -217,7 +245,7 @@ class TestAdvantages:
         t = self.traj([1.0, 1.0], [0.0, 0.0])
         engine.compute_advantages(t, 0.5)
         t.advantages = np.zeros(2)
-        assert actor_loss(t) == 0.0
+        assert actor_loss(-np.log([3.0, 2.0]), t) == 0.0
         assert self.head_losses(t, 0.5)[0] == 0.0
 
     def test_terminal_critic_loss(self):
@@ -240,11 +268,12 @@ def reference_rollout(ctx, u):
     gains = engine._VARIANT_GAINS[st.variant]
     item_cats = ctx.dataset.items.primary_category
     state = ReferenceTracker(ctx.rec_agent, u)
-    traj, episodes = engine.Trajectory(user=u), []
+    traj, episodes, logprobs = engine.Trajectory(user=u), [], []
     mask = np.ones(ctx.dataset.n_items, dtype=bool)
     recent = []
     while True:
         item, logprob = state.recommend(mask, ctx.rng)
+        logprobs.append(logprob)
         if gains is None:
             r_hat = r_prev = float(matrix.current[u, item])
             p_u, kind, mean_sim, mean_div = float(ctx.static_uncertainty[u, item]), "static", 0.0, 0.0
@@ -270,7 +299,7 @@ def reference_rollout(ctx, u):
         )
         value, _ = ctx.rec_agent.critic.forward(state.vec)
         traj.transitions.append(engine.Transition(
-            item, logprob, rm.recommender_reward(r_hat, p_u, parts.p_e, st.coeffs),
+            item, rm.recommender_reward(r_hat, p_u, parts.p_e, st.coeffs),
             float(value[0]), base_r, parts, done, reason,
         ))
         mask[item] = False
@@ -278,7 +307,7 @@ def reference_rollout(ctx, u):
         if done or not mask.any():
             if not done:
                 traj.transitions[-1].done, traj.transitions[-1].done_reason = True, "max_length"
-            return traj, episodes
+            return traj, episodes, logprobs
         state.track(item, base_r)
 
 
@@ -403,16 +432,19 @@ class TestRollout:
         ("full", False), ("r_static", False), ("pu_static", False), ("full", True),
     ])
     def test_equal_to_the_per_step_loop(
-        self, variant, catalog, tiny_dataset, tiny_wm, own_category_catalog
+        self, variant, catalog, tiny_dataset, tiny_wm, own_category_catalog, monkeypatch
     ):
         d, wm = own_category_catalog if catalog else (tiny_dataset, tiny_wm)
         ctx, ref_ctx = (self.make_ctx(d, wm, variant=variant) for _ in range(2))
+        logprobs = record_logprobs(monkeypatch)
         for u in (3, 11):
+            logprobs.clear()
             traj, episodes = engine.rollout_trajectory(ctx, u)
-            ref, ref_episodes = reference_rollout(ref_ctx, u)
+            ref, ref_episodes, ref_logprobs = reference_rollout(ref_ctx, u)
             # actions, log-probabilities, values, rewards, track rewards,
             # parts and done reasons, all exact
             assert traj.transitions == ref.transitions
+            assert logprobs == ref_logprobs
             assert_selection_episodes_equal(episodes, ref_episodes)
             assert (len(episodes) == 0) == (variant == "r_static")
             if catalog:
@@ -423,7 +455,7 @@ class TestRollout:
 
 
 class TestLosses:
-    def test_replay_matches_trajectory_losses(self, tiny_dataset, tiny_wm, smoke_run):
+    def test_replay_matches_trajectory_losses(self, tiny_dataset, tiny_wm, smoke_run, monkeypatch):
         # fresh rollout with frozen agents: replayed losses equal the
         # reference losses computed from the logged trajectory
         settings = smoke_run.settings
@@ -434,12 +466,13 @@ class TestLosses:
             tiny_dataset, matrix, pm.static_uncertainty, wmod.EntropyTable(stats),
             smoke_run.rec_agent, smoke_run.sel_agent, settings, rng_stream(99, "t"),
         )
+        logprobs = record_logprobs(monkeypatch)
         traj, episodes = engine.rollout_trajectory(ctx, 4)
         engine.compute_advantages(traj, settings.gamma)
         aloss, closs = engine.recommender_losses(
             smoke_run.rec_agent, traj, settings.gamma, accumulate=False
         )
-        assert aloss == pytest.approx(actor_loss(traj), abs=1e-10)
+        assert aloss == pytest.approx(actor_loss(logprobs, traj), abs=1e-10)
         assert closs == pytest.approx(critic_loss(traj, settings.gamma), abs=1e-10)
 
     def test_recommender_loss_gradients(self):
@@ -457,7 +490,7 @@ class TestLosses:
         for i, (item, r) in enumerate([(2, 0.5), (0, 0.9), (4, 0.2)]):
             traj.transitions.append(
                 engine.Transition(
-                    action=item, logprob=-1.0, reward=r,
+                    action=item, reward=r,
                     value=float(rngs.normal()), track_reward=r, parts=None,
                     done=i == 2, done_reason="max_length" if i == 2 else None,
                 )
@@ -531,8 +564,7 @@ class TestLosses:
         traj = engine.Trajectory(user=0)
         traj.transitions.append(
             engine.Transition(
-                action=target, logprob=float(np.log(before)),
-                reward=1.0, value=0.0, track_reward=1.0, parts=None, done=True,
+                action=target, reward=1.0, value=0.0, track_reward=1.0, parts=None, done=True,
                 done_reason="max_length",
             )
         )
