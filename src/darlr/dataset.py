@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -246,26 +247,40 @@ def _open_table(path, expect_prefix):
         yield fh, header
 
 
-def _parse_rows(name, lines, dtype, rows_before=0):
-    """CSV lines (an open file or an iterator of lines) as an array; a fault
-    is a DatasetError naming the file.
+def _parse_rows(name, lines, dtype, first_line=2):
+    """CSV lines (a list, or an open file just below its header) as an array;
+    a fault is a DatasetError naming the file and the line.
 
     A structured dtype reads just its leading columns; a plain dtype reads
-    every column. An error's row number counts `rows_before` rows already read.
+    every column, as many in each row as in the first. `first_line` is the
+    line number of the first of `lines`: the header is line 1, blank lines count.
     """
     names = np.dtype(dtype).names
-    try:
-        with warnings.catch_warnings():
-            # a header-only file is the caller's error ("empty log", "no users")
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            return np.loadtxt(
-                lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                usecols=range(len(names)) if names else None, ndmin=1 if names else 2,
-            )
-    except ValueError as exc:  # numpy's hint names a loadtxt argument: drop it
-        msg = str(exc).split("; use `usecols`")[0]
-        msg = re.sub(r"(?<=at row )\d+", lambda m: str(int(m[0]) + rows_before), msg)
-        raise DatasetError(f"{name}: {msg}") from None
+    read = functools.partial(
+        np.loadtxt, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+        usecols=range(len(names)) if names else None, ndmin=1 if names else 2,
+    )
+    start = lines.tell() if hasattr(lines, "tell") else None
+    with warnings.catch_warnings():
+        # a header-only file is the caller's error ("empty log", "no users")
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return read(lines)
+        except ValueError as exc:
+            # numpy counts rows in two ways and skips blank lines: parse the
+            # lines again one at a time to find the first bad one
+            if start is not None:
+                lines.seek(start)
+            width = None  # of the first row, () for a structured dtype
+            for number, line in enumerate(lines, first_line):
+                try:
+                    row = read([line])
+                    if len(row) and row.shape[1:] != (width := width or row.shape[1:]):
+                        raise ValueError(f"{row.shape[1]} fields, {width[0]} in the first row")
+                except ValueError as bad:
+                    msg = re.sub(r" at row \d+", "", str(bad))
+                    raise DatasetError(f"{name}: line {number}: {msg}") from None
+            raise DatasetError(f"{name}: {exc}") from None
 
 
 def _read_table(path, expect_prefix, dtype):
@@ -331,12 +346,11 @@ def _read_truth(path, user_ids, item_ids):
     """The dense truth matrix, filled from `_TRUTH_CHUNK` lines of truth.csv at a time."""
     truth = np.full((len(user_ids), len(item_ids)), np.nan)
     with _open_table(path, ["user_id", "item_id", "feedback"]) as (fh, _):
-        done = 0
-        while line := next(fh, ""):  # each chunk is this line and the ones after it
-            chunk = itertools.chain([line], itertools.islice(fh, _TRUTH_CHUNK - 1))
-            rows = _parse_rows(path.name, chunk, LOG_DTYPE[:3], done)
+        first_line = 2
+        while chunk := list(itertools.islice(fh, _TRUTH_CHUNK)):
+            rows = _parse_rows(path.name, chunk, LOG_DTYPE[:3], first_line)
             truth[_dense_ids(path.name, rows, user_ids, item_ids)] = rows["feedback"]
-            done += len(rows)
+            first_line += len(chunk)
     if np.isnan(truth).any():
         raise DatasetError(f"{path.name}: matrix is not dense")
     return truth

@@ -421,7 +421,7 @@ def _head_grads(logits, values, actions, avail, advantages, targets, scale):
     return dlogits, dvalues, aloss, float((err * err / n).sum())
 
 
-def recommender_losses(ctx_agent, traj: Trajectory, gamma, accumulate=True, scale=1.0):
+def recommender_losses(ctx_agent, traj: Trajectory, gamma, accumulate=True):
     """Replay the trajectory and (optionally) accumulate gradients.
 
     Returns (actor_loss, critic_loss) computed from the replayed forward
@@ -435,7 +435,7 @@ def recommender_losses(ctx_agent, traj: Trajectory, gamma, accumulate=True, scal
     )
     dlogits, dvalues, aloss, closs = _head_grads(
         fwd["logits"], fwd["values"], items, np.ones(ctx_agent.n_items, dtype=bool),
-        traj.advantages, targets, scale,
+        traj.advantages, targets, 1.0,
     )
     if accumulate:
         rec.trajectory_backward(ctx_agent, fwd, dlogits, dvalues)
@@ -451,8 +451,7 @@ def _selection_replay(agent, episodes, gamma, accumulate, scale):
     aloss, closs, lo = 0.0, 0.0, 0
     for ep in episodes:
         if ep.advantages is None:
-            ep.returns = discounted_returns(ep.rewards, gamma)
-            ep.advantages = ep.returns - np.asarray(ep.values)
+            ep.advantages = discounted_returns(ep.rewards, gamma) - np.asarray(ep.values)
         avail = np.arange(agent.pool_size) < len(ep.pool)
         rows = slice(lo, lo + ep.length)
         dlogits[rows], dvalues[rows], a, c = _head_grads(

@@ -500,26 +500,6 @@ def sample_rows(z, rngs):
     return np.array(actions), probs
 
 
-def softmax_policy(logits, mask=None, rng=None):
-    """Sample an action from a masked softmax: the one-row case of `sample_rows`.
-
-    `mask` marks selectable entries with True (None = all selectable).
-    Returns (action, logprob, probs); probs are exactly zero on masked-out
-    entries.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
-            raise ValueError("all actions are masked")
-        z = np.where(mask, z, -np.inf)
-    if rng is None:
-        raise ValueError("softmax_policy needs an rng to sample")
-    actions, probs = sample_rows(z[None], [rng])
-    action, probs = int(actions[0]), probs[0]
-    return action, float(np.log(probs[action])), probs
-
-
 # --- checkpoint fragments -------------------------------------------------
 
 def block_state(blocks):

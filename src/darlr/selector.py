@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rewardmath as rm
-from .nncore import (
-    Linear, Mlp, ParamSet, SeqEncoder, replay_backward, replay_forward, softmax_policy,
-)
+from .nncore import Linear, Mlp, ParamSet, SeqEncoder, replay_backward, replay_forward, sample_rows
 
 
 @dataclass
@@ -34,8 +32,6 @@ class SelectionEpisode:
     divs: list = field(default_factory=list)
     ref_rewards: list = field(default_factory=list)
     rewards: list = field(default_factory=list)  # per-step intrinsic rewards
-    tokens: list = field(default_factory=list)  # projected tokens of p_u, then p_rows
-    returns: np.ndarray | None = None
     advantages: np.ndarray | None = None
 
     @property
@@ -55,9 +51,7 @@ class SelectorAgent:
     def __init__(
         self, n_items, d_rec, d_pref, pool_size, window, seed, layers=1, hidden=(64,),
     ):
-        self.n_items = n_items
         self.d_rec = d_rec
-        self.d_pref = d_pref
         self.d_state = d_rec + d_pref
         self.pool_size = pool_size
         self.window = window
@@ -71,10 +65,6 @@ class SelectorAgent:
 
     def blocks(self):
         return list(self.params.blocks)
-
-    def token(self, s_rec, p_row):
-        t, _ = self.proj.forward(np.concatenate([s_rec, p_row]))
-        return t
 
 
 def candidate_pool(u, matrix, C):
@@ -91,29 +81,6 @@ def candidate_pool(u, matrix, C):
     sims = sims[ids]
     order = np.lexsort((ids, -sims))
     return ids[order][: min(C, len(ids))]
-
-
-def init_state(s_rec, p_u, agent: SelectorAgent) -> np.ndarray:
-    """Initial selection state vector: projected concatenation of both context parts."""
-    s_rec = np.asarray(s_rec, dtype=np.float64)
-    p_u = np.asarray(p_u, dtype=np.float64)
-    if s_rec.shape != (agent.d_rec,) or p_u.shape != (agent.n_items,):
-        raise ValueError("state parts do not match the agent widths")
-    return agent.token(s_rec, p_u)
-
-
-def advance_state(ep: SelectionEpisode, newly_selected_p, agent: SelectorAgent) -> np.ndarray:
-    """Next selection state vector: encode the last window of projected tokens.
-
-    Token t comes from the user picked at step t-1, so the state
-    progressively absorbs the selected users' preference rows. Each token
-    is projected once and kept on the episode.
-    """
-    for row in ([ep.p_u] + ep.p_rows[:-1])[len(ep.tokens) :]:
-        ep.tokens.append(agent.token(ep.s_rec, row))
-    ep.tokens.append(agent.token(ep.s_rec, newly_selected_p))
-    state, _ = agent.encoder.encode(ep.tokens[-agent.window :])
-    return state
 
 
 def run_selection(
@@ -133,38 +100,43 @@ def run_selection(
         user=u, item=i_t, s_rec=np.array(s_rec, dtype=np.float64),
         p_u=matrix.current[u].copy(), pool=pool,
     )
-    state = init_state(ep.s_rec, ep.p_u, agent)
-    ep.tokens.append(state)
-    available = np.ones(agent.pool_size, dtype=bool)
-    available[len(pool) :] = False
+    available = np.arange(agent.pool_size) < len(pool)
     coeffs = rm.PenaltyCoeffs(0.0, 0.0, lambda_s, lambda_d)
     n_u, norms = np.linalg.norm(ep.p_u), []  # norms[t]: of p_rows[t]
     running_sum = 0.0
+    # step t shifts its newest row's token (p_u's, then the last pick's) into
+    # the left-padded window, which then holds t + 1; rows pass the layers as
+    # (1, 1, width) stacks, as in `replay_forward`, so the replay has these bits
+    windows = np.zeros((1, agent.window, agent.d_state))
+    p_row = ep.p_u
     for t in range(k_sel):
-        logits, _ = agent.actor.forward(state)
-        value, _ = agent.critic.forward(state)
-        slot, _, _ = softmax_policy(logits, mask=available, rng=rng)
+        token, _ = agent.proj.forward(np.concatenate([ep.s_rec, p_row])[None, None])
+        windows = np.concatenate([windows[:, 1:], token], axis=1)
+        if t == 0:
+            state = token[:, 0]
+        else:
+            pad = np.arange(agent.window)[None] < agent.window - 1 - t
+            state, _ = agent.encoder.forward(windows, pad)
+        logits, _ = agent.actor.forward(state[:, None])
+        value, _ = agent.critic.forward(state[:, None])
+        slot = int(sample_rows(np.where(available, logits[:, 0], -np.inf), [rng])[0][0])
         cand = int(pool[slot])
-        p_cand = matrix.current[cand].copy()
-        n_cand = np.linalg.norm(p_cand)
-        sim = rm.cosine_from_norms(ep.p_u, p_cand, n_u, n_cand)
-        div = rm.mean_dissimilarity(p_cand, n_cand, ep.p_rows, norms)
+        p_row = matrix.current[cand].copy()
+        n_cand = np.linalg.norm(p_row)
+        sim = rm.cosine_from_norms(ep.p_u, p_row, n_u, n_cand)
+        div = rm.mean_dissimilarity(p_row, n_cand, ep.p_rows, norms)
         ref = float(matrix.current[cand, i_t])
         running_sum += ref
-        prefix_mean = running_sum / (t + 1)
-        reward = rm.intrinsic_reward(prefix_mean, rm.GainPair(sim, div), coeffs)
         ep.slots.append(slot)
         ep.selected.append(cand)
-        ep.p_rows.append(p_cand)
+        ep.p_rows.append(p_row)
         norms.append(n_cand)
-        ep.values.append(float(value[0]))
+        ep.values.append(float(value[0, 0, 0]))
         ep.sims.append(sim)
         ep.divs.append(div)
         ep.ref_rewards.append(ref)
-        ep.rewards.append(reward)
+        ep.rewards.append(rm.intrinsic_reward(running_sum / (t + 1), rm.GainPair(sim, div), coeffs))
         available[slot] = False
-        if t + 1 < k_sel:
-            state = advance_state(ep, p_cand, agent)
     return ep
 
 
@@ -172,7 +144,7 @@ def episode_forward(agent: SelectorAgent, episodes):
     """Replay one episode, or a list of them as one batch, with tapes.
 
     Reproduces the rollout numbers exactly while the parameters are
-    unchanged. State 0 of each episode is its bare token (`init_state`).
+    unchanged. State 0 of each episode is its bare token, as in `run_selection`.
     """
     episodes = [episodes] if isinstance(episodes, SelectionEpisode) else episodes
     lengths = [ep.length for ep in episodes]

@@ -16,7 +16,6 @@ from darlr.nncore import (
     rng_stream,
     sample_rows,
     softmax,
-    softmax_policy,
     write_fragment,
 )
 
@@ -68,8 +67,9 @@ class ReferenceTracker:
 
     def recommend(self, mask, rng):
         logits, _ = self.agent.actor.forward(self.vec)
-        item, logprob, _ = softmax_policy(logits, mask=mask, rng=rng)
-        return item, logprob
+        items, probs = sample_rows(np.where(mask, logits, -np.inf)[None], [rng])
+        item = int(items[0])
+        return item, float(np.log(probs[0, item]))
 
 
 def start_probs(agent, u):

@@ -308,23 +308,29 @@ class TestBatchedEncoder:
         assert parts.sum(axis=0)[0] != 0.0
 
 
+def sample_one(logits, mask=None, rng=None):
+    """One row through `sample_rows`, masked entries at -inf; (action, probs)."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z if mask is None else np.where(mask, z, -np.inf)
+    actions, probs = nn.sample_rows(z[None], [rng])
+    return int(actions[0]), probs[0]
+
+
 class TestSoftmaxPolicy:
+    """The masked softmax policy as `sample_rows` draws it, one row at a time."""
+
     def test_uniform_logits(self):
-        rng = nn.rng_stream(0, "s")
-        _, _, probs = nn.softmax_policy(np.zeros(4), rng=rng)
+        _, probs = sample_one(np.zeros(4), rng=nn.rng_stream(0, "s"))
         assert np.allclose(probs, 0.25, atol=1e-12)
 
     def test_single_unmasked_forced(self):
-        rng = nn.rng_stream(0, "s")
         mask = np.array([False, True, False])
-        action, logprob, probs = nn.softmax_policy(np.array([5.0, -1.0, 2.0]), mask, rng=rng)
+        action, probs = sample_one(np.array([5.0, -1.0, 2.0]), mask, nn.rng_stream(0, "s"))
         assert action == 1
-        assert logprob == 0.0
-        assert probs[0] == 0.0 and probs[2] == 0.0
+        assert probs.tolist() == [0.0, 1.0, 0.0]
 
     def test_two_logit_closed_form(self):
-        rng = nn.rng_stream(0, "s")
-        _, _, probs = nn.softmax_policy(np.array([1.0, 0.0]), rng=rng)
+        _, probs = sample_one(np.array([1.0, 0.0]), rng=nn.rng_stream(0, "s"))
         e = math.e
         assert abs(probs[0] - e / (e + 1)) < 1e-12
         assert abs(probs[1] - 1 / (e + 1)) < 1e-12
@@ -333,17 +339,13 @@ class TestSoftmaxPolicy:
         rng = nn.rng_stream(1, "s")
         mask = np.array([True, False, True, True])
         for _ in range(50):
-            action, _, probs = nn.softmax_policy(np.array([9.0, 99.0, 1.0, 0.0]), mask, rng=rng)
+            action, probs = sample_one(np.array([9.0, 99.0, 1.0, 0.0]), mask, rng)
             assert probs[1] == 0.0
             assert action != 1
 
-    def test_all_masked_raises(self):
-        with pytest.raises(ValueError, match="masked"):
-            nn.softmax_policy(np.zeros(3), np.zeros(3, dtype=bool), rng=nn.rng_stream(0))
-
     def test_sampling_reproducible(self):
         logits = np.array([0.3, 1.2, -0.5, 0.0])
-        a = [nn.softmax_policy(logits, rng=nn.rng_stream(4, "x"))[0] for _ in range(3)]
+        a = [sample_one(logits, rng=nn.rng_stream(4, "x"))[0] for _ in range(3)]
         assert len(set(a)) == 1
 
 
@@ -398,14 +400,15 @@ class TestSampleRows:
                 assert np.array_equal(probs[k], p)
         assert np.all(probs[~masks] == 0.0)
 
-    def test_softmax_policy_matches_reference(self):
+    def test_one_row_calls_match_reference(self):
+        # the selection episode draws one row per call, all from one stream
         logits, masks = self.masked_rows(n_rows=60, seed=1)
         rng, ref_rng = nn.rng_stream(3, "one"), nn.rng_stream(3, "one")
         for row, mask in zip(logits, masks):
             for m in (mask, None):
-                a, lp, p = nn.softmax_policy(row, m, rng=rng)
-                ra, rlp, rp = reference_softmax_policy(row, m, rng=ref_rng)
-                assert (a, lp) == (ra, rlp)
+                a, p = sample_one(row, m, rng)
+                ra, _, rp = reference_softmax_policy(row, m, rng=ref_rng)
+                assert a == ra
                 assert np.array_equal(p, rp)
 
     def test_draw_on_a_cdf_entry_takes_the_next_action(self):
@@ -437,7 +440,7 @@ class TestSampleRows:
         )
         assert actions[0] == 3
         assert actions[1] == reference_softmax_policy(logits[::-1], mask, FixedDraw(0.0))[0]
-        assert nn.softmax_policy(logits, mask, rng=FixedDraw(r))[0] == 3
+        assert sample_one(logits, mask, FixedDraw(r))[0] == 3
 
 
 class TestAdam:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from darlr import rewardmath as rm
 from darlr import selector as sel
 from darlr.engine import ShapedRewardMatrix
-from darlr.nncore import gradient_check, rng_stream, softmax
+from darlr.nncore import gradient_check, rng_stream, sample_rows, softmax
 
 
 def make_matrix(rows):
@@ -51,24 +52,80 @@ class TestCandidatePool:
         assert sel.candidate_pool(2, m, 4).tolist() == [0, 1, 3, 4]
 
 
-class TestStates:
-    def test_identity_projection_concatenates(self):
-        a = make_agent(n_items=3, pool_size=2, d_rec=2, d_pref=3)
-        a.proj.w.values[...] = np.eye(5)
-        a.proj.b.values[...] = 0.0
-        s = sel.init_state(np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3]), a)
-        assert np.allclose(s, [1.0, 2.0, 0.1, 0.2, 0.3], atol=0)
+def reference_selection(u, i_t, s_rec, matrix, agent, k_sel, lambda_s, lambda_d, rng):
+    """`run_selection` step by step: every token projected alone, every later
+    state encoded from the last window of tokens by `SeqEncoder.encode`.
+    Returns the episode's slots, values and rewards."""
+    pool = sel.candidate_pool(u, matrix, agent.pool_size)
+    rows = matrix.current
+    avail = np.arange(agent.pool_size) < len(pool)
+    coeffs = rm.PenaltyCoeffs(0.0, 0.0, lambda_s, lambda_d)
+    tokens, chosen, slots, values, rewards = [], [], [], [], []
+    for t in range(k_sel):
+        token, _ = agent.proj.forward(np.concatenate([s_rec, rows[chosen[-1] if t else u]]))
+        tokens.append(token)
+        state = agent.encoder.encode(tokens[-agent.window :])[0] if t else token
+        logits, _ = agent.actor.forward(state)
+        value, _ = agent.critic.forward(state)
+        slot = int(sample_rows(np.where(avail, logits, -np.inf)[None], [rng])[0][0])
+        avail[slot] = False
+        chosen.append(int(pool[slot]))
+        gains = rm.GainPair(
+            rm.similarity_gain(rows[u], rows[chosen[-1]]),
+            rm.diversity_gain(rows[chosen[-1]], [rows[c] for c in chosen[:-1]]),
+        )
+        prefix = sum(float(rows[c, i_t]) for c in chosen) / (t + 1)  # a running sum
+        slots.append(slot)
+        values.append(float(value[0]))
+        rewards.append(rm.intrinsic_reward(prefix, gains, coeffs))
+    return slots, values, rewards
 
-    def test_zero_inputs_give_projection_bias(self):
-        a = make_agent(n_items=3, pool_size=2, d_rec=2, d_pref=3)
-        a.proj.b.values[...] = np.arange(5) * 0.1
-        s = sel.init_state(np.zeros(2), np.zeros(3), a)
-        assert np.allclose(s, np.arange(5) * 0.1, atol=1e-15)
+
+def recorded_states(monkeypatch, agent, *args):
+    """`run_selection(*args)` and the state vectors its actor saw, in step order."""
+    states, forward = [], agent.actor.forward
+
+    def recording_forward(x):
+        states.append(np.asarray(x).reshape(-1))
+        return forward(x)
+
+    with monkeypatch.context() as m:
+        m.setattr(agent.actor, "forward", recording_forward)
+        ep = sel.run_selection(*args)
+    return ep, states
+
+
+class TestStates:
+    def setup_method(self):
+        rng = rng_stream(5, "rows")
+        self.matrix = make_matrix(rng.random((8, 4)))
+        self.s_rec = rng.normal(size=2)
+
+    def states(self, monkeypatch, agent, k_sel, s_rec=None):
+        s_rec = self.s_rec if s_rec is None else s_rec
+        args = (3, 0, s_rec, self.matrix, agent, k_sel, 1.0, 0.1, rng_stream(k_sel))
+        return recorded_states(monkeypatch, agent, *args)
+
+    def test_identity_projection_concatenates(self, monkeypatch):
+        a = make_agent(n_items=4, pool_size=7, d_rec=2, d_pref=4)
+        a.proj.w.values[...] = np.eye(6)
+        a.proj.b.values[...] = 0.0
+        _, states = self.states(monkeypatch, a, 1)
+        assert np.array_equal(states[0], np.concatenate([self.s_rec, self.matrix.current[3]]))
+
+    def test_zero_inputs_give_projection_bias(self, monkeypatch):
+        a = make_agent(n_items=4, pool_size=7, d_rec=2, d_pref=4)
+        a.proj.b.values[...] = np.arange(6) * 0.1
+        rows = self.matrix.current.copy()
+        rows[3] = 0.0
+        self.matrix = make_matrix(rows)
+        _, states = self.states(monkeypatch, a, 1, s_rec=np.zeros(2))
+        assert np.array_equal(states[0], np.arange(6) * 0.1)
 
     def test_width_mismatch_rejected(self):
-        a = make_agent(n_items=3, pool_size=2)
+        a = make_agent(n_items=4, pool_size=7)
         with pytest.raises(ValueError, match="width"):
-            sel.init_state(np.zeros(99), np.zeros(3), a)
+            sel.run_selection(0, 0, np.zeros(99), self.matrix, a, 2, 1.0, 0.1, rng_stream(0))
 
     def test_projection_gradient(self):
         a = make_agent(n_items=3, pool_size=2, d_rec=2, d_pref=3, seed=4)
@@ -86,34 +143,20 @@ class TestStates:
 
         assert gradient_check(a.proj.blocks(), loss, back) < 1e-4
 
-    def test_window_one_depends_only_on_latest(self):
-        a = make_agent(n_items=4, pool_size=3, window=1, seed=5)
-        rng = rng_stream(5, "rows")
-        ep1 = sel.SelectionEpisode(
-            user=0, item=0, s_rec=rng.normal(size=4), p_u=rng.random(4), pool=np.arange(3),
-        )
-        ep2 = sel.SelectionEpisode(
-            user=0, item=0, s_rec=ep1.s_rec, p_u=rng.random(4), pool=np.arange(3),
-        )
-        newly = rng.random(4)
-        ep1.p_rows = [rng.random(4), newly]
-        ep2.p_rows = [rng.random(4), newly]
-        s1 = sel.advance_state(ep1, newly, a)
-        s2 = sel.advance_state(ep2, newly, a)
-        assert np.allclose(s1, s2, atol=0)
+    def test_window_one_depends_only_on_latest(self, monkeypatch):
+        a = make_agent(n_items=4, pool_size=7, d_rec=2, window=1, seed=5)
+        ep, states = self.states(monkeypatch, a, 4)
+        for t in range(1, 4):
+            token, _ = a.proj.forward(np.concatenate([self.s_rec, ep.p_rows[t - 1]]))
+            assert np.array_equal(states[t], a.encoder.encode([token])[0])
 
     def test_different_new_rows_give_different_states(self):
-        a = make_agent(n_items=4, pool_size=3, seed=6)
-        rng = rng_stream(6, "rows")
-        base = dict(user=0, item=0, s_rec=rng.normal(size=4), p_u=rng.random(4), pool=np.arange(3))
-        r1, r2 = rng.random(4), rng.random(4)
-        ep1 = sel.SelectionEpisode(**base)
-        ep1.p_rows = [r1]
-        ep2 = sel.SelectionEpisode(**base)
-        ep2.p_rows = [r2]
-        s1 = sel.advance_state(ep1, r1, a)
-        s2 = sel.advance_state(ep2, r2, a)
-        assert not np.allclose(s1, s2)
+        a = make_agent(n_items=4, pool_size=7, d_rec=2, seed=6)
+        ep = sel.run_selection(3, 0, self.s_rec, self.matrix, a, 3, 1.0, 0.1, rng_stream(6))
+        other = dataclasses.replace(ep, p_rows=[ep.p_rows[0][::-1]] + ep.p_rows[1:])
+        fwd, moved = sel.episode_forward(a, ep), sel.episode_forward(a, other)
+        assert np.array_equal(fwd["states"][0], moved["states"][0])
+        assert not np.allclose(fwd["states"][1], moved["states"][1])
 
 
 class TestRunSelection:
@@ -160,39 +203,17 @@ class TestRunSelection:
             assert ep.sims[t] == rm.similarity_gain(ep.p_u, ep.p_rows[t])
 
     def test_scripted_replay_of_same_rng_stream(self):
-        seed_tag = (9, "replay")
-        ep = sel.run_selection(
-            2, 3, self.s_rec, self.matrix, self.agent, 4, self.lambda_s, self.lambda_d,
-            rng_stream(*seed_tag),
-        )
-        # independent replay: walk the same stream, recompute every quantity,
-        # maintaining a fresh partial episode for the state chain
-        rng = rng_stream(*seed_tag)
-        pool = sel.candidate_pool(2, self.matrix, self.agent.pool_size)
-        partial = sel.SelectionEpisode(
-            user=2, item=3, s_rec=self.s_rec.copy(), p_u=self.rows[2].copy(), pool=pool
-        )
-        state = sel.init_state(self.s_rec, self.rows[2], self.agent)
-        avail = np.ones(self.agent.pool_size, dtype=bool)
-        chosen = []
-        for t in range(4):
-            logits, _ = self.agent.actor.forward(state)
-            z = np.where(avail, logits, -np.inf)
-            probs = softmax(z)
-            r = rng.random()
-            slot = int(np.searchsorted(np.cumsum(probs), r, side="right"))
-            chosen.append(int(pool[slot]))
-            assert ep.slots[t] == slot
-            assert ep.selected[t] == chosen[-1]
-            prefix = np.mean([self.rows[v, 3] for v in chosen])
-            sim = rm.similarity_gain(self.rows[2], self.rows[chosen[-1]])
-            div = rm.diversity_gain(self.rows[chosen[-1]], [self.rows[c] for c in chosen[:-1]])
-            want = prefix + self.lambda_s * sim + self.lambda_d * div
-            assert ep.rewards[t] == pytest.approx(want, abs=1e-12)
-            avail[slot] = False
-            partial.p_rows.append(self.rows[chosen[-1]].copy())
-            if t < 3:
-                state = sel.advance_state(partial, self.rows[chosen[-1]], self.agent)
+        # windows of one token, of some and of more than the episode holds
+        k_sel = 5
+        for window, layers in itertools.product((1, 3, k_sel + 1), (0, 2)):
+            agent = make_agent(
+                n_items=10, pool_size=8, d_rec=4, window=window, seed=8, layers=layers
+            )
+            args = (2, 3, self.s_rec, self.matrix, agent, k_sel, self.lambda_s, self.lambda_d)
+            ep = sel.run_selection(*args, rng_stream(9, "replay", window))
+            slots, values, rewards = reference_selection(*args, rng_stream(9, "replay", window))
+            assert (ep.slots, ep.values, ep.rewards) == (slots, values, rewards), (window, layers)
+            assert ep.selected == [int(v) for v in ep.pool[slots]]
 
     def test_frozen_agent_deterministic(self):
         args = (1, 0, self.s_rec, self.matrix, self.agent, 3, self.lambda_s, self.lambda_d)
@@ -245,21 +266,12 @@ class TestEpisodeReplay:
         rng = rng_stream(11, "setup")
         matrix = make_matrix(rng.random((9, 6)) + 0.1)
         agent = make_agent(n_items=6, pool_size=7, d_rec=3, seed=12)
-        logits = []
-        forward = agent.actor.forward
-
-        def recording_forward(x):
-            out = forward(x)
-            logits.append(out[0])
-            return out
-
-        monkeypatch.setattr(agent.actor, "forward", recording_forward)
-        ep = sel.run_selection(4, 2, rng.normal(size=3), matrix, agent, 5, 1.0, 0.1, rng_stream(1))
-        monkeypatch.undo()
+        args = (4, 2, rng.normal(size=3), matrix, agent, 5, 1.0, 0.1, rng_stream(1))
+        ep, states = recorded_states(monkeypatch, agent, *args)
         fwd = sel.episode_forward(agent, ep)
         # the replay sees the rollout's states: the same logits and values, bit for bit
-        assert len(logits) == 5
-        assert np.array_equal(fwd["logits"], np.array(logits))
+        assert len(states) == 5
+        assert np.array_equal(fwd["states"], np.array(states))
         assert fwd["values"][:, 0].tolist() == ep.values
 
     @staticmethod

@@ -1,0 +1,52 @@
+"""Training bits pinned to a recorded digest.
+
+Refactors of the rollout, the replay or the optimiser must leave every
+trained number as it was. This test trains every variant on a small
+synthetic environment (14 users x 12 items) and hashes what training
+produces: both agents' parameters, Adam moments and step counts, the
+reward matrix, the metrics rows and the reward parts. A change that is
+meant to alter training bits (a new summation order, a new default)
+updates `TRAINING_DIGEST` and says so, with the reason, in CHANGES.md.
+"""
+
+import hashlib
+import itertools
+
+import numpy as np
+import pytest
+
+from darlr import dataset as ds
+from darlr import engine
+from darlr import worldmodel as wmod
+
+TRAINING_DIGEST = "c2ff24f0aba89c5b02b1f551820fc6417e12aec788bb7cacde86b4a64d12035c"
+
+
+@pytest.fixture(scope="module")
+def env():
+    spec = ds.SyntheticSpec(users=14, items=12, categories=4, log_density=0.4, seed=11)
+    d = ds.generate_synthetic(spec)
+    cfg = wmod.WorldModelConfig(members=2, epochs=3, batch=16, seed=11)
+    return d, wmod.train_world_model(d, cfg)
+
+
+def training_digest(d, wm):
+    h = hashlib.sha256()
+    for variant, layers, w_sel in itertools.product(engine.VARIANTS, (0, 2), (1, 3, 6)):
+        result = engine.train(d, wm, engine.TrainSettings(
+            variant=variant, encoder_layers=layers, w_sel=w_sel, k_sel=5, candidate_pool=8,
+            d_model=8, d_pref=6, d_emb=4, hidden=(8,), epochs=2, trajectories_per_epoch=3,
+            eval_episodes=4, seed=5,
+        ))
+        for agent in (result.rec_agent, result.sel_agent):
+            p = agent.params
+            for vec in (p.values, p.adam_m, p.adam_v):
+                h.update(np.ascontiguousarray(vec, dtype="<f8").tobytes())
+            h.update(str(p.step_count).encode())
+        h.update(np.ascontiguousarray(result.matrix.current, dtype="<f8").tobytes())
+        h.update(repr((result.metrics_rows, result.parts_log, result.steps_total)).encode())
+    return h.hexdigest()
+
+
+def test_training_bits_match_the_recorded_digest(env):
+    assert training_digest(*env) == TRAINING_DIGEST
