@@ -234,17 +234,34 @@ def save_dataset(d: Dataset, dir_path):
 
 @contextlib.contextmanager
 def _open_table(path, expect_prefix):
-    """The open CSV file, just below its checked header, and the header's fields."""
+    """The open CSV file, just below its checked header, and the header's fields.
+
+    A byte that is not UTF-8, met while the file is read, raises a
+    DatasetError naming its line.
+    """
     if not path.exists():
         raise DatasetError(f"missing file: {path.name}")
-    with open(path, newline="") as fh:
-        line = fh.readline()
-        if not line:
-            raise DatasetError(f"{path.name}: missing header row")
-        header = next(csv.reader([line]))
-        if header[: len(expect_prefix)] != expect_prefix:
-            raise DatasetError(f"{path.name}: header must start with {expect_prefix}")
-        yield fh, header
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            line = fh.readline()
+            if not line:
+                raise DatasetError(f"{path.name}: missing header row")
+            header = next(csv.reader([line]))
+            if header[: len(expect_prefix)] != expect_prefix:
+                raise DatasetError(f"{path.name}: header must start with {expect_prefix}")
+            yield fh, header
+    except UnicodeDecodeError:
+        # the decoder reads ahead of the parser: find the line in the bytes
+        with open(path, "rb") as fh:
+            for number, raw in enumerate(fh, 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DatasetError(
+                        f"{path.name}: line {number}: byte {raw[exc.start]:#04x} is not UTF-8 "
+                        f"({exc.reason})"
+                    ) from None
+        raise
 
 
 def _parse_rows(name, lines, dtype, first_line=2):
@@ -266,6 +283,8 @@ def _parse_rows(name, lines, dtype, first_line=2):
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             return read(lines)
+        except UnicodeDecodeError:
+            raise  # a fault of the bytes, not of one row: `_open_table` names it
         except ValueError as exc:
             # numpy counts rows in two ways and skips blank lines: parse the
             # lines again one at a time to find the first bad one

@@ -31,6 +31,7 @@ from .nncore import (
     adam_step,
     atomic_open,
     block_state,
+    check_finite_floats,
     load_block_state,
     read_fragment,
     rng_stream,
@@ -473,7 +474,7 @@ def update_recommender(agent, traj, gamma, adam_cfg):
     if traj.advantages is None:
         compute_advantages(traj, gamma)
     losses = recommender_losses(agent, traj, gamma, accumulate=True)
-    adam_step(agent.blocks(), adam_cfg)
+    adam_step(agent.params, adam_cfg)
     return losses
 
 
@@ -483,7 +484,7 @@ def update_selector(agent, episodes, gamma, adam_cfg):
         return 0.0, 0.0
     scale = 1.0 / len(episodes)
     aloss, closs = _selection_replay(agent, episodes, gamma, True, scale)
-    adam_step(agent.blocks(), adam_cfg)
+    adam_step(agent.params, adam_cfg)
     return aloss * scale, closs * scale
 
 
@@ -565,7 +566,9 @@ def evaluate(agent, d: ds.Dataset, matrix, episodes, seed, greedy=False) -> Eval
     }
     if matrix is not None:
         pairs = np.array([pair for r in results for pair in r["visited"]])
-        uu, ii = np.divmod(np.unique(pairs[:, 0] * d.n_items + pairs[:, 1]), d.n_items)
+        # sorted distinct pairs; np.unique would import numpy.ma on its first call
+        keys = np.sort(pairs[:, 0] * d.n_items + pairs[:, 1])
+        uu, ii = np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], d.n_items)
         reward_error = float(np.abs(matrix.current[uu, ii] - d.truth_matrix[uu, ii]).mean())
     else:
         reward_error = float("nan")
@@ -635,7 +638,7 @@ def train(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSettings) -
                 parts_log.append(
                     {
                         "epoch": epoch, "trajectory": ti, "step": si, "user": u,
-                        "item": tr.action, "reward": tr.reward, **dataclasses.asdict(tr.parts),
+                        "item": tr.action, "reward": tr.reward, **vars(tr.parts),
                     }
                 )
         due = settings.eval_every > 0 and (
@@ -693,9 +696,9 @@ def _write_bundle_files(out, result: TrainResult, wm: wmod.WorldModelEnsemble):
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out / "recommender.frag", "wb") as fh:
-        write_fragment(fh, block_state(result.rec_agent.blocks()))
+        write_fragment(fh, block_state(result.rec_agent.params))
     with open(out / "selector.frag", "wb") as fh:
-        write_fragment(fh, block_state(result.sel_agent.blocks()))
+        write_fragment(fh, block_state(result.sel_agent.params))
     with open(out / "matrix.frag", "wb") as fh:
         write_fragment(
             fh,
@@ -735,7 +738,7 @@ def save_bundle(dir_path, result: TrainResult, wm: wmod.WorldModelEnsemble):
 
 def _load_agent(agent, path):
     with open(path, "rb") as fh:
-        load_block_state(agent.blocks(), read_fragment(fh), path)
+        load_block_state([agent.params], read_fragment(fh), path)
     return agent
 
 
@@ -745,6 +748,7 @@ def load_policy(dir_path, d: ds.Dataset):
     The bundle's `selector.frag` and `worldmodel.ckpt` are not read.
     Of `matrix.frag` only `matrix:current` and `matrix:range` are read; the
     write history that bundles of earlier versions also hold is ignored.
+    Both must hold finite floats, the range with r_min < r_max.
     """
     root = Path(dir_path)
     path = root / "config.json"
@@ -772,6 +776,10 @@ def load_policy(dir_path, d: ds.Dataset):
         )
     if bounds.shape != (2,):
         raise ValueError(f"{frag}: matrix:range has shape {bounds.shape}, expected (2,)")
+    check_finite_floats(frag, "matrix:current", current)
+    check_finite_floats(frag, "matrix:range", bounds)
+    if bounds[0] >= bounds[1]:
+        raise ValueError(f"{frag}: matrix:range {bounds.tolist()} has r_min >= r_max")
     matrix = ShapedRewardMatrix(current, bounds[0], bounds[1])
     return {"settings": settings, "rec_agent": rec_agent, "matrix": matrix}
 

@@ -44,9 +44,9 @@ class NonFiniteGradient(ValueError):
 class ParamBlock:
     """A named dense parameter array with its gradient and Adam buffers.
 
-    The four arrays are reshaped views into the flat vectors of the
-    ParamSet that owns the block; write into them, never rebind them.
-    `step_count` is the owning set's.
+    A block owns its four arrays until a ParamSet joins it; they are then
+    reshaped views into the set's flat vectors: write into them, never
+    rebind them.
     """
 
     def __init__(self, name, values):
@@ -55,15 +55,6 @@ class ParamBlock:
         self.grad = np.zeros(values.shape)
         self.adam_m = np.zeros(values.shape)
         self.adam_v = np.zeros(values.shape)
-        ParamSet([self])
-
-    @property
-    def step_count(self):
-        return self.params.step_count
-
-    @step_count.setter
-    def step_count(self, t):
-        self.params.step_count = t
 
 
 class ParamSet:
@@ -86,21 +77,10 @@ class ParamSet:
             setattr(self, attr, flat)
             for b, shape, lo, hi in zip(self.blocks, shapes, offsets[:-1], offsets[1:]):
                 setattr(b, attr, flat[lo:hi].reshape(shape))
-        for b in self.blocks:
-            b.params = self
-
-
-def _param_sets(blocks):
-    """The sets that `blocks` belong to, in first-seen order, each with its
-    blocks from `blocks`."""
-    sets = {}
-    for b in blocks:
-        sets.setdefault(id(b.params), (b.params, []))[1].append(b)
-    return list(sets.values())
 
 
 def make_block(name, shape, rng=None, fan=None):
-    """Create a ParamBlock, a set of one until an owner joins it to others.
+    """Create a ParamBlock, to be joined to its owner's ParamSet.
 
     With an rng, values are uniform(-a, a) with a = sqrt(6 / (fan_in +
     fan_out)); `fan` overrides the fan pair inferred from the first and
@@ -137,47 +117,38 @@ class AdamConfig:
             raise ValueError("learning rate must be positive")
 
 
-def adam_step(blocks, cfg: AdamConfig):
-    """Bias-corrected Adam update over whole parameter sets; gradients are cleared.
+def adam_step(params, cfg: AdamConfig):
+    """Bias-corrected Adam update of one ParamSet in place; gradients are cleared.
 
-    `blocks` must hold every block of each set it touches. Each set is
-    updated in place on its flat vectors, with the operations of the
-    per-array update m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g**2,
-    x = x - lr (m / c1) / (sqrt(v / c2) + eps) in that order, so a set
+    The flat vectors go through the operations of the per-array update
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g**2,
+    x = x - lr (m / c1) / (sqrt(v / c2) + eps) in that order, so the set
     gets the bits of stepping each of its blocks alone. A non-finite
     gradient raises NonFiniteGradient naming the first bad block before
-    any set changes.
+    anything changes.
     """
-    sets = _param_sets(blocks)
-    for params, members in sets:
-        if len(members) != len(params.blocks):
-            raise ValueError(
-                f"adam_step got {len(members)} of the {len(params.blocks)} blocks "
-                f"of the set holding '{members[0].name}'"
-            )
-    if not all(np.isfinite(params.grad).all() for params, _ in sets):
-        bad = next(b for b in blocks if not np.isfinite(b.grad).all())
+    if not np.isfinite(params.grad).all():
+        bad = next(b for b in params.blocks if not np.isfinite(b.grad).all())
         raise NonFiniteGradient(f"non-finite gradient in block '{bad.name}'")
     b1, b2 = cfg.beta1, cfg.beta2
-    for params, _ in sets:
-        t = params.step_count + 1
-        m, v, g = params.adam_m, params.adam_v, params.grad
-        tmp = g * (1.0 - b1)
-        m *= b1
-        m += tmp
-        np.square(g, out=tmp)
-        tmp *= 1.0 - b2
-        v *= b2
-        v += tmp
-        np.divide(v, 1.0 - b2**t, out=tmp)  # tmp: the denominator
-        np.sqrt(tmp, out=tmp)
-        tmp += cfg.eps
-        update = m / (1.0 - b1**t)
-        update *= cfg.lr
-        update /= tmp
-        params.values -= update
-        g.fill(0.0)
-        params.step_count = t
+    t = params.step_count + 1
+    m, v, g = params.adam_m, params.adam_v, params.grad
+    tmp = g * (1.0 - b1)
+    m *= b1
+    m += tmp
+    np.square(g, out=tmp)
+    tmp *= 1.0 - b2
+    v *= b2
+    v += tmp
+    np.divide(v, 1.0 - b2**t, out=tmp)  # tmp: the denominator
+    np.sqrt(tmp, out=tmp)
+    tmp += cfg.eps
+    update = m / (1.0 - b1**t)
+    update *= cfg.lr
+    update /= tmp
+    params.values -= update
+    g.fill(0.0)
+    params.step_count = t
 
 
 # Steps per block of materialised gradient products. A batched backward sums
@@ -502,44 +473,59 @@ def sample_rows(z, rngs):
 
 # --- checkpoint fragments -------------------------------------------------
 
-def block_state(blocks):
-    """Flatten blocks into a {name: array-or-int} state mapping."""
+def block_state(*sets):
+    """Flatten parameter sets into a {name: array-or-int} state mapping:
+    four records per block, its `step_count` that of its set."""
     state = {}
-    for b in blocks:
-        state[f"{b.name}:values"] = b.values
-        state[f"{b.name}:adam_m"] = b.adam_m
-        state[f"{b.name}:adam_v"] = b.adam_v
-        state[f"{b.name}:step_count"] = b.step_count
+    for params in sets:
+        for b in params.blocks:
+            state[f"{b.name}:values"] = b.values
+            state[f"{b.name}:adam_m"] = b.adam_m
+            state[f"{b.name}:adam_v"] = b.adam_v
+            state[f"{b.name}:step_count"] = params.step_count
     return state
 
 
-def load_block_state(blocks, state, where):
-    """Restore block contents in place from a state mapping.
+def check_finite_floats(where, key, value):
+    """Raise ValueError naming `where` and `key` unless `value` is a float
+    array of finite numbers."""
+    if value.dtype.kind != "f":
+        raise ValueError(f"{where}: {key} has dtype {value.dtype}, expected float")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{where}: {key} holds a value that is not finite")
 
-    A missing record, one whose shape differs from the block's, or blocks
-    of one set whose step counts disagree raise ValueError naming `where`.
+
+def load_block_state(sets, state, where):
+    """Restore parameter sets in place from a state mapping.
+
+    A missing record, one whose shape differs from the block's, an array
+    record that is not finite floats, or blocks of one set whose step
+    counts disagree raise ValueError naming `where`.
     """
-    steps = {}
-    for b in blocks:
-        step = np.zeros((), dtype=np.int64)
-        for suffix, target in (
-            ("values", b.values), ("adam_m", b.adam_m), ("adam_v", b.adam_v), ("step_count", step)
-        ):
-            key = f"{b.name}:{suffix}"
-            if key not in state:
-                raise ValueError(f"{where}: missing record {key}")
-            if np.shape(state[key]) != target.shape:
+    for params in sets:
+        steps = []
+        for b in params.blocks:
+            step = np.zeros((), dtype=np.int64)
+            for suffix, target in (
+                ("values", b.values), ("adam_m", b.adam_m), ("adam_v", b.adam_v), ("step_count", step)
+            ):
+                key = f"{b.name}:{suffix}"
+                if key not in state:
+                    raise ValueError(f"{where}: missing record {key}")
+                if np.shape(state[key]) != target.shape:
+                    raise ValueError(
+                        f"{where}: {key} has shape {np.shape(state[key])}, expected {target.shape}"
+                    )
+                if target is not step:
+                    check_finite_floats(where, key, state[key])
+                target[...] = state[key]
+            steps.append(int(step))
+            if steps[-1] != steps[0]:
                 raise ValueError(
-                    f"{where}: {key} has shape {np.shape(state[key])}, expected {target.shape}"
+                    f"{where}: blocks of one set disagree on step_count: "
+                    f"{params.blocks[0].name} is at {steps[0]}, {b.name} at {steps[-1]}"
                 )
-            target[...] = state[key]
-        first = steps.setdefault(id(b.params), (b, int(step)))
-        if first[1] != int(step):
-            raise ValueError(
-                f"{where}: blocks of one set disagree on step_count: "
-                f"{first[0].name} is at {first[1]}, {b.name} at {int(step)}"
-            )
-        b.step_count = int(step)
+        params.step_count = steps[0]
 
 
 @contextlib.contextmanager

@@ -162,12 +162,6 @@ class WorldModelEnsemble:
     def K(self):
         return len(self.members)
 
-    def blocks(self):
-        out = []
-        for m in self.members:
-            out.extend(m.blocks())
-        return out
-
 
 def train_world_model(d: ds.Dataset, cfg: WorldModelConfig) -> WorldModelEnsemble:
     """Fit `cfg.members` members by Gaussian negative log-likelihood over the log.
@@ -213,7 +207,7 @@ def train_world_model(d: ds.Dataset, cfg: WorldModelConfig) -> WorldModelEnsembl
                     dmu = res * inv / m
                     dlv = 0.5 * (1.0 - res**2 * inv) / m
                     member.backward(tape, dmu, dlv)
-                    adam_step(member.blocks(), adam)
+                    adam_step(member.params, adam)
                 history.append(total / n)
         members.append(member)
         histories.append(history)
@@ -304,7 +298,7 @@ def save_world_model(wm: WorldModelEnsemble, path):
     with atomic_open(path, "wb") as fh:
         fh.write(b"darlr-wm 2\n")
         fh.write(("manifest " + json.dumps(asdict(manifest), sort_keys=True) + "\n").encode())
-        write_fragment(fh, block_state(wm.blocks()))
+        write_fragment(fh, block_state(*[m.params for m in wm.members]))
 
 
 def load_world_model(path, d: ds.Dataset) -> WorldModelEnsemble:
@@ -334,5 +328,5 @@ def load_world_model(path, d: ds.Dataset) -> WorldModelEnsemble:
     wm = WorldModelEnsemble(
         members, d.users, d.items, m.r_min, m.r_max, m.d_emb, m.hidden, m.seed, m.dataset_hash,
     )
-    load_block_state(wm.blocks(), state, path)
+    load_block_state([m.params for m in wm.members], state, path)
     return wm

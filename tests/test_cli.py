@@ -470,6 +470,16 @@ class TestEval:
          "matrix:current has shape (3, 4), expected (12, 15)"),
         ({"matrix:current": np.zeros((12, 15)), "matrix:range": np.array([0.0, 1.0, 2.0])},
          "matrix:range has shape (3,), expected (2,)"),
+        ({"matrix:current": np.zeros((12, 15)), "matrix:range": np.array([1.0, 0.0])},
+         "matrix:range [1.0, 0.0] has r_min >= r_max"),
+        ({"matrix:current": np.zeros((12, 15)), "matrix:range": np.array([0.5, 0.5])},
+         "matrix:range [0.5, 0.5] has r_min >= r_max"),
+        ({"matrix:current": np.zeros((12, 15)), "matrix:range": np.array([0.0, NAN])},
+         "matrix:range holds a value that is not finite"),
+        ({"matrix:current": np.full((12, 15), NAN), "matrix:range": np.array([0.0, 1.0])},
+         "matrix:current holds a value that is not finite"),
+        ({"matrix:current": np.full((12, 15), "0.5"), "matrix:range": np.array([0.0, 1.0])},
+         "matrix:current has dtype <U3, expected float"),
     ])
     def test_bad_matrix_records_rejected(self, workspace, trained_bundle, tmp_path, capsys,
                                          records, message):
@@ -522,6 +532,44 @@ class TestEval:
             f"error: {frag}: blocks of one set disagree on step_count: "
             f"rec/emb_user is at {steps}, rec/actor/L0/W at {steps + 4}"
         ]
+
+    @pytest.mark.parametrize("record, value, message", [
+        ("rec/actor/L0/W:values", NAN, "holds a value that is not finite"),
+        ("rec/emb_user:adam_m", INF, "holds a value that is not finite"),
+        ("rec/enc/pos:adam_v", "x", "has dtype <U1, expected float"),
+        ("rec/proj/b:values", 1, "has dtype int64, expected float"),
+    ])
+    def test_bad_recommender_record_names_the_file(self, workspace, trained_bundle, tmp_path,
+                                                   capsys, record, value, message):
+        bundle = tmp_path / "bad-record"
+        shutil.copytree(trained_bundle, bundle)
+        frag = bundle / "recommender.frag"
+        _, records = read_checkpoint(frag)
+        if isinstance(value, float):
+            records[record] = records[record].copy()
+            records[record].flat[-1] = value
+        else:
+            records[record] = np.full(records[record].shape, value)
+        write_checkpoint(frag, [], records)
+        rc = cli.main(["eval", "--bundle", str(bundle), "--data", workspace["data"],
+                       "--episodes", "5", "--seed", "3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"error: {frag}: {record} {message}"]
+
+    def test_nan_world_model_record_names_the_file(self, workspace, tmp_path, capsys):
+        wm = tmp_path / "wm.ckpt"
+        header, records = read_checkpoint(workspace["wm"], header_lines=2)
+        records["wm0/emb/item_id:values"] = np.full_like(records["wm0/emb/item_id:values"], NAN)
+        write_checkpoint(wm, header, records)
+        out = tmp_path / "out"
+        rc = cli.main(["train-policy", "--config", workspace["policy_cfg"], "--data",
+                       workspace["data"], "--wm", str(wm), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {wm}: wm0/emb/item_id:values holds a value that is not finite"]
+        assert not out.exists()
 
     def test_missing_world_model_record_names_the_file(self, workspace, tmp_path, capsys):
         wm = tmp_path / "wm.ckpt"

@@ -175,6 +175,28 @@ class TestMalformedCsv:
         with pytest.raises(ds.DatasetError, match=f"^{re.escape(name)}: line {3 + blank_lines}: "):
             ds.load_dataset(tmp_path)
 
+    # 10000 blank lines put the byte past the decoder's first read of the file
+    @pytest.mark.parametrize("blank_lines", [0, 10000])
+    @pytest.mark.parametrize("name", CSV_FILES)
+    def test_non_utf8_byte_names_the_line(self, tmp_path, monkeypatch, capsys, name, blank_lines):
+        monkeypatch.setattr(ds, "_TRUTH_CHUNK", 4)  # truth.csv's last row is in its third chunk
+        write_valid_layout(tmp_path / "data")
+        path = tmp_path / "data" / name
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        rows[-1] = rows[-1][:1] + b"\xff" + rows[-1][1:]
+        path.write_bytes(b"".join([header, *rows[:-1], b"\n" * blank_lines, rows[-1]]))
+        (tmp_path / "wm.json").write_text("{}")
+        rc = cli.main([
+            "train-wm", "--config", str(tmp_path / "wm.json"), "--data", str(tmp_path / "data"),
+            "--out", str(tmp_path / "wm.ckpt"),
+        ])
+        assert rc == 2
+        line = 1 + len(rows) + blank_lines
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {name}: line {line}: byte 0xff is not UTF-8 (invalid start byte)"
+        ]
+        assert not (tmp_path / "wm.ckpt").exists()
+
     def test_quoted_numbers_load(self, tmp_path):
         write_valid_layout(tmp_path)
         plain = ds.load_dataset(tmp_path)

@@ -447,15 +447,16 @@ class TestAdam:
     def test_zero_grad_only_bumps_step(self):
         b = nn.make_block("p", (3,))
         b.values[...] = [1.0, -2.0, 0.5]
+        params = nn.ParamSet([b])
         before = b.values.copy()
-        nn.adam_step([b], nn.AdamConfig())
+        nn.adam_step(params, nn.AdamConfig())
         assert np.array_equal(b.values, before)
-        assert b.step_count == 1
+        assert params.step_count == 1
 
     def test_first_step_closed_form(self):
         b = nn.make_block("p", (1,))
         b.grad[...] = 1.0
-        nn.adam_step([b], nn.AdamConfig(lr=0.001))
+        nn.adam_step(nn.ParamSet([b]), nn.AdamConfig(lr=0.001))
         # bias-corrected ratio is 1, so the move is lr up to the eps term
         assert abs(b.values[0] + 0.001) < 1e-10
         assert np.all(b.grad == 0)
@@ -463,6 +464,7 @@ class TestAdam:
     def test_two_steps_match_hand_recurrence(self):
         cfg = nn.AdamConfig(lr=0.01)
         b = nn.make_block("p", (1,))
+        params = nn.ParamSet([b])
         g = 0.7
         m = v = 0.0
         x = 0.0
@@ -471,35 +473,30 @@ class TestAdam:
             v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
             x -= cfg.lr * (m / (1 - cfg.beta1**t)) / (math.sqrt(v / (1 - cfg.beta2**t)) + cfg.eps)
             b.grad[...] = g
-            nn.adam_step([b], cfg)
+            nn.adam_step(params, cfg)
         assert abs(b.values[0] - x) < 1e-14
 
     def test_nonfinite_gradient_names_block(self):
         b = nn.make_block("layer7/bias", (2,))
         b.grad[...] = [np.nan, 0.0]
         with pytest.raises(nn.NonFiniteGradient, match="layer7/bias"):
-            nn.adam_step([b], nn.AdamConfig())
+            nn.adam_step(nn.ParamSet([b]), nn.AdamConfig())
 
     def test_nonfinite_gradient_names_first_bad_block_of_a_set(self):
         m = nn.Mlp("m", [3, 4, 4, 2], seed=1)
         params = nn.ParamSet(m.blocks())
-        other = nn.make_block("other", (3,))
         params.grad[...] = 0.5
-        other.grad[...] = 0.5
+        params.adam_m[...] = 0.25
+        params.adam_v[...] = 0.125
         m.layers[2].w.grad[1, 0] = np.inf
         m.layers[1].b.grad[2] = np.nan
-        before = params.values.copy()
+        before = {a: getattr(params, a).copy() for a in ("values", "grad", "adam_m", "adam_v")}
         with pytest.raises(nn.NonFiniteGradient, match="^non-finite gradient in block 'm/L1/b'$"):
-            nn.adam_step([other] + m.blocks(), nn.AdamConfig())
-        # no set moved, the sound one included
-        assert np.array_equal(params.values, before)
-        assert np.all(other.values == 0.0) and other.step_count == 0
+            nn.adam_step(params, nn.AdamConfig())
+        # nothing moved: not the sound blocks, not the gradients, not the step count
+        for attr, vec in before.items():
+            assert np.array_equal(getattr(params, attr), vec, equal_nan=True), attr
         assert params.step_count == 0
-
-    def test_partial_set_rejected(self):
-        params = nn.ParamSet(nn.Mlp("m", [2, 3, 1], seed=0).blocks())
-        with pytest.raises(ValueError, match="got 3 of the 4 blocks of the set holding 'm/L0/b'"):
-            nn.adam_step(params.blocks[1:], nn.AdamConfig())
 
     def test_zero_grads_clears_only_the_given_blocks(self):
         params = nn.ParamSet(nn.Mlp("m", [2, 3, 1], seed=0).blocks())
@@ -549,14 +546,14 @@ def test_flat_adam_equals_per_block_reference(kind, tiny_dataset):
             g *= 10.0 ** rng.uniform(-8.0, 1.0, size=b.values.shape)
             b.grad[...] = g
             ref[b.name]["grad"] = g
-        nn.adam_step(blocks, cfg)
+        nn.adam_step(owner.params, cfg)
         reference_adam_step(ref, cfg)
         for b in blocks:
             r = ref[b.name]
             assert np.array_equal(b.values, r["values"]), b.name
             assert np.array_equal(b.adam_m, r["m"]), b.name
             assert np.array_equal(b.adam_v, r["v"]), b.name
-            assert b.step_count == r["t"]
+            assert owner.params.step_count == r["t"]
     assert np.all(owner.params.grad == 0.0)
 
 
@@ -564,22 +561,34 @@ class TestFragments:
     def test_round_trip_bit_exact(self):
         rng = nn.rng_stream(0, "frag")
         m = nn.Mlp("m", [3, 5, 2], seed=13)
-        for blk in m.blocks():
-            blk.adam_m[...] = rng.normal(size=blk.adam_m.shape)
-            blk.adam_v[...] = rng.random(size=blk.adam_v.shape)
-            blk.step_count = 17
-        state = nn.block_state(m.blocks())
+        params = nn.ParamSet(m.blocks())
+        params.adam_m[...] = rng.normal(size=params.adam_m.shape)
+        params.adam_v[...] = rng.random(size=params.adam_v.shape)
+        params.step_count = 17
+        state = nn.block_state(params)
+        assert all(state[f"{b.name}:step_count"] == 17 for b in m.blocks())
         buf = io.BytesIO()
         nn.write_fragment(buf, state)
         buf.seek(0)
         loaded = nn.read_fragment(buf)
         m2 = nn.Mlp("m", [3, 5, 2], seed=99)
-        nn.load_block_state(m2.blocks(), loaded, "buffer")
+        params2 = nn.ParamSet(m2.blocks())
+        nn.load_block_state([params2], loaded, "buffer")
         for a, b in zip(m.blocks(), m2.blocks()):
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.adam_m, b.adam_m)
             assert np.array_equal(a.adam_v, b.adam_v)
-            assert a.step_count == b.step_count
+        assert params2.step_count == 17
+
+    def test_each_set_keeps_its_own_step_count(self):
+        sets = [nn.ParamSet(nn.Mlp(name, [2, 3, 1], seed=1).blocks()) for name in "ab"]
+        sets[0].step_count, sets[1].step_count = 4, 9
+        state = nn.block_state(*sets)
+        fresh = [nn.ParamSet(nn.Mlp(name, [2, 3, 1], seed=2).blocks()) for name in "ab"]
+        nn.load_block_state(fresh, state, "ckpt")
+        assert [p.step_count for p in fresh] == [4, 9]
+        for old, new in zip(sets, fresh):
+            assert np.array_equal(old.values, new.values)
 
     def test_awkward_floats_survive(self):
         vals = np.array([1.0 / 3.0, 1e-300, -1e300, 0.1 + 0.2, 2.0**-52])
@@ -630,21 +639,25 @@ class TestFragments:
     def test_missing_key_raises(self):
         m = nn.Mlp("m", [2, 2], seed=0)
         with pytest.raises(ValueError, match="^ckpt: missing record m/L0/W:values$"):
-            nn.load_block_state(m.blocks(), {}, "ckpt")
+            nn.load_block_state([nn.ParamSet(m.blocks())], {}, "ckpt")
 
     @pytest.mark.parametrize("key, value, message", [
         ("m/L0/b:step_count", None, "missing record m/L0/b:step_count"),
         ("m/L0/W:adam_v", np.zeros((3, 2)), "m/L0/W:adam_v has shape (3, 2), expected (2, 2)"),
         ("m/L0/b:step_count", np.zeros(2, dtype=np.int64),
          "m/L0/b:step_count has shape (2,), expected ()"),
+        ("m/L0/W:values", np.array([[0.0, 1.0], [np.nan, 2.0]]),
+         "m/L0/W:values holds a value that is not finite"),
+        ("m/L0/b:adam_v", np.array([0.0, -np.inf]), "m/L0/b:adam_v holds a value that is not finite"),
+        ("m/L0/b:adam_m", np.array(["0.5", "1"]), "m/L0/b:adam_m has dtype <U3, expected float"),
     ])
     def test_bad_record_names_the_source(self, key, value, message):
-        m = nn.Mlp("m", [2, 2], seed=0)
-        state = nn.block_state(m.blocks())
+        params = nn.ParamSet(nn.Mlp("m", [2, 2], seed=0).blocks())
+        state = nn.block_state(params)
         if value is None:
             del state[key]
         else:
             state[key] = value
         with pytest.raises(ValueError) as info:
-            nn.load_block_state(m.blocks(), state, "ckpt")
+            nn.load_block_state([params], state, "ckpt")
         assert str(info.value) == f"ckpt: {message}"

@@ -1,12 +1,16 @@
-"""Training bits pinned to a recorded digest.
+"""Training bits and bundle bytes pinned to recorded digests.
 
 Refactors of the rollout, the replay or the optimiser must leave every
 trained number as it was. This test trains every variant on a small
 synthetic environment (14 users x 12 items) and hashes what training
 produces: both agents' parameters, Adam moments and step counts, the
-reward matrix, the metrics rows and the reward parts. A change that is
-meant to alter training bits (a new summation order, a new default)
-updates `TRAINING_DIGEST` and says so, with the reason, in CHANGES.md.
+reward matrix, the metrics rows and the reward parts. Refactors of the
+checkpoint path must leave every byte that `save_bundle` writes as it
+was; `BUNDLE_DIGEST` hashes each file of one small run's bundle. A
+change that is meant to alter training bits (a new summation order, a
+new default) or bundle bytes (a new record, a new layout) updates
+`TRAINING_DIGEST` or `BUNDLE_DIGEST` and says so, with the reason, in
+CHANGES.md.
 """
 
 import hashlib
@@ -20,6 +24,11 @@ from darlr import engine
 from darlr import worldmodel as wmod
 
 TRAINING_DIGEST = "c2ff24f0aba89c5b02b1f551820fc6417e12aec788bb7cacde86b4a64d12035c"
+BUNDLE_DIGEST = "5207dbdc0a104169c20fa08a1d86f221cb48e18583a48b9f3311ccb781a195bf"
+BUNDLE_FILES = (
+    "config.json", "matrix.frag", "metrics.csv", "recommender.frag", "selector.frag",
+    "worldmodel.ckpt",
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +59,20 @@ def training_digest(d, wm):
 
 def test_training_bits_match_the_recorded_digest(env):
     assert training_digest(*env) == TRAINING_DIGEST
+
+
+def bundle_digest(d, wm, out):
+    result = engine.train(d, wm, engine.TrainSettings(
+        k_sel=5, candidate_pool=8, d_model=8, d_pref=6, d_emb=4, hidden=(8,), epochs=2,
+        trajectories_per_epoch=3, eval_episodes=4, seed=5,
+    ))
+    engine.save_bundle(out, result, wm)
+    assert sorted(p.name for p in out.iterdir()) == list(BUNDLE_FILES)
+    h = hashlib.sha256()
+    for name in BUNDLE_FILES:
+        h.update(name.encode() + b"\0" + (out / name).read_bytes())
+    return h.hexdigest()
+
+
+def test_bundle_bytes_match_the_recorded_digest(env, tmp_path):
+    assert bundle_digest(*env, tmp_path / "bundle") == BUNDLE_DIGEST

@@ -19,7 +19,8 @@ class TestTraining:
         cfg = wmod.WorldModelConfig(members=2, epochs=3, batch=32, seed=5)
         a = wmod.train_world_model(tiny_dataset, cfg)
         b = wmod.train_world_model(tiny_dataset, cfg)
-        sa, sb = block_state(a.blocks()), block_state(b.blocks())
+        sa = block_state(*[m.params for m in a.members])
+        sb = block_state(*[m.params for m in b.members])
         assert set(sa) == set(sb)
         for key in sa:
             assert np.array_equal(np.asarray(sa[key]), np.asarray(sb[key])), key
