@@ -87,7 +87,7 @@ def _policy_config(args):
     """Settings and seed list of train-policy and ablate; reads no data."""
     raw = _load_json(args.config)
     seeds = _seed_list(raw.pop("seeds", [0]), "config: 'seeds'")
-    if getattr(args, "seed", None):
+    if getattr(args, "seed", None) is not None:
         try:
             seeds = [int(s) for s in args.seed.split(",")]
         except ValueError:

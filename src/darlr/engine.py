@@ -114,8 +114,6 @@ class Transition:
 class Trajectory:
     user: int
     transitions: list = field(default_factory=list)
-    returns: np.ndarray | None = None
-    advantages: np.ndarray | None = None
 
     def __len__(self):
         return len(self.transitions)
@@ -381,35 +379,24 @@ def discounted_returns(rewards, gamma):
     return out
 
 
-def compute_advantages(traj: Trajectory, gamma):
-    """Monte-Carlo returns and advantages against the recorded critic values."""
-    rewards = [tr.reward for tr in traj.transitions]
-    values = np.array([tr.value for tr in traj.transitions])
-    traj.returns = discounted_returns(rewards, gamma)
-    traj.advantages = traj.returns - values
-    return traj
-
-
-def critic_targets(rewards, values, gamma):
-    """One-step TD targets from recorded critic values; the last step of
-    an episode bootstraps zero (rollouts end at the first done step)."""
-    targets = np.array(rewards, dtype=np.float64)
-    targets[:-1] += gamma * np.asarray(values[1:], dtype=np.float64)
-    return targets
-
-
-def _head_grads(logits, values, actions, avail, advantages, targets, scale):
+def _head_grads(logits, critic_out, actions, avail, rewards, values, gamma, scale):
     """dlogits/dvalues and losses of one episode's actor+critic objective.
 
-    `logits` and `values` are the episode's rows of a replay, `values`
-    one state value per row. `avail` marks the actions selectable at step
-    0; each step's action is masked out of every later step. The actor
-    loss is the mean of -log pi(action) times the advantage, the critic
-    loss the mean squared TD error.
+    `logits` and `critic_out` are the episode's rows of a replay, one state
+    value per row of `critic_out`; `rewards` and `values` are the rewards
+    and critic values recorded in the rollout, constants here. `avail`
+    marks the actions selectable at step 0; each step's action is masked
+    out of every later step. The actor loss is the mean of -log pi(action)
+    times the advantage (discounted return minus recorded value), the
+    critic loss the mean squared error against one-step TD targets.
     """
     n = len(actions)
     steps = np.arange(n)
     actions = np.asarray(actions, dtype=np.int64)
+    advantages = discounted_returns(rewards, gamma) - np.asarray(values)
+    # the last step bootstraps zero: rollouts end at the first done step
+    targets = np.array(rewards, dtype=np.float64)
+    targets[:-1] += gamma * np.asarray(values[1:], dtype=np.float64)
     mask = np.tile(avail, (n, 1))
     mask[:, actions] &= steps[:, None] <= steps  # action t is gone after step t
     probs = softmax(np.where(mask, logits, -np.inf))
@@ -417,63 +404,59 @@ def _head_grads(logits, values, actions, avail, advantages, targets, scale):
     onehot[steps, actions] = 1.0
     dlogits = -(advantages * scale / n)[:, None] * (onehot - probs)
     aloss = float((-np.log(probs[steps, actions]) * advantages / n).sum())
-    err = values[:, 0] - targets
+    err = critic_out[:, 0] - targets
     dvalues = (2.0 * err * scale / n)[:, None]
     return dlogits, dvalues, aloss, float((err * err / n).sum())
 
 
-def recommender_losses(ctx_agent, traj: Trajectory, gamma, accumulate=True):
+def _replay_grads(fwd, records, gamma, scale):
+    """Head gradients and summed losses of a replay `fwd` over episodes, one
+    (actions, avail, rewards, values) record each, in the replay's row order."""
+    dlogits, dvalues = np.empty_like(fwd["logits"]), np.empty_like(fwd["values"])
+    aloss, closs, lo = 0.0, 0.0, 0
+    for actions, avail, rewards, values in records:
+        rows = slice(lo, lo + len(actions))
+        dlogits[rows], dvalues[rows], a, c = _head_grads(
+            fwd["logits"][rows], fwd["values"][rows], actions, avail, rewards, values, gamma, scale,
+        )
+        aloss, closs, lo = aloss + a, closs + c, rows.stop
+    return dlogits, dvalues, aloss, closs
+
+
+def recommender_losses(agent, traj: Trajectory, gamma, accumulate=True):
     """Replay the trajectory and (optionally) accumulate gradients.
 
     Returns (actor_loss, critic_loss) computed from the replayed forward
     pass; identical to the rollout numbers while parameters are unchanged.
     """
     items = [tr.action for tr in traj.transitions]
-    track_rewards = [tr.track_reward for tr in traj.transitions]
-    fwd = rec.trajectory_forward(ctx_agent, traj.user, items, track_rewards)
-    targets = critic_targets(
-        [tr.reward for tr in traj.transitions], [tr.value for tr in traj.transitions], gamma
+    fwd = rec.trajectory_forward(agent, traj.user, items, [tr.track_reward for tr in traj.transitions])
+    record = (
+        items, np.ones(agent.n_items, dtype=bool),
+        [tr.reward for tr in traj.transitions], [tr.value for tr in traj.transitions],
     )
-    dlogits, dvalues, aloss, closs = _head_grads(
-        fwd["logits"], fwd["values"], items, np.ones(ctx_agent.n_items, dtype=bool),
-        traj.advantages, targets, 1.0,
-    )
+    dlogits, dvalues, aloss, closs = _replay_grads(fwd, [record], gamma, 1.0)
     if accumulate:
-        rec.trajectory_backward(ctx_agent, fwd, dlogits, dvalues)
+        rec.trajectory_backward(agent, fwd, dlogits, dvalues)
     return aloss, closs
 
 
-def _selection_replay(agent, episodes, gamma, accumulate, scale):
-    """Replay selection episodes as one batch; returns the summed losses.
-    Advantages and TD targets come from the critic values recorded during
-    the rollout; they are constants with respect to the replayed forward."""
+def selector_losses(agent, episodes, gamma, accumulate=True, scale=1.0):
+    """Replay selection episodes as one batch and (optionally) accumulate
+    gradients, each episode's scaled by `scale`; returns the summed losses."""
     fwd = sel.episode_forward(agent, episodes)
-    dlogits, dvalues = np.empty_like(fwd["logits"]), np.empty_like(fwd["values"])
-    aloss, closs, lo = 0.0, 0.0, 0
-    for ep in episodes:
-        if ep.advantages is None:
-            ep.advantages = discounted_returns(ep.rewards, gamma) - np.asarray(ep.values)
-        avail = np.arange(agent.pool_size) < len(ep.pool)
-        rows = slice(lo, lo + ep.length)
-        dlogits[rows], dvalues[rows], a, c = _head_grads(
-            fwd["logits"][rows], fwd["values"][rows], ep.slots, avail, ep.advantages,
-            critic_targets(ep.rewards, ep.values, gamma), scale,
-        )
-        aloss, closs, lo = aloss + a, closs + c, rows.stop
+    records = [
+        (ep.slots, np.arange(agent.pool_size) < len(ep.pool), ep.rewards, ep.values)
+        for ep in episodes
+    ]
+    dlogits, dvalues, aloss, closs = _replay_grads(fwd, records, gamma, scale)
     if accumulate:
         sel.episode_backward(agent, fwd, dlogits, dvalues)
     return aloss, closs
 
 
-def selector_losses(agent, ep: sel.SelectionEpisode, gamma, accumulate=True, scale=1.0):
-    """Replay one selection episode and (optionally) accumulate gradients."""
-    return _selection_replay(agent, [ep], gamma, accumulate, scale)
-
-
 def update_recommender(agent, traj, gamma, adam_cfg):
-    if traj.advantages is None:
-        compute_advantages(traj, gamma)
-    losses = recommender_losses(agent, traj, gamma, accumulate=True)
+    losses = recommender_losses(agent, traj, gamma)
     adam_step(agent.params, adam_cfg)
     return losses
 
@@ -483,7 +466,7 @@ def update_selector(agent, episodes, gamma, adam_cfg):
     if not episodes:
         return 0.0, 0.0
     scale = 1.0 / len(episodes)
-    aloss, closs = _selection_replay(agent, episodes, gamma, True, scale)
+    aloss, closs = selector_losses(agent, episodes, gamma, scale=scale)
     adam_step(agent.params, adam_cfg)
     return aloss * scale, closs * scale
 
@@ -538,11 +521,6 @@ def _eval_block(agent, d: ds.Dataset, seed, indices, greedy):
         }
         for total, c, v in zip(totals, cats, visited)
     ]
-
-
-def _eval_episode(agent, d: ds.Dataset, seed, idx, greedy):
-    """Evaluation episode `idx` played alone; equal to its row of `evaluate`."""
-    return _eval_block(agent, d, seed, [idx], greedy)[0]
 
 
 def evaluate(agent, d: ds.Dataset, matrix, episodes, seed, greedy=False) -> EvalReport:
@@ -631,7 +609,6 @@ def train(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSettings) -
             u = int(rng.integers(d.n_users))
             traj, episodes = rollout_trajectory(ctx, u)
             steps_total += len(traj)
-            compute_advantages(traj, settings.gamma)
             update_recommender(rec_agent, traj, settings.gamma, adam_cfg)
             update_selector(sel_agent, episodes, settings.gamma, adam_cfg)
             for si, tr in enumerate(traj.transitions):

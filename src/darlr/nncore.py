@@ -321,27 +321,6 @@ class SeqEncoder:
             out.extend(p.values())
         return out
 
-    def encode(self, tokens):
-        """Encode one token history; returns (state, tape)."""
-        n = len(tokens)
-        if n == 0:
-            raise ValueError("cannot encode an empty token list")
-        if n > self.window:
-            raise ValueError(f"got {n} tokens for window {self.window}")
-        x = np.asarray(tokens, dtype=np.float64)
-        if x.shape != (n, self.width):
-            raise ValueError(f"token width {x.shape[1:]} != ({self.width},)")
-        pad = self.window - n
-        windows = np.empty((1, self.window, self.width))
-        windows[0, pad:] = x
-        states, tape = self.forward(windows, (np.arange(self.window) < pad)[None])
-        return states[0], tape
-
-    def backward(self, tape, ds):
-        """Accumulate parameter gradients; returns one gradient per input token."""
-        dx = self.backward_batch(tape, np.reshape(ds, (1, self.width)))[0]
-        return list(dx[int(tape["pad"][0].sum()) :])
-
     def forward(self, windows, pad):
         """Encode B left-padded windows (B, window, width) in one pass; `pad`
         (B, window) marks the start-token slots. Returns (states, tape)."""

@@ -39,39 +39,12 @@ def cosine_from_norms(a, b, na, nb) -> float:
     return float(min(max(a @ b / (na * nb), -1.0), 1.0))  # np.clip's value, faster on a scalar
 
 
-def cosine(a, b) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine of a zero-norm vector is undefined")
-    return cosine_from_norms(a, b, na, nb)
-
-
 def mean_dissimilarity(cand, n_cand, rows, norms) -> float:
     """Mean of 1 - cos of `cand` against each of `rows`, from their norms;
     0 for no rows."""
     if len(rows) == 0:
         return 0.0
     return float(np.mean([1.0 - cosine_from_norms(r, cand, n, n_cand) for r, n in zip(rows, norms)]))
-
-
-def similarity_gain(p_u, p_cand) -> float:
-    """Cosine between the target user's preference row and a candidate's."""
-    a = np.asarray(p_u, dtype=np.float64)
-    b = np.asarray(p_cand, dtype=np.float64)
-    return cosine_from_norms(a, b, np.linalg.norm(a), np.linalg.norm(b))
-
-
-def diversity_gain(cand, selected) -> float:
-    """Mean dissimilarity, 1 - cos, of a candidate against selected rows.
-
-    Zero by definition when nothing has been selected yet.
-    """
-    cand = np.asarray(cand, dtype=np.float64)
-    rows = [np.asarray(r, dtype=np.float64) for r in selected]
-    return mean_dissimilarity(cand, np.linalg.norm(cand), rows, [np.linalg.norm(r) for r in rows])
 
 
 def intrinsic_reward(r_hat: float, g: GainPair, c: PenaltyCoeffs) -> float:

@@ -32,7 +32,6 @@ class SelectionEpisode:
     divs: list = field(default_factory=list)
     ref_rewards: list = field(default_factory=list)
     rewards: list = field(default_factory=list)  # per-step intrinsic rewards
-    advantages: np.ndarray | None = None
 
     @property
     def length(self):
@@ -141,12 +140,11 @@ def run_selection(
 
 
 def episode_forward(agent: SelectorAgent, episodes):
-    """Replay one episode, or a list of them as one batch, with tapes.
+    """Replay a list of selection episodes as one batch, with tapes.
 
     Reproduces the rollout numbers exactly while the parameters are
     unchanged. State 0 of each episode is its bare token, as in `run_selection`.
     """
-    episodes = [episodes] if isinstance(episodes, SelectionEpisode) else episodes
     lengths = [ep.length for ep in episodes]
     inputs = np.concatenate([
         np.hstack([np.broadcast_to(ep.s_rec, (n, agent.d_rec)), [ep.p_u] + ep.p_rows[: n - 1]])

@@ -288,6 +288,8 @@ class CheckpointManifest:
         for key in ("K", "d_emb"):
             if getattr(self, key) < 1:
                 raise ValueError(f"'{key}' must be an integer >= 1, got {getattr(self, key)!r}")
+        if self.r_min >= self.r_max:
+            raise ValueError(f"r_min {self.r_min} must be below r_max {self.r_max}")
 
 
 def save_world_model(wm: WorldModelEnsemble, path):

@@ -34,6 +34,17 @@ def verdict(num, name, ok):
 
 # --- criterion 1: formula exactness -----------------------------------------
 
+def gain_cosine(a, b):
+    """The selection episode's cosine: `cosine_from_norms` on `np.linalg.norm` norms."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return rm.cosine_from_norms(a, b, np.linalg.norm(a), np.linalg.norm(b))
+
+
+def gain_dissimilarity(cand, rows):
+    """The selection episode's diversity gain: `mean_dissimilarity` on `np.linalg.norm` norms."""
+    return rm.mean_dissimilarity(cand, np.linalg.norm(cand), rows, [np.linalg.norm(r) for r in rows])
+
+
 def test_criterion_1_formula_exactness():
     ok = True
     tol, cos_tol = 1e-12, 1e-9
@@ -42,16 +53,16 @@ def test_criterion_1_formula_exactness():
     ok &= abs(np.mean([0.2, 0.6]) - 0.4) < tol
     ok &= max(0.01, 0.09) == 0.09
 
-    ok &= abs(rm.cosine([1.0, 0.0], [1.0, 0.0]) - 1.0) < cos_tol
-    ok &= abs(rm.cosine([1.0, 0.0], [0.0, 1.0])) < cos_tol
-    ok &= abs(rm.cosine([1.0, 1.0], [1.0, 0.0]) - 1.0 / math.sqrt(2)) < cos_tol
+    ok &= abs(gain_cosine([1.0, 0.0], [1.0, 0.0]) - 1.0) < cos_tol
+    ok &= abs(gain_cosine([1.0, 0.0], [0.0, 1.0])) < cos_tol
+    ok &= abs(gain_cosine([1.0, 1.0], [1.0, 0.0]) - 1.0 / math.sqrt(2)) < cos_tol
     row = np.array([0.3, 0.6, 0.1])
-    ok &= abs(rm.similarity_gain(row, row) - 1.0) < cos_tol
-    ok &= abs(rm.similarity_gain(row, -3.0 * row) + 1.0) < cos_tol
+    ok &= abs(gain_cosine(row, row) - 1.0) < cos_tol
+    ok &= abs(gain_cosine(row, -3.0 * row) + 1.0) < cos_tol
 
-    ok &= rm.diversity_gain(row, []) == 0.0
-    ok &= abs(rm.diversity_gain(row, [row])) < cos_tol
-    ok &= abs(rm.diversity_gain(np.array([1.0, 0.0]), [np.array([0.0, 1.0])]) - 1.0) < cos_tol
+    ok &= gain_dissimilarity(row, []) == 0.0
+    ok &= abs(gain_dissimilarity(row, [row])) < cos_tol
+    ok &= abs(gain_dissimilarity(np.array([1.0, 0.0]), [np.array([0.0, 1.0])]) - 1.0) < cos_tol
 
     c0 = rm.PenaltyCoeffs(lambda_s=0.0, lambda_d=0.0)
     ok &= rm.intrinsic_reward(0.37, rm.GainPair(0.5, 0.5), c0) == 0.37
@@ -95,17 +106,18 @@ def test_criterion_2_gradient_correctness():
 
     for seed in range(20):
         e = SeqEncoder("e", 4, window=3, seed=seed)
-        toks = list(rng_stream(seed, "c2t").normal(size=(3, 4)))
+        windows = rng_stream(seed, "c2t").normal(size=(1, 3, 4))  # one full window
+        pad = np.zeros((1, 3), dtype=bool)
         w = rng_stream(seed, "c2s").normal(size=4)
 
         def loss():
-            s, _ = e.encode(toks)
-            return float(s @ w)
+            s, _ = e.forward(windows, pad)
+            return float(s[0] @ w)
 
         def back():
-            s, t = e.encode(toks)
-            e.backward(t, w)
-            return float(s @ w)
+            s, t = e.forward(windows, pad)
+            e.backward_batch(t, w[None])
+            return float(s[0] @ w)
 
         worst = max(worst, gradient_check(e.blocks(), loss, back))
 
@@ -128,7 +140,6 @@ def test_criterion_2_gradient_correctness():
                     done=i == 2, done_reason="max_length" if i == 2 else None,
                 )
             )
-        engine.compute_advantages(traj, 0.97)
 
         def loss():
             a, c = engine.recommender_losses(agent, traj, 0.97, accumulate=False)
@@ -147,11 +158,11 @@ def test_criterion_2_gradient_correctness():
         )
 
         def sloss():
-            a, c = engine.selector_losses(sel_agent, ep, 0.97, accumulate=False)
+            a, c = engine.selector_losses(sel_agent, [ep], 0.97, accumulate=False)
             return a + c
 
         def sback():
-            a, c = engine.selector_losses(sel_agent, ep, 0.97, accumulate=True)
+            a, c = engine.selector_losses(sel_agent, [ep], 0.97, accumulate=True)
             return a + c
 
         worst = max(worst, gradient_check(sel_agent.blocks(), sloss, sback))
@@ -192,7 +203,7 @@ def test_criterion_3_termination_protocol():
         )
         agent, _ = engine.build_agents(d, settings)
         for idx in range(10):
-            episode = engine._eval_episode(agent, d, seed=idx, idx=idx, greedy=False)
+            episode = engine._eval_block(agent, d, idx, [idx], False)[0]
             ok &= episode["length"] <= 30
         if d is d_many:
             ok &= episode["length"] == 30  # nothing can repeat, cap must fire
@@ -281,7 +292,6 @@ def test_criterion_6_policy_gradient_sanity():
                 return items, [r], [True]
 
             engine.play_episodes(agent, [0], np.arange(arms), pull)
-            engine.compute_advantages(traj, 0.99)
             engine.update_recommender(agent, traj, 0.99, cfg)
         final = []
 

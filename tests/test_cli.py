@@ -238,7 +238,7 @@ def test_bad_policy_config_rejected_before_loading(tmp_path, capsys, command, ba
 
 
 class TestTrainPolicy:
-    @pytest.mark.parametrize("seeds", ["1,1", "1,x", "2,1.5"])
+    @pytest.mark.parametrize("seeds", ["1,1", "1,x", "2,1.5", ""])
     def test_bad_seed_flag_rejected_before_loading(self, tmp_path, capsys, seeds):
         out = tmp_path / "out"
         rc = cli.main([
@@ -332,7 +332,8 @@ class TestTrainPolicy:
         (lambda m: {**m, "hidden": 5}, "'hidden' must be a list of integers >= 1, got 5"),
         (lambda m: {**m, "K": 0}, "'K' must be an integer >= 1, got 0"),
         (lambda m: {k: v for k, v in m.items() if k != "K"}, "missing keys: K"),
-    ], ids=["truncated", "list", "K='2'", "hidden=5", "K=0", "no-K"])
+        (lambda m: {**m, "r_min": 1.0, "r_max": 0.0}, "r_min 1.0 must be below r_max 0.0"),
+    ], ids=["truncated", "list", "K='2'", "hidden=5", "K=0", "no-K", "r_min>r_max"])
     def test_malformed_world_model_manifest_names_the_file(self, workspace, tmp_path, capsys,
                                                            edit, message):
         wm = tmp_path / "wm.ckpt"

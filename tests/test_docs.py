@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import re
 from pathlib import Path
@@ -62,3 +63,41 @@ def test_readme_walkthrough_config_loads(name):
     data = walkthrough_configs()[name]
     data.pop("seeds", None)  # train-policy takes the seed list out first
     config_from_dict(WALKTHROUGH_CONFIGS[name], data, name)
+
+
+# darlr's modules, and the suffixes of the files README names: `selector.frag`
+# is a file, `selector.candidate_pool` a code reference
+DARLR_MODULES = {"cli", "config", "dataset", "engine", "nncore", "recommender", "rewardmath",
+                 "selector", "worldmodel"}
+FILE_SUFFIXES = {"csv", "ckpt", "frag", "json", "toml"}
+
+
+def readme_code_references():
+    """Each backticked `module.name` or `darlr.module` in README whose module
+    is one of darlr's, as (module, attribute path)."""
+    refs = set()
+    for ref in re.findall(r"`(\w+(?:\.\w+)+)`", README.read_text()):
+        head, *rest = ref.split(".")
+        if head == "darlr":
+            refs.add((ref, ()))
+        elif head in DARLR_MODULES and rest[-1] not in FILE_SUFFIXES:
+            refs.add((f"darlr.{head}", tuple(rest)))
+    return sorted(refs)
+
+
+def test_readme_code_references_resolve():
+    refs = readme_code_references()
+    assert ("darlr.engine", ("load_bundle",)) in refs  # the scan finds what README names
+    stale = []
+    for module, path in refs:
+        try:
+            obj = importlib.import_module(module)
+        except ImportError:
+            stale.append(module)
+            continue
+        for i, name in enumerate(path):
+            if not hasattr(obj, name):
+                stale.append(".".join([module[len("darlr.") :], *path[: i + 1]]))
+                break
+            obj = getattr(obj, name)
+    assert stale == [], f"README names code that does not exist: {stale}"

@@ -36,6 +36,14 @@ def dir_bytes(root):
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
 
+def encode_window(encoder, tokens):
+    """The state of one left-padded window of `tokens` from the batched encoder."""
+    n = len(tokens)
+    windows = np.zeros((1, encoder.window, encoder.width))
+    windows[0, encoder.window - n :] = tokens
+    return encoder.forward(windows, (np.arange(encoder.window) < encoder.window - n)[None])[0][0]
+
+
 def matrix_digest(m):
     h = hashlib.sha256()
     h.update(m.current.tobytes())
@@ -64,7 +72,7 @@ class ReferenceTracker:
         a = self.agent
         token, _ = a.proj.forward(np.concatenate([a.emb_user.values[self.u], e_i, [float(reward)]]))
         self.tokens = (self.tokens + [token])[-a.window :]
-        self.vec, _ = a.encoder.encode(self.tokens)
+        self.vec = encode_window(a.encoder, self.tokens)
 
     def track(self, item, reward):
         self.push(self.agent.emb_item.values[item], reward)
@@ -175,10 +183,18 @@ class TestEnvStep:
             engine.env_step(0, 0, 1, "eval", self.make_matrix(), None, [], self.cats)
 
 
-def actor_loss(logprobs, traj):
+def reference_advantages(traj, gamma):
+    """Each step's discounted return, summed term by term, minus its
+    recorded critic value."""
+    rewards = [tr.reward for tr in traj.transitions]
+    returns = [sum(gamma**k * r for k, r in enumerate(rewards[t:])) for t in range(len(rewards))]
+    return np.array(returns) - np.array([tr.value for tr in traj.transitions])
+
+
+def actor_loss(logprobs, traj, gamma):
     """Reference actor loss: minus the mean of each action's log-probability
     times its advantage."""
-    return float(-(np.asarray(logprobs) * traj.advantages).mean())
+    return float(-(np.asarray(logprobs) * reference_advantages(traj, gamma)).mean())
 
 
 def record_logprobs(monkeypatch):
@@ -217,46 +233,46 @@ class TestAdvantages:
             )
         return t
 
-    def head_losses(self, t, gamma):
-        """(actor, critic) loss of `_head_grads` on uniform logits and the
-        trajectory's recorded values."""
+    def head(self, t, gamma):
+        """`_head_grads` on uniform logits and the trajectory's recorded
+        rewards and values: (advantages, actor loss, critic loss). The
+        advantages are read back from the actor gradient: under uniform
+        logits step s takes its action with probability 1 / (n + 1 - s)."""
         n = len(t)
-        values = np.array([[tr.value] for tr in t.transitions])
-        targets = engine.critic_targets([tr.reward for tr in t.transitions], values[:, 0], gamma)
-        _, _, aloss, closs = engine._head_grads(
-            np.zeros((n, n + 1)), values, [tr.action for tr in t.transitions],
-            np.ones(n + 1, dtype=bool), t.advantages, targets, 1.0,
+        actions = [tr.action for tr in t.transitions]
+        values = [tr.value for tr in t.transitions]
+        dlogits, _, aloss, closs = engine._head_grads(
+            np.zeros((n, n + 1)), np.array(values)[:, None], actions, np.ones(n + 1, dtype=bool),
+            [tr.reward for tr in t.transitions], values, gamma, 1.0,
         )
-        return aloss, closs
+        p = 1.0 / (n + 1 - np.arange(n))
+        return -dlogits[np.arange(n), actions] * n / (1.0 - p), aloss, closs
 
     def test_single_transition(self):
-        t = engine.compute_advantages(self.traj([1.0], [0.4]), gamma=0.9)
-        assert t.returns[0] == 1.0
-        assert t.advantages[0] == pytest.approx(0.6)
+        assert engine.discounted_returns([1.0], 0.9)[0] == 1.0
+        assert self.head(self.traj([1.0], [0.4]), 0.9)[0][0] == pytest.approx(0.6)
 
     def test_hand_recurrence(self):
-        t = engine.compute_advantages(self.traj([1.0, 1.0], [0.0, 0.0]), gamma=0.5)
-        assert np.allclose(t.returns, [1.5, 1.0], atol=0)
-        assert np.allclose(t.advantages, [1.5, 1.0], atol=0)
+        assert np.array_equal(engine.discounted_returns([1.0, 1.0], 0.5), [1.5, 1.0])
+        advantages = self.head(self.traj([1.0, 1.0], [0.0, 0.0]), 0.5)[0]
+        assert advantages == pytest.approx([1.5, 1.0], abs=1e-12)
 
     def test_myopic_limit(self):
         rewards = [0.3, 0.7, 0.1]
         values = [0.2, 0.1, 0.4]
-        t = engine.compute_advantages(self.traj(rewards, values), gamma=0.0)
-        assert np.allclose(t.advantages, np.array(rewards) - np.array(values), atol=0)
+        advantages = self.head(self.traj(rewards, values), 0.0)[0]
+        assert advantages == pytest.approx(np.array(rewards) - np.array(values), abs=1e-12)
 
     def test_zero_advantages_zero_actor_loss(self):
-        t = self.traj([1.0, 1.0], [0.0, 0.0])
-        engine.compute_advantages(t, 0.5)
-        t.advantages = np.zeros(2)
-        assert actor_loss(-np.log([3.0, 2.0]), t) == 0.0
-        assert self.head_losses(t, 0.5)[0] == 0.0
+        # values equal to the discounted returns leave every advantage at zero
+        t = self.traj([1.0, 1.0], [1.5, 1.0])
+        assert actor_loss(-np.log([3.0, 2.0]), t, 0.5) == 0.0
+        assert self.head(t, 0.5)[1] == 0.0
 
     def test_terminal_critic_loss(self):
         t = self.traj([1.0], [0.0])
-        engine.compute_advantages(t, 0.9)
         assert critic_loss(t, 0.9) == pytest.approx(1.0)
-        assert self.head_losses(t, 0.9)[1] == pytest.approx(1.0)
+        assert self.head(t, 0.9)[2] == pytest.approx(1.0)
 
 
 @pytest.fixture(scope="module")
@@ -472,11 +488,10 @@ class TestLosses:
         )
         logprobs = record_logprobs(monkeypatch)
         traj, episodes = engine.rollout_trajectory(ctx, 4)
-        engine.compute_advantages(traj, settings.gamma)
         aloss, closs = engine.recommender_losses(
             smoke_run.rec_agent, traj, settings.gamma, accumulate=False
         )
-        assert aloss == pytest.approx(actor_loss(logprobs, traj), abs=1e-10)
+        assert aloss == pytest.approx(actor_loss(logprobs, traj, settings.gamma), abs=1e-10)
         assert closs == pytest.approx(critic_loss(traj, settings.gamma), abs=1e-10)
 
     def test_recommender_loss_gradients(self):
@@ -499,7 +514,6 @@ class TestLosses:
                     done=i == 2, done_reason="max_length" if i == 2 else None,
                 )
             )
-        engine.compute_advantages(traj, settings.gamma)
 
         def loss():
             a, c = engine.recommender_losses(agent, traj, settings.gamma, accumulate=False)
@@ -523,11 +537,11 @@ class TestLosses:
         )
 
         def loss():
-            a, c = engine.selector_losses(agent, ep, 0.9, accumulate=False)
+            a, c = engine.selector_losses(agent, [ep], 0.9, accumulate=False)
             return a + c
 
         def back():
-            a, c = engine.selector_losses(agent, ep, 0.9, accumulate=True)
+            a, c = engine.selector_losses(agent, [ep], 0.9, accumulate=True)
             return a + c
 
         assert gradient_check(agent.blocks(), loss, back) < 1e-4
@@ -551,7 +565,7 @@ class TestLosses:
         engine.update_selector(agent, episodes, 0.9, AdamConfig())
         zero_grads(agent.blocks())
         for ep in episodes:
-            engine.selector_losses(agent, ep, 0.9, accumulate=True, scale=1 / 3)
+            engine.selector_losses(agent, [ep], 0.9, accumulate=True, scale=1 / 3)
         assert len(captured) == len(agent.blocks())
         for blk, g in zip(agent.blocks(), captured):  # one batch sums in episode order
             assert np.array_equal(g, blk.grad), blk.name
@@ -573,8 +587,7 @@ class TestLosses:
                 done_reason="max_length",
             )
         )
-        engine.compute_advantages(traj, 0.99)
-        assert traj.advantages[0] > 0
+        assert engine.discounted_returns([1.0], 0.99)[0] > traj.transitions[0].value
         engine.update_recommender(agent, traj, 0.99, AdamConfig(lr=1e-3))
         assert start_probs(agent, 0)[target] > before
 
@@ -616,6 +629,17 @@ class TestTrain:
         result = engine.train(tiny_dataset, tiny_wm, smoke_settings(variant="r_static"))
         pm = wmod.predict_matrix(tiny_wm)
         assert np.array_equal(result.matrix.current, pm.mean)
+
+    def test_r_static_never_steps_the_selector(self, tiny_dataset, tiny_wm):
+        settings = smoke_settings(variant="r_static")
+        fresh = engine.build_agents(tiny_dataset, settings)[1].params
+        agent = engine.train(tiny_dataset, tiny_wm, settings).sel_agent
+        # an empty batch of selection episodes is no update at all
+        assert engine.update_selector(agent, [], settings.gamma, AdamConfig()) == (0.0, 0.0)
+        params = agent.params
+        assert params.step_count == 0
+        for attr in ("values", "grad", "adam_m", "adam_v"):
+            assert np.array_equal(getattr(params, attr), getattr(fresh, attr)), attr
 
     def test_benchmark_probe_points(self, tiny_dataset, tiny_wm, monkeypatch):
         # perfbench wraps these module globals to count trajectories and steps
@@ -863,7 +887,7 @@ class TestLockstepEvaluation:
         agent, d, matrix = smoke_run.rec_agent, tiny_dataset, smoke_run.matrix
         report = engine.evaluate(agent, d, matrix, self.EPISODES, 5)
         for idx in (0, 63, 64, 129):
-            episode = engine._eval_episode(agent, d, 5, idx, False)
+            episode = engine._eval_block(agent, d, 5, [idx], False)[0]
             assert episode == reference_episode(agent, d, 5, idx, False)
             for key in ("r_tra", "length", "r_each", "mcd"):
                 assert episode[key] == report.per_episode[key][idx], key

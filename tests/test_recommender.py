@@ -59,8 +59,10 @@ class TestInitEpisode:
         def forward():
             x = a.token_inputs([1])[0]
             t, pt = a.proj.forward(x)
-            s, et = a.encoder.encode([t])
-            return s, pt, et
+            windows = np.zeros((1, a.window, t.size))
+            windows[0, -1] = t  # one token, left-padded
+            s, et = a.encoder.forward(windows, (np.arange(a.window) < a.window - 1)[None])
+            return s[0], pt, et
 
         def loss():
             s, _, _ = forward()
@@ -68,7 +70,7 @@ class TestInitEpisode:
 
         def back():
             s, pt, et = forward()
-            dtok = a.encoder.backward(et, w)[0]
+            dtok = a.encoder.backward_batch(et, w[None])[0, -1]
             dx = a.proj.backward(pt, dtok)
             a.emb_user.grad[1] += dx[: a.d_emb]
             return float(s @ w)

@@ -14,6 +14,24 @@ def make_matrix(rows):
     return ShapedRewardMatrix(np.asarray(rows, dtype=np.float64), 0.0, 1.0)
 
 
+def cosine(a, b):
+    """`cosine_from_norms` on `np.linalg.norm` norms: the similarity gain."""
+    return rm.cosine_from_norms(a, b, np.linalg.norm(a), np.linalg.norm(b))
+
+
+def dissimilarity(cand, rows):
+    """`mean_dissimilarity` on `np.linalg.norm` norms: the diversity gain."""
+    return rm.mean_dissimilarity(cand, np.linalg.norm(cand), rows, [np.linalg.norm(r) for r in rows])
+
+
+def encode_window(encoder, tokens):
+    """The state of one left-padded window of `tokens` from the batched encoder."""
+    n = len(tokens)
+    windows = np.zeros((1, encoder.window, encoder.width))
+    windows[0, encoder.window - n :] = tokens
+    return encoder.forward(windows, (np.arange(encoder.window) < encoder.window - n)[None])[0][0]
+
+
 def make_agent(n_items, pool_size, d_rec=4, d_pref=3, window=3, seed=0, **kw):
     return sel.SelectorAgent(n_items, d_rec, d_pref, pool_size, window, seed, **kw)
 
@@ -42,7 +60,7 @@ class TestCandidatePool:
         for v in range(10):
             if v == u:
                 continue
-            sims.append((-rm.cosine(rows[u], rows[v]), v))
+            sims.append((-cosine(rows[u], rows[v]), v))
         expected = [v for _, v in sorted(sims)][:4]
         assert sel.candidate_pool(u, m, 4).tolist() == expected
 
@@ -54,7 +72,7 @@ class TestCandidatePool:
 
 def reference_selection(u, i_t, s_rec, matrix, agent, k_sel, lambda_s, lambda_d, rng):
     """`run_selection` step by step: every token projected alone, every later
-    state encoded from the last window of tokens by `SeqEncoder.encode`.
+    state encoded from the last window of tokens alone.
     Returns the episode's slots, values and rewards."""
     pool = sel.candidate_pool(u, matrix, agent.pool_size)
     rows = matrix.current
@@ -64,15 +82,15 @@ def reference_selection(u, i_t, s_rec, matrix, agent, k_sel, lambda_s, lambda_d,
     for t in range(k_sel):
         token, _ = agent.proj.forward(np.concatenate([s_rec, rows[chosen[-1] if t else u]]))
         tokens.append(token)
-        state = agent.encoder.encode(tokens[-agent.window :])[0] if t else token
+        state = encode_window(agent.encoder, tokens[-agent.window :]) if t else token
         logits, _ = agent.actor.forward(state)
         value, _ = agent.critic.forward(state)
         slot = int(sample_rows(np.where(avail, logits, -np.inf)[None], [rng])[0][0])
         avail[slot] = False
         chosen.append(int(pool[slot]))
         gains = rm.GainPair(
-            rm.similarity_gain(rows[u], rows[chosen[-1]]),
-            rm.diversity_gain(rows[chosen[-1]], [rows[c] for c in chosen[:-1]]),
+            cosine(rows[u], rows[chosen[-1]]),
+            dissimilarity(rows[chosen[-1]], [rows[c] for c in chosen[:-1]]),
         )
         prefix = sum(float(rows[c, i_t]) for c in chosen) / (t + 1)  # a running sum
         slots.append(slot)
@@ -148,13 +166,13 @@ class TestStates:
         ep, states = self.states(monkeypatch, a, 4)
         for t in range(1, 4):
             token, _ = a.proj.forward(np.concatenate([self.s_rec, ep.p_rows[t - 1]]))
-            assert np.array_equal(states[t], a.encoder.encode([token])[0])
+            assert np.array_equal(states[t], encode_window(a.encoder, [token]))
 
     def test_different_new_rows_give_different_states(self):
         a = make_agent(n_items=4, pool_size=7, d_rec=2, seed=6)
         ep = sel.run_selection(3, 0, self.s_rec, self.matrix, a, 3, 1.0, 0.1, rng_stream(6))
         other = dataclasses.replace(ep, p_rows=[ep.p_rows[0][::-1]] + ep.p_rows[1:])
-        fwd, moved = sel.episode_forward(a, ep), sel.episode_forward(a, other)
+        fwd, moved = sel.episode_forward(a, [ep]), sel.episode_forward(a, [other])
         assert np.array_equal(fwd["states"][0], moved["states"][0])
         assert not np.allclose(fwd["states"][1], moved["states"][1])
 
@@ -199,8 +217,8 @@ class TestRunSelection:
             5, 7, self.s_rec, self.matrix, self.agent, 5, self.lambda_s, self.lambda_d, rng
         )
         for t in range(5):
-            assert ep.divs[t] == rm.diversity_gain(ep.p_rows[t], ep.p_rows[:t])
-            assert ep.sims[t] == rm.similarity_gain(ep.p_u, ep.p_rows[t])
+            assert ep.divs[t] == dissimilarity(ep.p_rows[t], ep.p_rows[:t])
+            assert ep.sims[t] == cosine(ep.p_u, ep.p_rows[t])
 
     def test_scripted_replay_of_same_rng_stream(self):
         # windows of one token, of some and of more than the episode holds
@@ -227,7 +245,7 @@ class TestRunSelection:
         ep = sel.run_selection(
             0, 1, self.s_rec, self.matrix, self.agent, 6, self.lambda_s, self.lambda_d, rng
         )
-        fwd = sel.episode_forward(self.agent, ep)
+        fwd = sel.episode_forward(self.agent, [ep])
         avail = np.ones(self.agent.pool_size, dtype=bool)
         for t, slot in enumerate(ep.slots):
             probs = softmax(np.where(avail, fwd["logits"][t], -np.inf))
@@ -268,7 +286,7 @@ class TestEpisodeReplay:
         agent = make_agent(n_items=6, pool_size=7, d_rec=3, seed=12)
         args = (4, 2, rng.normal(size=3), matrix, agent, 5, 1.0, 0.1, rng_stream(1))
         ep, states = recorded_states(monkeypatch, agent, *args)
-        fwd = sel.episode_forward(agent, ep)
+        fwd = sel.episode_forward(agent, [ep])
         # the replay sees the rollout's states: the same logits and values, bit for bit
         assert len(states) == 5
         assert np.array_equal(fwd["states"], np.array(states))
@@ -299,7 +317,7 @@ class TestEpisodeReplay:
         assert np.array_equal(fwd["logits"][5:], moved["logits"][5:])
         assert np.array_equal(fwd["values"][5:], moved["values"][5:])
         assert not np.allclose(fwd["logits"][:5], moved["logits"][:5])
-        alone = sel.episode_forward(agent, b)
+        alone = sel.episode_forward(agent, [b])
         assert np.array_equal(alone["logits"], fwd["logits"][5:])
         assert np.array_equal(alone["values"], fwd["values"][5:])
 
