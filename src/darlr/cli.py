@@ -110,7 +110,7 @@ def _policy_inputs(args):
     except ds.DatasetError as exc:
         raise CliError(str(exc), code=2)
     wm = wmod.load_world_model(args.wm, d)
-    if wm.dataset_hash != ds.content_hash(d):
+    if wm.manifest.dataset_hash != ds.content_hash(d):
         raise CliError("world model was trained on a different dataset (hash mismatch)", code=2)
     return d, wm
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, config_from_dict, read_json_object
-from .nncore import rng_stream
+from .nncore import atomic_open, rng_stream
 
 
 class DatasetError(ValueError):
@@ -197,37 +197,46 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
 
 def save_dataset(d: Dataset, dir_path):
-    """Write the CSV + manifest layout under dir_path."""
+    """Write the CSV + manifest layout under dir_path.
+
+    `manifest.json` is removed first and written last, and each file is
+    replaced whole through `atomic_open`, so an interrupted save leaves a
+    directory that `load_dataset` rejects for its missing manifest. A
+    dataset without truth removes a `truth.csv` left by an earlier save.
+    """
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
 
-    with open(out / "interactions.csv", "w", newline="") as fh:
+    with atomic_open(out / "interactions.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["user_id", "item_id", "feedback", "step"])
         w.writerows([u, i, repr(fb), step] for u, i, fb, step in d.train_log.tolist())
 
     n_uf = d.users.features.shape[1]
-    with open(out / "users.csv", "w", newline="") as fh:
+    with atomic_open(out / "users.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["user_id"] + [f"feat_{j}" for j in range(n_uf)])
         w.writerows([u] + feats for u, feats in enumerate(d.users.features.tolist()))
 
     n_if = d.items.features.shape[1]
-    with open(out / "items.csv", "w", newline="") as fh:
+    with atomic_open(out / "items.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["item_id", "category"] + [f"feat_{j}" for j in range(n_if)])
         cats = d.items.primary_category.tolist()
         w.writerows([i, cats[i]] + feats for i, feats in enumerate(d.items.features.tolist()))
 
-    if d.truth_matrix is not None:
-        with open(out / "truth.csv", "w", newline="") as fh:
+    if d.truth_matrix is None:
+        (out / "truth.csv").unlink(missing_ok=True)
+    else:
+        with atomic_open(out / "truth.csv", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["user_id", "item_id", "feedback"])
             for u, row in enumerate(d.truth_matrix.tolist()):
                 w.writerows([u, i, repr(v)] for i, v in enumerate(row))
 
     manifest = DatasetManifest(d.r_min, d.r_max, d.name, d.seed)
-    with open(out / "manifest.json", "w") as fh:
+    with atomic_open(out / "manifest.json") as fh:
         json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

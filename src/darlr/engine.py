@@ -124,13 +124,9 @@ class EvalReport:
     r_tra: float
     r_tra_std: float
     r_each: float
-    r_each_std: float
     length: float
-    length_std: float
     mcd: float
-    mcd_std: float
     reward_error: float
-    n_episodes: int
     per_episode: dict = field(default_factory=dict, repr=False)
 
 
@@ -552,11 +548,8 @@ def evaluate(agent, d: ds.Dataset, matrix, episodes, seed, greedy=False) -> Eval
         reward_error = float("nan")
     return EvalReport(
         r_tra=float(arrays["r_tra"].mean()), r_tra_std=float(arrays["r_tra"].std()),
-        r_each=float(arrays["r_each"].mean()), r_each_std=float(arrays["r_each"].std()),
-        length=float(arrays["length"].mean()), length_std=float(arrays["length"].std()),
-        mcd=float(arrays["mcd"].mean()), mcd_std=float(arrays["mcd"].std()),
-        reward_error=reward_error, n_episodes=episodes,
-        per_episode=arrays,
+        r_each=float(arrays["r_each"].mean()), length=float(arrays["length"].mean()),
+        mcd=float(arrays["mcd"].mean()), reward_error=reward_error, per_episode=arrays,
     )
 
 

@@ -508,7 +508,7 @@ def load_block_state(sets, state, where):
 
 
 @contextlib.contextmanager
-def atomic_open(path, mode="w"):
+def atomic_open(path, mode="w", newline=None):
     """Open a dot-prefixed temporary file beside `path` for writing.
 
     When the block ends without error the file is renamed over `path`;
@@ -517,7 +517,7 @@ def atomic_open(path, mode="w"):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

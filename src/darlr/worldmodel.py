@@ -63,58 +63,44 @@ class WorldModelConfig:
 
 
 class WorldModelMember:
-    """One Gaussian reward predictor: field embeddings + pairwise + MLP head."""
+    """One Gaussian reward predictor: field embeddings + pairwise + MLP head.
+
+    Its fields are the columns of two integer tables, a user side
+    `[id, user features...]` and an item side `[id, category, item
+    features...]`; a field's vocabulary is its column maximum plus one.
+    """
 
     def __init__(self, users: ds.UserCatalog, items: ds.ItemCatalog, d_emb, hidden, seed, index):
         self.index = index
         self.d_emb = d_emb
-        # (tag, vocab, source) where source picks the id column per pair batch
-        self.fields = [("user_id", users.count, "u")]
-        for j in range(users.features.shape[1]):
-            vocab = int(users.features[:, j].max()) + 1
-            self.fields.append((f"user_feat{j}", vocab, ("uf", j)))
-        self.fields.append(("item_id", items.count, "i"))
-        self.fields.append(("item_cat", items.n_categories, "ic"))
-        for j in range(items.features.shape[1]):
-            vocab = int(items.features[:, j].max()) + 1
-            self.fields.append((f"item_feat{j}", vocab, ("if", j)))
-        self.user_features = users.features
-        self.item_features = items.features
-        self.item_category = items.primary_category
-
+        self.user_cols = np.column_stack([np.arange(users.count), users.features])
+        self.item_cols = np.column_stack(
+            [np.arange(items.count), items.primary_category, items.features]
+        )
+        tags = (
+            ["user_id"] + [f"user_feat{j}" for j in range(users.features.shape[1])]
+            + ["item_id", "item_cat"] + [f"item_feat{j}" for j in range(items.features.shape[1])]
+        )
+        vocabs = [*self.user_cols.max(axis=0) + 1, *self.item_cols.max(axis=0) + 1]
         self.embeddings = []
-        for tag, vocab, _ in self.fields:
+        for tag, vocab in zip(tags, vocabs):
             name = f"wm{index}/emb/{tag}"
             self.embeddings.append(
                 make_block(name, (vocab, d_emb), rng_stream(seed, "init", name))
             )
-        n_in = len(self.fields) * d_emb
+        n_in = len(tags) * d_emb
         self.head = Mlp(f"wm{index}/head", [n_in] + list(hidden) + [2], seed)
         self.params = ParamSet(self.embeddings + self.head.blocks())
 
     def blocks(self):
         return list(self.params.blocks)
 
-    def _field_indices(self, u_idx, i_idx):
-        out = []
-        for _, _, source in self.fields:
-            if source == "u":
-                out.append(u_idx)
-            elif source == "i":
-                out.append(i_idx)
-            elif source == "ic":
-                out.append(self.item_category[i_idx])
-            elif source[0] == "uf":
-                out.append(self.user_features[u_idx, source[1]])
-            else:
-                out.append(self.item_features[i_idx, source[1]])
-        return out
-
     def forward(self, u_idx, i_idx):
         """Batched mean/log-variance for index arrays; returns (mu, logvar, tape)."""
         u_idx = np.atleast_1d(np.asarray(u_idx, dtype=np.int64))
         i_idx = np.atleast_1d(np.asarray(i_idx, dtype=np.int64))
-        idx = self._field_indices(u_idx, i_idx)
+        # take, not a fancy row index: it gathers the same rows about 3x faster
+        idx = [*self.user_cols.take(u_idx, axis=0).T, *self.item_cols.take(i_idx, axis=0).T]
         embs = [blk.values[ix] for blk, ix in zip(self.embeddings, idx)]
         total = np.sum(embs, axis=0)
         sq = np.sum([e**2 for e in embs], axis=0)
@@ -145,22 +131,47 @@ class PredictionMatrix:
     static_uncertainty: np.ndarray  # per-entry max member variance
 
 
+@dataclass
+class CheckpointManifest:
+    """An ensemble's shape and provenance: the JSON `manifest` line of its checkpoint."""
+
+    K: int
+    d_emb: int
+    hidden: tuple[int, ...]
+    seed: int
+    r_min: float
+    r_max: float
+    dataset_hash: str
+
+    def validate(self):
+        for key in ("K", "d_emb"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"'{key}' must be an integer >= 1, got {getattr(self, key)!r}")
+        if self.r_min >= self.r_max:
+            raise ValueError(f"r_min {self.r_min} must be below r_max {self.r_max}")
+
+
 class WorldModelEnsemble:
-    def __init__(self, members, users, items, r_min, r_max, d_emb, hidden, seed, dataset_hash):
+    def __init__(self, members, users, items, manifest: CheckpointManifest):
         self.members = members
         self.users = users
         self.items = items
-        self.r_min = r_min
-        self.r_max = r_max
-        self.d_emb = d_emb
-        self.hidden = list(hidden)
-        self.seed = seed
-        self.dataset_hash = dataset_hash
+        self.manifest = manifest
         self.nll_history = [[] for _ in members]
 
     @property
     def K(self):
         return len(self.members)
+
+
+def _build_members(d: ds.Dataset, m: CheckpointManifest):
+    """The manifest's K untrained members, member k seeded by `rng_stream(seed, "member", k)`."""
+    return [
+        WorldModelMember(
+            d.users, d.items, m.d_emb, m.hidden, rng_stream(m.seed, "member", k).integers(2**63), k
+        )
+        for k in range(m.K)
+    ]
 
 
 def train_world_model(d: ds.Dataset, cfg: WorldModelConfig) -> WorldModelEnsemble:
@@ -179,14 +190,13 @@ def train_world_model(d: ds.Dataset, cfg: WorldModelConfig) -> WorldModelEnsembl
     r_all = d.train_log["feedback"]
     n = len(r_all)
 
-    members, histories = [], []
-    for k in range(cfg.members):
-        member = WorldModelMember(
-            d.users, d.items, cfg.d_emb, cfg.hidden,
-            rng_stream(cfg.seed, "member", k).integers(2**63), k,
-        )
+    manifest = CheckpointManifest(
+        cfg.members, cfg.d_emb, cfg.hidden, cfg.seed, d.r_min, d.r_max, ds.content_hash(d)
+    )
+    wm = WorldModelEnsemble(_build_members(d, manifest), d.users, d.items, manifest)
+    for k, member in enumerate(wm.members):
         shuffle_rng = rng_stream(cfg.seed, "member", k, "shuffle")
-        history = []
+        history = wm.nll_history[k]
         # overflow and nan on the way to divergence are reported by the loss
         # check or by adam_step's gradient check, not as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -209,13 +219,6 @@ def train_world_model(d: ds.Dataset, cfg: WorldModelConfig) -> WorldModelEnsembl
                     member.backward(tape, dmu, dlv)
                     adam_step(member.params, adam)
                 history.append(total / n)
-        members.append(member)
-        histories.append(history)
-    wm = WorldModelEnsemble(
-        members, d.users, d.items, d.r_min, d.r_max,
-        cfg.d_emb, cfg.hidden, cfg.seed, ds.content_hash(d),
-    )
-    wm.nll_history = histories
     return wm
 
 
@@ -228,7 +231,7 @@ def predict_matrix(wm: WorldModelEnsemble) -> PredictionMatrix:
     for member in wm.members:
         for u in range(nu):
             mu, lv, _ = member.forward(np.full(ni, u, dtype=np.int64), items)
-            mean[u] += np.clip(mu, wm.r_min, wm.r_max)
+            mean[u] += np.clip(mu, wm.manifest.r_min, wm.manifest.r_max)
             var_max[u] = np.maximum(var_max[u], np.exp(lv))
     mean /= wm.K
     return PredictionMatrix(mean=mean, static_uncertainty=var_max)
@@ -272,34 +275,11 @@ class EntropyTable:
 
 # --- checkpoint --------------------------------------------------------------
 
-@dataclass
-class CheckpointManifest:
-    """The JSON `manifest` line of a world-model checkpoint."""
-
-    K: int
-    d_emb: int
-    hidden: tuple[int, ...]
-    seed: int
-    r_min: float
-    r_max: float
-    dataset_hash: str
-
-    def validate(self):
-        for key in ("K", "d_emb"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"'{key}' must be an integer >= 1, got {getattr(self, key)!r}")
-        if self.r_min >= self.r_max:
-            raise ValueError(f"r_min {self.r_min} must be below r_max {self.r_max}")
-
-
 def save_world_model(wm: WorldModelEnsemble, path):
     """Write the checkpoint through `atomic_open`: a failed save leaves `path` as it was."""
-    manifest = CheckpointManifest(
-        wm.K, wm.d_emb, wm.hidden, wm.seed, wm.r_min, wm.r_max, wm.dataset_hash
-    )
     with atomic_open(path, "wb") as fh:
         fh.write(b"darlr-wm 2\n")
-        fh.write(("manifest " + json.dumps(asdict(manifest), sort_keys=True) + "\n").encode())
+        fh.write(("manifest " + json.dumps(asdict(wm.manifest), sort_keys=True) + "\n").encode())
         write_fragment(fh, block_state(*[m.params for m in wm.members]))
 
 
@@ -320,15 +300,6 @@ def load_world_model(path, d: ds.Dataset) -> WorldModelEnsemble:
             raise ConfigError(f"{path}: manifest: invalid JSON: {exc}") from None
         m = config_from_dict(CheckpointManifest, manifest, f"{path}: manifest")
         state = read_fragment(fh)
-    members = [
-        WorldModelMember(
-            d.users, d.items, m.d_emb, m.hidden,
-            rng_stream(m.seed, "member", k).integers(2**63), k,
-        )
-        for k in range(m.K)
-    ]
-    wm = WorldModelEnsemble(
-        members, d.users, d.items, m.r_min, m.r_max, m.d_emb, m.hidden, m.seed, m.dataset_hash,
-    )
-    load_block_state([m.params for m in wm.members], state, path)
+    wm = WorldModelEnsemble(_build_members(d, m), d.users, d.items, m)
+    load_block_state([member.params for member in wm.members], state, path)
     return wm

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from darlr import dataset as ds
@@ -24,8 +23,3 @@ def tiny_matrix(tiny_wm):
 
     pm = wmod.predict_matrix(tiny_wm)
     return ShapedRewardMatrix(pm.mean, 0.0, 1.0)
-
-
-def rel_err(a, b, floor=1e-6):
-    a, b = np.asarray(a), np.asarray(b)
-    return np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor))

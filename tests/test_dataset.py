@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -331,6 +333,43 @@ class TestSaveLoadRoundTrip:
         assert np.array_equal(d2.truth_matrix, d.truth_matrix)
         assert (d2.r_min, d2.r_max) == (d.r_min, d.r_max)
         assert ds.content_hash(d2) == ds.content_hash(d)
+
+    def test_csv_rows_end_in_crlf_and_no_temporaries_remain(self, tmp_path):
+        ds.save_dataset(ds.generate_synthetic(ds.SyntheticSpec(users=4, items=5, seed=1)), tmp_path)
+        names = ["interactions.csv", "items.csv", "manifest.json", "truth.csv", "users.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        for name in ("interactions.csv", "items.csv", "truth.csv", "users.csv"):
+            lines = (tmp_path / name).read_bytes().split(b"\n")
+            assert lines[-1] == b"" and all(line.endswith(b"\r") for line in lines[:-1]), name
+        assert (tmp_path / "manifest.json").read_bytes().endswith(b"}\n")
+
+    def test_truthless_save_removes_an_old_truth(self, tmp_path):
+        ds.save_dataset(ds.generate_synthetic(ds.SyntheticSpec(users=8, items=6, seed=1)), tmp_path)
+        d = ds.generate_synthetic(ds.SyntheticSpec(users=8, items=6, seed=2))
+        ds.save_dataset(dataclasses.replace(d, truth_matrix=None), tmp_path)
+        loaded = ds.load_dataset(tmp_path)
+        assert loaded.truth_matrix is None
+        assert np.array_equal(loaded.train_log, d.train_log)
+
+    def test_interrupted_overwrite_leaves_no_manifest(self, tmp_path, monkeypatch):
+        ds.save_dataset(ds.generate_synthetic(ds.SyntheticSpec(users=8, items=6, seed=1)), tmp_path)
+        real_open = ds.atomic_open
+
+        @contextlib.contextmanager
+        def failing_open(path, *args, **kwargs):
+            with real_open(path, *args, **kwargs) as fh:
+                yield fh
+                if path.name == "truth.csv":
+                    raise OSError("disk full")
+
+        monkeypatch.setattr(ds, "atomic_open", failing_open)
+        with pytest.raises(OSError, match="disk full"):
+            ds.save_dataset(ds.generate_synthetic(ds.SyntheticSpec(users=8, items=6, seed=2)), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "interactions.csv", "items.csv", "truth.csv", "users.csv"
+        ]
+        with pytest.raises(ds.DatasetError, match="missing file: manifest.json"):
+            ds.load_dataset(tmp_path)
 
 
 def one_shot_truth(path):

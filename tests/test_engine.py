@@ -25,8 +25,7 @@ from darlr.nncore import (
 
 
 def reports_equal(a, b):
-    scalars = ("r_tra", "r_tra_std", "r_each", "r_each_std", "length", "length_std",
-               "mcd", "mcd_std", "reward_error", "n_episodes")
+    scalars = ("r_tra", "r_tra_std", "r_each", "length", "mcd", "reward_error")
     if any(getattr(a, f) != getattr(b, f) for f in scalars):
         return False
     return all(np.array_equal(a.per_episode[k], b.per_episode[k]) for k in a.per_episode)

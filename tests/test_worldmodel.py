@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +8,9 @@ import pytest
 from darlr import dataset as ds
 from darlr import worldmodel as wmod
 from darlr.nncore import block_state
+
+# sha256 of the `wm.ckpt` that `TestMultiColumnCatalogs` trains and saves
+TWO_FEATURE_WM_DIGEST = "74dcd311a216a3c98eb8f1d6c6e2749f08cb63ae99bceeb82025771a25b209d9"
 
 
 @pytest.fixture(scope="module")
@@ -95,9 +100,7 @@ class TestPredictMatrix:
     def test_uncertainty_invariant_to_member_order(self, tiny_wm):
         pm = wmod.predict_matrix(tiny_wm)
         swapped = wmod.WorldModelEnsemble(
-            list(reversed(tiny_wm.members)), tiny_wm.users, tiny_wm.items,
-            tiny_wm.r_min, tiny_wm.r_max, tiny_wm.d_emb, tiny_wm.hidden,
-            tiny_wm.seed, tiny_wm.dataset_hash,
+            list(reversed(tiny_wm.members)), tiny_wm.users, tiny_wm.items, tiny_wm.manifest
         )
         pm2 = wmod.predict_matrix(swapped)
         assert np.array_equal(pm.static_uncertainty, pm2.static_uncertainty)
@@ -217,7 +220,7 @@ class TestCheckpoint:
         pm_b = wmod.predict_matrix(loaded)
         assert np.array_equal(pm_a.mean, pm_b.mean)
         assert np.array_equal(pm_a.static_uncertainty, pm_b.static_uncertainty)
-        assert loaded.dataset_hash == tiny_wm.dataset_hash
+        assert loaded.manifest == tiny_wm.manifest
 
     def test_failed_save_keeps_the_old_checkpoint(self, tiny_wm, tmp_path, monkeypatch):
         path = tmp_path / "wm.ckpt"
@@ -240,3 +243,63 @@ class TestCheckpoint:
         path.write_text(text)
         with pytest.raises(ValueError, match="not a world-model checkpoint"):
             wmod.load_world_model(path, tiny_dataset)
+
+
+@pytest.fixture(scope="module")
+def two_feature():
+    """A 9x8 dataset with two feature columns per side, each of its own vocabulary."""
+    base = ds.generate_synthetic(
+        ds.SyntheticSpec(users=9, items=8, categories=3, log_density=0.5, seed=4)
+    )
+    users = ds.UserCatalog(
+        base.users.count, np.stack([base.users.features[:, 0], np.arange(9) % 6], axis=1)
+    )
+    items = ds.ItemCatalog(
+        base.items.count, base.items.primary_category,
+        np.stack([base.items.features[:, 0], (np.arange(8) * 3) % 7], axis=1),
+    )
+    d = dataclasses.replace(base, users=users, items=items)
+    cfg = wmod.WorldModelConfig(members=2, d_emb=3, hidden=(4,), epochs=2, batch=8, seed=13)
+    return d, wmod.train_world_model(d, cfg)
+
+
+class TestMultiColumnCatalogs:
+    def test_one_block_per_feature_column(self, two_feature):
+        d, wm = two_feature
+        shapes = {b.name: b.values.shape for b in wm.members[0].blocks()}
+        assert shapes["wm0/emb/user_id"] == (9, 3)
+        assert shapes["wm0/emb/user_feat0"] == (int(d.users.features[:, 0].max()) + 1, 3)
+        assert shapes["wm0/emb/user_feat1"] == (6, 3)
+        assert shapes["wm0/emb/item_id"] == (8, 3)
+        assert shapes["wm0/emb/item_cat"] == (d.items.n_categories, 3)
+        assert shapes["wm0/emb/item_feat0"] == (int(d.items.features[:, 0].max()) + 1, 3)
+        assert shapes["wm0/emb/item_feat1"] == (7, 3)
+        assert shapes["wm0/head/L0/W"] == (7 * 3, 4)
+
+    def test_mean_is_pairwise_term_plus_head(self, two_feature):
+        d, wm = two_feature
+        member = wm.members[0]
+        v = {b.name: b.values for b in member.blocks()}
+        uf, itf, cat = d.users.features, d.items.features, d.items.primary_category
+        for u, i in [(0, 0), (3, 5), (8, 7), (6, 2)]:
+            rows = [
+                v["wm0/emb/user_id"][u], v["wm0/emb/user_feat0"][uf[u, 0]],
+                v["wm0/emb/user_feat1"][uf[u, 1]], v["wm0/emb/item_id"][i],
+                v["wm0/emb/item_cat"][cat[i]], v["wm0/emb/item_feat0"][itf[i, 0]],
+                v["wm0/emb/item_feat1"][itf[i, 1]],
+            ]
+            pairwise = sum(rows[f] @ rows[g] for f in range(7) for g in range(f + 1, 7))
+            hidden = np.tanh(np.concatenate(rows) @ v["wm0/head/L0/W"] + v["wm0/head/L0/b"])
+            head = hidden @ v["wm0/head/L1/W"][:, 0] + v["wm0/head/L1/b"][0]
+            mu, _, _ = member.forward(u, i)
+            assert mu[0] == pytest.approx(pairwise + head, abs=1e-12)
+
+    def test_checkpoint_round_trip_and_recorded_bytes(self, two_feature, tmp_path):
+        d, wm = two_feature
+        path = tmp_path / "wm.ckpt"
+        wmod.save_world_model(wm, path)
+        loaded = wmod.load_world_model(path, d)
+        assert np.array_equal(wmod.predict_matrix(loaded).mean, wmod.predict_matrix(wm).mean)
+        wmod.save_world_model(loaded, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == TWO_FEATURE_WM_DIGEST
