@@ -456,10 +456,15 @@ class BehaviorStats:
     n_items: int
     pattern_counts: dict = field(default_factory=dict)
     item_totals: np.ndarray = None
+    # penalty_vector's results, keyed by the pattern's last `order` categories
+    _penalties: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _suffix(self, pattern):
+        return tuple(int(c) for c in pattern)[-self.order :] if self.order else ()
 
     def counts_for(self, pattern):
         """Longest-suffix backoff lookup; returns the matched count vector."""
-        pattern = tuple(int(c) for c in pattern)[-self.order :] if self.order else ()
+        pattern = self._suffix(pattern)
         while pattern:
             if pattern in self.pattern_counts:
                 return self.pattern_counts[pattern]
@@ -471,6 +476,19 @@ class BehaviorStats:
         counts = self.counts_for(pattern)
         total = counts.sum()
         return (counts + self.alpha) / (total + self.alpha * self.n_items)
+
+    def penalty_vector(self, pattern):
+        """Per-action entropy penalty after `pattern`, cached per suffix: log of
+        the smoothed behavior probability of each item, shifted by
+        +log(n_items) so a uniform behavior policy scores exactly zero
+        everywhere. Unseen patterns back off as in `counts_for`.
+        """
+        key = self._suffix(pattern)
+        vec = self._penalties.get(key)
+        if vec is None:
+            vec = np.log(self.probs(key)) + math.log(self.n_items)
+            self._penalties[key] = vec
+        return vec
 
 
 def behavior_stats(d: Dataset, k: int, alpha: float = 1.0) -> BehaviorStats:

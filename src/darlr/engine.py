@@ -43,8 +43,6 @@ from .nncore import (
 MAX_EPISODE_LEN = 30
 CATEGORY_WINDOW = 4
 
-VARIANTS = ("full", "r_static", "pu_static", "rhat", "rhat_rs", "rhat_rd")
-
 # per-variant (lambda_s scale, lambda_d scale) applied to the selector's
 # intrinsic reward; None means the variant runs no selection at all
 _VARIANT_GAINS = {
@@ -55,6 +53,7 @@ _VARIANT_GAINS = {
     "rhat_rs": (1.0, 0.0),
     "rhat_rd": (0.0, 1.0),
 }
+VARIANTS = tuple(_VARIANT_GAINS)
 
 
 _NORM_BLOCK = 64  # matrix rows per norm call when the row norms are first built
@@ -187,10 +186,6 @@ class TrainSettings:
         if self.eval_every > 0 and self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1 when eval_every > 0")
 
-    @property
-    def coeffs(self):
-        return rm.PenaltyCoeffs(self.lambda_u, self.lambda_e, self.lambda_s, self.lambda_d)
-
     def to_dict(self):
         out = dataclasses.asdict(self)
         out["hidden"] = list(self.hidden)
@@ -297,18 +292,18 @@ def play_episodes(agent, users, item_categories, step):
     return cats
 
 
+@dataclass
 class TrainContext:
     """Bundles everything a rollout needs; built once per training run."""
 
-    def __init__(self, d, matrix, static_uncertainty, entropy, rec_agent, sel_agent, settings, rng):
-        self.dataset = d
-        self.matrix = matrix
-        self.static_uncertainty = static_uncertainty
-        self.entropy = entropy
-        self.rec_agent = rec_agent
-        self.sel_agent = sel_agent
-        self.settings = settings
-        self.rng = rng
+    dataset: ds.Dataset
+    matrix: ShapedRewardMatrix
+    static_uncertainty: np.ndarray
+    entropy: ds.BehaviorStats
+    rec_agent: rec.RecommenderAgent
+    sel_agent: sel.SelectorAgent
+    settings: TrainSettings
+    rng: np.random.Generator
 
 
 def rollout_trajectory(ctx: TrainContext, u):
@@ -344,14 +339,15 @@ def rollout_trajectory(ctx: TrainContext, u):
         else:
             p_u = rm.dynamic_uncertainty(r_hat, r_prev, mean_sim, mean_div, st.uncertainty_eps)
             kind = "dynamic"
+        p_e = float(ctx.entropy.penalty_vector(recent_cats)[item])
         parts = RewardParts(
-            r_hat=r_hat, r_prev=r_prev, p_u=p_u, p_e=ctx.entropy.penalty(recent_cats, item),
+            r_hat=r_hat, r_prev=r_prev, p_u=p_u, p_e=p_e,
             mean_sim=mean_sim, mean_div=mean_div, kind=kind,
         )
         base_r, done, reason = env_step(u, item, t, "train", matrix, None, recent_cats, item_cats)
         value, _ = ctx.rec_agent.critic.forward(state)
         traj.transitions.append(Transition(
-            action=item, reward=rm.recommender_reward(parts.r_hat, parts.p_u, parts.p_e, st.coeffs),
+            action=item, reward=rm.recommender_reward(r_hat, p_u, p_e, st.lambda_u, st.lambda_e),
             value=float(value[0]), track_reward=base_r, parts=parts, done=done,
             done_reason=reason,
         ))
@@ -582,12 +578,9 @@ def train(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSettings) -
     pm = wmod.predict_matrix(wm)
     matrix = ShapedRewardMatrix(pm.mean, d.r_min, d.r_max)
     stats = ds.behavior_stats(d, settings.entropy_k, settings.laplace_alpha)
-    entropy = wmod.EntropyTable(stats)
     rec_agent, sel_agent = build_agents(d, settings)
     rng = rng_stream(settings.seed, "train")
-    ctx = TrainContext(
-        d, matrix, pm.static_uncertainty, entropy, rec_agent, sel_agent, settings, rng
-    )
+    ctx = TrainContext(d, matrix, pm.static_uncertainty, stats, rec_agent, sel_agent, settings, rng)
     adam_cfg = AdamConfig(lr=settings.lr)
 
     rows = []

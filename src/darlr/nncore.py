@@ -188,17 +188,17 @@ class Linear:
         return x @ self.w.values + self.b.values, x
 
     def backward(self, tape, dy):
-        """Accumulate gradients; a 3-D input is a stack of steps summed in order."""
+        """Accumulate gradients of a 2-D batch, or of a 3-D stack of steps
+        summed in order; any other input rank raises ValueError."""
         x = tape
-        if x.ndim == 1:
-            self.w.grad += np.outer(x, dy)
-            self.b.grad += dy
-        elif x.ndim == 2:
+        if x.ndim == 2:
             self.w.grad += x.T @ dy
             self.b.grad += dy.sum(axis=0)
-        else:
+        elif x.ndim == 3:
             _add_products_in_order(self.w.grad, x, dy)
             add_in_order(self.b.grad, dy.sum(axis=1))
+        else:
+            raise ValueError(f"linear '{self.w.name}': backward of a {x.ndim}-D input, not 2-D or 3-D")
         return dy @ self.w.values.T
 
 

@@ -6,28 +6,7 @@ All functions are pure and operate on scalars or 1-D preference rows
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class GainPair:
-    sim: float  # cosine to the target user's preference row, in [-1, 1]
-    div: float  # mean (1 - cosine) against already-selected rows, in [0, 2]
-
-
-@dataclass(frozen=True)
-class PenaltyCoeffs:
-    lambda_u: float = 0.1
-    lambda_e: float = 0.1
-    lambda_s: float = 1.0
-    lambda_d: float = 0.1
-
-    def __post_init__(self):
-        for name in ("lambda_u", "lambda_e", "lambda_s", "lambda_d"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 def cosine_from_norms(a, b, na, nb) -> float:
@@ -47,9 +26,13 @@ def mean_dissimilarity(cand, n_cand, rows, norms) -> float:
     return float(np.mean([1.0 - cosine_from_norms(r, cand, n, n_cand) for r, n in zip(rows, norms)]))
 
 
-def intrinsic_reward(r_hat: float, g: GainPair, c: PenaltyCoeffs) -> float:
-    """Selection-step reward: estimate plus weighted similarity/diversity gains."""
-    return float(r_hat + c.lambda_s * g.sim + c.lambda_d * g.div)
+def intrinsic_reward(r_hat, sim, div, lambda_s, lambda_d) -> float:
+    """Selection-step reward: estimate plus weighted similarity/diversity gains.
+
+    `sim` is the cosine to the target user's preference row, in [-1, 1];
+    `div` the mean (1 - cosine) against the rows already selected, in [0, 2].
+    """
+    return float(r_hat + lambda_s * sim + lambda_d * div)
 
 
 def shape_reward(ref_rewards) -> float:
@@ -70,9 +53,9 @@ def dynamic_uncertainty(r_new, r_prev, mean_sim, mean_div, eps=1e-6) -> float:
     return float(abs(r_new - r_prev) / max(mean_sim + mean_div, eps))
 
 
-def recommender_reward(r_hat, p_u, p_e, c: PenaltyCoeffs) -> float:
+def recommender_reward(r_hat, p_u, p_e, lambda_u, lambda_e) -> float:
     """Composite training reward: estimate minus uncertainty plus entropy term.
 
     Used with either the dynamic or the static uncertainty value.
     """
-    return float(r_hat - c.lambda_u * p_u + c.lambda_e * p_e)
+    return float(r_hat - lambda_u * p_u + lambda_e * p_e)

@@ -19,12 +19,9 @@ from .nncore import Linear, Mlp, ParamSet, SeqEncoder, replay_backward, replay_f
 
 @dataclass
 class SelectionEpisode:
-    user: int
-    item: int
     s_rec: np.ndarray
     p_u: np.ndarray
     pool: np.ndarray
-    selected: list = field(default_factory=list)  # user ids in selection order
     p_rows: list = field(default_factory=list)  # preference rows at selection time
     slots: list = field(default_factory=list)  # pool indices actually sampled
     values: list = field(default_factory=list)
@@ -36,6 +33,11 @@ class SelectionEpisode:
     @property
     def length(self):
         return len(self.slots)
+
+    @property
+    def selected(self):
+        """User ids in selection order."""
+        return self.pool[self.slots].tolist()
 
     def mean_sim(self):
         return float(np.mean(self.sims))
@@ -96,11 +98,9 @@ def run_selection(
     if len(pool) < k_sel:
         raise ValueError(f"candidate pool exhausted: {len(pool)} users < k_sel={k_sel}")
     ep = SelectionEpisode(
-        user=u, item=i_t, s_rec=np.array(s_rec, dtype=np.float64),
-        p_u=matrix.current[u].copy(), pool=pool,
+        s_rec=np.array(s_rec, dtype=np.float64), p_u=matrix.current[u].copy(), pool=pool
     )
     available = np.arange(agent.pool_size) < len(pool)
-    coeffs = rm.PenaltyCoeffs(0.0, 0.0, lambda_s, lambda_d)
     n_u, norms = np.linalg.norm(ep.p_u), []  # norms[t]: of p_rows[t]
     running_sum = 0.0
     # step t shifts its newest row's token (p_u's, then the last pick's) into
@@ -127,14 +127,13 @@ def run_selection(
         ref = float(matrix.current[cand, i_t])
         running_sum += ref
         ep.slots.append(slot)
-        ep.selected.append(cand)
         ep.p_rows.append(p_row)
         norms.append(n_cand)
         ep.values.append(float(value[0, 0, 0]))
         ep.sims.append(sim)
         ep.divs.append(div)
         ep.ref_rewards.append(ref)
-        ep.rewards.append(rm.intrinsic_reward(running_sum / (t + 1), rm.GainPair(sim, div), coeffs))
+        ep.rewards.append(rm.intrinsic_reward(running_sum / (t + 1), sim, div, lambda_s, lambda_d))
         available[slot] = False
     return ep
 

@@ -4,14 +4,14 @@ Each member embeds the categorical fields of a (user, item) pair, combines
 them through a factorization-style pairwise interaction term plus an MLP
 head, and outputs a feedback mean and log-variance. The ensemble average
 fills the initial reward matrix; the per-entry max variance is the static
-uncertainty. Entropy penalties come from the logged behavior statistics
-and are independent of the learned models.
+uncertainty. The state-level entropy penalty reads the logged behavior
+statistics (`dataset.BehaviorStats`) and is independent of the learned
+models.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -245,32 +245,8 @@ def state_entropy_penalty(stats: ds.BehaviorStats, recent_categories) -> float:
     Zero for a uniform behavior policy, increasingly negative the more the
     logged behavior concentrates after this pattern.
     """
-    per_action = EntropyTable(stats).vector(recent_categories)
+    per_action = stats.penalty_vector(recent_categories)
     return float(-(stats.probs(recent_categories) * per_action).sum())
-
-
-class EntropyTable:
-    """Cached per-pattern penalty vectors over items, with backoff built in."""
-
-    def __init__(self, stats: ds.BehaviorStats):
-        self.stats = stats
-        self._cache = {}
-
-    def vector(self, pattern):
-        """Per-action penalty after `pattern`: log of the smoothed behavior
-        probability of each item, shifted by +log(n_items) so a uniform
-        behavior policy scores exactly zero everywhere. Unseen patterns back
-        off to shorter suffixes and finally the unconditional distribution.
-        """
-        key = tuple(int(c) for c in pattern)[-self.stats.order :] if self.stats.order else ()
-        vec = self._cache.get(key)
-        if vec is None:
-            vec = np.log(self.stats.probs(key)) + math.log(self.stats.n_items)
-            self._cache[key] = vec
-        return vec
-
-    def penalty(self, recent_categories, item) -> float:
-        return float(self.vector(recent_categories)[int(item)])
 
 
 # --- checkpoint --------------------------------------------------------------
@@ -286,7 +262,8 @@ def save_world_model(wm: WorldModelEnsemble, path):
 def load_world_model(path, d: ds.Dataset) -> WorldModelEnsemble:
     """Rebuild an ensemble against a dataset and restore its parameters.
 
-    A malformed header, manifest or record raises ValueError naming `path`.
+    A malformed header, manifest or record raises ValueError naming `path`;
+    a checkpoint of another dataset raises DatasetError, whatever its shapes.
     """
     with open(path, "rb") as fh:
         if fh.readline() != b"darlr-wm 2\n":
@@ -299,6 +276,8 @@ def load_world_model(path, d: ds.Dataset) -> WorldModelEnsemble:
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ConfigError(f"{path}: manifest: invalid JSON: {exc}") from None
         m = config_from_dict(CheckpointManifest, manifest, f"{path}: manifest")
+        if m.dataset_hash != ds.content_hash(d):
+            raise ds.DatasetError("world model was trained on a different dataset (hash mismatch)")
         state = read_fragment(fh)
     wm = WorldModelEnsemble(_build_members(d, m), d.users, d.items, m)
     load_block_state([member.params for member in wm.members], state, path)

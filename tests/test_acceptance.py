@@ -64,10 +64,9 @@ def test_criterion_1_formula_exactness():
     ok &= abs(gain_dissimilarity(row, [row])) < cos_tol
     ok &= abs(gain_dissimilarity(np.array([1.0, 0.0]), [np.array([0.0, 1.0])]) - 1.0) < cos_tol
 
-    c0 = rm.PenaltyCoeffs(lambda_s=0.0, lambda_d=0.0)
-    ok &= rm.intrinsic_reward(0.37, rm.GainPair(0.5, 0.5), c0) == 0.37
-    ok &= abs(rm.intrinsic_reward(0.5, rm.GainPair(1.0, 0.0), rm.PenaltyCoeffs(lambda_s=2.0, lambda_d=0.0)) - 2.5) < tol
-    ok &= abs(rm.intrinsic_reward(0.4, rm.GainPair(0.8, 0.3), rm.PenaltyCoeffs(lambda_s=1.0, lambda_d=0.1)) - 1.23) < tol
+    ok &= rm.intrinsic_reward(0.37, 0.5, 0.5, 0.0, 0.0) == 0.37
+    ok &= abs(rm.intrinsic_reward(0.5, 1.0, 0.0, 2.0, 0.0) - 2.5) < tol
+    ok &= abs(rm.intrinsic_reward(0.4, 0.8, 0.3, 1.0, 0.1) - 1.23) < tol
 
     ok &= rm.shape_reward([0.5]) == 0.5
     ok &= abs(rm.shape_reward([0.2, 0.4, 0.6]) - 0.4) < tol
@@ -76,9 +75,8 @@ def test_criterion_1_formula_exactness():
     ok &= abs(rm.dynamic_uncertainty(0.8, 0.5, 0.4, 0.2) - 0.5) < tol
     ok &= abs(rm.dynamic_uncertainty(0.8, 0.5, -0.3, 0.1, 1e-6) - 0.3 / 1e-6) < 1e-3
 
-    cz = rm.PenaltyCoeffs(lambda_u=0.0, lambda_e=0.0)
-    ok &= rm.recommender_reward(0.8, 9.0, -9.0, cz) == 0.8
-    ok &= abs(rm.recommender_reward(0.8, 0.5, -0.69, rm.PenaltyCoeffs(lambda_u=0.1, lambda_e=0.1)) - 0.681) < tol
+    ok &= rm.recommender_reward(0.8, 9.0, -9.0, 0.0, 0.0) == 0.8
+    ok &= abs(rm.recommender_reward(0.8, 0.5, -0.69, 0.1, 0.1) - 0.681) < tol
 
     verdict(1, "formula exactness", ok)
 
@@ -90,17 +88,17 @@ def test_criterion_2_gradient_correctness():
 
     for seed in range(20):
         m = Mlp("m", [3, 5, 2], seed=seed)
-        x = rng_stream(seed, "c2x").normal(size=3)
+        x = rng_stream(seed, "c2x").normal(size=(1, 3))
         w = rng_stream(seed, "c2w").normal(size=2)
 
         def loss():
             y, _ = m.forward(x)
-            return float(y @ w)
+            return float(y[0] @ w)
 
         def back():
             y, t = m.forward(x)
-            m.backward(t, w)
-            return float(y @ w)
+            m.backward(t, w[None])
+            return float(y[0] @ w)
 
         worst = max(worst, gradient_check(m.blocks(), loss, back))
 

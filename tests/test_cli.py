@@ -196,6 +196,7 @@ BAD_POLICY = {
     "lambda_d=1.01e6": {"lambda_d": 1.01e6},
     "lambda_u=1.01e6": {"lambda_u": 1.01e6},
     "lambda_e=1.01e6": {"lambda_e": 1.01e6},
+    "lambda_u=-0.1": {"lambda_u": -0.1},
     "uncertainty_eps=-1": {"uncertainty_eps": -1},
     "uncertainty_eps=0": {"uncertainty_eps": 0},
     "eval_greedy='no'": {"eval_greedy": "no"},
@@ -315,15 +316,21 @@ class TestTrainPolicy:
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: invalid JSON: ")
 
     def test_hash_mismatch_rejected(self, workspace, tmp_path, capsys):
-        other_spec = write_json(tmp_path / "s.json", {**SPEC, "seed": 77})
-        other_data = tmp_path / "other"
-        cli.main(["gen-data", "--spec", other_spec, "--out", str(other_data)])
-        rc = cli.main([
-            "train-policy", "--config", workspace["policy_cfg"], "--data", str(other_data),
-            "--wm", workspace["wm"], "--out", str(tmp_path / "x"),
-        ])
-        assert rc == 2
-        assert "hash" in capsys.readouterr().err
+        # another dataset gets the one line whatever its size: the hash is
+        # compared before the members are built against the dataset
+        for change in ({"seed": 77}, {"users": 14}, {"items": 18}):
+            name = "-".join(f"{k}={v}" for k, v in change.items())
+            other_data, out = tmp_path / name, tmp_path / f"out-{name}"
+            spec = write_json(tmp_path / f"{name}.json", {**SPEC, **change})
+            assert cli.main(["gen-data", "--spec", spec, "--out", str(other_data)]) == 0
+            rc = cli.main([
+                "train-policy", "--config", workspace["policy_cfg"], "--data", str(other_data),
+                "--wm", workspace["wm"], "--out", str(out),
+            ])
+            assert rc == 2, change
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == ["error: world model was trained on a different dataset (hash mismatch)"]
+            assert not out.exists()
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: json.dumps(m)[:-1], "invalid JSON: "),
@@ -599,6 +606,9 @@ class TestEval:
 
 
 class TestAblate:
+    def test_order_is_a_permutation_of_the_variants(self):
+        assert sorted(cli.ABLATION_ORDER) == sorted(engine.VARIANTS)
+
     def test_six_variants_times_seeds(self, workspace, tmp_path, capsys):
         out = tmp_path / "ab"
         rc = cli.main([

@@ -310,15 +310,14 @@ def reference_rollout(ctx, u):
             else:
                 p_u = rm.dynamic_uncertainty(r_hat, r_prev, mean_sim, mean_div, st.uncertainty_eps)
                 kind = "dynamic"
-        parts = engine.RewardParts(
-            r_hat, r_prev, p_u, ctx.entropy.penalty(recent, item), mean_sim, mean_div, kind
-        )
+        p_e = float(ctx.entropy.penalty_vector(recent)[item])
+        parts = engine.RewardParts(r_hat, r_prev, p_u, p_e, mean_sim, mean_div, kind)
         base_r, done, reason = engine.env_step(
             u, item, len(traj) + 1, "train", matrix, None, recent, item_cats
         )
         value, _ = ctx.rec_agent.critic.forward(state.vec)
         traj.transitions.append(engine.Transition(
-            item, rm.recommender_reward(r_hat, p_u, parts.p_e, st.coeffs),
+            item, rm.recommender_reward(r_hat, p_u, p_e, st.lambda_u, st.lambda_e),
             float(value[0]), base_r, parts, done, reason,
         ))
         mask[item] = False
@@ -357,7 +356,7 @@ class TestRollout:
         stats = ds.behavior_stats(d, settings.entropy_k, settings.laplace_alpha)
         rec_agent, sel_agent = engine.build_agents(d, settings)
         return engine.TrainContext(
-            d, matrix, pm.static_uncertainty, wmod.EntropyTable(stats),
+            d, matrix, pm.static_uncertainty, stats,
             rec_agent, sel_agent, settings, rng_stream(settings.seed, "train"),
         )
 
@@ -388,7 +387,8 @@ class TestRollout:
         traj, _ = engine.rollout_trajectory(ctx, 5)
         for tr in traj.transitions:
             want = rm.recommender_reward(
-                tr.parts.r_hat, tr.parts.p_u, tr.parts.p_e, ctx.settings.coeffs
+                tr.parts.r_hat, tr.parts.p_u, tr.parts.p_e,
+                ctx.settings.lambda_u, ctx.settings.lambda_e,
             )
             assert tr.reward == pytest.approx(want, abs=1e-12)
 
@@ -423,7 +423,7 @@ class TestRollout:
             assert ep.rewards[t] == pytest.approx(prefix, abs=1e-12)
 
     def test_single_gain_variants_drop_the_other_term(self, tiny_dataset, tiny_wm):
-        cs = smoke_settings().coeffs
+        cs = smoke_settings()
         ctx = self.make_ctx(tiny_dataset, tiny_wm, variant="rhat_rs")
         _, episodes = engine.rollout_trajectory(ctx, 6)
         ep = episodes[0]
@@ -482,7 +482,7 @@ class TestLosses:
         matrix = engine.ShapedRewardMatrix(pm.mean, 0.0, 1.0)
         stats = ds.behavior_stats(tiny_dataset, 1, 1.0)
         ctx = engine.TrainContext(
-            tiny_dataset, matrix, pm.static_uncertainty, wmod.EntropyTable(stats),
+            tiny_dataset, matrix, pm.static_uncertainty, stats,
             smoke_run.rec_agent, smoke_run.sel_agent, settings, rng_stream(99, "t"),
         )
         logprobs = record_logprobs(monkeypatch)

@@ -62,35 +62,43 @@ class TestMlp:
 
     def test_zero_upstream_gradient(self):
         m = nn.Mlp("m", [3, 4, 2], seed=1)
-        y, tape = m.forward(np.ones(3))
-        m.backward(tape, np.zeros(2))
+        y, tape = m.forward(np.ones((1, 3)))
+        m.backward(tape, np.zeros((1, 2)))
         assert all(np.all(b.grad == 0) for b in m.blocks())
 
     def test_linear_grad_closed_form(self):
         m = nn.Mlp("m", [3, 2], seed=1)
         x = np.array([1.0, 2.0, -1.0])
         dy = np.array([0.5, -0.25])
-        _, tape = m.forward(x)
-        m.backward(tape, dy)
+        _, tape = m.forward(x[None])
+        m.backward(tape, dy[None])
         assert np.allclose(m.layers[0].w.grad, np.outer(x, dy), atol=0)
         assert np.allclose(m.layers[0].b.grad, dy, atol=0)
 
     def test_gradients_match_finite_differences(self):
         for seed in range(20):
             m = nn.Mlp("m", [3, 4, 2], seed=seed)
-            x = nn.rng_stream(seed, "input").normal(size=3)
+            x = nn.rng_stream(seed, "input").normal(size=(1, 3))
             dy_fixed = nn.rng_stream(seed, "dy").normal(size=2)
 
             def loss():
                 y, _ = m.forward(x)
-                return float(y @ dy_fixed)
+                return float(y[0] @ dy_fixed)
 
             def back():
                 y, tape = m.forward(x)
-                m.backward(tape, dy_fixed)
-                return float(y @ dy_fixed)
+                m.backward(tape, dy_fixed[None])
+                return float(y[0] @ dy_fixed)
 
             assert nn.gradient_check(m.blocks(), loss, back) < 1e-4
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 1, 3)], ids=["1-D", "4-D"])
+    def test_backward_of_other_ranks_raises(self, shape):
+        m = nn.Mlp("m", [3, 2], seed=1)
+        _, tape = m.forward(np.ones(shape))
+        with pytest.raises(ValueError, match="2-D or 3-D"):
+            m.backward(tape, np.ones(shape[:-1] + (2,)))
+        assert all(np.all(b.grad == 0) for b in m.blocks())
 
     def test_shape_mismatch_raises(self):
         m = nn.Mlp("m", [3, 2], seed=0)

@@ -57,10 +57,9 @@ class TestInitEpisode:
         w = rng_stream(3, "w").normal(size=5)
 
         def forward():
-            x = a.token_inputs([1])[0]
-            t, pt = a.proj.forward(x)
+            t, pt = a.proj.forward(a.token_inputs([1]))
             windows = np.zeros((1, a.window, t.size))
-            windows[0, -1] = t  # one token, left-padded
+            windows[0, -1] = t[0]  # one token, left-padded
             s, et = a.encoder.forward(windows, (np.arange(a.window) < a.window - 1)[None])
             return s[0], pt, et
 
@@ -71,7 +70,7 @@ class TestInitEpisode:
         def back():
             s, pt, et = forward()
             dtok = a.encoder.backward_batch(et, w[None])[0, -1]
-            dx = a.proj.backward(pt, dtok)
+            dx = a.proj.backward(pt, dtok[None])[0]
             a.emb_user.grad[1] += dx[: a.d_emb]
             return float(s @ w)
 

@@ -139,24 +139,20 @@ class TestDiversityGain:
 
 class TestIntrinsicReward:
     def test_zero_coefficients(self):
-        c = rm.PenaltyCoeffs(lambda_s=0.0, lambda_d=0.0)
-        assert rm.intrinsic_reward(0.37, rm.GainPair(0.9, 0.4), c) == 0.37
+        assert rm.intrinsic_reward(0.37, 0.9, 0.4, 0.0, 0.0) == 0.37
 
     def test_arithmetic(self):
-        c = rm.PenaltyCoeffs(lambda_s=2.0, lambda_d=0.0)
-        assert rm.intrinsic_reward(0.5, rm.GainPair(1.0, 0.0), c) == pytest.approx(2.5, abs=1e-12)
+        assert rm.intrinsic_reward(0.5, 1.0, 0.0, 2.0, 0.0) == pytest.approx(2.5, abs=1e-12)
 
     def test_arithmetic_two_terms(self):
-        c = rm.PenaltyCoeffs(lambda_s=1.0, lambda_d=0.1)
-        assert rm.intrinsic_reward(0.4, rm.GainPair(0.8, 0.3), c) == pytest.approx(1.23, abs=1e-12)
+        assert rm.intrinsic_reward(0.4, 0.8, 0.3, 1.0, 0.1) == pytest.approx(1.23, abs=1e-12)
 
     def test_linear_in_coefficients(self):
         # superposition: f(a+b) = f(a) + f(b) - f(0) for the coefficient terms
-        g = rm.GainPair(0.37, 0.81)
-        base = rm.intrinsic_reward(0.2, g, rm.PenaltyCoeffs(lambda_s=0.0, lambda_d=0.0))
-        fa = rm.intrinsic_reward(0.2, g, rm.PenaltyCoeffs(lambda_s=1.5, lambda_d=0.0))
-        fb = rm.intrinsic_reward(0.2, g, rm.PenaltyCoeffs(lambda_s=0.0, lambda_d=0.7))
-        fab = rm.intrinsic_reward(0.2, g, rm.PenaltyCoeffs(lambda_s=1.5, lambda_d=0.7))
+        base = rm.intrinsic_reward(0.2, 0.37, 0.81, 0.0, 0.0)
+        fa = rm.intrinsic_reward(0.2, 0.37, 0.81, 1.5, 0.0)
+        fb = rm.intrinsic_reward(0.2, 0.37, 0.81, 0.0, 0.7)
+        fab = rm.intrinsic_reward(0.2, 0.37, 0.81, 1.5, 0.7)
         assert fab == pytest.approx(fa + fb - base, abs=1e-12)
 
 
@@ -206,29 +202,23 @@ class TestDynamicUncertainty:
 
 class TestRecommenderReward:
     def test_zero_coefficients(self):
-        c = rm.PenaltyCoeffs(lambda_u=0.0, lambda_e=0.0)
-        assert rm.recommender_reward(0.8, 5.0, -3.0, c) == 0.8
+        assert rm.recommender_reward(0.8, 5.0, -3.0, 0.0, 0.0) == 0.8
 
     def test_arithmetic(self):
-        c = rm.PenaltyCoeffs(lambda_u=0.1, lambda_e=0.1)
-        assert rm.recommender_reward(0.8, 0.5, -0.69, c) == pytest.approx(0.681, abs=1e-12)
+        assert rm.recommender_reward(0.8, 0.5, -0.69, 0.1, 0.1) == pytest.approx(0.681, abs=1e-12)
 
     def test_matches_scalar_oracle(self):
         rng = rng_stream(6, "rec")
         for _ in range(100):
             r, pu, pe, lu, le = rng.normal(size=5)
-            c = rm.PenaltyCoeffs(lambda_u=abs(lu), lambda_e=abs(le))
             oracle = math.fsum([r, -abs(lu) * pu, abs(le) * pe])
-            assert rm.recommender_reward(r, pu, pe, c) == pytest.approx(oracle, abs=1e-12)
+            assert rm.recommender_reward(r, pu, pe, abs(lu), abs(le)) == pytest.approx(
+                oracle, abs=1e-12
+            )
 
     def test_linear_in_coefficients(self):
-        base = rm.recommender_reward(0.3, 0.7, -0.2, rm.PenaltyCoeffs(lambda_u=0.0, lambda_e=0.0))
-        fu = rm.recommender_reward(0.3, 0.7, -0.2, rm.PenaltyCoeffs(lambda_u=0.4, lambda_e=0.0))
-        fe = rm.recommender_reward(0.3, 0.7, -0.2, rm.PenaltyCoeffs(lambda_u=0.0, lambda_e=0.9))
-        both = rm.recommender_reward(0.3, 0.7, -0.2, rm.PenaltyCoeffs(lambda_u=0.4, lambda_e=0.9))
+        base = rm.recommender_reward(0.3, 0.7, -0.2, 0.0, 0.0)
+        fu = rm.recommender_reward(0.3, 0.7, -0.2, 0.4, 0.0)
+        fe = rm.recommender_reward(0.3, 0.7, -0.2, 0.0, 0.9)
+        both = rm.recommender_reward(0.3, 0.7, -0.2, 0.4, 0.9)
         assert both == pytest.approx(fu + fe - base, abs=1e-12)
-
-
-def test_negative_coefficients_rejected():
-    with pytest.raises(ValueError):
-        rm.PenaltyCoeffs(lambda_u=-0.1)

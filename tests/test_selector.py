@@ -77,7 +77,6 @@ def reference_selection(u, i_t, s_rec, matrix, agent, k_sel, lambda_s, lambda_d,
     pool = sel.candidate_pool(u, matrix, agent.pool_size)
     rows = matrix.current
     avail = np.arange(agent.pool_size) < len(pool)
-    coeffs = rm.PenaltyCoeffs(0.0, 0.0, lambda_s, lambda_d)
     tokens, chosen, slots, values, rewards = [], [], [], [], []
     for t in range(k_sel):
         token, _ = agent.proj.forward(np.concatenate([s_rec, rows[chosen[-1] if t else u]]))
@@ -88,14 +87,12 @@ def reference_selection(u, i_t, s_rec, matrix, agent, k_sel, lambda_s, lambda_d,
         slot = int(sample_rows(np.where(avail, logits, -np.inf)[None], [rng])[0][0])
         avail[slot] = False
         chosen.append(int(pool[slot]))
-        gains = rm.GainPair(
-            cosine(rows[u], rows[chosen[-1]]),
-            dissimilarity(rows[chosen[-1]], [rows[c] for c in chosen[:-1]]),
-        )
+        sim = cosine(rows[u], rows[chosen[-1]])
+        div = dissimilarity(rows[chosen[-1]], [rows[c] for c in chosen[:-1]])
         prefix = sum(float(rows[c, i_t]) for c in chosen) / (t + 1)  # a running sum
         slots.append(slot)
         values.append(float(value[0]))
-        rewards.append(rm.intrinsic_reward(prefix, gains, coeffs))
+        rewards.append(rm.intrinsic_reward(prefix, sim, div, lambda_s, lambda_d))
     return slots, values, rewards
 
 
@@ -147,17 +144,17 @@ class TestStates:
 
     def test_projection_gradient(self):
         a = make_agent(n_items=3, pool_size=2, d_rec=2, d_pref=3, seed=4)
-        x = rng_stream(4, "x").normal(size=5)
+        x = rng_stream(4, "x").normal(size=(1, 5))
         w = rng_stream(4, "w").normal(size=5)
 
         def loss():
             y, _ = a.proj.forward(x)
-            return float(y @ w)
+            return float(y[0] @ w)
 
         def back():
             y, t = a.proj.forward(x)
-            a.proj.backward(t, w)
-            return float(y @ w)
+            a.proj.backward(t, w[None])
+            return float(y[0] @ w)
 
         assert gradient_check(a.proj.blocks(), loss, back) < 1e-4
 

@@ -163,29 +163,25 @@ class TestEntropyPenalty:
     def test_uniform_behavior_zero_everywhere(self):
         stats = ds.BehaviorStats(order=0, alpha=1.0, n_items=4)
         stats.item_totals = np.full(4, 25.0)
-        table = wmod.EntropyTable(stats)
         for item in range(4):
-            assert abs(table.penalty((), item)) < 1e-12
+            assert abs(stats.penalty_vector(())[item]) < 1e-12
         assert abs(wmod.state_entropy_penalty(stats, ())) < 1e-12
 
     def test_two_item_deterministic_values(self):
         # unsmoothed limit: log 2 on the observed item
         stats = two_item_stats(1, alpha=1e-12)
-        assert wmod.EntropyTable(stats).penalty((), 0) == pytest.approx(math.log(2), abs=1e-9)
+        assert stats.penalty_vector(())[0] == pytest.approx(math.log(2), abs=1e-9)
         # one observation smoothed with alpha=1: probability 2/3 -> log(4/3)
         stats = two_item_stats(1, alpha=1.0)
-        assert wmod.EntropyTable(stats).penalty((), 0) == pytest.approx(
-            math.log(4.0 / 3.0), abs=1e-12
-        )
+        assert stats.penalty_vector(())[0] == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
 
     def test_unseen_pattern_equals_backoff_value(self, tiny_dataset):
         stats = ds.behavior_stats(tiny_dataset, k=2, alpha=1.0)
-        table = wmod.EntropyTable(stats)
         seen_1gram = next(p for p in stats.pattern_counts if len(p) == 1)
         unseen = (99,) + seen_1gram
         for item in (0, 5, 11):
-            assert table.penalty(unseen, item) == pytest.approx(
-                table.penalty(seen_1gram, item), abs=1e-15
+            assert stats.penalty_vector(unseen)[item] == pytest.approx(
+                stats.penalty_vector(seen_1gram)[item], abs=1e-15
             )
 
     def test_concentrated_state_penalty_negative(self):
@@ -194,13 +190,16 @@ class TestEntropyPenalty:
 
     def test_table_caches_and_matches_function(self, tiny_dataset):
         stats = ds.behavior_stats(tiny_dataset, k=1, alpha=1.0)
-        table = wmod.EntropyTable(stats)
         for pattern in list(stats.pattern_counts)[:3] + [(), (99,)]:
             for item in range(tiny_dataset.n_items):
-                assert table.penalty(pattern, item) == pytest.approx(
+                assert stats.penalty_vector(pattern)[item] == pytest.approx(
                     reference_penalty(stats, pattern, item), abs=1e-15
                 )
-            assert table.vector(pattern) is table.vector(pattern)
+            assert stats.penalty_vector(pattern) is stats.penalty_vector(pattern)
+        # the cache is no part of the statistics' repr or equality: a copy
+        # with an empty cache still equals them
+        assert "_penalties" not in repr(stats)
+        assert dataclasses.replace(stats) == stats
 
     def test_beta_expectation_is_state_divergence(self):
         stats = two_item_stats(30, n_items=4, alpha=1.0)
