@@ -114,9 +114,9 @@ def _policy_inputs(args):
 
 def _run_one(d, wm, settings, seed, run_dir):
     run_settings = dataclasses.replace(settings, seed=seed)
-    result = engine.train(d, wm, run_settings)
-    engine.save_bundle(run_dir, result, wm)
-    return result
+    run = engine.train(d, wm, run_settings)
+    engine.save_bundle(run_dir, run, wm)
+    return run
 
 
 def cmd_train_policy(args):
@@ -124,12 +124,12 @@ def cmd_train_policy(args):
     d, wm = _policy_inputs(args)
     out = Path(args.out)
     for seed in seeds:
-        result = _run_one(d, wm, settings, seed, out / f"seed_{seed}")
-        last = result.metrics_rows[-1] if result.metrics_rows else None
+        run = _run_one(d, wm, settings, seed, out / f"seed_{seed}")
+        last = run.metrics_rows[-1] if run.metrics_rows else None
         tail = (
             f"R_tra={last['R_tra']:.4f} err={last['reward_error']:.4f}" if last else "no eval rows"
         )
-        print(f"seed {seed}: {result.steps_total} steps, {tail}")
+        print(f"seed {seed}: {run.steps_total} steps, {tail}")
     return 0
 
 
@@ -168,8 +168,8 @@ def cmd_ablate(args):
     for variant in ABLATION_ORDER:
         v_settings = dataclasses.replace(settings, variant=variant)
         for seed in seeds:
-            result = _run_one(d, wm, v_settings, seed, out / variant / f"seed_{seed}")
-            rows.append({**result.metrics_rows[-1], "variant": variant, "seed": seed})
+            run = _run_one(d, wm, v_settings, seed, out / variant / f"seed_{seed}")
+            rows.append({**run.metrics_rows[-1], "variant": variant, "seed": seed})
             print(f"{variant} seed {seed}: R_tra={rows[-1]['R_tra']:.4f}")
     engine.write_metrics_csv(rows, out / "ablation.csv", ABLATION_COLUMNS)
     print(f"wrote {len(rows)} rows to {out / 'ablation.csv'}")
@@ -224,7 +224,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

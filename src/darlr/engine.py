@@ -293,59 +293,65 @@ def play_episodes(agent, users, item_categories, step):
 
 
 @dataclass
-class TrainContext:
-    """Bundles everything a rollout needs; built once per training run."""
+class TrainRun:
+    """One training run: its fixed inputs, both agents, its RNG, and what
+    the loop has produced so far. `start_run` builds it, `play_epoch`
+    advances it."""
 
     dataset: ds.Dataset
     matrix: ShapedRewardMatrix
     static_uncertainty: np.ndarray
-    entropy: ds.BehaviorStats
+    stats: ds.BehaviorStats
     rec_agent: rec.RecommenderAgent
     sel_agent: sel.SelectorAgent
     settings: TrainSettings
     rng: np.random.Generator
+    metrics_rows: list = field(default_factory=list)
+    parts_log: list = field(default_factory=list)
+    steps_total: int = 0
+    epoch: int = 0  # epochs played
 
 
-def rollout_trajectory(ctx: TrainContext, u):
+def rollout_trajectory(run: TrainRun, u):
     """One full training episode for user u plus its selection episodes.
 
-    Each step samples an item with `ctx.rng`, runs the reference-user
+    Each step samples an item with `run.rng`, runs the reference-user
     selection (except in `r_static`), writes the shaped estimate back,
     derives the penalties and steps the environment in "train" mode.
     """
-    st, matrix = ctx.settings, ctx.matrix
-    item_cats = ctx.dataset.items.primary_category
+    st, matrix = run.settings, run.matrix
+    item_cats = run.dataset.items.primary_category
     gains = _VARIANT_GAINS[st.variant]
     traj = Trajectory(user=u)
     episodes = []
 
     def step(rows, states, z, cats, t):
-        items, _ = sample_rows(z, [ctx.rng])
+        items, _ = sample_rows(z, [run.rng])
         item, state, recent_cats = int(items[0]), states[0], cats[0]
         if gains is None:  # frozen-matrix variant: no selection, no write-back
             r_hat = r_prev = float(matrix.current[u, item])
             mean_sim = mean_div = 0.0
         else:
             episode = sel.run_selection(
-                u, item, state, matrix, ctx.sel_agent, st.k_sel,
-                st.lambda_s * gains[0], st.lambda_d * gains[1], ctx.rng,
+                u, item, state, matrix, run.sel_agent, st.k_sel,
+                st.lambda_s * gains[0], st.lambda_d * gains[1], run.rng,
             )
             episodes.append(episode)
             r_prev = float(matrix.write(u, item, rm.shape_reward(episode.ref_rewards)))
             r_hat = float(matrix.current[u, item])
             mean_sim, mean_div = episode.mean_sim(), episode.mean_div()
         if gains is None or st.variant == "pu_static":
-            p_u, kind = float(ctx.static_uncertainty[u, item]), "static"
+            p_u, kind = float(run.static_uncertainty[u, item]), "static"
         else:
             p_u = rm.dynamic_uncertainty(r_hat, r_prev, mean_sim, mean_div, st.uncertainty_eps)
             kind = "dynamic"
-        p_e = float(ctx.entropy.penalty_vector(recent_cats)[item])
+        p_e = float(run.stats.penalty_vector(recent_cats)[item])
         parts = RewardParts(
             r_hat=r_hat, r_prev=r_prev, p_u=p_u, p_e=p_e,
             mean_sim=mean_sim, mean_div=mean_div, kind=kind,
         )
         base_r, done, reason = env_step(u, item, t, "train", matrix, None, recent_cats, item_cats)
-        value, _ = ctx.rec_agent.critic.forward(state)
+        value, _ = run.rec_agent.critic.forward(state)
         traj.transitions.append(Transition(
             action=item, reward=rm.recommender_reward(r_hat, p_u, p_e, st.lambda_u, st.lambda_e),
             value=float(value[0]), track_reward=base_r, parts=parts, done=done,
@@ -353,7 +359,7 @@ def rollout_trajectory(ctx: TrainContext, u):
         ))
         return items, [base_r], [done]
 
-    play_episodes(ctx.rec_agent, [u], item_cats, step)
+    play_episodes(run.rec_agent, [u], item_cats, step)
     last = traj.transitions[-1]
     if not last.done:  # catalog exhausted before the protocol cap
         last.done, last.done_reason = True, "max_length"
@@ -551,21 +557,10 @@ def evaluate(agent, d: ds.Dataset, matrix, episodes, seed, greedy=False) -> Eval
 
 # --- training loop -----------------------------------------------------------
 
-@dataclass
-class TrainResult:
-    settings: TrainSettings
-    metrics_rows: list
-    parts_log: list
-    rec_agent: rec.RecommenderAgent
-    sel_agent: sel.SelectorAgent
-    matrix: ShapedRewardMatrix
-    steps_total: int
-    dataset_hash: str
-
-
-def train(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSettings) -> TrainResult:
-    """Run the dual-agent loop: epochs of trajectories with per-trajectory
-    updates for both agents and periodic ground-truth evaluation."""
+def start_run(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSettings) -> TrainRun:
+    """Check the settings against the data, then build a run at epoch 0:
+    the shaped matrix from the world model's mean, the behaviour stats,
+    fresh agents and the "train" RNG stream."""
     settings.validate()
     if settings.eval_every > 0 and d.truth_matrix is None:
         raise ValueError("training evaluation requires a ground-truth matrix")
@@ -580,54 +575,53 @@ def train(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSettings) -
     stats = ds.behavior_stats(d, settings.entropy_k, settings.laplace_alpha)
     rec_agent, sel_agent = build_agents(d, settings)
     rng = rng_stream(settings.seed, "train")
-    ctx = TrainContext(d, matrix, pm.static_uncertainty, stats, rec_agent, sel_agent, settings, rng)
-    adam_cfg = AdamConfig(lr=settings.lr)
+    return TrainRun(d, matrix, pm.static_uncertainty, stats, rec_agent, sel_agent, settings, rng)
 
-    rows = []
-    parts_log = []
-    steps_total = 0
+
+def play_epoch(run: TrainRun) -> bool:
+    """Play epoch `run.epoch`: its trajectories, each followed by an update
+    of both agents, then its ground-truth evaluation when due. Returns
+    True when the step budget stopped the run."""
+    st, d, epoch = run.settings, run.dataset, run.epoch
+    adam_cfg = AdamConfig(lr=st.lr)
     budget_hit = False
-    for epoch in range(settings.epochs):
-        for ti in range(settings.trajectories_per_epoch):
-            if settings.max_steps is not None and steps_total >= settings.max_steps:
-                budget_hit = True
-                break
-            u = int(rng.integers(d.n_users))
-            traj, episodes = rollout_trajectory(ctx, u)
-            steps_total += len(traj)
-            update_recommender(rec_agent, traj, settings.gamma, adam_cfg)
-            update_selector(sel_agent, episodes, settings.gamma, adam_cfg)
-            for si, tr in enumerate(traj.transitions):
-                parts_log.append(
-                    {
-                        "epoch": epoch, "trajectory": ti, "step": si, "user": u,
-                        "item": tr.action, "reward": tr.reward, **vars(tr.parts),
-                    }
-                )
-        due = settings.eval_every > 0 and (
-            (epoch + 1) % settings.eval_every == 0 or epoch == settings.epochs - 1 or budget_hit
-        )
-        if due:
-            eval_seed = int(rng_stream(settings.seed, "eval-seed", epoch).integers(2**63))
-            report = evaluate(
-                rec_agent, d, matrix, settings.eval_episodes, eval_seed,
-                greedy=settings.eval_greedy,
-            )
-            rows.append(
-                {
-                    "epoch": epoch, "steps": steps_total,
-                    "R_tra": report.r_tra, "R_tra_std": report.r_tra_std,
-                    "R_each": report.r_each, "Length": report.length,
-                    "MCD": report.mcd, "reward_error": report.reward_error,
-                }
-            )
-        if budget_hit:
+    for ti in range(st.trajectories_per_epoch):
+        if st.max_steps is not None and run.steps_total >= st.max_steps:
+            budget_hit = True
             break
-    return TrainResult(
-        settings=settings, metrics_rows=rows, parts_log=parts_log,
-        rec_agent=rec_agent, sel_agent=sel_agent, matrix=matrix,
-        steps_total=steps_total, dataset_hash=ds.content_hash(d),
-    )
+        u = int(run.rng.integers(d.n_users))
+        traj, episodes = rollout_trajectory(run, u)
+        run.steps_total += len(traj)
+        update_recommender(run.rec_agent, traj, st.gamma, adam_cfg)
+        update_selector(run.sel_agent, episodes, st.gamma, adam_cfg)
+        for si, tr in enumerate(traj.transitions):
+            run.parts_log.append({
+                "epoch": epoch, "trajectory": ti, "step": si, "user": u,
+                "item": tr.action, "reward": tr.reward, **vars(tr.parts),
+            })
+    if st.eval_every > 0 and (
+        (epoch + 1) % st.eval_every == 0 or epoch == st.epochs - 1 or budget_hit
+    ):
+        eval_seed = int(rng_stream(st.seed, "eval-seed", epoch).integers(2**63))
+        report = evaluate(run.rec_agent, d, run.matrix, st.eval_episodes, eval_seed, st.eval_greedy)
+        run.metrics_rows.append({
+            "epoch": epoch, "steps": run.steps_total,
+            "R_tra": report.r_tra, "R_tra_std": report.r_tra_std,
+            "R_each": report.r_each, "Length": report.length,
+            "MCD": report.mcd, "reward_error": report.reward_error,
+        })
+    run.epoch += 1
+    return budget_hit
+
+
+def train(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSettings) -> TrainRun:
+    """Run the dual-agent loop: epochs of trajectories with per-trajectory
+    updates for both agents and periodic ground-truth evaluation."""
+    run = start_run(d, wm, settings)
+    for _ in range(settings.epochs):
+        if play_epoch(run):
+            break
+    return run
 
 
 METRICS_COLUMNS = ["epoch", "steps", "R_tra", "R_tra_std", "R_each", "Length", "MCD", "reward_error"]
@@ -647,34 +641,34 @@ def write_metrics_csv(rows, path, columns=METRICS_COLUMNS):
 
 # --- checkpoint bundle ---------------------------------------------------
 
-def _write_bundle_files(out, result: TrainResult, wm: wmod.WorldModelEnsemble):
+def _write_bundle_files(out, run: TrainRun, wm: wmod.WorldModelEnsemble):
     out.mkdir()
     config = {
-        "settings": result.settings.to_dict(),
-        "config_hash": config_hash(result.settings),
-        "dataset_hash": result.dataset_hash,
-        "steps_total": result.steps_total,
+        "settings": run.settings.to_dict(),
+        "config_hash": config_hash(run.settings),
+        "dataset_hash": wm.manifest.dataset_hash,
+        "steps_total": run.steps_total,
     }
     with open(out / "config.json", "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(out / "recommender.frag", "wb") as fh:
-        write_fragment(fh, block_state(result.rec_agent.params))
+        write_fragment(fh, block_state(run.rec_agent.params))
     with open(out / "selector.frag", "wb") as fh:
-        write_fragment(fh, block_state(result.sel_agent.params))
+        write_fragment(fh, block_state(run.sel_agent.params))
     with open(out / "matrix.frag", "wb") as fh:
         write_fragment(
             fh,
             {
-                "matrix:current": result.matrix.current,
-                "matrix:range": np.array([result.matrix.r_min, result.matrix.r_max]),
+                "matrix:current": run.matrix.current,
+                "matrix:range": np.array([run.matrix.r_min, run.matrix.r_max]),
             },
         )
     wmod.save_world_model(wm, out / "worldmodel.ckpt")
-    write_metrics_csv(result.metrics_rows, out / "metrics.csv")
+    write_metrics_csv(run.metrics_rows, out / "metrics.csv")
 
 
-def save_bundle(dir_path, result: TrainResult, wm: wmod.WorldModelEnsemble):
+def save_bundle(dir_path, run: TrainRun, wm: wmod.WorldModelEnsemble):
     """Write the bundle directory `dir_path` as one unit.
 
     The files are written into a fresh dot-prefixed sibling directory,
@@ -686,7 +680,7 @@ def save_bundle(dir_path, result: TrainResult, wm: wmod.WorldModelEnsemble):
     out.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(dir=out.parent, prefix=f".{out.name}."))
     try:
-        _write_bundle_files(stage / "new", result, wm)
+        _write_bundle_files(stage / "new", run, wm)
         if out.exists():
             os.rename(out, stage / "old")
         try:

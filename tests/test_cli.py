@@ -368,6 +368,43 @@ class TestTrainPolicy:
                        "(min(users - 1, candidate_pool))"]
         assert not out.exists()
 
+    def test_oversized_model_ends_in_one_error_line(self, workspace, tmp_path, capsys):
+        # the first d_model block is 33 x 10**12 floats, 240 TiB: past the
+        # x86-64 address space, so numpy refuses it at once and touches nothing
+        cfg = write_json(tmp_path / "policy.json", {**POLICY_CFG, "d_model": 10**12, "d_emb": 16})
+        out = tmp_path / "x"
+        rc = cli.main(["train-policy", "--config", cfg, "--data", workspace["data"],
+                       "--wm", workspace["wm"], "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_one_dataset_hash_per_process(self, workspace, tmp_path, monkeypatch):
+        # each bundle's dataset_hash is the world model's, hashed when it was loaded
+        calls = []
+        content_hash = ds.content_hash
+
+        def counting_content_hash(d):
+            calls.append(d)
+            return content_hash(d)
+
+        for module in (ds, wmod, engine):
+            if getattr(module, "content_hash", None) is content_hash:
+                monkeypatch.setattr(module, "content_hash", counting_content_hash)
+        out = tmp_path / "runs"
+        rc = cli.main([
+            "train-policy", "--config", workspace["policy_cfg"], "--data", workspace["data"],
+            "--wm", workspace["wm"], "--out", str(out), "--seed", "1,2",
+        ])
+        assert rc == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        wm = wmod.load_world_model(workspace["wm"], ds.load_dataset(workspace["data"]))
+        for seed in (1, 2):
+            config = json.loads((out / f"seed_{seed}" / "config.json").read_text())
+            assert config["dataset_hash"] == wm.manifest.dataset_hash
+
 
 @pytest.fixture(scope="module")
 def trained_bundle(workspace, tmp_path_factory):

@@ -310,7 +310,7 @@ def reference_rollout(ctx, u):
             else:
                 p_u = rm.dynamic_uncertainty(r_hat, r_prev, mean_sim, mean_div, st.uncertainty_eps)
                 kind = "dynamic"
-        p_e = float(ctx.entropy.penalty_vector(recent)[item])
+        p_e = float(ctx.stats.penalty_vector(recent)[item])
         parts = engine.RewardParts(r_hat, r_prev, p_u, p_e, mean_sim, mean_div, kind)
         base_r, done, reason = engine.env_step(
             u, item, len(traj) + 1, "train", matrix, None, recent, item_cats
@@ -350,15 +350,7 @@ def own_category_catalog():
 
 class TestRollout:
     def make_ctx(self, d, wm, **kw):
-        settings = smoke_settings(**kw)
-        pm = wmod.predict_matrix(wm)
-        matrix = engine.ShapedRewardMatrix(pm.mean, d.r_min, d.r_max)
-        stats = ds.behavior_stats(d, settings.entropy_k, settings.laplace_alpha)
-        rec_agent, sel_agent = engine.build_agents(d, settings)
-        return engine.TrainContext(
-            d, matrix, pm.static_uncertainty, stats,
-            rec_agent, sel_agent, settings, rng_stream(settings.seed, "train"),
-        )
+        return engine.start_run(d, wm, smoke_settings(**kw))
 
     def test_r_static_leaves_matrix_untouched(self, tiny_dataset, tiny_wm):
         ctx = self.make_ctx(tiny_dataset, tiny_wm, variant="r_static")
@@ -478,12 +470,9 @@ class TestLosses:
         # fresh rollout with frozen agents: replayed losses equal the
         # reference losses computed from the logged trajectory
         settings = smoke_run.settings
-        pm = wmod.predict_matrix(tiny_wm)
-        matrix = engine.ShapedRewardMatrix(pm.mean, 0.0, 1.0)
-        stats = ds.behavior_stats(tiny_dataset, 1, 1.0)
-        ctx = engine.TrainContext(
-            tiny_dataset, matrix, pm.static_uncertainty, stats,
-            smoke_run.rec_agent, smoke_run.sel_agent, settings, rng_stream(99, "t"),
+        ctx = dataclasses.replace(
+            engine.start_run(tiny_dataset, tiny_wm, settings),
+            rec_agent=smoke_run.rec_agent, sel_agent=smoke_run.sel_agent, rng=rng_stream(99, "t"),
         )
         logprobs = record_logprobs(monkeypatch)
         traj, episodes = engine.rollout_trajectory(ctx, 4)
@@ -661,6 +650,38 @@ class TestTrain:
         assert sum(lengths) == result.steps_total
         assert modes.count("train") == result.steps_total
         assert set(modes) == {"train", "eval"}
+
+    def test_perfbench_stage_probe_sees_every_step_and_evaluation(self):
+        # perfbench's StageProbe wraps engine.rollout_trajectory and
+        # engine.evaluate by module attribute, for good: so in its own process
+        code = (
+            "import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import tracing\n"
+            "from darlr import dataset as ds, engine, worldmodel as wmod\n"
+            "probe = tracing.StageProbe()\n"
+            "probe.install()\n"
+            "d = ds.generate_synthetic(ds.SyntheticSpec(users=12, items=10, categories=4, seed=5))\n"
+            "wm = wmod.train_world_model(d, wmod.WorldModelConfig(members=1, epochs=2, seed=1))\n"
+            "run = engine.train(d, wm, engine.TrainSettings(\n"
+            "    epochs=2, trajectories_per_epoch=3, eval_episodes=4, k_sel=3, candidate_pool=6,\n"
+            "    d_model=8, d_pref=6, d_emb=4, hidden=(8,), seed=1))\n"
+            "print(sum(steps for _, steps in probe.trajectories), run.steps_total)\n"
+            "print(len(probe.evaluations), len(run.metrics_rows))\n"
+        )
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        src = str(Path(engine.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(bench)], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        (probed_steps, steps_total), (evaluations, rows) = (
+            [int(v) for v in line.split()] for line in proc.stdout.splitlines()
+        )
+        assert probed_steps == steps_total > 0
+        assert evaluations == rows == 2
 
     def test_adam_steps_twice_per_trajectory(self, tiny_dataset, tiny_wm, monkeypatch):
         # perfbench counts engine.adam_step through this module global
