@@ -347,16 +347,20 @@ def _dense_ids(name, rows, user_ids, item_ids):
     return u, i
 
 
+def _outside(fb, r_min, r_max):
+    """Indices of feedback values outside [r_min, r_max], NaN included."""
+    return np.flatnonzero(~((r_min - 1e-12 <= fb) & (fb <= r_max + 1e-12)))
+
+
 def _read_log(path, user_ids, item_ids, r_min, r_max):
     """The checked log of interactions.csv, in dense ids, sorted by (user_id, step)."""
     log = _read_table(path, ["user_id", "item_id", "feedback", "step"], LOG_DTYPE)
     if not len(log):
         raise DatasetError("empty log")
     users, items = _dense_ids(path.name, log, user_ids, item_ids)
-    fb = log["feedback"]
-    bad = np.flatnonzero(~((r_min - 1e-12 <= fb) & (fb <= r_max + 1e-12)))
+    bad = _outside(log["feedback"], r_min, r_max)
     if len(bad):
-        fb = float(fb[bad[0]])
+        fb = float(log["feedback"][bad[0]])
         raise DatasetError(f"{path.name}: feedback {fb} outside [{r_min},{r_max}]")
     # equal triples are adjacent in this stable order; name the first row that repeats one
     order = np.lexsort((log["step"], items, users))
@@ -370,14 +374,21 @@ def _read_log(path, user_ids, item_ids, r_min, r_max):
     return log[np.lexsort((log["step"], users))]
 
 
-def _read_truth(path, user_ids, item_ids):
-    """The dense truth matrix, filled from `_TRUTH_CHUNK` lines of truth.csv at a time."""
+def _read_truth(path, user_ids, item_ids, r_min, r_max):
+    """The dense truth matrix, filled from `_TRUTH_CHUNK` lines of truth.csv
+    at a time; every value in [r_min, r_max], as in the log."""
     truth = np.full((len(user_ids), len(item_ids)), np.nan)
     with _open_table(path, ["user_id", "item_id", "feedback"]) as (fh, _):
         first_line = 2
         while chunk := list(itertools.islice(fh, _TRUTH_CHUNK)):
             rows = _parse_rows(path.name, chunk, LOG_DTYPE[:3], first_line)
-            truth[_dense_ids(path.name, rows, user_ids, item_ids)] = rows["feedback"]
+            cells = _dense_ids(path.name, rows, user_ids, item_ids)
+            bad = _outside(rows["feedback"], r_min, r_max)
+            if len(bad):  # row k is the k-th line with text: the parser skips empty lines
+                line = [n for n, text in enumerate(chunk, first_line) if text.strip("\r\n")][bad[0]]
+                fb = float(rows["feedback"][bad[0]])
+                raise DatasetError(f"{path.name}: line {line}: feedback {fb} outside [{r_min},{r_max}]")
+            truth[cells] = rows["feedback"]
             first_line += len(chunk)
     if np.isnan(truth).any():
         raise DatasetError(f"{path.name}: matrix is not dense")
@@ -404,7 +415,7 @@ def load_dataset(dir_path) -> Dataset:
 
     log = _read_log(root / "interactions.csv", user_ids, item_ids, r_min, r_max)
     truth_path = root / "truth.csv"
-    truth = _read_truth(truth_path, user_ids, item_ids) if truth_path.exists() else None
+    truth = _read_truth(truth_path, user_ids, item_ids, r_min, r_max) if truth_path.exists() else None
 
     return Dataset(
         train_log=log,

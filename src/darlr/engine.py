@@ -27,12 +27,12 @@ from . import selector as sel
 from . import worldmodel as wmod
 from .config import config_from_dict, read_json_object
 from .nncore import (
-    AdamConfig,
     adam_step,
     atomic_open,
     block_state,
     check_finite_floats,
     load_block_state,
+    play_episodes,
     read_fragment,
     rng_stream,
     sample_rows,
@@ -247,51 +247,6 @@ def env_step(u, item, step_index, mode, matrix, truth, recent_categories, item_c
 
 # --- episodes --------------------------------------------------------------
 
-def play_episodes(agent, users, item_categories, step):
-    """Play one recommender episode per entry of `users`, all in lockstep.
-
-    Each step makes one token projection and one actor pass on (N, 1, width)
-    stacks and one encoder pass over the live episodes' left-padded windows,
-    so every episode gets the bits of being played alone. Then
-    `step(rows, states, z, cats, t)` is called with the live episodes'
-    positions in `users`, their state vectors, their actor logits with the
-    items they already recommended at -inf, every episode's item categories
-    so far, and the 1-based step number. It returns one item, one reward
-    (the next token's) and one done flag per live episode. An episode also
-    ends when no item is left to recommend. Returns each episode's
-    categories, in order.
-    """
-    users = np.asarray(users)
-    n, n_items, window = len(users), len(item_categories), agent.window
-    cats = [[] for _ in range(n)]
-    # one row per live episode: its position in `users`, next token input (a
-    # start token first), left-padded token window and the items it may
-    # still pick; at step t every live window holds min(t, window) tokens
-    rows = np.arange(n)
-    inputs = agent.token_inputs(users)
-    windows = np.zeros((n, window, agent.encoder.width))
-    masks = np.ones((n, n_items), dtype=bool)
-    t = 0
-    while len(rows):
-        t += 1
-        tokens, _ = agent.proj.forward(inputs[:, None])
-        windows = np.concatenate([windows[:, 1:], tokens], axis=1)
-        pad = np.broadcast_to(np.arange(window) < window - t, (len(rows), window))
-        states, _ = agent.encoder.forward(windows, pad)
-        logits, _ = agent.actor.forward(states[:, None])
-        z = np.where(masks, logits[:, 0], -np.inf)
-        items, rewards, done = (np.asarray(v) for v in step(rows, states, z, cats, t))
-        if not np.all((0 <= items) & (items < n_items)):
-            raise ValueError(f"recommended item out of range [0, {n_items}): {items.tolist()}")
-        for r, cat in zip(rows.tolist(), item_categories[items].tolist()):
-            cats[r].append(cat)
-        masks[np.arange(len(rows)), items] = False
-        live = ~done & masks.any(axis=1)
-        rows, windows, masks = rows[live], windows[live], masks[live]
-        inputs = agent.token_inputs(users[rows], items[live], rewards[live])
-    return cats
-
-
 @dataclass
 class TrainRun:
     """One training run: its fixed inputs, both agents, its RNG, and what
@@ -319,15 +274,15 @@ def rollout_trajectory(run: TrainRun, u):
     selection (except in `r_static`), writes the shaped estimate back,
     derives the penalties and steps the environment in "train" mode.
     """
-    st, matrix = run.settings, run.matrix
+    st, matrix, agent = run.settings, run.matrix, run.rec_agent
     item_cats = run.dataset.items.primary_category
     gains = _VARIANT_GAINS[st.variant]
     traj = Trajectory(user=u)
-    episodes = []
+    episodes, cats = [], []  # cats: the episode's item categories so far
 
-    def step(rows, states, z, cats, t):
+    def step(rows, states, z, t):
         items, _ = sample_rows(z, [run.rng])
-        item, state, recent_cats = int(items[0]), states[0], cats[0]
+        item, state = int(items[0]), states[0]
         if gains is None:  # frozen-matrix variant: no selection, no write-back
             r_hat = r_prev = float(matrix.current[u, item])
             mean_sim = mean_div = 0.0
@@ -345,21 +300,22 @@ def rollout_trajectory(run: TrainRun, u):
         else:
             p_u = rm.dynamic_uncertainty(r_hat, r_prev, mean_sim, mean_div, st.uncertainty_eps)
             kind = "dynamic"
-        p_e = float(run.stats.penalty_vector(recent_cats)[item])
+        p_e = float(run.stats.penalty_vector(cats)[item])
         parts = RewardParts(
             r_hat=r_hat, r_prev=r_prev, p_u=p_u, p_e=p_e,
             mean_sim=mean_sim, mean_div=mean_div, kind=kind,
         )
-        base_r, done, reason = env_step(u, item, t, "train", matrix, None, recent_cats, item_cats)
-        value, _ = run.rec_agent.critic.forward(state)
+        base_r, done, reason = env_step(u, item, t, "train", matrix, None, cats, item_cats)
+        value, _ = agent.critic.forward(state)
         traj.transitions.append(Transition(
             action=item, reward=rm.recommender_reward(r_hat, p_u, p_e, st.lambda_u, st.lambda_e),
             value=float(value[0]), track_reward=base_r, parts=parts, done=done,
             done_reason=reason,
         ))
-        return items, [base_r], [done]
+        cats.append(int(item_cats[item]))
+        return items, agent.token_inputs([u], items, [base_r]), [done]
 
-    play_episodes(run.rec_agent, [u], item_cats, step)
+    play_episodes(agent, agent.token_inputs([u]), np.ones((1, agent.n_items), dtype=bool), True, step)
     last = traj.transitions[-1]
     if not last.done:  # catalog exhausted before the protocol cap
         last.done, last.done_reason = True, "max_length"
@@ -453,19 +409,19 @@ def selector_losses(agent, episodes, gamma, accumulate=True, scale=1.0):
     return aloss, closs
 
 
-def update_recommender(agent, traj, gamma, adam_cfg):
+def update_recommender(agent, traj, gamma, lr):
     losses = recommender_losses(agent, traj, gamma)
-    adam_step(agent.params, adam_cfg)
+    adam_step(agent.params, lr)
     return losses
 
 
-def update_selector(agent, episodes, gamma, adam_cfg):
+def update_selector(agent, episodes, gamma, lr):
     """One update over all selection episodes of a trajectory (one batch)."""
     if not episodes:
         return 0.0, 0.0
     scale = 1.0 / len(episodes)
     aloss, closs = selector_losses(agent, episodes, gamma, scale=scale)
-    adam_step(agent.params, adam_cfg)
+    adam_step(agent.params, lr)
     return aloss * scale, closs * scale
 
 
@@ -491,27 +447,29 @@ def _eval_block(agent, d: ds.Dataset, seed, indices, greedy):
     on the other episodes of the block.
     """
     rngs = [rng_stream(seed, "eval-episode", idx) for idx in indices]
-    users = [int(rng.integers(d.n_users)) for rng in rngs]
+    users = np.array([int(rng.integers(d.n_users)) for rng in rngs])
     item_cats = d.items.primary_category
-    totals, visited = [0.0] * len(users), [[] for _ in users]
+    totals, visited, cats = [0.0] * len(users), [[] for _ in users], [[] for _ in users]
 
-    def step(rows, states, z, cats, t):
+    def step(rows, states, z, t):
         if greedy:
             items = np.argmax(z, axis=1)
         else:
             items, _ = sample_rows(z, [rngs[r] for r in rows])
         rewards, done = [], []
-        for r, item in zip(rows.tolist(), items.tolist()):
-            reward, end, _ = env_step(
-                users[r], item, t, "eval", None, d.truth_matrix, cats[r], item_cats
-            )
+        for r, u, item, cat in zip(
+            rows.tolist(), users[rows].tolist(), items.tolist(), item_cats[items].tolist()
+        ):
+            reward, end, _ = env_step(u, item, t, "eval", None, d.truth_matrix, cats[r], item_cats)
             totals[r] += reward
-            visited[r].append((users[r], item))
+            visited[r].append((u, item))
+            cats[r].append(cat)
             rewards.append(reward)
             done.append(end)
-        return items, rewards, done
+        return items, agent.token_inputs(users[rows], items, rewards), done
 
-    cats = play_episodes(agent, users, item_cats, step)
+    masks = np.ones((len(users), agent.n_items), dtype=bool)
+    play_episodes(agent, agent.token_inputs(users), masks, True, step)
     return [
         {
             "r_tra": total, "length": len(c), "r_each": total / len(c),
@@ -583,7 +541,6 @@ def play_epoch(run: TrainRun) -> bool:
     of both agents, then its ground-truth evaluation when due. Returns
     True when the step budget stopped the run."""
     st, d, epoch = run.settings, run.dataset, run.epoch
-    adam_cfg = AdamConfig(lr=st.lr)
     budget_hit = False
     for ti in range(st.trajectories_per_epoch):
         if st.max_steps is not None and run.steps_total >= st.max_steps:
@@ -592,8 +549,8 @@ def play_epoch(run: TrainRun) -> bool:
         u = int(run.rng.integers(d.n_users))
         traj, episodes = rollout_trajectory(run, u)
         run.steps_total += len(traj)
-        update_recommender(run.rec_agent, traj, st.gamma, adam_cfg)
-        update_selector(run.sel_agent, episodes, st.gamma, adam_cfg)
+        update_recommender(run.rec_agent, traj, st.gamma, st.lr)
+        update_selector(run.sel_agent, episodes, st.gamma, st.lr)
         for si, tr in enumerate(traj.transitions):
             run.parts_log.append({
                 "epoch": epoch, "trajectory": ti, "step": si, "user": u,

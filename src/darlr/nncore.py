@@ -12,7 +12,6 @@ import contextlib
 import hashlib
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -105,20 +104,15 @@ def zero_grads(blocks):
         b.grad[...] = 0.0
 
 
-@dataclass
-class AdamConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+# Adam's moment decay rates and denominator floor
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
-def adam_step(params, cfg: AdamConfig):
-    """Bias-corrected Adam update of one ParamSet in place; gradients are cleared.
+def adam_step(params, lr):
+    """Bias-corrected Adam update of one ParamSet in place, at learning rate
+    `lr`; gradients are cleared.
 
     The flat vectors go through the operations of the per-array update
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g**2,
@@ -130,7 +124,7 @@ def adam_step(params, cfg: AdamConfig):
     if not np.isfinite(params.grad).all():
         bad = next(b for b in params.blocks if not np.isfinite(b.grad).all())
         raise NonFiniteGradient(f"non-finite gradient in block '{bad.name}'")
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     t = params.step_count + 1
     m, v, g = params.adam_m, params.adam_v, params.grad
     tmp = g * (1.0 - b1)
@@ -142,9 +136,9 @@ def adam_step(params, cfg: AdamConfig):
     v += tmp
     np.divide(v, 1.0 - b2**t, out=tmp)  # tmp: the denominator
     np.sqrt(tmp, out=tmp)
-    tmp += cfg.eps
+    tmp += ADAM_EPS
     update = m / (1.0 - b1**t)
-    update *= cfg.lr
+    update *= lr
     update /= tmp
     params.values -= update
     g.fill(0.0)
@@ -381,14 +375,76 @@ class SeqEncoder:
         return dx
 
 
+class WindowedActorCritic:
+    """Token projection, windowed state encoder, actor and critic, as
+    `play_episodes` and `replay_forward` use them; the ParamSet holds the
+    `first` blocks, then the four layers' blocks in that order."""
+
+    def __init__(self, name, n_in, width, n_actions, window, seed, layers, hidden, first=()):
+        self.window = window
+        self.proj = Linear(f"{name}/proj", n_in, width, seed)
+        self.encoder = SeqEncoder(f"{name}/enc", width, window, seed, layers=layers)
+        self.actor = Mlp(f"{name}/actor", [width] + list(hidden) + [n_actions], seed)
+        self.critic = Mlp(f"{name}/critic", [width] + list(hidden) + [1], seed)
+        self.params = ParamSet(
+            list(first) + self.proj.blocks() + self.encoder.blocks()
+            + self.actor.blocks() + self.critic.blocks()
+        )
+
+    def blocks(self):
+        return list(self.params.blocks)
+
+
+def play_episodes(agent, inputs, masks, encode_first, step):
+    """Play one episode per row of `inputs`, each its first projection input,
+    in lockstep; `masks` (N, n_actions) marks the actions each may take.
+
+    Each step makes one projection and one actor pass on (N, 1, width)
+    stacks and one encoder pass over the live episodes' left-padded windows,
+    so every episode gets the bits of being played alone and of
+    `replay_forward` (as there, with `encode_first` False an episode's first
+    state is its bare token). Then `step(rows, states, z, t)` gets the live
+    episodes' rows, states and logits with their spent actions at -inf, and
+    the 1-based step number; it returns one action, one next projection
+    input (an array row) and one done flag (a bool) per live episode. An
+    episode ends when done or when no action is left.
+    """
+    masks = np.array(masks, dtype=bool)
+    n_actions, window = masks.shape[1], agent.window
+    rows = pos = np.arange(len(masks))  # pos: the live episodes' positions in the arrays below
+    # at step t every live window holds min(t, window) tokens
+    windows = np.zeros((len(rows), window, agent.encoder.width))
+    slots = np.arange(window)[None]
+    t = 0
+    while len(rows):
+        t += 1
+        tokens, _ = agent.proj.forward(inputs[:, None])
+        windows = np.concatenate([windows[:, 1:], tokens], axis=1)
+        if t == 1 and not encode_first:
+            states = tokens[:, 0]
+        else:
+            states, _ = agent.encoder.forward(windows, slots < window - t)
+        logits, _ = agent.actor.forward(states[:, None])
+        z = np.where(masks, logits[:, 0], -np.inf)
+        actions, inputs, done = step(rows, states, z, t)
+        picked = np.asarray(actions).tolist()
+        if min(picked) < 0 or max(picked) >= n_actions:
+            raise ValueError(f"action out of range [0, {n_actions}): {picked}")
+        masks[pos, actions] = False
+        live = masks.any(axis=1)
+        live[done] = False
+        if not live.all():
+            rows, windows, masks, inputs = rows[live], windows[live], masks[live], inputs[live]
+            pos = np.arange(len(rows))
+
+
 def replay_forward(agent, inputs, lengths, encode_first):
     """Replay a windowed actor-critic over concatenated episodes, keeping tapes.
 
-    `agent` has `proj` (token projection), `encoder`, `actor`, `critic`
-    and `window`; `inputs` stacks the projection inputs of episodes of the
-    given `lengths`. The state at step t encodes the episode's last
-    `window` tokens up to t, never another episode's; with `encode_first`
-    False an episode's state 0 is its bare first token. One batched pass.
+    `inputs` stacks the projection inputs of episodes of the given
+    `lengths`. The state at step t encodes the episode's last `window`
+    tokens up to t, never another episode's; with `encode_first` False an
+    episode's state 0 is its bare first token. One batched pass.
     """
     # Rows pass the dense layers as (N, 1, width) stacks: one matmul per row
     # gives each the bits of the rollout's one-row call.

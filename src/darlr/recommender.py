@@ -12,10 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .nncore import (
-    Linear,
-    Mlp,
-    ParamSet,
-    SeqEncoder,
+    WindowedActorCritic,
     add_in_order,
     make_block,
     replay_backward,
@@ -24,34 +21,23 @@ from .nncore import (
 )
 
 
-class RecommenderAgent:
+class RecommenderAgent(WindowedActorCritic):
     def __init__(
         self, n_users, n_items, d_emb, d_model, window, seed, layers=1, hidden=(64,),
     ):
         self.n_users = n_users
         self.n_items = n_items
         self.d_emb = d_emb
-        self.window = window
         self.emb_user = make_block(
             "rec/emb_user", (n_users, d_emb), rng_stream(seed, "init", "rec/emb_user")
         )
         self.emb_item = make_block(
             "rec/emb_item", (n_items, d_emb), rng_stream(seed, "init", "rec/emb_item")
         )
-        self.proj = Linear("rec/proj", 2 * d_emb + 1, d_model, seed)
-        self.encoder = SeqEncoder("rec/enc", d_model, window, seed, layers=layers)
-        self.actor = Mlp("rec/actor", [d_model] + list(hidden) + [n_items], seed)
-        self.critic = Mlp("rec/critic", [d_model] + list(hidden) + [1], seed)
-        self.params = ParamSet(
-            [self.emb_user, self.emb_item]
-            + self.proj.blocks()
-            + self.encoder.blocks()
-            + self.actor.blocks()
-            + self.critic.blocks()
+        super().__init__(
+            "rec", 2 * d_emb + 1, d_model, n_items, window, seed, layers, hidden,
+            first=[self.emb_user, self.emb_item],
         )
-
-    def blocks(self):
-        return list(self.params.blocks)
 
     def token_inputs(self, users, items=None, rewards=None):
         """Projection inputs [e_u, e_i, reward], one row per token; without

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rewardmath as rm
-from .nncore import Linear, Mlp, ParamSet, SeqEncoder, replay_backward, replay_forward, sample_rows
+from .nncore import WindowedActorCritic, play_episodes, replay_backward, replay_forward, sample_rows
 
 
 @dataclass
@@ -46,26 +46,17 @@ class SelectionEpisode:
         return float(np.mean(self.divs))
 
 
-class SelectorAgent:
+class SelectorAgent(WindowedActorCritic):
     """Projection, windowed encoder, actor over the candidate pool, critic."""
 
     def __init__(
         self, n_items, d_rec, d_pref, pool_size, window, seed, layers=1, hidden=(64,),
     ):
         self.d_rec = d_rec
-        self.d_state = d_rec + d_pref
         self.pool_size = pool_size
-        self.window = window
-        self.proj = Linear("sel/proj", d_rec + n_items, self.d_state, seed)
-        self.encoder = SeqEncoder("sel/enc", self.d_state, window, seed, layers=layers)
-        self.actor = Mlp("sel/actor", [self.d_state] + list(hidden) + [pool_size], seed)
-        self.critic = Mlp("sel/critic", [self.d_state] + list(hidden) + [1], seed)
-        self.params = ParamSet(
-            self.proj.blocks() + self.encoder.blocks() + self.actor.blocks() + self.critic.blocks()
+        super().__init__(
+            "sel", d_rec + n_items, d_rec + d_pref, pool_size, window, seed, layers, hidden,
         )
-
-    def blocks(self):
-        return list(self.params.blocks)
 
 
 def candidate_pool(u, matrix, C):
@@ -100,25 +91,14 @@ def run_selection(
     ep = SelectionEpisode(
         s_rec=np.array(s_rec, dtype=np.float64), p_u=matrix.current[u].copy(), pool=pool
     )
-    available = np.arange(agent.pool_size) < len(pool)
     n_u, norms = np.linalg.norm(ep.p_u), []  # norms[t]: of p_rows[t]
     running_sum = 0.0
-    # step t shifts its newest row's token (p_u's, then the last pick's) into
-    # the left-padded window, which then holds t + 1; rows pass the layers as
-    # (1, 1, width) stacks, as in `replay_forward`, so the replay has these bits
-    windows = np.zeros((1, agent.window, agent.d_state))
-    p_row = ep.p_u
-    for t in range(k_sel):
-        token, _ = agent.proj.forward(np.concatenate([ep.s_rec, p_row])[None, None])
-        windows = np.concatenate([windows[:, 1:], token], axis=1)
-        if t == 0:
-            state = token[:, 0]
-        else:
-            pad = np.arange(agent.window)[None] < agent.window - 1 - t
-            state, _ = agent.encoder.forward(windows, pad)
-        logits, _ = agent.actor.forward(state[:, None])
-        value, _ = agent.critic.forward(state[:, None])
-        slot = int(sample_rows(np.where(available, logits[:, 0], -np.inf), [rng])[0][0])
+
+    # the token of step t holds s_rec and the newest row: p_u's, then the last pick's
+    def step(rows, states, z, t):
+        nonlocal running_sum
+        slot = int(sample_rows(z, [rng])[0][0])
+        value, _ = agent.critic.forward(states[:, None])
         cand = int(pool[slot])
         p_row = matrix.current[cand].copy()
         n_cand = np.linalg.norm(p_row)
@@ -133,8 +113,11 @@ def run_selection(
         ep.sims.append(sim)
         ep.divs.append(div)
         ep.ref_rewards.append(ref)
-        ep.rewards.append(rm.intrinsic_reward(running_sum / (t + 1), sim, div, lambda_s, lambda_d))
-        available[slot] = False
+        ep.rewards.append(rm.intrinsic_reward(running_sum / t, sim, div, lambda_s, lambda_d))
+        return [slot], np.concatenate([ep.s_rec, p_row])[None], [t == k_sel]
+
+    available = np.arange(agent.pool_size) < len(pool)
+    play_episodes(agent, np.concatenate([ep.s_rec, ep.p_u])[None], available[None], False, step)
     return ep
 
 

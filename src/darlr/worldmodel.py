@@ -19,7 +19,6 @@ import numpy as np
 from . import dataset as ds
 from .config import ConfigError, config_from_dict
 from .nncore import (
-    AdamConfig,
     Mlp,
     ParamSet,
     adam_step,
@@ -184,7 +183,6 @@ def train_world_model(d: ds.Dataset, cfg: WorldModelConfig) -> WorldModelEnsembl
     cfg.validate()
     if len(d.train_log) == 0:
         raise ValueError("cannot train a world model on an empty log")
-    adam = AdamConfig(lr=cfg.lr)
     u_all = d.train_log["user_id"]
     i_all = d.train_log["item_id"]
     r_all = d.train_log["feedback"]
@@ -217,7 +215,7 @@ def train_world_model(d: ds.Dataset, cfg: WorldModelConfig) -> WorldModelEnsembl
                     dmu = res * inv / m
                     dlv = 0.5 * (1.0 - res**2 * inv) / m
                     member.backward(tape, dmu, dlv)
-                    adam_step(member.params, adam)
+                    adam_step(member.params, cfg.lr)
                 history.append(total / n)
     return wm
 

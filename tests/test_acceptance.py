@@ -17,10 +17,10 @@ from darlr import rewardmath as rm
 from darlr import selector as sel
 from darlr import worldmodel as wmod
 from darlr.nncore import (
-    AdamConfig,
     Mlp,
     SeqEncoder,
     gradient_check,
+    play_episodes,
     rng_stream,
     sample_rows,
     softmax,
@@ -270,12 +270,11 @@ def test_criterion_6_policy_gradient_sanity():
         agent = rec.RecommenderAgent(
             n_users=1, n_items=arms, d_emb=4, d_model=8, window=3, seed=seed, hidden=(16,)
         )
-        cfg = AdamConfig(lr=0.01)
         rng = rng_stream(seed, "bandit")
         for _ in range(500):
             traj = engine.Trajectory(user=0)
 
-            def pull(rows, states, z, cats, t):
+            def pull(rows, states, z, t):
                 items, _ = sample_rows(z, [rng])
                 item = int(items[0])
                 value, _ = agent.critic.forward(states[0])
@@ -287,17 +286,17 @@ def test_criterion_6_policy_gradient_sanity():
                         done_reason="max_length",
                     )
                 )
-                return items, [r], [True]
+                return items, agent.token_inputs([0], items, [r]), [True]
 
-            engine.play_episodes(agent, [0], np.arange(arms), pull)
-            engine.update_recommender(agent, traj, 0.99, cfg)
+            play_episodes(agent, agent.token_inputs([0]), np.ones((1, arms), dtype=bool), True, pull)
+            engine.update_recommender(agent, traj, 0.99, lr=0.01)
         final = []
 
-        def look(rows, states, z, cats, t):
+        def look(rows, states, z, t):
             final.append(softmax(z[0])[target])
-            return [0], [0.0], [True]
+            return [0], agent.token_inputs([0], [0], [0.0]), [True]
 
-        engine.play_episodes(agent, [0], np.arange(arms), look)
+        play_episodes(agent, agent.token_inputs([0]), np.ones((1, arms), dtype=bool), True, look)
         return final[0]
 
     probs = [final_target_prob(seed) for seed in range(10)]

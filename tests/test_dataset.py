@@ -217,6 +217,45 @@ class TestMalformedCsv:
             ds.load_dataset(tmp_path)
 
 
+class TestTruthRange:
+    """truth.csv holds values in [r_min, r_max], as the log does."""
+
+    @staticmethod
+    def write(root, value):
+        write_valid_layout(root)
+        path = root / "truth.csv"
+        lines = path.read_text().splitlines()
+        row = lines[5].split(",")
+        lines[5] = ",".join(row[:2] + [value])
+        lines[2:2] = [""]  # a blank line still counts: the bad row is line 7
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "5.0", "-3.0", "1.000001"])
+    def test_value_outside_the_range_names_the_line(self, tmp_path, value):
+        self.write(tmp_path, value)
+        message = f"truth.csv: line 7: feedback {float(value)} outside [0.0,1.0]"
+        with pytest.raises(ds.DatasetError, match=f"^{re.escape(message)}$"):
+            ds.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("value", ["0.0", "1.0"])
+    def test_range_ends_load(self, tmp_path, value):
+        self.write(tmp_path, value)
+        assert float(value) in ds.load_dataset(tmp_path).truth_matrix
+
+    def test_cli_prints_one_error_line(self, tmp_path, capsys):
+        self.write(tmp_path / "data", "inf")
+        (tmp_path / "wm.json").write_text("{}")
+        rc = cli.main([
+            "train-wm", "--config", str(tmp_path / "wm.json"), "--data", str(tmp_path / "data"),
+            "--out", str(tmp_path / "wm.ckpt"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: truth.csv: line 7: feedback inf outside [0.0,1.0]"
+        ]
+        assert not (tmp_path / "wm.ckpt").exists()
+
+
 # each case is the text of manifest.json
 BAD_MANIFESTS = {
     "invalid_json": '{"r_min": 0.0, "r_max": 1.0',
@@ -423,7 +462,7 @@ class TestChunkedTruth:
         assert str(err.value) == {
             "id_x0": f"truth.csv: line {at + 1}: could not convert string 'x0' to int64, column 1.",
             "short_row": f"truth.csv: line {at + 1}: invalid column index 2 with 2 columns",
-            "nan_feedback": "truth.csv: matrix is not dense",
+            "nan_feedback": f"truth.csv: line {at + 1}: feedback nan outside [0.0,1.0]",
         }[case]
 
 

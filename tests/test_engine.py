@@ -15,7 +15,7 @@ from darlr import rewardmath as rm
 from darlr import selector as sel
 from darlr import worldmodel as wmod
 from darlr.nncore import (
-    AdamConfig,
+    play_episodes,
     read_fragment,
     rng_stream,
     sample_rows,
@@ -87,11 +87,11 @@ def start_probs(agent, u):
     """The policy of user u's first step, as the lockstep player computes it."""
     out = []
 
-    def step(rows, states, z, cats, t):
+    def step(rows, states, z, t):
         out.append(softmax(z[0]))
-        return [0], [0.0], [True]
+        return [0], agent.token_inputs([u], [0], [0.0]), [True]
 
-    engine.play_episodes(agent, [u], np.zeros(agent.n_items, dtype=int), step)
+    play_episodes(agent, agent.token_inputs([u]), np.ones((1, agent.n_items), dtype=bool), True, step)
     return out[0]
 
 
@@ -548,9 +548,9 @@ class TestLosses:
         captured = []
         monkeypatch.setattr(
             engine, "adam_step",
-            lambda params, cfg: captured.extend(b.grad.copy() for b in params.blocks),
+            lambda params, lr: captured.extend(b.grad.copy() for b in params.blocks),
         )
-        engine.update_selector(agent, episodes, 0.9, AdamConfig())
+        engine.update_selector(agent, episodes, 0.9, lr=1e-3)
         zero_grads(agent.blocks())
         for ep in episodes:
             engine.selector_losses(agent, [ep], 0.9, accumulate=True, scale=1 / 3)
@@ -576,7 +576,7 @@ class TestLosses:
             )
         )
         assert engine.discounted_returns([1.0], 0.99)[0] > traj.transitions[0].value
-        engine.update_recommender(agent, traj, 0.99, AdamConfig(lr=1e-3))
+        engine.update_recommender(agent, traj, 0.99, lr=1e-3)
         assert start_probs(agent, 0)[target] > before
 
 
@@ -623,7 +623,7 @@ class TestTrain:
         fresh = engine.build_agents(tiny_dataset, settings)[1].params
         agent = engine.train(tiny_dataset, tiny_wm, settings).sel_agent
         # an empty batch of selection episodes is no update at all
-        assert engine.update_selector(agent, [], settings.gamma, AdamConfig()) == (0.0, 0.0)
+        assert engine.update_selector(agent, [], settings.gamma, lr=1e-3) == (0.0, 0.0)
         params = agent.params
         assert params.step_count == 0
         for attr in ("values", "grad", "adam_m", "adam_v"):
@@ -922,6 +922,50 @@ class TestLockstepEvaluation:
     def test_episode_count_below_one_rejected(self, episodes, smoke_run, tiny_dataset):
         with pytest.raises(ValueError, match="at least one episode"):
             engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, episodes, 1)
+
+
+def count_passes(monkeypatch, agent):
+    """Count the forward calls of each of `agent`'s four layers."""
+    counts = dict.fromkeys(("proj", "encoder", "actor", "critic"), 0)
+    for name in counts:
+        forward = getattr(agent, name).forward
+
+        def counted(*args, _name=name, _forward=forward):
+            counts[_name] += 1
+            return _forward(*args)
+
+        monkeypatch.setattr(getattr(agent, name), "forward", counted)
+    return counts
+
+
+class TestLayerPasses:
+    """The lockstep player passes each layer once per step: the cost shape
+    behind perfbench's `selector.proj_per_pick`."""
+
+    def test_selection_episode(self, tiny_matrix, monkeypatch):
+        agent = sel.SelectorAgent(30, 4, 3, 10, 3, seed=2, hidden=(6,))
+        counts = count_passes(monkeypatch, agent)
+        k = 5  # more steps than the window holds
+        ep = sel.run_selection(2, 1, np.ones(4), tiny_matrix, agent, k, 1.0, 0.1, rng_stream(2))
+        assert ep.length == k
+        assert counts == {"proj": k, "encoder": k - 1, "actor": k, "critic": k}
+
+    def test_training_trajectory(self, tiny_dataset, tiny_wm, monkeypatch):
+        run = engine.start_run(tiny_dataset, tiny_wm, smoke_settings(w_rec=2))
+        rec_counts = count_passes(monkeypatch, run.rec_agent)
+        sel_counts = count_passes(monkeypatch, run.sel_agent)
+        traj, episodes = engine.rollout_trajectory(run, 3)
+        n, k = len(traj), run.settings.k_sel
+        assert n > run.settings.w_rec and len(episodes) == n
+        assert rec_counts == {"proj": n, "encoder": n, "actor": n, "critic": n}
+        assert sel_counts == {"proj": n * k, "encoder": n * (k - 1), "actor": n * k, "critic": n * k}
+
+    @pytest.mark.parametrize("size", [1, 9, 64])
+    def test_evaluation_block(self, size, smoke_run, tiny_dataset, monkeypatch):
+        counts = count_passes(monkeypatch, smoke_run.rec_agent)
+        results = engine._eval_block(smoke_run.rec_agent, tiny_dataset, 5, range(size), False)
+        steps = max(r["length"] for r in results)
+        assert counts == {"proj": steps, "encoder": steps, "actor": steps, "critic": 0}
 
 
 def assert_views_of_flat_vectors(owner):

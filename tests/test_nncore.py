@@ -465,38 +465,38 @@ class TestAdam:
         b.values[...] = [1.0, -2.0, 0.5]
         params = nn.ParamSet([b])
         before = b.values.copy()
-        nn.adam_step(params, nn.AdamConfig())
+        nn.adam_step(params, 1e-3)
         assert np.array_equal(b.values, before)
         assert params.step_count == 1
 
     def test_first_step_closed_form(self):
         b = nn.make_block("p", (1,))
         b.grad[...] = 1.0
-        nn.adam_step(nn.ParamSet([b]), nn.AdamConfig(lr=0.001))
+        nn.adam_step(nn.ParamSet([b]), 0.001)
         # bias-corrected ratio is 1, so the move is lr up to the eps term
         assert abs(b.values[0] + 0.001) < 1e-10
         assert np.all(b.grad == 0)
 
     def test_two_steps_match_hand_recurrence(self):
-        cfg = nn.AdamConfig(lr=0.01)
+        lr, b1, b2 = 0.01, nn.ADAM_BETA1, nn.ADAM_BETA2
         b = nn.make_block("p", (1,))
         params = nn.ParamSet([b])
         g = 0.7
         m = v = 0.0
         x = 0.0
         for t in (1, 2):
-            m = cfg.beta1 * m + (1 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            x -= cfg.lr * (m / (1 - cfg.beta1**t)) / (math.sqrt(v / (1 - cfg.beta2**t)) + cfg.eps)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            x -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + nn.ADAM_EPS)
             b.grad[...] = g
-            nn.adam_step(params, cfg)
+            nn.adam_step(params, lr)
         assert abs(b.values[0] - x) < 1e-14
 
     def test_nonfinite_gradient_names_block(self):
         b = nn.make_block("layer7/bias", (2,))
         b.grad[...] = [np.nan, 0.0]
         with pytest.raises(nn.NonFiniteGradient, match="layer7/bias"):
-            nn.adam_step(nn.ParamSet([b]), nn.AdamConfig())
+            nn.adam_step(nn.ParamSet([b]), 1e-3)
 
     def test_nonfinite_gradient_names_first_bad_block_of_a_set(self):
         m = nn.Mlp("m", [3, 4, 4, 2], seed=1)
@@ -508,7 +508,7 @@ class TestAdam:
         m.layers[1].b.grad[2] = np.nan
         before = {a: getattr(params, a).copy() for a in ("values", "grad", "adam_m", "adam_v")}
         with pytest.raises(nn.NonFiniteGradient, match="^non-finite gradient in block 'm/L1/b'$"):
-            nn.adam_step(params, nn.AdamConfig())
+            nn.adam_step(params, 1e-3)
         # nothing moved: not the sound blocks, not the gradients, not the step count
         for attr, vec in before.items():
             assert np.array_equal(getattr(params, attr), vec, equal_nan=True), attr
@@ -523,17 +523,18 @@ class TestAdam:
         assert np.all(params.grad == 0.0)
 
 
-def reference_adam_step(state, cfg):
+def reference_adam_step(state, lr):
     """The per-block Adam update that flat parameter sets replaced, kept as
     the reference they must reproduce bit for bit: each block's arrays are
     updated alone, by one expression each."""
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
     for s in state.values():
         t = s["t"] + 1
-        s["m"] = cfg.beta1 * s["m"] + (1.0 - cfg.beta1) * s["grad"]
-        s["v"] = cfg.beta2 * s["v"] + (1.0 - cfg.beta2) * s["grad"] ** 2
-        m_hat = s["m"] / (1.0 - cfg.beta1**t)
-        v_hat = s["v"] / (1.0 - cfg.beta2**t)
-        s["values"] = s["values"] - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        s["m"] = b1 * s["m"] + (1.0 - b1) * s["grad"]
+        s["v"] = b2 * s["v"] + (1.0 - b2) * s["grad"] ** 2
+        m_hat = s["m"] / (1.0 - b1**t)
+        v_hat = s["v"] / (1.0 - b2**t)
+        s["values"] = s["values"] - lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS)
         s["t"] = t
 
 
@@ -549,7 +550,7 @@ def make_owner(kind, d):
 def test_flat_adam_equals_per_block_reference(kind, tiny_dataset):
     owner = make_owner(kind, tiny_dataset)
     blocks = owner.blocks()
-    cfg = nn.AdamConfig(lr=3e-3)
+    lr = 3e-3
     ref = {
         b.name: {"values": b.values.copy(), "m": b.adam_m.copy(), "v": b.adam_v.copy(), "t": 0}
         for b in blocks
@@ -562,8 +563,8 @@ def test_flat_adam_equals_per_block_reference(kind, tiny_dataset):
             g *= 10.0 ** rng.uniform(-8.0, 1.0, size=b.values.shape)
             b.grad[...] = g
             ref[b.name]["grad"] = g
-        nn.adam_step(owner.params, cfg)
-        reference_adam_step(ref, cfg)
+        nn.adam_step(owner.params, lr)
+        reference_adam_step(ref, lr)
         for b in blocks:
             r = ref[b.name]
             assert np.array_equal(b.values, r["values"]), b.name

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from darlr import engine
 from darlr import recommender as rec
-from darlr.nncore import gradient_check, rng_stream, sample_rows, softmax
+from darlr.nncore import gradient_check, play_episodes, rng_stream, sample_rows, softmax
 
 
 def make_agent(n_users=4, n_items=6, d_emb=3, d_model=5, window=3, seed=0, **kw):
@@ -16,12 +15,15 @@ def played(a, user, items, rewards):
     logits the player offered at each step."""
     states, zs = [], []
 
-    def step(rows, s, z, cats, t):
+    def step(rows, s, z, t):
         states.append(s[0].copy())
         zs.append(z[0].copy())
-        return [items[t - 1]], [rewards[t - 1]], [t == len(items)]
+        done = t == len(items)
+        # no token follows the last step, so a bad last item meets the player's range check
+        nxt = a.token_inputs([user]) if done else a.token_inputs([user], [items[t - 1]], [rewards[t - 1]])
+        return [items[t - 1]], nxt, [done]
 
-    engine.play_episodes(a, [user], np.arange(a.n_items), step)
+    play_episodes(a, a.token_inputs([user]), np.ones((1, a.n_items), dtype=bool), True, step)
     return states, zs
 
 
@@ -29,11 +31,12 @@ def first_logits(a, users):
     """The actor's logits at step 1 of one played episode per user."""
     out = []
 
-    def step(rows, s, z, cats, t):
+    def step(rows, s, z, t):
         out.append(z.copy())
-        return np.zeros(len(rows), dtype=int), np.zeros(len(rows)), np.ones(len(rows), dtype=bool)
+        n = len(rows)
+        return np.zeros(n, dtype=int), a.token_inputs(users, np.zeros(n, dtype=int), np.zeros(n)), np.ones(n, dtype=bool)
 
-    engine.play_episodes(a, users, np.arange(a.n_items), step)
+    play_episodes(a, a.token_inputs(users), np.ones((len(users), a.n_items), dtype=bool), True, step)
     return out[0]
 
 
