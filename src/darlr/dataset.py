@@ -377,22 +377,28 @@ def _read_log(path, user_ids, item_ids, r_min, r_max):
 def _read_truth(path, user_ids, item_ids, r_min, r_max):
     """The dense truth matrix, filled from `_TRUTH_CHUNK` lines of truth.csv
     at a time; every value in [r_min, r_max], as in the log."""
-    truth = np.full((len(user_ids), len(item_ids)), np.nan)
+    truth = np.full(len(user_ids) * len(item_ids), np.nan)  # cell (u, i) at u * n_items + i
     with _open_table(path, ["user_id", "item_id", "feedback"]) as (fh, _):
         first_line = 2
         while chunk := list(itertools.islice(fh, _TRUTH_CHUNK)):
             rows = _parse_rows(path.name, chunk, LOG_DTYPE[:3], first_line)
             cells = _dense_ids(path.name, rows, user_ids, item_ids)
-            bad = _outside(rows["feedback"], r_min, r_max)
-            if len(bad):  # row k is the k-th line with text: the parser skips empty lines
-                line = [n for n, text in enumerate(chunk, first_line) if text.strip("\r\n")][bad[0]]
-                fb = float(rows["feedback"][bad[0]])
-                raise DatasetError(f"{path.name}: line {line}: feedback {fb} outside [{r_min},{r_max}]")
-            truth[cells] = rows["feedback"]
+            flat, problem = cells[0] * len(item_ids) + cells[1], None
+            if len(bad := _outside(rows["feedback"], r_min, r_max)):
+                k, problem = bad[0], f"feedback {float(rows['feedback'][bad[0]])} outside [{r_min},{r_max}]"
+            # a stable sort is linear on chunks in cell order, as save_dataset writes them
+            elif (np.diff(np.sort(flat, kind="stable")) == 0).any() or not np.isnan(truth[flat]).all():
+                seen = set(flat[~np.isnan(truth[flat])].tolist())  # filled before this chunk
+                k = next(k for k, c in enumerate(flat.tolist()) if c in seen or seen.add(c))
+                problem = f"duplicate (user,item) ({rows['user_id'][k]},{rows['item_id'][k]})"
+            if problem:  # row k is the k-th line with text: the parser skips empty lines
+                line = [n for n, text in enumerate(chunk, first_line) if text.strip("\r\n")][k]
+                raise DatasetError(f"{path.name}: line {line}: {problem}")
+            truth[flat] = rows["feedback"]
             first_line += len(chunk)
     if np.isnan(truth).any():
         raise DatasetError(f"{path.name}: matrix is not dense")
-    return truth
+    return truth.reshape(len(user_ids), len(item_ids))
 
 
 def load_dataset(dir_path) -> Dataset:

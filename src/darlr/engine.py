@@ -102,7 +102,7 @@ class RewardParts:
 class Transition:
     action: int
     reward: float
-    value: float
+    value: float | None  # the critic's: the rollout runs none, update_recommender fills it
     track_reward: float
     parts: RewardParts | None
     done: bool
@@ -306,10 +306,9 @@ def rollout_trajectory(run: TrainRun, u):
             mean_sim=mean_sim, mean_div=mean_div, kind=kind,
         )
         base_r, done, reason = env_step(u, item, t, "train", matrix, None, cats, item_cats)
-        value, _ = agent.critic.forward(state)
         traj.transitions.append(Transition(
             action=item, reward=rm.recommender_reward(r_hat, p_u, p_e, st.lambda_u, st.lambda_e),
-            value=float(value[0]), track_reward=base_r, parts=parts, done=done,
+            value=None, track_reward=base_r, parts=parts, done=done,
             done_reason=reason,
         ))
         cats.append(int(item_cats[item]))
@@ -377,16 +376,17 @@ def _replay_grads(fwd, records, gamma, scale):
     return dlogits, dvalues, aloss, closs
 
 
-def recommender_losses(agent, traj: Trajectory, gamma, accumulate=True):
-    """Replay the trajectory and (optionally) accumulate gradients.
-
-    Returns (actor_loss, critic_loss) computed from the replayed forward
-    pass; identical to the rollout numbers while parameters are unchanged.
-    """
+def _trajectory_replay(agent, traj: Trajectory):
     items = [tr.action for tr in traj.transitions]
-    fwd = rec.trajectory_forward(agent, traj.user, items, [tr.track_reward for tr in traj.transitions])
+    return rec.trajectory_forward(agent, traj.user, items, [tr.track_reward for tr in traj.transitions])
+
+
+def recommender_losses(agent, traj: Trajectory, gamma, accumulate=True, fwd=None):
+    """Replay the trajectory (or take its replay `fwd`) and (optionally)
+    accumulate gradients; returns (actor_loss, critic_loss)."""
+    fwd = _trajectory_replay(agent, traj) if fwd is None else fwd
     record = (
-        items, np.ones(agent.n_items, dtype=bool),
+        fwd["items"], np.ones(agent.n_items, dtype=bool),
         [tr.reward for tr in traj.transitions], [tr.value for tr in traj.transitions],
     )
     dlogits, dvalues, aloss, closs = _replay_grads(fwd, [record], gamma, 1.0)
@@ -395,10 +395,10 @@ def recommender_losses(agent, traj: Trajectory, gamma, accumulate=True):
     return aloss, closs
 
 
-def selector_losses(agent, episodes, gamma, accumulate=True, scale=1.0):
-    """Replay selection episodes as one batch and (optionally) accumulate
-    gradients, each episode's scaled by `scale`; returns the summed losses."""
-    fwd = sel.episode_forward(agent, episodes)
+def selector_losses(agent, episodes, gamma, accumulate=True, scale=1.0, fwd=None):
+    """Replay selection episodes as one batch (or take its replay `fwd`) and (optionally)
+    accumulate gradients, each episode's scaled by `scale`; returns the summed losses."""
+    fwd = sel.episode_forward(agent, episodes) if fwd is None else fwd
     records = [
         (ep.slots, np.arange(agent.pool_size) < len(ep.pool), ep.rewards, ep.values)
         for ep in episodes
@@ -410,17 +410,24 @@ def selector_losses(agent, episodes, gamma, accumulate=True, scale=1.0):
 
 
 def update_recommender(agent, traj, gamma, lr):
-    losses = recommender_losses(agent, traj, gamma)
+    """One update on a trajectory, after filling its values from the replay."""
+    fwd = _trajectory_replay(agent, traj)
+    for tr, value in zip(traj.transitions, fwd["values"][:, 0].tolist()):
+        tr.value = value
+    losses = recommender_losses(agent, traj, gamma, fwd=fwd)
     adam_step(agent.params, lr)
     return losses
 
 
 def update_selector(agent, episodes, gamma, lr):
-    """One update over all selection episodes of a trajectory (one batch)."""
+    """One update over a trajectory's selection episodes (one batch), after filling their values."""
     if not episodes:
         return 0.0, 0.0
-    scale = 1.0 / len(episodes)
-    aloss, closs = selector_losses(agent, episodes, gamma, scale=scale)
+    fwd, scale = sel.episode_forward(agent, episodes), 1.0 / len(episodes)
+    values, lo = fwd["values"][:, 0].tolist(), 0
+    for ep in episodes:
+        ep.values, lo = values[lo : lo + ep.length], lo + ep.length
+    aloss, closs = selector_losses(agent, episodes, gamma, scale=scale, fwd=fwd)
     adam_step(agent.params, lr)
     return aloss * scale, closs * scale
 

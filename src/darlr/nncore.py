@@ -145,22 +145,31 @@ def adam_step(params, lr):
     params.step_count = t
 
 
-# Steps per block of materialised gradient products. A batched backward sums
-# them in step order, so it gives the bits of one backward call per step.
+# Steps per block of materialised gradient products: it bounds their memory
 _ORDER_BLOCK = 16
 
 
 def add_in_order(grad, parts):
-    """grad += parts[0]; grad += parts[1]; ... with the sums in that order."""
-    for part in parts:
-        grad += part
+    """grad += parts[0]; grad += parts[1]; ... in that order: grad into parts[0], which
+    it overwrites, then one reduce; a loop for one-element rows, which it sums pairwise."""
+    if grad.size > 1 and len(parts):
+        parts[0] += grad
+        np.add.reduce(parts, axis=0, out=grad)
+    else:
+        for part in parts:
+            grad += part
 
 
 def _add_products_in_order(grad, x, dy):
-    """grad += x[i].T @ dy[i] for each step i of (steps, rows, n) stacks, in order."""
-    for lo in range(0, len(x), _ORDER_BLOCK):
-        xt, d = x[lo : lo + _ORDER_BLOCK].swapaxes(-1, -2), dy[lo : lo + _ORDER_BLOCK]
-        add_in_order(grad, xt * d if x.shape[1] == 1 else xt @ d)  # one row: an outer product
+    """grad += x[i].T @ dy[i] for each step i of (steps, rows, n) stacks, in
+    order. One-row steps take one einsum, which sums them in order from zero:
+    the loop's bits where grad is zero, as in every backward pass."""
+    if x.shape[1] == 1:
+        grad += np.einsum("nia,nib->ab", x, dy)
+    else:
+        for lo in range(0, len(x), _ORDER_BLOCK):
+            block = slice(lo, lo + _ORDER_BLOCK)
+            add_in_order(grad, x[block].swapaxes(-1, -2) @ dy[block])
 
 
 class Linear:
@@ -182,8 +191,8 @@ class Linear:
         return x @ self.w.values + self.b.values, x
 
     def backward(self, tape, dy):
-        """Accumulate gradients of a 2-D batch, or of a 3-D stack of steps
-        summed in order; any other input rank raises ValueError."""
+        """Accumulate gradients of a 2-D batch, or of a 3-D stack of steps summed in order
+        (one-row steps by an einsum, which sums from zero); any other rank raises ValueError."""
         x = tape
         if x.ndim == 2:
             self.w.grad += x.T @ dy
@@ -239,8 +248,8 @@ class Mlp:
 def _layer_norm_forward(x, gain, bias):
     # the same operations as x.mean and x.var, without recentring twice
     n = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / n + _LN_EPS)
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + _LN_EPS)
     xhat = xc * inv
     return gain.values * xhat + bias.values, (xhat, inv)
 
@@ -256,9 +265,9 @@ def _layer_norm_backward(cache, gain, bias, dy):
 
 
 def softmax(z, axis=-1):
-    z = z - z.max(axis=axis, keepdims=True)
+    z = z - np.maximum.reduce(z, axis=axis, keepdims=True)  # z.max and e.sum without wrappers
     e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / np.add.reduce(e, axis=axis, keepdims=True)
 
 
 class SeqEncoder:
@@ -348,15 +357,17 @@ class SeqEncoder:
         dx = np.zeros(tape["pad"].shape + (self.width,))
         dx[:, -1] = ds
         for p, lt in zip(reversed(self.layer_params), reversed(tape["layers"])):
+            # in the top layer only the last slot carries gradient into w2, w1, wo and wq
+            top = slice(-1, None) if p is self.layer_params[-1] else slice(None)
             # feed-forward branch
             dh1 = (dx @ p["w2"].values.T) * (1.0 - lt["a1"] ** 2)
             for c, x_in, dy in (("2", lt["a1"], dx), ("1", lt["n2"], dh1)):
-                _add_products_in_order(p[f"w{c}"].grad, x_in, dy)
+                _add_products_in_order(p[f"w{c}"].grad, x_in[:, top], dy[:, top])
                 add_in_order(p[f"b{c}"].grad, dy.sum(axis=1))
             dn2 = dh1 @ p["w1"].values.T
             dx_mid = dx + _layer_norm_backward(lt["ln2"], p["ln2_g"], p["ln2_b"], dn2)
             # attention branch
-            _add_products_in_order(p["wo"].grad, lt["ctx"], dx_mid)
+            _add_products_in_order(p["wo"].grad, lt["ctx"][:, top], dx_mid[:, top])
             add_in_order(p["bo"].grad, dx_mid.sum(axis=1))
             dctx = dx_mid @ p["wo"].values.T
             attn = lt["attn"]
@@ -366,11 +377,11 @@ class SeqEncoder:
             dk = np.einsum("bij,bid->bjd", dscores, lt["q"]) * scale
             dv = np.einsum("bij,bid->bjd", attn, dctx)
             dn1 = dq @ p["wq"].values.T + dk @ p["wk"].values.T + dv @ p["wv"].values.T
-            for c, dy in (("q", dq), ("k", dk), ("v", dv)):
-                _add_products_in_order(p[f"w{c}"].grad, lt["n1"], dy)
+            for c, dy, rows in (("q", dq, top), ("k", dk, slice(None)), ("v", dv, slice(None))):
+                _add_products_in_order(p[f"w{c}"].grad, lt["n1"][:, rows], dy[:, rows])
                 add_in_order(p[f"b{c}"].grad, dy.sum(axis=1))
             dx = dx_mid + _layer_norm_backward(lt["ln1"], p["ln1_g"], p["ln1_b"], dn1)
-        add_in_order(self.pos.grad, dx)
+        add_in_order(self.pos.grad, dx.copy())
         add_in_order(self.start.grad, np.where(tape["pad"][..., None], dx, 0.0).sum(axis=1))
         return dx
 
@@ -406,11 +417,12 @@ def play_episodes(agent, inputs, masks, encode_first, step):
     state is its bare token). Then `step(rows, states, z, t)` gets the live
     episodes' rows, states and logits with their spent actions at -inf, and
     the 1-based step number; it returns one action, one next projection
-    input (an array row) and one done flag (a bool) per live episode. An
-    episode ends when done or when no action is left.
+    input (an array row) and one done flag (a bool) per live episode; an
+    action out of range or spent raises ValueError. An episode ends when
+    done or when no action is left.
     """
     masks = np.array(masks, dtype=bool)
-    n_actions, window = masks.shape[1], agent.window
+    n_actions, window, allowed = masks.shape[1], agent.window, masks.sum(axis=1)
     rows = pos = np.arange(len(masks))  # pos: the live episodes' positions in the arrays below
     # at step t every live window holds min(t, window) tokens
     windows = np.zeros((len(rows), window, agent.encoder.width))
@@ -428,14 +440,14 @@ def play_episodes(agent, inputs, masks, encode_first, step):
         z = np.where(masks, logits[:, 0], -np.inf)
         actions, inputs, done = step(rows, states, z, t)
         picked = np.asarray(actions).tolist()
-        if min(picked) < 0 or max(picked) >= n_actions:
-            raise ValueError(f"action out of range [0, {n_actions}): {picked}")
+        if min(picked) < 0 or max(picked) >= n_actions or not masks[pos, actions].all():
+            raise ValueError(f"action out of range [0, {n_actions}) or already spent: {picked}")
         masks[pos, actions] = False
-        live = masks.any(axis=1)
+        live = allowed > t  # each live episode has spent t distinct actions
         live[done] = False
         if not live.all():
             rows, windows, masks, inputs = rows[live], windows[live], masks[live], inputs[live]
-            pos = np.arange(len(rows))
+            pos, allowed = np.arange(len(rows)), allowed[live]
 
 
 def replay_forward(agent, inputs, lengths, encode_first):
@@ -493,13 +505,14 @@ def sample_rows(z, rngs):
     draws one `random()` and takes the first entry whose cumulative
     probability exceeds it (`searchsorted`, side="right"); a draw past the
     last cdf entry takes the last entry, and a pick of a zero-probability
-    entry walks back to the nearest selectable one before it.
-    Returns (actions, probs).
+    entry walks back to the nearest selectable one before it. Returns (actions, probs).
     """
     probs = softmax(z)
+    # one row, as in training: cumsum's ufunc without its wrapper
+    cdfs = [np.add.accumulate(probs[0])] if len(probs) == 1 else np.cumsum(probs, axis=-1)
     actions = []
-    for p, cdf, rng in zip(probs, np.cumsum(probs, axis=-1), rngs):
-        action = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(p) - 1)
+    for p, cdf, rng in zip(probs, cdfs, rngs):
+        action = min(int(cdf.searchsorted(rng.random(), side="right")), len(p) - 1)
         while p[action] == 0.0:
             action -= 1
         actions.append(action)

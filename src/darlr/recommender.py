@@ -70,5 +70,5 @@ def trajectory_backward(agent: RecommenderAgent, fwd, dlogits, dvalues):
     """Backprop per-step head gradients down to the embedding tables."""
     d = agent.d_emb
     dx = replay_backward(agent, fwd, dlogits, dvalues)
-    add_in_order(agent.emb_user.grad[fwd["user"]], dx[:, :d])
     np.add.at(agent.emb_item.grad, fwd["items"][:-1], dx[1:, d : 2 * d])
+    add_in_order(agent.emb_user.grad[fwd["user"]], dx[:, :d])

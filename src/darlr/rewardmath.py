@@ -23,7 +23,8 @@ def mean_dissimilarity(cand, n_cand, rows, norms) -> float:
     0 for no rows."""
     if len(rows) == 0:
         return 0.0
-    return float(np.mean([1.0 - cosine_from_norms(r, cand, n, n_cand) for r, n in zip(rows, norms)]))
+    gaps = [1.0 - cosine_from_norms(r, cand, n, n_cand) for r, n in zip(rows, norms)]
+    return float(np.add.reduce(np.array(gaps)) / len(gaps))  # np.mean, unwrapped
 
 
 def intrinsic_reward(r_hat, sim, div, lambda_s, lambda_d) -> float:

@@ -24,7 +24,7 @@ class SelectionEpisode:
     pool: np.ndarray
     p_rows: list = field(default_factory=list)  # preference rows at selection time
     slots: list = field(default_factory=list)  # pool indices actually sampled
-    values: list = field(default_factory=list)
+    values: list = field(default_factory=list)  # the critic's, filled by engine.update_selector
     sims: list = field(default_factory=list)
     divs: list = field(default_factory=list)
     ref_rewards: list = field(default_factory=list)
@@ -40,10 +40,10 @@ class SelectionEpisode:
         return self.pool[self.slots].tolist()
 
     def mean_sim(self):
-        return float(np.mean(self.sims))
+        return float(np.add.reduce(np.array(self.sims)) / len(self.sims))  # np.mean, unwrapped
 
     def mean_div(self):
-        return float(np.mean(self.divs))
+        return float(np.add.reduce(np.array(self.divs)) / len(self.divs))  # np.mean, unwrapped
 
 
 class SelectorAgent(WindowedActorCritic):
@@ -98,7 +98,6 @@ def run_selection(
     def step(rows, states, z, t):
         nonlocal running_sum
         slot = int(sample_rows(z, [rng])[0][0])
-        value, _ = agent.critic.forward(states[:, None])
         cand = int(pool[slot])
         p_row = matrix.current[cand].copy()
         n_cand = np.linalg.norm(p_row)
@@ -109,7 +108,6 @@ def run_selection(
         ep.slots.append(slot)
         ep.p_rows.append(p_row)
         norms.append(n_cand)
-        ep.values.append(float(value[0, 0, 0]))
         ep.sims.append(sim)
         ep.divs.append(div)
         ep.ref_rewards.append(ref)

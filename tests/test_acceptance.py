@@ -154,6 +154,9 @@ def test_criterion_2_gradient_correctness():
             traj.user, 1, rngs.normal(size=4), matrix, sel_agent, 2,
             settings.lambda_s, settings.lambda_d, rng_stream(seed, "c2sel"),
         )
+        # the rollout runs no critic: fill the values from a replay once, as
+        # update_selector does, and hold them fixed through the check
+        ep.values = sel.episode_forward(sel_agent, [ep])["values"][:, 0].tolist()
 
         def sloss():
             a, c = engine.selector_losses(sel_agent, [ep], 0.97, accumulate=False)

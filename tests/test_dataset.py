@@ -256,6 +256,47 @@ class TestTruthRange:
         assert not (tmp_path / "wm.ckpt").exists()
 
 
+class TestTruthRepeats:
+    """truth.csv lists each (user_id, item_id) cell once, as the log lists
+    each (user, item, step) once."""
+
+    @staticmethod
+    def saved(root, chunk, monkeypatch):
+        monkeypatch.setattr(ds, "_TRUTH_CHUNK", chunk)
+        ds.save_dataset(ds.generate_synthetic(ds.SyntheticSpec(users=6, items=5, seed=1)), root)
+        return root / "truth.csv"
+
+    @pytest.mark.parametrize("chunk", [4, 64])  # the repeat in a later chunk, or in the same one
+    def test_appended_repeat_names_its_line(self, tmp_path, monkeypatch, chunk):
+        path = self.saved(tmp_path, chunk, monkeypatch)
+        path.write_text(path.read_text() + "0,0,0.999\n")  # the header and 30 cells come first
+        with pytest.raises(ds.DatasetError, match=r"^truth\.csv: line 32: duplicate \(user,item\) \(0,0\)$"):
+            ds.load_dataset(tmp_path)
+
+    def test_repeat_within_a_chunk_names_the_later_line(self, tmp_path, monkeypatch):
+        path = self.saved(tmp_path, 4, monkeypatch)
+        lines = path.read_text().splitlines()
+        lines[7] = lines[6].rsplit(",", 1)[0] + ",0.5"  # lines 7 and 8 share the second chunk
+        path.write_text("\n".join(lines) + "\n")
+        cell = lines[6].rsplit(",", 1)[0]
+        with pytest.raises(ds.DatasetError, match=rf"^truth\.csv: line 8: duplicate \(user,item\) \({cell}\)$"):
+            ds.load_dataset(tmp_path)
+
+    def test_cli_prints_one_error_line(self, tmp_path, monkeypatch, capsys):
+        path = self.saved(tmp_path / "data", 4096, monkeypatch)
+        path.write_text(path.read_text() + "0,0,0.999\n")
+        (tmp_path / "wm.json").write_text("{}")
+        rc = cli.main([
+            "train-wm", "--config", str(tmp_path / "wm.json"), "--data", str(tmp_path / "data"),
+            "--out", str(tmp_path / "wm.ckpt"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: truth.csv: line 32: duplicate (user,item) (0,0)"
+        ]
+        assert not (tmp_path / "wm.ckpt").exists()
+
+
 # each case is the text of manifest.json
 BAD_MANIFESTS = {
     "invalid_json": '{"r_min": 0.0, "r_max": 1.0',

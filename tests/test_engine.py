@@ -209,6 +209,18 @@ def record_logprobs(monkeypatch):
     return logprobs
 
 
+def freeze_updates(monkeypatch):
+    """Let an update's Adam step only clear the gradients: the update then
+    fills the values of what it is given and leaves the parameters as they
+    were."""
+    monkeypatch.setattr(engine, "adam_step", lambda params, lr: params.grad.fill(0.0))
+
+
+def replayed_values(agent, ep):
+    """An episode's critic values from a fresh replay of it alone."""
+    return sel.episode_forward(agent, [ep])["values"][:, 0].tolist()
+
+
 def critic_loss(traj, gamma):
     """Reference critic loss: the mean squared one-step TD error of the
     recorded values; the last step bootstraps zero."""
@@ -448,15 +460,24 @@ class TestRollout:
         d, wm = own_category_catalog if catalog else (tiny_dataset, tiny_wm)
         ctx, ref_ctx = (self.make_ctx(d, wm, variant=variant) for _ in range(2))
         logprobs = record_logprobs(monkeypatch)
+        freeze_updates(monkeypatch)
+        gamma = ctx.settings.gamma
         for u in (3, 11):
             logprobs.clear()
             traj, episodes = engine.rollout_trajectory(ctx, u)
             ref, ref_episodes, ref_logprobs = reference_rollout(ref_ctx, u)
-            # actions, log-probabilities, values, rewards, track rewards,
-            # parts and done reasons, all exact
+            assert_selection_episodes_equal(episodes, ref_episodes)
+            # the rollout runs no critic: the updates fill the values from their replays
+            assert all(tr.value is None for tr in traj.transitions)
+            assert all(ep.values == [] for ep in episodes)
+            engine.update_recommender(ctx.rec_agent, traj, gamma, lr=1.0)
+            engine.update_selector(ctx.sel_agent, episodes, gamma, lr=1.0)
+            # actions, log-probabilities, values (those the per-step loop's
+            # critic gave), rewards, track rewards, parts and done reasons, all exact
             assert traj.transitions == ref.transitions
             assert logprobs == ref_logprobs
-            assert_selection_episodes_equal(episodes, ref_episodes)
+            for ep in episodes:
+                assert ep.values == replayed_values(ctx.sel_agent, ep)
             assert (len(episodes) == 0) == (variant == "r_static")
             if catalog:
                 assert len(traj) == d.n_items
@@ -476,6 +497,8 @@ class TestLosses:
         )
         logprobs = record_logprobs(monkeypatch)
         traj, episodes = engine.rollout_trajectory(ctx, 4)
+        freeze_updates(monkeypatch)  # the update fills the values the losses hold fixed
+        engine.update_recommender(smoke_run.rec_agent, traj, settings.gamma, lr=1.0)
         aloss, closs = engine.recommender_losses(
             smoke_run.rec_agent, traj, settings.gamma, accumulate=False
         )
@@ -523,6 +546,7 @@ class TestLosses:
         ep = sel.run_selection(
             2, 1, rng.normal(size=4), matrix, agent, 4, 1.0, 0.1, rng_stream(1)
         )
+        ep.values = replayed_values(agent, ep)  # as update_selector fills them, then fixed
 
         def loss():
             a, c = engine.selector_losses(agent, [ep], 0.9, accumulate=False)
@@ -551,12 +575,22 @@ class TestLosses:
             lambda params, lr: captured.extend(b.grad.copy() for b in params.blocks),
         )
         engine.update_selector(agent, episodes, 0.9, lr=1e-3)
+        # the update filled each episode's values from its replay: a fresh
+        # replay of the episode alone gives them bit for bit
+        for ep in episodes:
+            assert ep.values == replayed_values(agent, ep)
+        assert len(captured) == len(agent.blocks())
+        # one batch: the gradient of the batch's losses, summed in step order from zero
+        zero_grads(agent.blocks())
+        engine.selector_losses(agent, episodes, 0.9, accumulate=True, scale=1 / 3)
+        for blk, g in zip(agent.blocks(), captured):
+            assert np.array_equal(g, blk.grad), blk.name
+        # which is the sum of the episodes' gradients, up to the order of its additions
         zero_grads(agent.blocks())
         for ep in episodes:
             engine.selector_losses(agent, [ep], 0.9, accumulate=True, scale=1 / 3)
-        assert len(captured) == len(agent.blocks())
-        for blk, g in zip(agent.blocks(), captured):  # one batch sums in episode order
-            assert np.array_equal(g, blk.grad), blk.name
+        for blk, g in zip(agent.blocks(), captured):
+            assert np.allclose(g, blk.grad, rtol=1e-12, atol=1e-15), blk.name
 
     def test_one_step_positive_advantage_raises_probability(self):
         # linear actor on a constant state: one update must increase pi(a)
@@ -575,8 +609,9 @@ class TestLosses:
                 done_reason="max_length",
             )
         )
-        assert engine.discounted_returns([1.0], 0.99)[0] > traj.transitions[0].value
         engine.update_recommender(agent, traj, 0.99, lr=1e-3)
+        # the value the update filled in from its replay left a positive advantage
+        assert engine.discounted_returns([1.0], 0.99)[0] > traj.transitions[0].value
         assert start_probs(agent, 0)[target] > before
 
 
@@ -939,8 +974,9 @@ def count_passes(monkeypatch, agent):
 
 
 class TestLayerPasses:
-    """The lockstep player passes each layer once per step: the cost shape
-    behind perfbench's `selector.proj_per_pick`."""
+    """The lockstep player passes each layer but the critic once per step,
+    and each update passes every layer once: the cost shape behind
+    perfbench's `selector.proj_per_pick`."""
 
     def test_selection_episode(self, tiny_matrix, monkeypatch):
         agent = sel.SelectorAgent(30, 4, 3, 10, 3, seed=2, hidden=(6,))
@@ -948,7 +984,7 @@ class TestLayerPasses:
         k = 5  # more steps than the window holds
         ep = sel.run_selection(2, 1, np.ones(4), tiny_matrix, agent, k, 1.0, 0.1, rng_stream(2))
         assert ep.length == k
-        assert counts == {"proj": k, "encoder": k - 1, "actor": k, "critic": k}
+        assert counts == {"proj": k, "encoder": k - 1, "actor": k, "critic": 0}
 
     def test_training_trajectory(self, tiny_dataset, tiny_wm, monkeypatch):
         run = engine.start_run(tiny_dataset, tiny_wm, smoke_settings(w_rec=2))
@@ -957,8 +993,14 @@ class TestLayerPasses:
         traj, episodes = engine.rollout_trajectory(run, 3)
         n, k = len(traj), run.settings.k_sel
         assert n > run.settings.w_rec and len(episodes) == n
-        assert rec_counts == {"proj": n, "encoder": n, "actor": n, "critic": n}
-        assert sel_counts == {"proj": n * k, "encoder": n * (k - 1), "actor": n * k, "critic": n * k}
+        assert rec_counts == {"proj": n, "encoder": n, "actor": n, "critic": 0}
+        assert sel_counts == {"proj": n * k, "encoder": n * (k - 1), "actor": n * k, "critic": 0}
+        # each update is one batched replay: one pass of each layer, the critic's included
+        for counts in (rec_counts, sel_counts):
+            counts.update(dict.fromkeys(counts, 0))
+        engine.update_recommender(run.rec_agent, traj, run.settings.gamma, lr=1e-3)
+        engine.update_selector(run.sel_agent, episodes, run.settings.gamma, lr=1e-3)
+        assert rec_counts == sel_counts == {"proj": 1, "encoder": 1, "actor": 1, "critic": 1}
 
     @pytest.mark.parametrize("size", [1, 9, 64])
     def test_evaluation_block(self, size, smoke_run, tiny_dataset, monkeypatch):

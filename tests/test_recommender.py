@@ -120,6 +120,26 @@ class TestTrack:
             with pytest.raises(ValueError, match="range"):
                 played(a, 0, [item], [0.5])
 
+    def test_spent_item_rejected(self):
+        a = make_agent(seed=8)
+        with pytest.raises(ValueError, match=r"^action out of range \[0, 6\) or already spent: \[2\]$"):
+            played(a, 0, [2, 4, 2], [0.5, 0.5, 0.5])
+
+    def test_episodes_end_when_their_actions_run_out(self):
+        # masks of 3 and 5 actions and hooks that never end an episode: 3 and 5 steps
+        a = make_agent(n_items=6, seed=8)
+        masks = np.zeros((2, 6), dtype=bool)
+        masks[0, :3] = masks[1, 1:] = True
+        live = []
+
+        def step(rows, s, z, t):
+            live.append(rows.tolist())
+            items = np.argmax(z, axis=1)
+            return items, a.token_inputs([0] * len(rows), items, np.zeros(len(rows))), [False] * len(rows)
+
+        play_episodes(a, a.token_inputs([0, 0]), masks, True, step)
+        assert live == [[0, 1]] * 3 + [[1]] * 2
+
 
 class TestRecommend:
     def test_uniform_logits_uniform_sampling(self):

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from darlr import engine
 from darlr import rewardmath as rm
 from darlr import selector as sel
 from darlr.engine import ShapedRewardMatrix
@@ -227,6 +228,8 @@ class TestRunSelection:
             args = (2, 3, self.s_rec, self.matrix, agent, k_sel, self.lambda_s, self.lambda_d)
             ep = sel.run_selection(*args, rng_stream(9, "replay", window))
             slots, values, rewards = reference_selection(*args, rng_stream(9, "replay", window))
+            assert ep.values == []  # the rollout runs no critic: the update fills the values
+            engine.update_selector(agent, [ep], 0.9, lr=1e-3)
             assert (ep.slots, ep.values, ep.rewards) == (slots, values, rewards), (window, layers)
             assert ep.selected == [int(v) for v in ep.pool[slots]]
 
@@ -287,7 +290,11 @@ class TestEpisodeReplay:
         # the replay sees the rollout's states: the same logits and values, bit for bit
         assert len(states) == 5
         assert np.array_equal(fwd["states"], np.array(states))
-        assert fwd["values"][:, 0].tolist() == ep.values
+        # the update fills the values from its replay: the critic's values of
+        # the rollout's states, as a critic pass in the rollout gave them
+        critic = [float(agent.critic.forward(s[None, None])[0][0, 0, 0]) for s in states]
+        engine.update_selector(agent, [ep], 0.9, lr=1e-3)
+        assert fwd["values"][:, 0].tolist() == ep.values == critic
 
     @staticmethod
     def two_episodes():
@@ -306,7 +313,6 @@ class TestEpisodeReplay:
         agent, (a, b) = self.two_episodes()
         fwd = sel.episode_forward(agent, [a, b])
         assert len(fwd["logits"]) == 9
-        assert fwd["values"][:, 0].tolist() == a.values + b.values  # the rollout's, exactly
         other = dataclasses.replace(
             a, s_rec=a.s_rec * 2.0, p_u=a.p_u + 0.5, p_rows=[r[::-1] for r in a.p_rows]
         )
@@ -317,6 +323,9 @@ class TestEpisodeReplay:
         alone = sel.episode_forward(agent, [b])
         assert np.array_equal(alone["logits"], fwd["logits"][5:])
         assert np.array_equal(alone["values"], fwd["values"][5:])
+        # the update fills each episode's values from its batched replay
+        engine.update_selector(agent, [a, b], 0.9, lr=1e-3)
+        assert fwd["values"][:, 0].tolist() == a.values + b.values
 
     def test_batched_backward_gradients(self):
         agent, eps = self.two_episodes()

@@ -11,10 +11,18 @@ change that is meant to alter training bits (a new summation order, a
 new default) or bundle bytes (a new record, a new layout) updates
 `TRAINING_DIGEST` or `BUNDLE_DIGEST` and says so, with the reason, in
 CHANGES.md.
+
+The digests hold for one set of BLAS kernels: other kernels sum a matmul's
+products in another order, so every trained number moves in its last bits.
+They were recorded with numpy's bundled OpenBLAS on its `SkylakeX` kernels,
+and a failure names the kernels in use, so that a host whose OpenBLAS picks
+others reads differently from a change in the program.
 """
 
+import ctypes
 import hashlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +37,25 @@ BUNDLE_FILES = (
     "config.json", "matrix.frag", "metrics.csv", "recommender.frag", "selector.frag",
     "worldmodel.ckpt",
 )
+RECORDED_CORE = "SkylakeX"  # the OpenBLAS kernel set the two digests were recorded with
+
+
+def openblas_core():
+    """The kernel set numpy's bundled OpenBLAS uses in this process, as its
+    `scipy_openblas_get_corename64_` names it; "unknown" where the library
+    or the symbol is missing."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def kernels_note():
+    return f"OpenBLAS core in use: {openblas_core()}; the digest was recorded on {RECORDED_CORE}"
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +85,7 @@ def training_digest(d, wm):
 
 
 def test_training_bits_match_the_recorded_digest(env):
-    assert training_digest(*env) == TRAINING_DIGEST
+    assert training_digest(*env) == TRAINING_DIGEST, kernels_note()
 
 
 def bundle_digest(d, wm, out):
@@ -75,4 +102,9 @@ def bundle_digest(d, wm, out):
 
 
 def test_bundle_bytes_match_the_recorded_digest(env, tmp_path):
-    assert bundle_digest(*env, tmp_path / "bundle") == BUNDLE_DIGEST
+    assert bundle_digest(*env, tmp_path / "bundle") == BUNDLE_DIGEST, kernels_note()
+
+
+def test_the_kernel_note_names_both_cores():
+    assert openblas_core() != ""
+    assert kernels_note() == f"OpenBLAS core in use: {openblas_core()}; the digest was recorded on SkylakeX"
