@@ -145,8 +145,7 @@ def adam_step(params, lr):
     params.step_count = t
 
 
-# Steps per block of materialised gradient products: it bounds their memory
-_ORDER_BLOCK = 16
+_ORDER_BLOCK = 16  # steps per block of materialised gradient products: it bounds their memory
 
 
 def add_in_order(grad, parts):
@@ -161,15 +160,14 @@ def add_in_order(grad, parts):
 
 
 def _add_products_in_order(grad, x, dy):
-    """grad += x[i].T @ dy[i] for each step i of (steps, rows, n) stacks, in
-    order. One-row steps take one einsum, which sums them in order from zero:
-    the loop's bits where grad is zero, as in every backward pass."""
-    if x.shape[1] == 1:
-        grad += np.einsum("nia,nib->ab", x, dy)
-    else:
-        for lo in range(0, len(x), _ORDER_BLOCK):
-            block = slice(lo, lo + _ORDER_BLOCK)
-            add_in_order(grad, x[block].swapaxes(-1, -2) @ dy[block])
+    """grad += x[i].T @ dy[i] for each step i of (steps, rows, n) stacks, in order. One-row steps
+    onto a zero grad, as an update's backward pass starts, take one einsum, which sums from zero."""
+    if x.shape[1] == 1 and not grad.any():
+        np.einsum("nia,nib->ab", x, dy, out=grad)
+        return
+    for lo in range(0, len(x), _ORDER_BLOCK):
+        xt, d = x[lo : lo + _ORDER_BLOCK].swapaxes(-1, -2), dy[lo : lo + _ORDER_BLOCK]
+        add_in_order(grad, xt * d if x.shape[1] == 1 else xt @ d)  # one row: an outer product
 
 
 class Linear:
@@ -191,8 +189,8 @@ class Linear:
         return x @ self.w.values + self.b.values, x
 
     def backward(self, tape, dy):
-        """Accumulate gradients of a 2-D batch, or of a 3-D stack of steps summed in order
-        (one-row steps by an einsum, which sums from zero); any other rank raises ValueError."""
+        """Accumulate gradients of a 2-D batch, or of a 3-D stack of steps summed in order (one-row
+        steps onto a zero gradient by an einsum, which sums from zero); other ranks raise ValueError."""
         x = tape
         if x.ndim == 2:
             self.w.grad += x.T @ dy
@@ -508,10 +506,8 @@ def sample_rows(z, rngs):
     entry walks back to the nearest selectable one before it. Returns (actions, probs).
     """
     probs = softmax(z)
-    # one row, as in training: cumsum's ufunc without its wrapper
-    cdfs = [np.add.accumulate(probs[0])] if len(probs) == 1 else np.cumsum(probs, axis=-1)
     actions = []
-    for p, cdf, rng in zip(probs, cdfs, rngs):
+    for p, cdf, rng in zip(probs, np.add.accumulate(probs, axis=-1), rngs):  # np.cumsum, unwrapped
         action = min(int(cdf.searchsorted(rng.random(), side="right")), len(p) - 1)
         while p[action] == 0.0:
             action -= 1

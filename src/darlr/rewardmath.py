@@ -9,6 +9,11 @@ from __future__ import annotations
 import numpy as np
 
 
+def mean(xs) -> float:
+    """`np.mean` of a non-empty list of floats, the same bits without its wrappers."""
+    return float(np.add.reduce(np.array(xs)) / len(xs))
+
+
 def cosine_from_norms(a, b, na, nb) -> float:
     """Cosine of 1-D rows `a` and `b` given their norms `na` and `nb`
     (`np.linalg.norm` of each row), or 0 when either norm is 0: an
@@ -23,8 +28,7 @@ def mean_dissimilarity(cand, n_cand, rows, norms) -> float:
     0 for no rows."""
     if len(rows) == 0:
         return 0.0
-    gaps = [1.0 - cosine_from_norms(r, cand, n, n_cand) for r, n in zip(rows, norms)]
-    return float(np.add.reduce(np.array(gaps)) / len(gaps))  # np.mean, unwrapped
+    return mean([1.0 - cosine_from_norms(r, cand, n, n_cand) for r, n in zip(rows, norms)])
 
 
 def intrinsic_reward(r_hat, sim, div, lambda_s, lambda_d) -> float:

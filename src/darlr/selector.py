@@ -40,10 +40,10 @@ class SelectionEpisode:
         return self.pool[self.slots].tolist()
 
     def mean_sim(self):
-        return float(np.add.reduce(np.array(self.sims)) / len(self.sims))  # np.mean, unwrapped
+        return rm.mean(self.sims)
 
     def mean_div(self):
-        return float(np.add.reduce(np.array(self.divs)) / len(self.divs))  # np.mean, unwrapped
+        return rm.mean(self.divs)
 
 
 class SelectorAgent(WindowedActorCritic):

@@ -321,36 +321,30 @@ class TestBatchedEncoder:
         grad = np.zeros(1)
         nn.add_in_order(grad, parts)
         assert grad[0] == 0.0
-        assert parts.sum(axis=0)[0] != 0.0
+        assert np.add.reduce(parts, axis=0)[0] == 28.0  # a reduce sums one-element rows pairwise
 
 
 class TestOneCallSums:
     """The one-call sums of the backward pass give the bits of the per-step
     `+=` loops they replace."""
 
-    @pytest.mark.parametrize("n", [1, 5, 17, 40])
+    # 400 and 2000: as many rows as a selector replay passes
+    @pytest.mark.parametrize("n", [1, 5, 17, 40, 400, 2000])
     @pytest.mark.parametrize("width", [1, 49, 64])
-    def test_linear_backward_of_one_row_steps_is_the_step_loop(self, n, width):
+    @pytest.mark.parametrize("start", [0.0, 1e3])
+    def test_linear_backward_of_one_row_steps_is_the_step_loop(self, n, width, start):
+        # from a zero gradient, as in every update (the einsum), and from another one
         layer = nn.Linear("l", 64, width, seed=3)
         rng = nn.rng_stream(n, "steps", width)
         x, dy = rng.normal(size=(n, 1, 64)), rng.normal(size=(n, 1, width))
-        layer.backward(x, dy)  # from zero gradients, as in every update
-        w, b = np.zeros((64, width)), np.zeros(width)
+        w, b = start * rng.normal(size=(64, width)), start * rng.normal(size=width)
+        layer.w.grad[...], layer.b.grad[...] = w, b
+        layer.backward(x, dy)
         for i in range(n):
             w += x[i].T * dy[i]
             b += dy[i, 0]
         assert np.array_equal(layer.w.grad, w)
         assert np.array_equal(layer.b.grad, b)
-
-    def test_add_in_order_of_one_element_rows_is_the_loop(self):
-        parts = np.array([1e16] + [1.0] * 28 + [-1e16])[:, None]
-        loop = np.zeros(1)
-        for part in parts:
-            loop += part
-        grad = np.zeros(1)
-        nn.add_in_order(grad, parts)
-        assert grad[0] == loop[0] == 0.0
-        assert np.add.reduce(parts, axis=0)[0] == 24.0  # a reduce sums them pairwise
 
     @pytest.mark.parametrize("shape", [(17, 49), (40, 3, 64)])
     def test_add_in_order_of_wide_rows_is_the_loop_from_any_gradient(self, shape):
