@@ -102,7 +102,6 @@ class RewardParts:
 class Transition:
     action: int
     reward: float
-    value: float | None  # the critic's: the rollout runs none, update_recommender fills it
     track_reward: float
     parts: RewardParts | None
     done: bool
@@ -113,9 +112,18 @@ class Transition:
 class Trajectory:
     user: int
     transitions: list = field(default_factory=list)
+    values: list = field(default_factory=list)  # the critic's: the rollout runs none, update fills them
 
     def __len__(self):
         return len(self.transitions)
+
+    @property
+    def actions(self):
+        return [tr.action for tr in self.transitions]
+
+    @property
+    def rewards(self):
+        return [tr.reward for tr in self.transitions]
 
 
 @dataclass
@@ -308,13 +316,13 @@ def rollout_trajectory(run: TrainRun, u):
         base_r, done, reason = env_step(u, item, t, "train", matrix, None, cats, item_cats)
         traj.transitions.append(Transition(
             action=item, reward=rm.recommender_reward(r_hat, p_u, p_e, st.lambda_u, st.lambda_e),
-            value=None, track_reward=base_r, parts=parts, done=done,
+            track_reward=base_r, parts=parts, done=done,
             done_reason=reason,
         ))
         cats.append(int(item_cats[item]))
         return items, agent.token_inputs([u], items, [base_r]), [done]
 
-    play_episodes(agent, agent.token_inputs([u]), np.ones((1, agent.n_items), dtype=bool), True, step)
+    play_episodes(agent, agent.token_inputs([u]), agent.avail(traj)[None], step)
     last = traj.transitions[-1]
     if not last.done:  # catalog exhausted before the protocol cap
         last.done, last.done_reason = True, "max_length"
@@ -362,72 +370,42 @@ def _head_grads(logits, critic_out, actions, avail, rewards, values, gamma, scal
     return dlogits, dvalues, aloss, float((err * err / n).sum())
 
 
-def _replay_grads(fwd, records, gamma, scale):
-    """Head gradients and summed losses of a replay `fwd` over episodes, one
-    (actions, avail, rewards, values) record each, in the replay's row order."""
+def losses(agent, episodes, gamma, accumulate=True, scale=1.0, fwd=None):
+    """Replay episodes as one batch (or take their replay `fwd`) and
+    (optionally) accumulate gradients, each episode's scaled by `scale`;
+    returns the summed (actor_loss, critic_loss). Each episode's critic
+    values must be filled, as `update` fills them."""
+    fwd = agent.replay(episodes) if fwd is None else fwd
     dlogits, dvalues = np.empty_like(fwd["logits"]), np.empty_like(fwd["values"])
     aloss, closs, lo = 0.0, 0.0, 0
-    for actions, avail, rewards, values in records:
-        rows = slice(lo, lo + len(actions))
+    for k, ep in enumerate(episodes):
+        n = len(ep.actions)
+        if len(ep.values) != n:
+            raise ValueError(
+                f"episode {k}: its critic values are not filled ({len(ep.values)} for {n} "
+                "actions); update fills them from its replay"
+            )
+        rows = slice(lo, lo + n)
         dlogits[rows], dvalues[rows], a, c = _head_grads(
-            fwd["logits"][rows], fwd["values"][rows], actions, avail, rewards, values, gamma, scale,
+            fwd["logits"][rows], fwd["values"][rows], ep.actions, agent.avail(ep),
+            ep.rewards, ep.values, gamma, scale,
         )
         aloss, closs, lo = aloss + a, closs + c, rows.stop
-    return dlogits, dvalues, aloss, closs
-
-
-def _trajectory_replay(agent, traj: Trajectory):
-    items = [tr.action for tr in traj.transitions]
-    return rec.trajectory_forward(agent, traj.user, items, [tr.track_reward for tr in traj.transitions])
-
-
-def recommender_losses(agent, traj: Trajectory, gamma, accumulate=True, fwd=None):
-    """Replay the trajectory (or take its replay `fwd`) and (optionally)
-    accumulate gradients; returns (actor_loss, critic_loss)."""
-    fwd = _trajectory_replay(agent, traj) if fwd is None else fwd
-    record = (
-        fwd["items"], np.ones(agent.n_items, dtype=bool),
-        [tr.reward for tr in traj.transitions], [tr.value for tr in traj.transitions],
-    )
-    dlogits, dvalues, aloss, closs = _replay_grads(fwd, [record], gamma, 1.0)
     if accumulate:
-        rec.trajectory_backward(agent, fwd, dlogits, dvalues)
+        agent.backward(fwd, episodes, dlogits, dvalues)
     return aloss, closs
 
 
-def selector_losses(agent, episodes, gamma, accumulate=True, scale=1.0, fwd=None):
-    """Replay selection episodes as one batch (or take its replay `fwd`) and (optionally)
-    accumulate gradients, each episode's scaled by `scale`; returns the summed losses."""
-    fwd = sel.episode_forward(agent, episodes) if fwd is None else fwd
-    records = [
-        (ep.slots, np.arange(agent.pool_size) < len(ep.pool), ep.rewards, ep.values)
-        for ep in episodes
-    ]
-    dlogits, dvalues, aloss, closs = _replay_grads(fwd, records, gamma, scale)
-    if accumulate:
-        sel.episode_backward(agent, fwd, dlogits, dvalues)
-    return aloss, closs
-
-
-def update_recommender(agent, traj, gamma, lr):
-    """One update on a trajectory, after filling its values from the replay."""
-    fwd = _trajectory_replay(agent, traj)
-    for tr, value in zip(traj.transitions, fwd["values"][:, 0].tolist()):
-        tr.value = value
-    losses = recommender_losses(agent, traj, gamma, fwd=fwd)
-    adam_step(agent.params, lr)
-    return losses
-
-
-def update_selector(agent, episodes, gamma, lr):
-    """One update over a trajectory's selection episodes (one batch), after filling their values."""
+def update(agent, episodes, gamma, lr):
+    """One update over episodes as one batch, each scaled by 1 / len(episodes),
+    after filling their values from its replay; returns the mean losses."""
     if not episodes:
         return 0.0, 0.0
-    fwd, scale = sel.episode_forward(agent, episodes), 1.0 / len(episodes)
+    fwd, scale = agent.replay(episodes), 1.0 / len(episodes)
     values, lo = fwd["values"][:, 0].tolist(), 0
     for ep in episodes:
-        ep.values, lo = values[lo : lo + ep.length], lo + ep.length
-    aloss, closs = selector_losses(agent, episodes, gamma, scale=scale, fwd=fwd)
+        ep.values, lo = values[lo : lo + len(ep.actions)], lo + len(ep.actions)
+    aloss, closs = losses(agent, episodes, gamma, scale=scale, fwd=fwd)
     adam_step(agent.params, lr)
     return aloss * scale, closs * scale
 
@@ -476,7 +454,7 @@ def _eval_block(agent, d: ds.Dataset, seed, indices, greedy):
         return items, agent.token_inputs(users[rows], items, rewards), done
 
     masks = np.ones((len(users), agent.n_items), dtype=bool)
-    play_episodes(agent, agent.token_inputs(users), masks, True, step)
+    play_episodes(agent, agent.token_inputs(users), masks, step)
     return [
         {
             "r_tra": total, "length": len(c), "r_each": total / len(c),
@@ -556,8 +534,8 @@ def play_epoch(run: TrainRun) -> bool:
         u = int(run.rng.integers(d.n_users))
         traj, episodes = rollout_trajectory(run, u)
         run.steps_total += len(traj)
-        update_recommender(run.rec_agent, traj, st.gamma, st.lr)
-        update_selector(run.sel_agent, episodes, st.gamma, st.lr)
+        update(run.rec_agent, [traj], st.gamma, st.lr)
+        update(run.sel_agent, episodes, st.gamma, st.lr)
         for si, tr in enumerate(traj.transitions):
             run.parts_log.append({
                 "epoch": epoch, "trajectory": ti, "step": si, "user": u,

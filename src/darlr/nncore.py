@@ -149,14 +149,16 @@ _ORDER_BLOCK = 16  # steps per block of materialised gradient products: it bound
 
 
 def add_in_order(grad, parts):
-    """grad += parts[0]; grad += parts[1]; ... in that order: grad into parts[0], which
-    it overwrites, then one reduce; a loop for one-element rows, which it sums pairwise."""
-    if grad.size > 1 and len(parts):
+    """grad += parts[0]; grad += parts[1]; ... in that order, in one call: grad into parts[0],
+    which it overwrites, then one reduce; one-element rows, which a reduce sums pairwise,
+    take one sequential accumulate from grad."""
+    if not len(parts):
+        return
+    if grad.size > 1:
         parts[0] += grad
         np.add.reduce(parts, axis=0, out=grad)
     else:
-        for part in parts:
-            grad += part
+        grad[...] = np.add.accumulate(np.concatenate([grad[None], parts]), axis=0)[-1]
 
 
 def _add_products_in_order(grad, x, dy):
@@ -387,7 +389,10 @@ class SeqEncoder:
 class WindowedActorCritic:
     """Token projection, windowed state encoder, actor and critic, as
     `play_episodes` and `replay_forward` use them; the ParamSet holds the
-    `first` blocks, then the four layers' blocks in that order."""
+    `first` blocks, then the four layers' blocks in that order. A subclass
+    sets `encode_first` (False: an episode's first state is its bare token)
+    and gives `replay(episodes)` and `avail(episode)`, the actions selectable
+    at an episode's start."""
 
     def __init__(self, name, n_in, width, n_actions, window, seed, layers, hidden, first=()):
         self.window = window
@@ -403,21 +408,39 @@ class WindowedActorCritic:
     def blocks(self):
         return list(self.params.blocks)
 
+    def backward(self, fwd, episodes, dlogits, dvalues):
+        """Push the head gradients of a replay `fwd` of `episodes` back
+        through encoder and projection.
 
-def play_episodes(agent, inputs, masks, encode_first, step):
+        Accumulates parameter gradients and returns the gradient at each
+        projection input, for a subclass to route into its own tables.
+        """
+        dstates = self.actor.backward(fwd["a_tape"], np.asarray(dlogits)[:, None])[:, 0]
+        dstates += self.critic.backward(fwd["c_tape"], np.asarray(dvalues)[:, None])[:, 0]
+        rows = fwd["rows"]
+        dwindows = self.encoder.backward_batch(fwd["enc_tape"], dstates[rows])
+        dtokens = dstates.copy()  # a bare first token keeps its state's gradient
+        dtokens[rows] = 0.0
+        keep = ~fwd["enc_tape"]["pad"]
+        np.add.at(dtokens, fwd["index"][keep], dwindows[keep])
+        return self.proj.backward(fwd["tok_tape"], dtokens[:, None])[:, 0]
+
+
+def play_episodes(agent, inputs, masks, step):
     """Play one episode per row of `inputs`, each its first projection input,
     in lockstep; `masks` (N, n_actions) marks the actions each may take.
 
     Each step makes one projection and one actor pass on (N, 1, width)
     stacks and one encoder pass over the live episodes' left-padded windows,
     so every episode gets the bits of being played alone and of
-    `replay_forward` (as there, with `encode_first` False an episode's first
-    state is its bare token). Then `step(rows, states, z, t)` gets the live
-    episodes' rows, states and logits with their spent actions at -inf, and
-    the 1-based step number; it returns one action, one next projection
-    input (an array row) and one done flag (a bool) per live episode; an
-    action out of range or spent raises ValueError. An episode ends when
-    done or when no action is left.
+    `replay_forward` (as there, where the agent's `encode_first` is False an
+    episode's first state is its bare first token). Then
+    `step(rows, states, z, t)` gets the live episodes' rows, states and
+    logits with their spent actions at -inf, and the 1-based step number;
+    it returns one action, one next projection input (an array row) and
+    one done flag (a bool) per live episode; an action out of range or
+    spent raises ValueError. An episode ends when done or when no action
+    is left.
     """
     masks = np.array(masks, dtype=bool)
     n_actions, window, allowed = masks.shape[1], agent.window, masks.sum(axis=1)
@@ -430,7 +453,7 @@ def play_episodes(agent, inputs, masks, encode_first, step):
         t += 1
         tokens, _ = agent.proj.forward(inputs[:, None])
         windows = np.concatenate([windows[:, 1:], tokens], axis=1)
-        if t == 1 and not encode_first:
+        if t == 1 and not agent.encode_first:
             states = tokens[:, 0]
         else:
             states, _ = agent.encoder.forward(windows, slots < window - t)
@@ -448,13 +471,14 @@ def play_episodes(agent, inputs, masks, encode_first, step):
             pos, allowed = np.arange(len(rows)), allowed[live]
 
 
-def replay_forward(agent, inputs, lengths, encode_first):
+def replay_forward(agent, inputs, lengths):
     """Replay a windowed actor-critic over concatenated episodes, keeping tapes.
 
     `inputs` stacks the projection inputs of episodes of the given
     `lengths`. The state at step t encodes the episode's last `window`
-    tokens up to t, never another episode's; with `encode_first` False an
-    episode's state 0 is its bare first token. One batched pass.
+    tokens up to t, never another episode's; where the agent's
+    `encode_first` is False an episode's state 0 is its bare first token.
+    One batched pass.
     """
     # Rows pass the dense layers as (N, 1, width) stacks: one matmul per row
     # gives each the bits of the rollout's one-row call.
@@ -462,7 +486,7 @@ def replay_forward(agent, inputs, lengths, encode_first):
     tokens = tokens[:, 0]
     first = np.repeat(np.cumsum(lengths) - lengths, lengths)  # episode start of each row
     rows = np.arange(len(tokens))
-    if not encode_first:
+    if not agent.encode_first:
         rows = rows[rows != first]
     index = rows[:, None] + np.arange(1 - agent.window, 1)
     pad = index < first[rows, None]
@@ -477,23 +501,6 @@ def replay_forward(agent, inputs, lengths, encode_first):
         "index": index, "enc_tape": enc_tape, "logits": logits[:, 0], "a_tape": a_tape,
         "values": values[:, 0], "c_tape": c_tape,
     }
-
-
-def replay_backward(agent, fwd, dlogits, dvalues):
-    """Push per-step head gradients back through encoder and projection.
-
-    Accumulates parameter gradients and returns the gradient at each
-    projection input, for the caller to route into its own tables.
-    """
-    dstates = agent.actor.backward(fwd["a_tape"], np.asarray(dlogits)[:, None])[:, 0]
-    dstates += agent.critic.backward(fwd["c_tape"], np.asarray(dvalues)[:, None])[:, 0]
-    rows = fwd["rows"]
-    dwindows = agent.encoder.backward_batch(fwd["enc_tape"], dstates[rows])
-    dtokens = dstates.copy()  # a bare first token keeps its state's gradient
-    dtokens[rows] = 0.0
-    keep = ~fwd["enc_tape"]["pad"]
-    np.add.at(dtokens, fwd["index"][keep], dwindows[keep])
-    return agent.proj.backward(fwd["tok_tape"], dtokens[:, None])[:, 0]
 
 
 def sample_rows(z, rngs):

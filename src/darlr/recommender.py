@@ -11,17 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nncore import (
-    WindowedActorCritic,
-    add_in_order,
-    make_block,
-    replay_backward,
-    replay_forward,
-    rng_stream,
-)
+from .nncore import WindowedActorCritic, make_block, replay_forward, rng_stream
 
 
 class RecommenderAgent(WindowedActorCritic):
+    encode_first = True
+
     def __init__(
         self, n_users, n_items, d_emb, d_model, window, seed, layers=1, hidden=(64,),
     ):
@@ -49,26 +44,29 @@ class RecommenderAgent(WindowedActorCritic):
             x[:, -1] = rewards
         return x
 
+    def avail(self, traj):
+        return np.ones(self.n_items, dtype=bool)
 
-def trajectory_forward(agent: RecommenderAgent, user, items, track_rewards):
-    """Replay an episode with tapes: token and state caches plus both heads.
+    def replay(self, trajectories):
+        """Replay trajectories as one batch, with tapes. The token after step
+        t holds the user, the item of step t and the reward that entered the
+        state tracker; each trajectory starts from its user's start token."""
+        inputs = np.concatenate([
+            x for traj in trajectories for x in (
+                self.token_inputs([traj.user]),
+                self.token_inputs(
+                    [traj.user] * (len(traj) - 1), traj.actions[:-1],
+                    [tr.track_reward for tr in traj.transitions[:-1]],
+                ),
+            )
+        ])
+        return replay_forward(self, inputs, [len(traj) for traj in trajectories])
 
-    `items` and `track_rewards` are the per-step recommended items and the
-    rewards that entered the state-tracker tokens.
-    """
-    n = len(items)
-    inputs = np.concatenate([
-        agent.token_inputs([user]),
-        agent.token_inputs(np.full(n - 1, user), items[:-1], track_rewards[: n - 1]),
-    ])
-    fwd = replay_forward(agent, inputs, [n], encode_first=True)
-    fwd.update(user=user, items=list(items))
-    return fwd
-
-
-def trajectory_backward(agent: RecommenderAgent, fwd, dlogits, dvalues):
-    """Backprop per-step head gradients down to the embedding tables."""
-    d = agent.d_emb
-    dx = replay_backward(agent, fwd, dlogits, dvalues)
-    np.add.at(agent.emb_item.grad, fwd["items"][:-1], dx[1:, d : 2 * d])
-    add_in_order(agent.emb_user.grad[fwd["user"]], dx[:, :d])
+    def backward(self, fwd, trajectories, dlogits, dvalues):
+        """Backprop a replay's head gradients down to the embedding tables."""
+        d, lengths = self.d_emb, [len(traj) for traj in trajectories]
+        dx = super().backward(fwd, trajectories, dlogits, dvalues)
+        tracked = np.delete(np.arange(len(dx)), np.cumsum(lengths) - lengths)  # non-start tokens
+        items = [a for traj in trajectories for a in traj.actions[:-1]]
+        np.add.at(self.emb_item.grad, items, dx[tracked, d : 2 * d])
+        np.add.at(self.emb_user.grad, np.repeat([t.user for t in trajectories], lengths), dx[:, :d])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rewardmath as rm
-from .nncore import WindowedActorCritic, play_episodes, replay_backward, replay_forward, sample_rows
+from .nncore import WindowedActorCritic, play_episodes, replay_forward, sample_rows
 
 
 @dataclass
@@ -24,7 +24,7 @@ class SelectionEpisode:
     pool: np.ndarray
     p_rows: list = field(default_factory=list)  # preference rows at selection time
     slots: list = field(default_factory=list)  # pool indices actually sampled
-    values: list = field(default_factory=list)  # the critic's, filled by engine.update_selector
+    values: list = field(default_factory=list)  # the critic's, filled by engine.update
     sims: list = field(default_factory=list)
     divs: list = field(default_factory=list)
     ref_rewards: list = field(default_factory=list)
@@ -33,6 +33,10 @@ class SelectionEpisode:
     @property
     def length(self):
         return len(self.slots)
+
+    @property
+    def actions(self):
+        return self.slots
 
     @property
     def selected(self):
@@ -49,6 +53,8 @@ class SelectionEpisode:
 class SelectorAgent(WindowedActorCritic):
     """Projection, windowed encoder, actor over the candidate pool, critic."""
 
+    encode_first = False
+
     def __init__(
         self, n_items, d_rec, d_pref, pool_size, window, seed, layers=1, hidden=(64,),
     ):
@@ -57,6 +63,20 @@ class SelectorAgent(WindowedActorCritic):
         super().__init__(
             "sel", d_rec + n_items, d_rec + d_pref, pool_size, window, seed, layers, hidden,
         )
+
+    def avail(self, ep):
+        """The pool's slots; a pool smaller than the actor leaves the rest out."""
+        return np.arange(self.pool_size) < len(ep.pool)
+
+    def replay(self, episodes):
+        """Replay selection episodes as one batch, with tapes. State 0 of
+        each episode is its bare token, as in `run_selection`."""
+        lengths = [ep.length for ep in episodes]
+        inputs = np.concatenate([
+            np.hstack([np.broadcast_to(ep.s_rec, (n, self.d_rec)), [ep.p_u] + ep.p_rows[: n - 1]])
+            for ep, n in zip(episodes, lengths)
+        ])
+        return replay_forward(self, inputs, lengths)
 
 
 def candidate_pool(u, matrix, C):
@@ -114,25 +134,5 @@ def run_selection(
         ep.rewards.append(rm.intrinsic_reward(running_sum / t, sim, div, lambda_s, lambda_d))
         return [slot], np.concatenate([ep.s_rec, p_row])[None], [t == k_sel]
 
-    available = np.arange(agent.pool_size) < len(pool)
-    play_episodes(agent, np.concatenate([ep.s_rec, ep.p_u])[None], available[None], False, step)
+    play_episodes(agent, np.concatenate([ep.s_rec, ep.p_u])[None], agent.avail(ep)[None], step)
     return ep
-
-
-def episode_forward(agent: SelectorAgent, episodes):
-    """Replay a list of selection episodes as one batch, with tapes.
-
-    Reproduces the rollout numbers exactly while the parameters are
-    unchanged. State 0 of each episode is its bare token, as in `run_selection`.
-    """
-    lengths = [ep.length for ep in episodes]
-    inputs = np.concatenate([
-        np.hstack([np.broadcast_to(ep.s_rec, (n, agent.d_rec)), [ep.p_u] + ep.p_rows[: n - 1]])
-        for ep, n in zip(episodes, lengths)
-    ])
-    return replay_forward(agent, inputs, lengths, encode_first=False)
-
-
-def episode_backward(agent: SelectorAgent, fwd, dlogits, dvalues):
-    """Push per-step head gradients back through encoder and projection."""
-    replay_backward(agent, fwd, dlogits, dvalues)

@@ -1,7 +1,32 @@
+import ctypes
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from darlr import dataset as ds
 from darlr import worldmodel as wmod
+
+RECORDED_CORE = "SkylakeX"  # the OpenBLAS kernel set the digest tests were recorded with
+
+
+def openblas_core():
+    """The kernel set numpy's bundled OpenBLAS uses in this process, as its
+    `scipy_openblas_get_corename64_` names it; "unknown" where the library
+    or the symbol is missing."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def kernels_note():
+    """The failure message of a digest test: the core in use and the one its digest was recorded on."""
+    return f"OpenBLAS core in use: {openblas_core()}; the digest was recorded on {RECORDED_CORE}"
 
 
 @pytest.fixture(scope="session")

@@ -130,21 +130,22 @@ def test_criterion_2_gradient_correctness():
         traj = engine.Trajectory(user=int(rngs.integers(4)))
         items = rngs.permutation(5)[:3]
         for i, item in enumerate(items):
+            reward, value = float(rngs.random()), float(rngs.normal() * 0.3)
+            traj.values.append(value)
             traj.transitions.append(
                 engine.Transition(
-                    action=int(item),
-                    reward=float(rngs.random()), value=float(rngs.normal() * 0.3),
+                    action=int(item), reward=reward,
                     track_reward=float(rngs.random()), parts=None,
                     done=i == 2, done_reason="max_length" if i == 2 else None,
                 )
             )
 
         def loss():
-            a, c = engine.recommender_losses(agent, traj, 0.97, accumulate=False)
+            a, c = engine.losses(agent, [traj], 0.97, accumulate=False)
             return a + c
 
         def back():
-            a, c = engine.recommender_losses(agent, traj, 0.97, accumulate=True)
+            a, c = engine.losses(agent, [traj], 0.97, accumulate=True)
             return a + c
 
         worst = max(worst, gradient_check(agent.blocks(), loss, back))
@@ -155,15 +156,15 @@ def test_criterion_2_gradient_correctness():
             settings.lambda_s, settings.lambda_d, rng_stream(seed, "c2sel"),
         )
         # the rollout runs no critic: fill the values from a replay once, as
-        # update_selector does, and hold them fixed through the check
-        ep.values = sel.episode_forward(sel_agent, [ep])["values"][:, 0].tolist()
+        # engine.update does, and hold them fixed through the check
+        ep.values = sel_agent.replay([ep])["values"][:, 0].tolist()
 
         def sloss():
-            a, c = engine.selector_losses(sel_agent, [ep], 0.97, accumulate=False)
+            a, c = engine.losses(sel_agent, [ep], 0.97, accumulate=False)
             return a + c
 
         def sback():
-            a, c = engine.selector_losses(sel_agent, [ep], 0.97, accumulate=True)
+            a, c = engine.losses(sel_agent, [ep], 0.97, accumulate=True)
             return a + c
 
         worst = max(worst, gradient_check(sel_agent.blocks(), sloss, sback))
@@ -280,26 +281,24 @@ def test_criterion_6_policy_gradient_sanity():
             def pull(rows, states, z, t):
                 items, _ = sample_rows(z, [rng])
                 item = int(items[0])
-                value, _ = agent.critic.forward(states[0])
                 r = 1.0 if item == target else 0.0
                 traj.transitions.append(
                     engine.Transition(
-                        action=item, reward=r,
-                        value=float(value[0]), track_reward=r, parts=None, done=True,
+                        action=item, reward=r, track_reward=r, parts=None, done=True,
                         done_reason="max_length",
                     )
                 )
                 return items, agent.token_inputs([0], items, [r]), [True]
 
-            play_episodes(agent, agent.token_inputs([0]), np.ones((1, arms), dtype=bool), True, pull)
-            engine.update_recommender(agent, traj, 0.99, lr=0.01)
+            play_episodes(agent, agent.token_inputs([0]), np.ones((1, arms), dtype=bool), pull)
+            engine.update(agent, [traj], 0.99, lr=0.01)
         final = []
 
         def look(rows, states, z, t):
             final.append(softmax(z[0])[target])
             return [0], agent.token_inputs([0], [0], [0.0]), [True]
 
-        play_episodes(agent, agent.token_inputs([0]), np.ones((1, arms), dtype=bool), True, look)
+        play_episodes(agent, agent.token_inputs([0]), np.ones((1, arms), dtype=bool), look)
         return final[0]
 
     probs = [final_target_prob(seed) for seed in range(10)]

@@ -11,6 +11,7 @@ import pytest
 
 from darlr import dataset as ds
 from darlr import engine
+from darlr import recommender as rec
 from darlr import rewardmath as rm
 from darlr import selector as sel
 from darlr import worldmodel as wmod
@@ -91,7 +92,7 @@ def start_probs(agent, u):
         out.append(softmax(z[0]))
         return [0], agent.token_inputs([u], [0], [0.0]), [True]
 
-    play_episodes(agent, agent.token_inputs([u]), np.ones((1, agent.n_items), dtype=bool), True, step)
+    play_episodes(agent, agent.token_inputs([u]), np.ones((1, agent.n_items), dtype=bool), step)
     return out[0]
 
 
@@ -187,7 +188,7 @@ def reference_advantages(traj, gamma):
     recorded critic value."""
     rewards = [tr.reward for tr in traj.transitions]
     returns = [sum(gamma**k * r for k, r in enumerate(rewards[t:])) for t in range(len(rewards))]
-    return np.array(returns) - np.array([tr.value for tr in traj.transitions])
+    return np.array(returns) - np.array(traj.values)
 
 
 def actor_loss(logprobs, traj, gamma):
@@ -218,13 +219,13 @@ def freeze_updates(monkeypatch):
 
 def replayed_values(agent, ep):
     """An episode's critic values from a fresh replay of it alone."""
-    return sel.episode_forward(agent, [ep])["values"][:, 0].tolist()
+    return agent.replay([ep])["values"][:, 0].tolist()
 
 
 def critic_loss(traj, gamma):
     """Reference critic loss: the mean squared one-step TD error of the
     recorded values; the last step bootstraps zero."""
-    values = np.array([tr.value for tr in traj.transitions])
+    values = np.array(traj.values)
     rewards = np.array([tr.reward for tr in traj.transitions])
     targets = rewards + gamma * np.append(values[1:], 0.0)
     return float(((values - targets) ** 2).mean())
@@ -233,11 +234,11 @@ def critic_loss(traj, gamma):
 class TestAdvantages:
     def traj(self, rewards, values):
         # step i takes action i under uniform logits over len(rewards) + 1 actions
-        t = engine.Trajectory(user=0)
-        for i, (r, v) in enumerate(zip(rewards, values)):
+        t = engine.Trajectory(user=0, values=list(values))
+        for i, r in enumerate(rewards):
             t.transitions.append(
                 engine.Transition(
-                    action=i, reward=r, value=v,
+                    action=i, reward=r,
                     track_reward=r, parts=None, done=i == len(rewards) - 1,
                     done_reason="max_length" if i == len(rewards) - 1 else None,
                 )
@@ -251,7 +252,7 @@ class TestAdvantages:
         logits step s takes its action with probability 1 / (n + 1 - s)."""
         n = len(t)
         actions = [tr.action for tr in t.transitions]
-        values = [tr.value for tr in t.transitions]
+        values = t.values
         dlogits, _, aloss, closs = engine._head_grads(
             np.zeros((n, n + 1)), np.array(values)[:, None], actions, np.ones(n + 1, dtype=bool),
             [tr.reward for tr in t.transitions], values, gamma, 1.0,
@@ -328,9 +329,10 @@ def reference_rollout(ctx, u):
             u, item, len(traj) + 1, "train", matrix, None, recent, item_cats
         )
         value, _ = ctx.rec_agent.critic.forward(state.vec)
+        traj.values.append(float(value[0]))
         traj.transitions.append(engine.Transition(
             item, rm.recommender_reward(r_hat, p_u, p_e, st.lambda_u, st.lambda_e),
-            float(value[0]), base_r, parts, done, reason,
+            base_r, parts, done, reason,
         ))
         mask[item] = False
         recent.append(int(item_cats[item]))
@@ -468,13 +470,14 @@ class TestRollout:
             ref, ref_episodes, ref_logprobs = reference_rollout(ref_ctx, u)
             assert_selection_episodes_equal(episodes, ref_episodes)
             # the rollout runs no critic: the updates fill the values from their replays
-            assert all(tr.value is None for tr in traj.transitions)
+            assert traj.values == []
             assert all(ep.values == [] for ep in episodes)
-            engine.update_recommender(ctx.rec_agent, traj, gamma, lr=1.0)
-            engine.update_selector(ctx.sel_agent, episodes, gamma, lr=1.0)
+            engine.update(ctx.rec_agent, [traj], gamma, lr=1.0)
+            engine.update(ctx.sel_agent, episodes, gamma, lr=1.0)
             # actions, log-probabilities, values (those the per-step loop's
             # critic gave), rewards, track rewards, parts and done reasons, all exact
             assert traj.transitions == ref.transitions
+            assert traj.values == ref.values
             assert logprobs == ref_logprobs
             for ep in episodes:
                 assert ep.values == replayed_values(ctx.sel_agent, ep)
@@ -484,6 +487,33 @@ class TestRollout:
                 assert traj.transitions[-1].done_reason == "max_length"
         assert np.array_equal(ctx.matrix.current, ref_ctx.matrix.current)
         assert ctx.rng.random() == ref_ctx.rng.random()
+
+
+def selection_batch():
+    """A selector and three of its selection episodes, of 4, 1 and 3 picks."""
+    rng = rng_stream(7, "m")
+    matrix = engine.ShapedRewardMatrix(rng.random((9, 5)) + 0.1, 0.0, 1.0)
+    agent = sel.SelectorAgent(5, 4, 3, pool_size=6, window=2, seed=8, hidden=(8,))
+    return agent, [
+        sel.run_selection(u, 1, rng.normal(size=4), matrix, agent, k, 1.0, 0.1, rng_stream(u))
+        for u, k in ((2, 4), (5, 1), (6, 3))
+    ]
+
+
+def trajectory_batch():
+    """A recommender and three trajectories of 3, 1 and 4 steps, two of one user."""
+    agent = rec.RecommenderAgent(5, 8, 3, 6, window=2, seed=8, hidden=(8,))
+    rng = rng_stream(7, "t")
+    trajectories = []
+    for u, items in ((1, [2, 5, 0]), (3, [4]), (1, [7, 2, 6, 1])):
+        traj = engine.Trajectory(user=u)
+        for i, item in enumerate(items):
+            last = i == len(items) - 1
+            traj.transitions.append(engine.Transition(
+                item, float(rng.normal()), float(rng.random()), None, last, "max_length" if last else None,
+            ))
+        trajectories.append(traj)
+    return agent, trajectories
 
 
 class TestLosses:
@@ -498,9 +528,9 @@ class TestLosses:
         logprobs = record_logprobs(monkeypatch)
         traj, episodes = engine.rollout_trajectory(ctx, 4)
         freeze_updates(monkeypatch)  # the update fills the values the losses hold fixed
-        engine.update_recommender(smoke_run.rec_agent, traj, settings.gamma, lr=1.0)
-        aloss, closs = engine.recommender_losses(
-            smoke_run.rec_agent, traj, settings.gamma, accumulate=False
+        engine.update(smoke_run.rec_agent, [traj], settings.gamma, lr=1.0)
+        aloss, closs = engine.losses(
+            smoke_run.rec_agent, [traj], settings.gamma, accumulate=False
         )
         assert aloss == pytest.approx(actor_loss(logprobs, traj, settings.gamma), abs=1e-10)
         assert closs == pytest.approx(critic_loss(traj, settings.gamma), abs=1e-10)
@@ -518,20 +548,20 @@ class TestLosses:
         traj = engine.Trajectory(user=1)
         rngs = rng_stream(0, "fake")
         for i, (item, r) in enumerate([(2, 0.5), (0, 0.9), (4, 0.2)]):
+            traj.values.append(float(rngs.normal()))
             traj.transitions.append(
                 engine.Transition(
-                    action=item, reward=r,
-                    value=float(rngs.normal()), track_reward=r, parts=None,
+                    action=item, reward=r, track_reward=r, parts=None,
                     done=i == 2, done_reason="max_length" if i == 2 else None,
                 )
             )
 
         def loss():
-            a, c = engine.recommender_losses(agent, traj, settings.gamma, accumulate=False)
+            a, c = engine.losses(agent, [traj], settings.gamma, accumulate=False)
             return a + c
 
         def back():
-            a, c = engine.recommender_losses(agent, traj, settings.gamma, accumulate=True)
+            a, c = engine.losses(agent, [traj], settings.gamma, accumulate=True)
             return a + c
 
         assert gradient_check(agent.blocks(), loss, back) < 1e-4
@@ -546,45 +576,53 @@ class TestLosses:
         ep = sel.run_selection(
             2, 1, rng.normal(size=4), matrix, agent, 4, 1.0, 0.1, rng_stream(1)
         )
-        ep.values = replayed_values(agent, ep)  # as update_selector fills them, then fixed
+        ep.values = replayed_values(agent, ep)  # as update fills them, then fixed
 
         def loss():
-            a, c = engine.selector_losses(agent, [ep], 0.9, accumulate=False)
+            a, c = engine.losses(agent, [ep], 0.9, accumulate=False)
             return a + c
 
         def back():
-            a, c = engine.selector_losses(agent, [ep], 0.9, accumulate=True)
+            a, c = engine.losses(agent, [ep], 0.9, accumulate=True)
             return a + c
 
         assert gradient_check(agent.blocks(), loss, back) < 1e-4
 
-    def test_update_selector_sums_episode_gradients(self, monkeypatch):
-        from darlr import selector as sel
+    @pytest.mark.parametrize("batch", [selection_batch, trajectory_batch], ids=["selector", "recommender"])
+    def test_update_sums_episode_gradients(self, batch, monkeypatch):
         from darlr.nncore import zero_grads
 
-        rng = rng_stream(7, "m")
-        matrix = engine.ShapedRewardMatrix(rng.random((9, 5)) + 0.1, 0.0, 1.0)
-        agent = sel.SelectorAgent(5, 4, 3, pool_size=6, window=2, seed=8, hidden=(8,))
-        episodes = [
-            sel.run_selection(u, 1, rng.normal(size=4), matrix, agent, k, 1.0, 0.1, rng_stream(u))
-            for u, k in ((2, 4), (5, 1), (6, 3))
-        ]
+        agent, episodes = batch()
         captured = []
         monkeypatch.setattr(
             engine, "adam_step",
             lambda params, lr: captured.extend(b.grad.copy() for b in params.blocks),
         )
-        engine.update_selector(agent, episodes, 0.9, lr=1e-3)
+        engine.update(agent, episodes, 0.9, lr=1e-3)
         # the update filled each episode's values from its replay: a fresh
         # replay of the episode alone gives them bit for bit
         for ep in episodes:
             assert ep.values == replayed_values(agent, ep)
         zero_grads(agent.blocks())
         for ep in episodes:
-            engine.selector_losses(agent, [ep], 0.9, accumulate=True, scale=1 / 3)
+            engine.losses(agent, [ep], 0.9, accumulate=True, scale=1 / len(episodes))
         assert len(captured) == len(agent.blocks())
         for blk, g in zip(agent.blocks(), captured):  # one batch sums in episode order
             assert np.array_equal(g, blk.grad), blk.name
+
+    def test_losses_name_unfilled_values(self, tiny_dataset, tiny_wm):
+        # episodes straight from the rollout, before an update fills their values
+        run = engine.start_run(tiny_dataset, tiny_wm, smoke_settings())
+        traj, _ = engine.rollout_trajectory(run, 3)
+        rng = rng_stream(5, "m")
+        matrix = engine.ShapedRewardMatrix(rng.random((8, 5)) + 0.1, 0.0, 1.0)
+        agent = sel.SelectorAgent(5, 4, 3, pool_size=6, window=3, seed=6, hidden=(8,))
+        ep = sel.run_selection(2, 1, rng.normal(size=4), matrix, agent, 4, 1.0, 0.1, rng_stream(1))
+        for agent, episode, n in ((run.rec_agent, traj, len(traj)), (agent, ep, 4)):
+            with pytest.raises(
+                ValueError, match=rf"^episode 0: its critic values are not filled \(0 for {n} actions\)"
+            ):
+                engine.losses(agent, [episode], 0.9)
 
     def test_one_step_positive_advantage_raises_probability(self):
         # linear actor on a constant state: one update must increase pi(a)
@@ -599,14 +637,41 @@ class TestLosses:
         traj = engine.Trajectory(user=0)
         traj.transitions.append(
             engine.Transition(
-                action=target, reward=1.0, value=0.0, track_reward=1.0, parts=None, done=True,
+                action=target, reward=1.0, track_reward=1.0, parts=None, done=True,
                 done_reason="max_length",
             )
         )
-        engine.update_recommender(agent, traj, 0.99, lr=1e-3)
+        engine.update(agent, [traj], 0.99, lr=1e-3)
         # the value the update filled in from its replay left a positive advantage
-        assert engine.discounted_returns([1.0], 0.99)[0] > traj.transitions[0].value
+        assert engine.discounted_returns([1.0], 0.99)[0] > traj.values[0]
         assert start_probs(agent, 0)[target] > before
+
+
+# a tiny `full` run of two epochs, three trajectories each, for the perfbench probes
+PERFBENCH_TINY_TRAIN = (
+    "from darlr import dataset as ds, engine, worldmodel as wmod\n"
+    "d = ds.generate_synthetic(ds.SyntheticSpec(users=12, items=10, categories=4, seed=5))\n"
+    "wm = wmod.train_world_model(d, wmod.WorldModelConfig(members=1, epochs=2, seed=1))\n"
+    "run = engine.train(d, wm, engine.TrainSettings(\n"
+    "    epochs=2, trajectories_per_epoch=3, eval_episodes=4, k_sel=3, candidate_pool=6,\n"
+    "    d_model=8, d_pref=6, d_emb=4, hidden=(8,), seed=1))\n"
+)
+
+
+def run_with_perfbench(code):
+    """Run `code` in its own interpreter with perfbench's `tracing` imported,
+    because its probes wrap darlr's module globals for good; returns each
+    printed line as a list of ints."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    src = str(Path(engine.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\nsys.path.insert(0, sys.argv[1])\nimport tracing\n" + code,
+         str(bench)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [[int(v) for v in line.split()] for line in proc.stdout.splitlines()]
 
 
 class TestTrain:
@@ -652,7 +717,7 @@ class TestTrain:
         fresh = engine.build_agents(tiny_dataset, settings)[1].params
         agent = engine.train(tiny_dataset, tiny_wm, settings).sel_agent
         # an empty batch of selection episodes is no update at all
-        assert engine.update_selector(agent, [], settings.gamma, lr=1e-3) == (0.0, 0.0)
+        assert engine.update(agent, [], settings.gamma, lr=1e-3) == (0.0, 0.0)
         params = agent.params
         assert params.step_count == 0
         for attr in ("values", "grad", "adam_m", "adam_v"):
@@ -681,36 +746,25 @@ class TestTrain:
         assert set(modes) == {"train", "eval"}
 
     def test_perfbench_stage_probe_sees_every_step_and_evaluation(self):
-        # perfbench's StageProbe wraps engine.rollout_trajectory and
-        # engine.evaluate by module attribute, for good: so in its own process
-        code = (
-            "import sys\n"
-            "sys.path.insert(0, sys.argv[1])\n"
-            "import tracing\n"
-            "from darlr import dataset as ds, engine, worldmodel as wmod\n"
+        (probed_steps, steps_total), (evaluations, rows) = run_with_perfbench(
             "probe = tracing.StageProbe()\n"
-            "probe.install()\n"
-            "d = ds.generate_synthetic(ds.SyntheticSpec(users=12, items=10, categories=4, seed=5))\n"
-            "wm = wmod.train_world_model(d, wmod.WorldModelConfig(members=1, epochs=2, seed=1))\n"
-            "run = engine.train(d, wm, engine.TrainSettings(\n"
-            "    epochs=2, trajectories_per_epoch=3, eval_episodes=4, k_sel=3, candidate_pool=6,\n"
-            "    d_model=8, d_pref=6, d_emb=4, hidden=(8,), seed=1))\n"
+            "probe.install()\n" + PERFBENCH_TINY_TRAIN +
             "print(sum(steps for _, steps in probe.trajectories), run.steps_total)\n"
             "print(len(probe.evaluations), len(run.metrics_rows))\n"
         )
-        bench = Path(__file__).resolve().parents[1] / "perfbench"
-        src = str(Path(engine.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(bench)], capture_output=True, text=True,
-            timeout=120, env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0, proc.stderr
-        (probed_steps, steps_total), (evaluations, rows) = (
-            [int(v) for v in line.split()] for line in proc.stdout.splitlines()
-        )
         assert probed_steps == steps_total > 0
         assert evaluations == rows == 2
+
+    def test_perfbench_span_recorder_counts_steps_and_picks(self):
+        # the traced stage fails when its env_step count is not the step count
+        ((train_steps, picks, steps_total, k_sel),) = run_with_perfbench(
+            "recorder = tracing.SpanRecorder()\n"
+            "recorder.install()\n" + PERFBENCH_TINY_TRAIN +
+            "c = recorder.counts\n"
+            "print(c['env_step.train'], c['picks'], run.steps_total, run.settings.k_sel)\n"
+        )
+        assert train_steps == steps_total > 0
+        assert picks == k_sel * steps_total  # a full run selects at every step
 
     def test_adam_steps_twice_per_trajectory(self, tiny_dataset, tiny_wm, monkeypatch):
         # perfbench counts engine.adam_step through this module global
@@ -992,8 +1046,8 @@ class TestLayerPasses:
         # each update is one batched replay: one pass of each layer, the critic's included
         for counts in (rec_counts, sel_counts):
             counts.update(dict.fromkeys(counts, 0))
-        engine.update_recommender(run.rec_agent, traj, run.settings.gamma, lr=1e-3)
-        engine.update_selector(run.sel_agent, episodes, run.settings.gamma, lr=1e-3)
+        engine.update(run.rec_agent, [traj], run.settings.gamma, lr=1e-3)
+        engine.update(run.sel_agent, episodes, run.settings.gamma, lr=1e-3)
         assert rec_counts == sel_counts == {"proj": 1, "encoder": 1, "actor": 1, "critic": 1}
 
     @pytest.mark.parametrize("size", [1, 9, 64])

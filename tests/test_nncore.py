@@ -322,6 +322,19 @@ class TestBatchedEncoder:
         nn.add_in_order(grad, parts)
         assert grad[0] == 0.0
         assert np.add.reduce(parts, axis=0)[0] == 28.0  # a reduce sums one-element rows pairwise
+        # from a non-zero start: the running gradient is the first term
+        grad = np.array([1e16])
+        nn.add_in_order(grad, parts[1:].copy())
+        assert grad[0] == 0.0
+        rng = nn.rng_stream(3, "one-element")
+        for n in (1, 2, 17, 59):
+            parts = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+            start = rng.normal(size=1) * 1e4
+            grad, loop = start.copy(), start.copy()
+            for part in parts:
+                loop += part
+            nn.add_in_order(grad, parts)
+            assert np.array_equal(grad, loop), n
 
 
 class TestOneCallSums:

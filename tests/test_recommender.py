@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from darlr import engine
 from darlr import recommender as rec
 from darlr.nncore import gradient_check, play_episodes, rng_stream, sample_rows, softmax
 
@@ -23,8 +24,16 @@ def played(a, user, items, rewards):
         nxt = a.token_inputs([user]) if done else a.token_inputs([user], [items[t - 1]], [rewards[t - 1]])
         return [items[t - 1]], nxt, [done]
 
-    play_episodes(a, a.token_inputs([user]), np.ones((1, a.n_items), dtype=bool), True, step)
+    play_episodes(a, a.token_inputs([user]), np.ones((1, a.n_items), dtype=bool), step)
     return states, zs
+
+
+def trajectory(user, items, rewards):
+    """A trajectory of `items` for `user`, `rewards[t]` entering the token after step t."""
+    traj = engine.Trajectory(user=user)
+    for item, r in zip(items, rewards):
+        traj.transitions.append(engine.Transition(item, r, r, None, False, None))
+    return traj
 
 
 def first_logits(a, users):
@@ -36,7 +45,7 @@ def first_logits(a, users):
         n = len(rows)
         return np.zeros(n, dtype=int), a.token_inputs(users, np.zeros(n, dtype=int), np.zeros(n)), np.ones(n, dtype=bool)
 
-    play_episodes(a, a.token_inputs(users), np.ones((len(users), a.n_items), dtype=bool), True, step)
+    play_episodes(a, a.token_inputs(users), np.ones((len(users), a.n_items), dtype=bool), step)
     return out[0]
 
 
@@ -137,7 +146,7 @@ class TestTrack:
             items = np.argmax(z, axis=1)
             return items, a.token_inputs([0] * len(rows), items, np.zeros(len(rows))), [False] * len(rows)
 
-        play_episodes(a, a.token_inputs([0, 0]), masks, True, step)
+        play_episodes(a, a.token_inputs([0, 0]), masks, step)
         assert live == [[0, 1]] * 3 + [[1]] * 2
 
 
@@ -175,7 +184,7 @@ class TestTrajectoryReplay:
         items = [2, 5, 0, 7]
         rewards = [0.2, 0.9, 0.4, 0.6]
         states, _ = played(a, 1, items, rewards)
-        fwd = rec.trajectory_forward(a, 1, items, rewards)
+        fwd = a.replay([trajectory(1, items, rewards)])
         for t in range(4):
             assert np.allclose(fwd["states"][t], states[t], atol=0)
 
@@ -186,14 +195,14 @@ class TestTrajectoryReplay:
         wv = rng_stream(13, "wv").normal(size=(3, 8))
 
         def loss():
-            fwd = rec.trajectory_forward(a, 1, items, rewards)
+            fwd = a.replay([trajectory(1, items, rewards)])
             return float(sum(lg @ w for lg, w in zip(fwd["logits"], wv)))
 
         def back():
-            fwd = rec.trajectory_forward(a, 1, items, rewards)
+            fwd = a.replay([trajectory(1, items, rewards)])
             dlogits = [w.copy() for w in wv]
             dvalues = [np.zeros(1)] * 3
-            rec.trajectory_backward(a, fwd, dlogits, dvalues)
+            a.backward(fwd, [trajectory(1, items, rewards)], dlogits, dvalues)
             return float(sum(lg @ w for lg, w in zip(fwd["logits"], wv)))
 
         assert gradient_check(a.blocks(), loss, back) < 1e-4
@@ -203,7 +212,7 @@ class TestTrajectoryReplay:
         items = [2, 5, 0, 7, 9, 1, 4]
         rewards = [0.2, 0.9, 0.4, 0.6, 0.1, 0.8, 0.3]
         states, _ = played(a, 2, items, rewards)
-        fwd = rec.trajectory_forward(a, 2, items, rewards)
+        fwd = a.replay([trajectory(2, items, rewards)])
         assert len(fwd["states"]) == 7
         for t in range(7):
             assert np.allclose(fwd["states"][t], states[t], atol=0)
@@ -216,12 +225,12 @@ class TestTrajectoryReplay:
         wl, wv = rng.normal(size=(5, 8)), rng.normal(size=(5, 1))
 
         def loss():
-            fwd = rec.trajectory_forward(a, 1, items, rewards)
+            fwd = a.replay([trajectory(1, items, rewards)])
             return float((fwd["logits"] * wl).sum() + (fwd["values"] * wv).sum())
 
         def back():
-            fwd = rec.trajectory_forward(a, 1, items, rewards)
-            rec.trajectory_backward(a, fwd, wl.copy(), wv.copy())
+            fwd = a.replay([trajectory(1, items, rewards)])
+            a.backward(fwd, [trajectory(1, items, rewards)], wl.copy(), wv.copy())
             return float((fwd["logits"] * wl).sum() + (fwd["values"] * wv).sum())
 
         assert gradient_check(a.blocks(), loss, back) < 1e-4

@@ -170,7 +170,7 @@ class TestStates:
         a = make_agent(n_items=4, pool_size=7, d_rec=2, seed=6)
         ep = sel.run_selection(3, 0, self.s_rec, self.matrix, a, 3, 1.0, 0.1, rng_stream(6))
         other = dataclasses.replace(ep, p_rows=[ep.p_rows[0][::-1]] + ep.p_rows[1:])
-        fwd, moved = sel.episode_forward(a, [ep]), sel.episode_forward(a, [other])
+        fwd, moved = a.replay([ep]), a.replay([other])
         assert np.array_equal(fwd["states"][0], moved["states"][0])
         assert not np.allclose(fwd["states"][1], moved["states"][1])
 
@@ -229,7 +229,7 @@ class TestRunSelection:
             ep = sel.run_selection(*args, rng_stream(9, "replay", window))
             slots, values, rewards = reference_selection(*args, rng_stream(9, "replay", window))
             assert ep.values == []  # the rollout runs no critic: the update fills the values
-            engine.update_selector(agent, [ep], 0.9, lr=1e-3)
+            engine.update(agent, [ep], 0.9, lr=1e-3)
             assert (ep.slots, ep.values, ep.rewards) == (slots, values, rewards), (window, layers)
             assert ep.selected == [int(v) for v in ep.pool[slots]]
 
@@ -245,7 +245,7 @@ class TestRunSelection:
         ep = sel.run_selection(
             0, 1, self.s_rec, self.matrix, self.agent, 6, self.lambda_s, self.lambda_d, rng
         )
-        fwd = sel.episode_forward(self.agent, [ep])
+        fwd = self.agent.replay([ep])
         avail = np.ones(self.agent.pool_size, dtype=bool)
         for t, slot in enumerate(ep.slots):
             probs = softmax(np.where(avail, fwd["logits"][t], -np.inf))
@@ -286,14 +286,14 @@ class TestEpisodeReplay:
         agent = make_agent(n_items=6, pool_size=7, d_rec=3, seed=12)
         args = (4, 2, rng.normal(size=3), matrix, agent, 5, 1.0, 0.1, rng_stream(1))
         ep, states = recorded_states(monkeypatch, agent, *args)
-        fwd = sel.episode_forward(agent, [ep])
+        fwd = agent.replay([ep])
         # the replay sees the rollout's states: the same logits and values, bit for bit
         assert len(states) == 5
         assert np.array_equal(fwd["states"], np.array(states))
         # the update fills the values from its replay: the critic's values of
         # the rollout's states, as a critic pass in the rollout gave them
         critic = [float(agent.critic.forward(s[None, None])[0][0, 0, 0]) for s in states]
-        engine.update_selector(agent, [ep], 0.9, lr=1e-3)
+        engine.update(agent, [ep], 0.9, lr=1e-3)
         assert fwd["values"][:, 0].tolist() == ep.values == critic
 
     @staticmethod
@@ -311,20 +311,20 @@ class TestEpisodeReplay:
 
     def test_batched_episodes_do_not_mix(self):
         agent, (a, b) = self.two_episodes()
-        fwd = sel.episode_forward(agent, [a, b])
+        fwd = agent.replay([a, b])
         assert len(fwd["logits"]) == 9
         other = dataclasses.replace(
             a, s_rec=a.s_rec * 2.0, p_u=a.p_u + 0.5, p_rows=[r[::-1] for r in a.p_rows]
         )
-        moved = sel.episode_forward(agent, [other, b])
+        moved = agent.replay([other, b])
         assert np.array_equal(fwd["logits"][5:], moved["logits"][5:])
         assert np.array_equal(fwd["values"][5:], moved["values"][5:])
         assert not np.allclose(fwd["logits"][:5], moved["logits"][:5])
-        alone = sel.episode_forward(agent, [b])
+        alone = agent.replay([b])
         assert np.array_equal(alone["logits"], fwd["logits"][5:])
         assert np.array_equal(alone["values"], fwd["values"][5:])
         # the update fills each episode's values from its batched replay
-        engine.update_selector(agent, [a, b], 0.9, lr=1e-3)
+        engine.update(agent, [a, b], 0.9, lr=1e-3)
         assert fwd["values"][:, 0].tolist() == a.values + b.values
 
     def test_batched_backward_gradients(self):
@@ -333,12 +333,12 @@ class TestEpisodeReplay:
         wl, wv = rng.normal(size=(9, 8)), rng.normal(size=(9, 1))
 
         def loss():
-            fwd = sel.episode_forward(agent, eps)
+            fwd = agent.replay(eps)
             return float((fwd["logits"] * wl).sum() + (fwd["values"] * wv).sum())
 
         def back():
-            fwd = sel.episode_forward(agent, eps)
-            sel.episode_backward(agent, fwd, wl.copy(), wv.copy())
+            fwd = agent.replay(eps)
+            agent.backward(fwd, eps, wl.copy(), wv.copy())
             return float((fwd["logits"] * wl).sum() + (fwd["values"] * wv).sum())
 
         assert gradient_check(agent.blocks(), loss, back) < 1e-4

@@ -19,10 +19,8 @@ and a failure names the kernels in use, so that a host whose OpenBLAS picks
 others reads differently from a change in the program.
 """
 
-import ctypes
 import hashlib
 import itertools
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,31 +29,14 @@ from darlr import dataset as ds
 from darlr import engine
 from darlr import worldmodel as wmod
 
+from conftest import kernels_note, openblas_core
+
 TRAINING_DIGEST = "c2ff24f0aba89c5b02b1f551820fc6417e12aec788bb7cacde86b4a64d12035c"
 BUNDLE_DIGEST = "5207dbdc0a104169c20fa08a1d86f221cb48e18583a48b9f3311ccb781a195bf"
 BUNDLE_FILES = (
     "config.json", "matrix.frag", "metrics.csv", "recommender.frag", "selector.frag",
     "worldmodel.ckpt",
 )
-RECORDED_CORE = "SkylakeX"  # the OpenBLAS kernel set the two digests were recorded with
-
-
-def openblas_core():
-    """The kernel set numpy's bundled OpenBLAS uses in this process, as its
-    `scipy_openblas_get_corename64_` names it; "unknown" where the library
-    or the symbol is missing."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so")):
-        try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
-
-
-def kernels_note():
-    return f"OpenBLAS core in use: {openblas_core()}; the digest was recorded on {RECORDED_CORE}"
 
 
 @pytest.fixture(scope="module")

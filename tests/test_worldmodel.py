@@ -9,7 +9,10 @@ from darlr import dataset as ds
 from darlr import worldmodel as wmod
 from darlr.nncore import block_state
 
-# sha256 of the `wm.ckpt` that `TestMultiColumnCatalogs` trains and saves
+from conftest import kernels_note
+
+# sha256 of the `wm.ckpt` that `TestMultiColumnCatalogs` trains and saves, recorded
+# on OpenBLAS `SkylakeX` kernels; a failure names the kernels in use
 TWO_FEATURE_WM_DIGEST = "74dcd311a216a3c98eb8f1d6c6e2749f08cb63ae99bceeb82025771a25b209d9"
 
 
@@ -301,4 +304,4 @@ class TestMultiColumnCatalogs:
         assert np.array_equal(wmod.predict_matrix(loaded).mean, wmod.predict_matrix(wm).mean)
         wmod.save_world_model(loaded, tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == TWO_FEATURE_WM_DIGEST
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == TWO_FEATURE_WM_DIGEST, kernels_note()
