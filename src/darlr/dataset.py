@@ -2,8 +2,9 @@
 
 A dataset is an interaction log plus user/item catalogs and, for the
 evaluation environment only, a dense ground-truth feedback matrix. The
-CSV layout is fixed: interactions.csv, users.csv, items.csv, optional
-truth.csv, and manifest.json declaring the feedback range.
+layout is fixed: interactions.csv, users.csv, items.csv, an optional
+truth.npy holding the users x items matrix in ascending raw-id order, and
+manifest.json declaring the feedback range.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import contextlib
 import csv
 import functools
 import hashlib
-import itertools
 import json
 import math
 import re
@@ -33,9 +33,6 @@ class DatasetError(ValueError):
 # One logged interaction per element; a log is always sorted by (user_id, step).
 LOG_DTYPE = [("user_id", "<i8"), ("item_id", "<i8"), ("feedback", "<f8"), ("step", "<i8")]
 
-# Lines of truth.csv parsed at a time: loading holds the dense matrix plus
-# one chunk's rows, never a full-size table of (user, item, feedback) records.
-_TRUTH_CHUNK = 4096
 # Log records rendered to text at a time by content_hash.
 _HASH_CHUNK = 4096
 
@@ -197,12 +194,13 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
 
 def save_dataset(d: Dataset, dir_path):
-    """Write the CSV + manifest layout under dir_path.
+    """Write the CSV + .npy + manifest layout under dir_path.
 
     `manifest.json` is removed first and written last, and each file is
     replaced whole through `atomic_open`, so an interrupted save leaves a
     directory that `load_dataset` rejects for its missing manifest. A
-    dataset without truth removes a `truth.csv` left by an earlier save.
+    dataset without truth removes a `truth.npy` left by an earlier save,
+    and every save removes the `truth.csv` of the old layout.
     """
     out = Path(dir_path)
     out.mkdir(parents=True, exist_ok=True)
@@ -226,14 +224,12 @@ def save_dataset(d: Dataset, dir_path):
         cats = d.items.primary_category.tolist()
         w.writerows([i, cats[i]] + feats for i, feats in enumerate(d.items.features.tolist()))
 
+    (out / "truth.csv").unlink(missing_ok=True)
     if d.truth_matrix is None:
-        (out / "truth.csv").unlink(missing_ok=True)
+        (out / "truth.npy").unlink(missing_ok=True)
     else:
-        with atomic_open(out / "truth.csv", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["user_id", "item_id", "feedback"])
-            for u, row in enumerate(d.truth_matrix.tolist()):
-                w.writerows([u, i, repr(v)] for i, v in enumerate(row))
+        with atomic_open(out / "truth.npy", "wb") as fh:
+            np.save(fh, np.ascontiguousarray(d.truth_matrix, dtype="<f8"), allow_pickle=False)
 
     manifest = DatasetManifest(d.r_min, d.r_max, d.name, d.seed)
     with atomic_open(out / "manifest.json") as fh:
@@ -273,34 +269,33 @@ def _open_table(path, expect_prefix):
         raise
 
 
-def _parse_rows(name, lines, dtype, first_line=2):
-    """CSV lines (a list, or an open file just below its header) as an array;
-    a fault is a DatasetError naming the file and the line.
+def _parse_rows(name, fh, dtype):
+    """The CSV lines of an open file, just below its header, as an array; a
+    fault is a DatasetError naming the file and the line.
 
     A structured dtype reads just its leading columns; a plain dtype reads
-    every column, as many in each row as in the first. `first_line` is the
-    line number of the first of `lines`: the header is line 1, blank lines count.
+    every column, as many in each row as in the first. The header is line
+    1, and blank lines count.
     """
     names = np.dtype(dtype).names
     read = functools.partial(
         np.loadtxt, dtype=dtype, delimiter=",", quotechar='"', comments=None,
         usecols=range(len(names)) if names else None, ndmin=1 if names else 2,
     )
-    start = lines.tell() if hasattr(lines, "tell") else None
+    start = fh.tell()
     with warnings.catch_warnings():
         # a header-only file is the caller's error ("empty log", "no users")
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            return read(lines)
+            return read(fh)
         except UnicodeDecodeError:
             raise  # a fault of the bytes, not of one row: `_open_table` names it
         except ValueError as exc:
             # numpy counts rows in two ways and skips blank lines: parse the
             # lines again one at a time to find the first bad one
-            if start is not None:
-                lines.seek(start)
+            fh.seek(start)
             width = None  # of the first row, () for a structured dtype
-            for number, line in enumerate(lines, first_line):
+            for number, line in enumerate(fh, 2):
                 try:
                     row = read([line])
                     if len(row) and row.shape[1:] != (width := width or row.shape[1:]):
@@ -375,34 +370,35 @@ def _read_log(path, user_ids, item_ids, r_min, r_max):
 
 
 def _read_truth(path, user_ids, item_ids, r_min, r_max):
-    """The dense truth matrix, filled from `_TRUTH_CHUNK` lines of truth.csv
-    at a time; every value in [r_min, r_max], as in the log."""
-    truth = np.full(len(user_ids) * len(item_ids), np.nan)  # cell (u, i) at u * n_items + i
-    with _open_table(path, ["user_id", "item_id", "feedback"]) as (fh, _):
-        first_line = 2
-        while chunk := list(itertools.islice(fh, _TRUTH_CHUNK)):
-            rows = _parse_rows(path.name, chunk, LOG_DTYPE[:3], first_line)
-            cells = _dense_ids(path.name, rows, user_ids, item_ids)
-            flat, problem = cells[0] * len(item_ids) + cells[1], None
-            if len(bad := _outside(rows["feedback"], r_min, r_max)):
-                k, problem = bad[0], f"feedback {float(rows['feedback'][bad[0]])} outside [{r_min},{r_max}]"
-            # a stable sort is linear on chunks in cell order, as save_dataset writes them
-            elif (np.diff(np.sort(flat, kind="stable")) == 0).any() or not np.isnan(truth[flat]).all():
-                seen = set(flat[~np.isnan(truth[flat])].tolist())  # filled before this chunk
-                k = next(k for k, c in enumerate(flat.tolist()) if c in seen or seen.add(c))
-                problem = f"duplicate (user,item) ({rows['user_id'][k]},{rows['item_id'][k]})"
-            if problem:  # row k is the k-th line with text: the parser skips empty lines
-                line = [n for n, text in enumerate(chunk, first_line) if text.strip("\r\n")][k]
-                raise DatasetError(f"{path.name}: line {line}: {problem}")
-            truth[flat] = rows["feedback"]
-            first_line += len(chunk)
-    if np.isnan(truth).any():
-        raise DatasetError(f"{path.name}: matrix is not dense")
-    return truth.reshape(len(user_ids), len(item_ids))
+    """The dense truth matrix of truth.npy, its header checked before any
+    data is read; every value in [r_min, r_max], as in the log."""
+    shape, fmt = (len(user_ids), len(item_ids)), np.lib.format
+    with open(path, "rb") as fh:
+        try:
+            version = fmt.read_magic(fh)
+            read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+            found, _, dtype = read_header(fh)
+            if (dtype, found) != (np.dtype("<f8"), shape):
+                fault = f"a {dtype.str} array of shape {found}, not <f8 of (users, items) = {shape}"
+            else:
+                fh.seek(0)
+                truth = fmt.read_array(fh, allow_pickle=False)
+                fault = "bytes after the array" if fh.read(1) else None
+        except ValueError as exc:
+            fault = f"unreadable .npy array: {str(exc).splitlines()[0]}"
+    if fault:
+        raise DatasetError(f"{path.name}: {fault}")
+    # min and max allocate nothing, and NaN fails both tests
+    if not (r_min - 1e-12 <= truth.min() and truth.max() <= r_max + 1e-12):
+        k = int(_outside(truth.reshape(-1), r_min, r_max)[0])
+        u, i = divmod(k, shape[1])
+        raise DatasetError(f"{path.name}: user_id {user_ids[u]}, item_id {item_ids[i]}: "
+                           f"feedback {float(truth.flat[k])} outside [{r_min},{r_max}]")
+    return truth
 
 
 def load_dataset(dir_path) -> Dataset:
-    """Load and validate the CSV layout; ids re-indexed densely."""
+    """Load and validate the dataset layout; ids re-indexed densely."""
     root = Path(dir_path)
     path = root / "manifest.json"
     if not path.exists():
@@ -420,7 +416,10 @@ def load_dataset(dir_path) -> Dataset:
     item_ids, (categories, *item_codes) = _catalog(items_csv, "items.csv", "item", 2)
 
     log = _read_log(root / "interactions.csv", user_ids, item_ids, r_min, r_max)
-    truth_path = root / "truth.csv"
+    if (root / "truth.csv").exists():
+        raise DatasetError("truth.csv: a truth matrix in CSV is no longer read; "
+                           "gen-data now writes truth.npy")
+    truth_path = root / "truth.npy"
     truth = _read_truth(truth_path, user_ids, item_ids, r_min, r_max) if truth_path.exists() else None
 
     return Dataset(

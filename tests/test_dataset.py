@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import re
 import tracemalloc
@@ -34,12 +35,7 @@ def write_layout(root, interactions, n_users, n_items, truth=None, r_min=0.0, r_
         for i in range(n_items):
             w.writerow([i, i % 4, i % 2])
     if truth is not None:
-        with open(root / "truth.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["user_id", "item_id", "feedback"])
-            for u in range(n_users):
-                for i in range(n_items):
-                    w.writerow([u, i, truth[u][i]])
+        np.save(root / "truth.npy", np.asarray(truth, dtype=np.float64))
     with open(root / "manifest.json", "w") as fh:
         json.dump({"r_min": r_min, "r_max": r_max, "name": "t", "seed": 0}, fh)
 
@@ -77,13 +73,6 @@ class TestLoadDataset:
         with pytest.raises(ds.DatasetError, match="missing file"):
             ds.load_dataset(tmp_path)
 
-    def test_sparse_truth_rejected(self, tmp_path):
-        write_layout(tmp_path, [[0, 1, 0.5, 0]], 2, 2, truth=[[0.1, 0.2], [0.3, 0.4]])
-        lines = (tmp_path / "truth.csv").read_text().splitlines()
-        (tmp_path / "truth.csv").write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ds.DatasetError, match="dense"):
-            ds.load_dataset(tmp_path)
-
 
 def _nan_feedback(header, row):
     col = header.index("feedback") if "feedback" in header else len(header) - 1
@@ -99,7 +88,7 @@ MALFORMED = {
     "nan_feedback": _nan_feedback,
     "missing_header_column": lambda header, row: (header[:-1], row),
 }
-CSV_FILES = ["interactions.csv", "users.csv", "items.csv", "truth.csv"]
+CSV_FILES = ["interactions.csv", "users.csv", "items.csv"]
 
 
 def write_valid_layout(root):
@@ -113,25 +102,39 @@ def corrupt(path, case):
     path.write_text("\n".join([",".join(header)] + lines[1:-1] + [",".join(row)]) + "\n")
 
 
+def dense_ranks(raw_ids):
+    """Loop reference: a raw id's dense index is its rank among the raw ids."""
+    return [sorted(raw_ids.tolist()).index(raw) for raw in raw_ids.tolist()]
+
+
+def give_raw_ids(root, user_raw, item_raw, rng):
+    """Rename the dense ids of a saved dataset: user k becomes user_raw[k] and
+    item k item_raw[k]. The CSV rows are shuffled, and truth.npy is permuted
+    into ascending raw-id order."""
+    for name, cols in (("users.csv", [user_raw]), ("items.csv", [item_raw]),
+                       ("interactions.csv", [user_raw, item_raw])):
+        lines = (root / name).read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            for j, raw in enumerate(cols):
+                row[j] = str(raw[int(row[j])])
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        (root / name).write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    truth = np.load(root / "truth.npy")
+    by_raw_id = np.empty_like(truth)
+    by_raw_id[np.ix_(dense_ranks(user_raw), dense_ranks(item_raw))] = truth
+    np.save(root / "truth.npy", by_raw_id)
+
+
 class TestLoadRemap:
     def test_sparse_shuffled_ids_match_loop_reference(self, tmp_path):
         d = ds.generate_synthetic(ds.SyntheticSpec(users=9, items=11, log_density=0.4, seed=4))
         ds.save_dataset(d, tmp_path)
         rng = rng_stream(4, "shuffle")
         user_raw, item_raw = rng.permutation(50)[:9] * 7 + 3, rng.permutation(60)[:11] * 5 - 20
-        for name, cols in (("users.csv", [user_raw]), ("items.csv", [item_raw]),
-                           ("interactions.csv", [user_raw, item_raw]), ("truth.csv", [user_raw, item_raw])):
-            lines = (tmp_path / name).read_text().splitlines()
-            rows = [line.split(",") for line in lines[1:]]
-            for row in rows:
-                for j, raw in enumerate(cols):
-                    row[j] = str(raw[int(row[j])])
-            rows = [rows[k] for k in rng.permutation(len(rows))]
-            (tmp_path / name).write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+        give_raw_ids(tmp_path, user_raw, item_raw, rng)
         loaded = ds.load_dataset(tmp_path)
-        # loop reference: a raw id's dense index is its rank among the raw ids
-        u_dense = [sorted(user_raw.tolist()).index(raw) for raw in user_raw.tolist()]
-        i_dense = [sorted(item_raw.tolist()).index(raw) for raw in item_raw.tolist()]
+        u_dense, i_dense = dense_ranks(user_raw), dense_ranks(item_raw)
         records = sorted((u_dense[u], i_dense[i], fb, step) for u, i, fb, step in d.train_log.tolist())
         assert sorted(loaded.train_log.tolist()) == records
         keys = loaded.train_log[["user_id", "step"]].tolist()
@@ -180,8 +183,7 @@ class TestMalformedCsv:
     # 10000 blank lines put the byte past the decoder's first read of the file
     @pytest.mark.parametrize("blank_lines", [0, 10000])
     @pytest.mark.parametrize("name", CSV_FILES)
-    def test_non_utf8_byte_names_the_line(self, tmp_path, monkeypatch, capsys, name, blank_lines):
-        monkeypatch.setattr(ds, "_TRUTH_CHUNK", 4)  # truth.csv's last row is in its third chunk
+    def test_non_utf8_byte_names_the_line(self, tmp_path, capsys, name, blank_lines):
         write_valid_layout(tmp_path / "data")
         path = tmp_path / "data" / name
         header, *rows = path.read_bytes().splitlines(keepends=True)
@@ -217,23 +219,34 @@ class TestMalformedCsv:
             ds.load_dataset(tmp_path)
 
 
+def train_wm_cli(root, capsys):
+    """`train-wm` on the dataset at root/data: its exit code and stderr lines.
+    A failure must leave nothing at root/wm.ckpt."""
+    (root / "wm.json").write_text("{}")
+    rc = cli.main([
+        "train-wm", "--config", str(root / "wm.json"), "--data", str(root / "data"),
+        "--out", str(root / "wm.ckpt"),
+    ])
+    assert rc == 0 or not (root / "wm.ckpt").exists()
+    return rc, capsys.readouterr().err.splitlines()
+
+
 class TestTruthRange:
-    """truth.csv holds values in [r_min, r_max], as the log does."""
+    """truth.npy holds values in [r_min, r_max], as the log does; the first
+    bad cell in row-major order is named by its raw ids."""
 
     @staticmethod
     def write(root, value):
-        write_valid_layout(root)
-        path = root / "truth.csv"
-        lines = path.read_text().splitlines()
-        row = lines[5].split(",")
-        lines[5] = ",".join(row[:2] + [value])
-        lines[2:2] = [""]  # a blank line still counts: the bad row is line 7
-        path.write_text("\n".join(lines) + "\n")
+        ds.save_dataset(ds.generate_synthetic(ds.SyntheticSpec(users=3, items=4, categories=2, seed=1)), root)
+        give_raw_ids(root, np.array([30, 10, 20]), np.array([7, -2, 5, 0]), rng_stream(1, "ids"))
+        truth = np.load(root / "truth.npy")
+        truth[1, 2] = truth[2, 0] = float(value)  # raw ids (20, 5), then (30, -2)
+        np.save(root / "truth.npy", truth)
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "5.0", "-3.0", "1.000001"])
-    def test_value_outside_the_range_names_the_line(self, tmp_path, value):
+    def test_value_outside_the_range_names_the_cell(self, tmp_path, value):
         self.write(tmp_path, value)
-        message = f"truth.csv: line 7: feedback {float(value)} outside [0.0,1.0]"
+        message = f"truth.npy: user_id 20, item_id 5: feedback {float(value)} outside [0.0,1.0]"
         with pytest.raises(ds.DatasetError, match=f"^{re.escape(message)}$"):
             ds.load_dataset(tmp_path)
 
@@ -244,57 +257,9 @@ class TestTruthRange:
 
     def test_cli_prints_one_error_line(self, tmp_path, capsys):
         self.write(tmp_path / "data", "inf")
-        (tmp_path / "wm.json").write_text("{}")
-        rc = cli.main([
-            "train-wm", "--config", str(tmp_path / "wm.json"), "--data", str(tmp_path / "data"),
-            "--out", str(tmp_path / "wm.ckpt"),
-        ])
-        assert rc == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: truth.csv: line 7: feedback inf outside [0.0,1.0]"
-        ]
-        assert not (tmp_path / "wm.ckpt").exists()
-
-
-class TestTruthRepeats:
-    """truth.csv lists each (user_id, item_id) cell once, as the log lists
-    each (user, item, step) once."""
-
-    @staticmethod
-    def saved(root, chunk, monkeypatch):
-        monkeypatch.setattr(ds, "_TRUTH_CHUNK", chunk)
-        ds.save_dataset(ds.generate_synthetic(ds.SyntheticSpec(users=6, items=5, seed=1)), root)
-        return root / "truth.csv"
-
-    @pytest.mark.parametrize("chunk", [4, 64])  # the repeat in a later chunk, or in the same one
-    def test_appended_repeat_names_its_line(self, tmp_path, monkeypatch, chunk):
-        path = self.saved(tmp_path, chunk, monkeypatch)
-        path.write_text(path.read_text() + "0,0,0.999\n")  # the header and 30 cells come first
-        with pytest.raises(ds.DatasetError, match=r"^truth\.csv: line 32: duplicate \(user,item\) \(0,0\)$"):
-            ds.load_dataset(tmp_path)
-
-    def test_repeat_within_a_chunk_names_the_later_line(self, tmp_path, monkeypatch):
-        path = self.saved(tmp_path, 4, monkeypatch)
-        lines = path.read_text().splitlines()
-        lines[7] = lines[6].rsplit(",", 1)[0] + ",0.5"  # lines 7 and 8 share the second chunk
-        path.write_text("\n".join(lines) + "\n")
-        cell = lines[6].rsplit(",", 1)[0]
-        with pytest.raises(ds.DatasetError, match=rf"^truth\.csv: line 8: duplicate \(user,item\) \({cell}\)$"):
-            ds.load_dataset(tmp_path)
-
-    def test_cli_prints_one_error_line(self, tmp_path, monkeypatch, capsys):
-        path = self.saved(tmp_path / "data", 4096, monkeypatch)
-        path.write_text(path.read_text() + "0,0,0.999\n")
-        (tmp_path / "wm.json").write_text("{}")
-        rc = cli.main([
-            "train-wm", "--config", str(tmp_path / "wm.json"), "--data", str(tmp_path / "data"),
-            "--out", str(tmp_path / "wm.ckpt"),
-        ])
-        assert rc == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: truth.csv: line 32: duplicate (user,item) (0,0)"
-        ]
-        assert not (tmp_path / "wm.ckpt").exists()
+        assert train_wm_cli(tmp_path, capsys) == (
+            2, ["error: truth.npy: user_id 20, item_id 5: feedback inf outside [0.0,1.0]"]
+        )
 
 
 # each case is the text of manifest.json
@@ -415,10 +380,13 @@ class TestSaveLoadRoundTrip:
         assert ds.content_hash(d2) == ds.content_hash(d)
 
     def test_csv_rows_end_in_crlf_and_no_temporaries_remain(self, tmp_path):
-        ds.save_dataset(ds.generate_synthetic(ds.SyntheticSpec(users=4, items=5, seed=1)), tmp_path)
-        names = ["interactions.csv", "items.csv", "manifest.json", "truth.csv", "users.csv"]
+        d = ds.generate_synthetic(ds.SyntheticSpec(users=4, items=5, seed=1))
+        ds.save_dataset(d, tmp_path)
+        names = ["interactions.csv", "items.csv", "manifest.json", "truth.npy", "users.csv"]
         assert sorted(p.name for p in tmp_path.iterdir()) == names
-        for name in ("interactions.csv", "items.csv", "truth.csv", "users.csv"):
+        with open(tmp_path / "truth.npy", "rb") as fh:
+            assert fh.read() == npy_bytes(d.truth_matrix)
+        for name in CSV_FILES:
             lines = (tmp_path / name).read_bytes().split(b"\n")
             assert lines[-1] == b"" and all(line.endswith(b"\r") for line in lines[:-1]), name
         assert (tmp_path / "manifest.json").read_bytes().endswith(b"}\n")
@@ -439,72 +407,149 @@ class TestSaveLoadRoundTrip:
         def failing_open(path, *args, **kwargs):
             with real_open(path, *args, **kwargs) as fh:
                 yield fh
-                if path.name == "truth.csv":
+                if path.name == "truth.npy":
                     raise OSError("disk full")
 
         monkeypatch.setattr(ds, "atomic_open", failing_open)
         with pytest.raises(OSError, match="disk full"):
             ds.save_dataset(ds.generate_synthetic(ds.SyntheticSpec(users=8, items=6, seed=2)), tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "interactions.csv", "items.csv", "truth.csv", "users.csv"
+            "interactions.csv", "items.csv", "truth.npy", "users.csv"
         ]
         with pytest.raises(ds.DatasetError, match="missing file: manifest.json"):
             ds.load_dataset(tmp_path)
 
 
-def one_shot_truth(path):
-    """truth.csv read by one np.loadtxt call: the rows, or numpy's error text."""
-    with open(path, newline="") as fh:
-        fh.readline()
-        try:
-            return np.loadtxt(fh, dtype=ds.LOG_DTYPE[:3], delimiter=",", quotechar='"',
-                              comments=None, usecols=range(3), ndmin=1)
-        except ValueError as exc:
-            return str(exc).split("; use `usecols`")[0]
+def npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
 
 
-class TestChunkedTruth:
-    CHUNK = 4
+def npy_header_only(shape):
+    """A .npy header declaring a float64 array of `shape`, and no data."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return buf.getvalue()
 
-    @pytest.fixture
-    def layout(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ds, "_TRUTH_CHUNK", self.CHUNK)
-        d = ds.generate_synthetic(ds.SyntheticSpec(users=5, items=7, log_density=0.3, seed=6))
-        ds.save_dataset(d, tmp_path)
-        return tmp_path
 
-    def test_shuffled_quoted_rows_load_as_one_read(self, layout):
-        path = layout / "truth.csv"
-        with open(path, newline="") as fh:
-            header, *rows = list(csv.reader(fh))
-        rows = [rows[k] for k in rng_stream(6, "truth-order").permutation(len(rows))]
-        # a run of blank lines longer than a chunk must not end the read
-        rows[11:11] = [[]] * (self.CHUNK + 1)
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([header] + rows)
-        assert '"0"' in path.read_text()
-        ref = one_shot_truth(path)
-        assert len(ref) == 35 > 3 * self.CHUNK
-        truth = np.full((5, 7), np.nan)
-        truth[ref["user_id"], ref["item_id"]] = ref["feedback"]
-        assert np.array_equal(ds.load_dataset(layout).truth_matrix, truth)
+def npz_bytes(array):
+    buf = io.BytesIO()
+    np.savez(buf, truth=array)
+    return buf.getvalue()
 
-    @pytest.mark.parametrize("case", ["id_x0", "short_row", "nan_feedback"])
-    def test_bad_row_in_a_later_chunk_counts_from_the_first_data_row(self, layout, case):
-        path = layout / "truth.csv"
-        lines = path.read_text().splitlines()
-        at = 1 + 3 * self.CHUNK + 2  # a data row in the fourth chunk
-        _, row = MALFORMED[case](lines[0].split(","), lines[at].split(","))
-        lines[at] = ",".join(row)
-        path.write_text("\n".join(lines) + "\n")
+
+UNPICKLED = []
+
+
+def _record_unpickling():
+    UNPICKLED.append(True)
+
+
+class Tripwire:
+    """An object whose unpickling is recorded in UNPICKLED."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
+def tripwires(shape):
+    out = np.empty(shape, dtype=object)
+    out.fill(Tripwire())
+    return out
+
+
+# 3 users x 4 items; each case: the bytes of truth.npy, and the start of its error
+TRUTH = np.arange(12.0).reshape(3, 4) / 12
+BAD_TRUTH = {
+    "transposed": (npy_bytes(TRUTH.T),
+                   "truth.npy: a <f8 array of shape (4, 3), not <f8 of (users, items) = (3, 4)"),
+    "float32": (npy_bytes(TRUTH.astype(np.float32)), "truth.npy: a <f4 array of shape (3, 4), not <f8"),
+    "int64": (npy_bytes((TRUTH > 0.5).astype(np.int64)), "truth.npy: a <i8 array of shape (3, 4), not <f8"),
+    "big_endian": (npy_bytes(TRUTH.astype(">f8")), "truth.npy: a >f8 array of shape (3, 4), not <f8"),
+    "pickled_objects": (npy_bytes(tripwires((3, 4))), "truth.npy: a |O array of shape (3, 4), not <f8"),
+    "one_dimensional": (npy_bytes(TRUTH.reshape(-1)), "truth.npy: a <f8 array of shape (12,), not <f8"),
+    "huge_shape": (npy_header_only((2**40, 2**40)), "truth.npy: a <f8 array of shape (1099511627776,"),
+    "truncated": (npy_bytes(TRUTH)[:-5], "truth.npy: unreadable .npy array: Failed to read all data"),
+    "trailing_byte": (npy_bytes(TRUTH) + b"\0", "truth.npy: bytes after the array"),
+    "npz": (npz_bytes(TRUTH), "truth.npy: unreadable .npy array: the magic string is not correct"),
+    "empty": (b"", "truth.npy: unreadable .npy array: EOF: reading magic string"),
+}
+
+
+class TestTruthNpy:
+    """truth.npy is one .npy record of a little-endian float64 users x items
+    array; its header is checked before any data is read."""
+
+    @staticmethod
+    def write(root, data):
+        write_layout(root, [[0, 1, 0.5, 0], [2, 3, 0.25, 0]], 3, 4, truth=TRUTH)
+        (root / "truth.npy").write_bytes(data)
+
+    @pytest.mark.parametrize("case", sorted(BAD_TRUTH))
+    def test_error_names_the_file(self, tmp_path, case):
+        data, message = BAD_TRUTH[case]
+        self.write(tmp_path, data)
         with pytest.raises(ds.DatasetError) as err:
-            ds.load_dataset(layout)
-        # the header is line 1, so list index `at` is line at + 1
-        assert str(err.value) == {
-            "id_x0": f"truth.csv: line {at + 1}: could not convert string 'x0' to int64, column 1.",
-            "short_row": f"truth.csv: line {at + 1}: invalid column index 2 with 2 columns",
-            "nan_feedback": f"truth.csv: line {at + 1}: feedback nan outside [0.0,1.0]",
-        }[case]
+            ds.load_dataset(tmp_path)
+        assert str(err.value).startswith(message) and "\n" not in str(err.value)
+        assert UNPICKLED == []
+
+    @pytest.mark.parametrize("case", sorted(BAD_TRUTH))
+    def test_cli_prints_one_error_line(self, tmp_path, capsys, case):
+        data, message = BAD_TRUTH[case]
+        self.write(tmp_path / "data", data)
+        rc, err = train_wm_cli(tmp_path, capsys)
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+
+    def test_huge_shape_is_rejected_before_any_allocation(self, tmp_path):
+        self.write(tmp_path, npy_header_only((2**40, 2**40)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ds.DatasetError, match="shape"):
+                ds.load_dataset(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_either_memory_layout_loads_the_same_matrix(self, tmp_path, layout):
+        self.write(tmp_path, npy_bytes(np.asarray(TRUTH, order=layout)))
+        assert np.array_equal(ds.load_dataset(tmp_path).truth_matrix, TRUTH)
+
+
+class TestOldLayout:
+    """A directory written before truth.npy, with its matrix in truth.csv."""
+
+    MESSAGE = "truth.csv: a truth matrix in CSV is no longer read; gen-data now writes truth.npy"
+
+    @staticmethod
+    def write(root):
+        write_valid_layout(root)
+        (root / "truth.npy").unlink()
+        cells = [f"{u},{i},{(3 * u + i + 1) / 10!r}" for u in range(3) for i in range(3)]
+        (root / "truth.csv").write_text("\n".join(["user_id,item_id,feedback", *cells]) + "\n")
+
+    def test_load_names_the_old_file(self, tmp_path):
+        self.write(tmp_path)
+        with pytest.raises(ds.DatasetError, match=f"^{re.escape(self.MESSAGE)}$"):
+            ds.load_dataset(tmp_path)
+
+    def test_cli_prints_one_error_line(self, tmp_path, capsys):
+        self.write(tmp_path / "data")
+        assert train_wm_cli(tmp_path, capsys) == (2, [f"error: {self.MESSAGE}"])
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_save_removes_the_old_file(self, tmp_path, with_truth):
+        self.write(tmp_path)
+        d = ds.generate_synthetic(ds.SyntheticSpec(users=4, items=5, seed=1))
+        ds.save_dataset(d if with_truth else dataclasses.replace(d, truth_matrix=None), tmp_path)
+        assert not (tmp_path / "truth.csv").exists()
+        assert (tmp_path / "truth.npy").exists() == with_truth
+        assert ds.content_hash(ds.load_dataset(tmp_path)) == ds.content_hash(
+            d if with_truth else dataclasses.replace(d, truth_matrix=None))
 
 
 def one_shot_hash(d):
@@ -537,10 +582,38 @@ class TestContentHash:
         assert ds.content_hash(d) == one_shot_hash(d)
 
 
+def literal_dataset(with_truth):
+    """A dataset written out by hand: no generator, so no BLAS kernel, made it."""
+    log = np.array([(0, 2, 0.5, 0), (0, 0, 0.25, 1), (1, 1, 1 / 3, 0)], dtype=ds.LOG_DTYPE)
+    return ds.Dataset(
+        train_log=log,
+        users=ds.UserCatalog(count=2, features=np.array([[0, 1], [1, 0]])),
+        items=ds.ItemCatalog(count=3, primary_category=np.array([1, 0, 1]),
+                             features=np.array([[0], [1], [1]])),
+        truth_matrix=np.array([[0.1, 0.2, 0.3], [0.4, 2 / 3, 1.0]]) if with_truth else None,
+        r_min=0.0, r_max=1.0, name="pinned", seed=5,
+    )
+
+
+# every wm.ckpt and bundle stores this hash as its dataset_hash
+PINNED_HASHES = {
+    True: "c7e7851869f41c70cfbadfd4ac8a598298403566a09547e17c4de3fca56d74fe",
+    False: "27f0dd46ffb9bec6e4f7a65a90dbabd1bf5640598b4d1c0cb05ff440382f92ae",
+}
+
+
+class TestPinnedHash:
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_saved_and_reloaded_dataset_hashes_to_the_recorded_digest(self, tmp_path, with_truth):
+        d = literal_dataset(with_truth)
+        ds.save_dataset(d, tmp_path)
+        assert ds.content_hash(d) == ds.content_hash(ds.load_dataset(tmp_path)) == PINNED_HASHES[with_truth]
+
+
 class TestLoadMemory:
     def test_load_peak_within_a_small_multiple_of_the_truth_matrix(self, tmp_path):
-        # numpy reports its buffers to tracemalloc; a full-size table of
-        # (user, item, feedback) records and its index arrays cost about 8x
+        # numpy reports its buffers to tracemalloc; the matrix is read into
+        # one buffer of its own size, beside the small CSV tables
         ds.save_dataset(ds.generate_synthetic(ds.SyntheticSpec(users=300, items=400, seed=2)), tmp_path)
         tracemalloc.start()
         try:

@@ -14,18 +14,24 @@ from darlr.config import config_from_dict
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def table_keys(title):
-    """Backticked names in the first column of the table after the README
-    line that starts with `title`."""
+def table_rows(title):
+    """The cells of each body row of the table after the README line that
+    starts with `title`."""
     lines = README.read_text().splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith(title))
     rows = []
     for line in lines[start + 1 :]:
         if line.startswith("|"):
-            rows.append(line)
+            rows.append(line.split("|")[1:-1])
         elif rows:
             break
-    keys = [key for row in rows[2:] for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    return rows[2:]
+
+
+def table_keys(title):
+    """Backticked names in the first column of the table after the README
+    line that starts with `title`."""
+    keys = [key for row in table_rows(title) for key in re.findall(r"`(\w+)`", row[0])]
     assert len(keys) == len(set(keys)), f"a key is listed twice under {title!r}"
     return set(keys)
 
@@ -42,6 +48,17 @@ CONFIG_TABLES = {
 @pytest.mark.parametrize("title", sorted(CONFIG_TABLES))
 def test_readme_config_table_lists_exactly_the_config_keys(title):
     assert table_keys(title) == CONFIG_TABLES[title]
+
+
+@pytest.mark.parametrize("with_truth", [True, False])
+def test_readme_dataset_files_are_what_save_dataset_writes(tmp_path, with_truth):
+    listed = {re.fullmatch(r" `([\w.]+)` ", row[0])[1]: row[1].lstrip().startswith("optional")
+              for row in table_rows("Dataset directory")}
+    d = ds.generate_synthetic(ds.SyntheticSpec(users=3, items=4, categories=2, seed=0))
+    ds.save_dataset(d if with_truth else dataclasses.replace(d, truth_matrix=None), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name for name, optional in listed.items() if with_truth or not optional
+    )
 
 
 # README walkthrough config file: the dataclass the CLI reads it into
@@ -69,7 +86,7 @@ def test_readme_walkthrough_config_loads(name):
 # is a file, `selector.candidate_pool` a code reference
 DARLR_MODULES = {"cli", "config", "dataset", "engine", "nncore", "recommender", "rewardmath",
                  "selector", "worldmodel"}
-FILE_SUFFIXES = {"csv", "ckpt", "frag", "json", "toml"}
+FILE_SUFFIXES = {"csv", "ckpt", "frag", "json", "npy", "toml"}
 
 
 def readme_code_references():
