@@ -43,10 +43,6 @@ class ItemCatalog:
     primary_category: np.ndarray  # (|I|,) int
     features: np.ndarray  # (|I|, n_feat) int
 
-    @property
-    def n_categories(self):
-        return int(self.primary_category.max()) + 1
-
 
 @dataclass
 class UserCatalog:

@@ -43,15 +43,16 @@ from .nncore import (
 MAX_EPISODE_LEN = 30
 CATEGORY_WINDOW = 4
 
-# per-variant (lambda_s scale, lambda_d scale) applied to the selector's
-# intrinsic reward; None means the variant runs no selection at all
+# per variant: the (lambda_s scale, lambda_d scale) applied to the selector's
+# intrinsic reward, None where the variant runs no selection at all, and the
+# kind of uncertainty penalty its recommender reward takes
 _VARIANT_GAINS = {
-    "full": (1.0, 1.0),
-    "r_static": None,
-    "pu_static": (1.0, 1.0),
-    "rhat": (0.0, 0.0),
-    "rhat_rs": (1.0, 0.0),
-    "rhat_rd": (0.0, 1.0),
+    "full": ((1.0, 1.0), "dynamic"),
+    "r_static": (None, "static"),
+    "pu_static": ((1.0, 1.0), "static"),
+    "rhat": ((0.0, 0.0), "dynamic"),
+    "rhat_rs": ((1.0, 0.0), "dynamic"),
+    "rhat_rd": ((0.0, 1.0), "dynamic"),
 }
 VARIANTS = tuple(_VARIANT_GAINS)
 
@@ -88,42 +89,25 @@ class ShapedRewardMatrix:
 
 
 @dataclass
-class RewardParts:
-    r_hat: float
-    r_prev: float
-    p_u: float
-    p_e: float
-    mean_sim: float
-    mean_div: float
-    kind: str  # "dynamic" or "static" uncertainty
-
-
-@dataclass
-class Transition:
-    action: int
-    reward: float
-    track_reward: float
-    parts: RewardParts | None
-    done: bool
-    done_reason: str | None
-
-
-@dataclass
 class Trajectory:
+    """One training episode. Each entry of `steps` is its step's row of
+    `TrainRun.parts_log`: user, item, reward, r_hat, r_prev, p_u, p_e,
+    mean_sim, mean_div and kind, the penalty's "dynamic" or "static"."""
+
     user: int
-    transitions: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
     values: list = field(default_factory=list)  # the critic's: the rollout runs none, update fills them
 
     def __len__(self):
-        return len(self.transitions)
+        return len(self.steps)
 
     @property
     def actions(self):
-        return [tr.action for tr in self.transitions]
+        return [row["item"] for row in self.steps]
 
     @property
     def rewards(self):
-        return [tr.reward for tr in self.transitions]
+        return [row["reward"] for row in self.steps]
 
 
 @dataclass
@@ -280,52 +264,46 @@ def rollout_trajectory(run: TrainRun, u):
 
     Each step samples an item with `run.rng`, runs the reference-user
     selection (except in `r_static`), writes the shaped estimate back,
-    derives the penalties and steps the environment in "train" mode.
+    steps the environment in "train" mode, whose reward is that estimate,
+    derives the penalties and appends the step's row to `traj.steps`.
     """
     st, matrix, agent = run.settings, run.matrix, run.rec_agent
     item_cats = run.dataset.items.primary_category
-    gains = _VARIANT_GAINS[st.variant]
+    gains, kind = _VARIANT_GAINS[st.variant]
     traj = Trajectory(user=u)
     episodes, cats = [], []  # cats: the episode's item categories so far
 
     def step(rows, states, z, t):
         items, _ = sample_rows(z, [run.rng])
         item, state = int(items[0]), states[0]
-        if gains is None:  # frozen-matrix variant: no selection, no write-back
-            r_hat = r_prev = float(matrix.current[u, item])
-            mean_sim = mean_div = 0.0
-        else:
+        mean_sim = mean_div = 0.0
+        if gains is not None:
             episode = sel.run_selection(
                 u, item, state, matrix, run.sel_agent, st.k_sel,
                 st.lambda_s * gains[0], st.lambda_d * gains[1], run.rng,
             )
             episodes.append(episode)
             r_prev = float(matrix.write(u, item, rm.shape_reward(episode.ref_rewards)))
-            r_hat = float(matrix.current[u, item])
             mean_sim, mean_div = episode.mean_sim(), episode.mean_div()
-        if gains is None or st.variant == "pu_static":
-            p_u, kind = float(run.static_uncertainty[u, item]), "static"
+        # read after the write: the train reward is the shaped estimate
+        r_hat, done, _ = env_step(u, item, t, "train", matrix, None, cats, item_cats)
+        if gains is None:  # frozen-matrix variant: no selection, no write-back
+            r_prev = r_hat
+        if kind == "static":
+            p_u = float(run.static_uncertainty[u, item])
         else:
             p_u = rm.dynamic_uncertainty(r_hat, r_prev, mean_sim, mean_div, st.uncertainty_eps)
-            kind = "dynamic"
         p_e = float(run.stats.penalty_vector(cats)[item])
-        parts = RewardParts(
-            r_hat=r_hat, r_prev=r_prev, p_u=p_u, p_e=p_e,
-            mean_sim=mean_sim, mean_div=mean_div, kind=kind,
-        )
-        base_r, done, reason = env_step(u, item, t, "train", matrix, None, cats, item_cats)
-        traj.transitions.append(Transition(
-            action=item, reward=rm.recommender_reward(r_hat, p_u, p_e, st.lambda_u, st.lambda_e),
-            track_reward=base_r, parts=parts, done=done,
-            done_reason=reason,
-        ))
+        traj.steps.append({
+            "user": u, "item": item,
+            "reward": rm.recommender_reward(r_hat, p_u, p_e, st.lambda_u, st.lambda_e),
+            "r_hat": r_hat, "r_prev": r_prev, "p_u": p_u, "p_e": p_e,
+            "mean_sim": mean_sim, "mean_div": mean_div, "kind": kind,
+        })
         cats.append(int(item_cats[item]))
-        return items, agent.token_inputs([u], items, [base_r]), [done]
+        return items, agent.token_inputs([u], items, [r_hat]), [done]
 
     play_episodes(agent, agent.token_inputs([u]), agent.avail(traj)[None], step)
-    last = traj.transitions[-1]
-    if not last.done:  # catalog exhausted before the protocol cap
-        last.done, last.done_reason = True, "max_length"
     return traj, episodes
 
 
@@ -508,7 +486,7 @@ def start_run(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSetting
     if settings.eval_every > 0 and d.truth_matrix is None:
         raise ValueError("training evaluation requires a ground-truth matrix")
     pool = pool_width(settings, d.n_users)
-    if _VARIANT_GAINS[settings.variant] is not None and pool < settings.k_sel:
+    if _VARIANT_GAINS[settings.variant][0] is not None and pool < settings.k_sel:
         raise ValueError(
             f"k_sel={settings.k_sel} exceeds the candidate pool of {pool} users "
             "(min(users - 1, candidate_pool))"
@@ -536,11 +514,9 @@ def play_epoch(run: TrainRun) -> bool:
         run.steps_total += len(traj)
         update(run.rec_agent, [traj], st.gamma, st.lr)
         update(run.sel_agent, episodes, st.gamma, st.lr)
-        for si, tr in enumerate(traj.transitions):
-            run.parts_log.append({
-                "epoch": epoch, "trajectory": ti, "step": si, "user": u,
-                "item": tr.action, "reward": tr.reward, **vars(tr.parts),
-            })
+        run.parts_log.extend(
+            {"epoch": epoch, "trajectory": ti, "step": si, **row} for si, row in enumerate(traj.steps)
+        )
     if st.eval_every > 0 and (
         (epoch + 1) % st.eval_every == 0 or epoch == st.epochs - 1 or budget_hit
     ):

@@ -56,7 +56,7 @@ class RecommenderAgent(WindowedActorCritic):
                 self.token_inputs([traj.user]),
                 self.token_inputs(
                     [traj.user] * (len(traj) - 1), traj.actions[:-1],
-                    [tr.track_reward for tr in traj.transitions[:-1]],
+                    [row["r_hat"] for row in traj.steps[:-1]],
                 ),
             )
         ])

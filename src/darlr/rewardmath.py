@@ -44,7 +44,7 @@ def shape_reward(ref_rewards) -> float:
     """Aggregate reward estimate over the reference users: plain mean."""
     if len(ref_rewards) == 0:
         raise ValueError("cannot shape a reward from an empty reference set")
-    return float(np.mean(np.asarray(ref_rewards, dtype=np.float64)))
+    return mean(ref_rewards)
 
 
 def dynamic_uncertainty(r_new, r_prev, mean_sim, mean_div, eps=1e-6) -> float:

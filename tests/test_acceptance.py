@@ -129,16 +129,10 @@ def test_criterion_2_gradient_correctness():
         rngs = rng_stream(seed, "c2traj")
         traj = engine.Trajectory(user=int(rngs.integers(4)))
         items = rngs.permutation(5)[:3]
-        for i, item in enumerate(items):
+        for item in items:
             reward, value = float(rngs.random()), float(rngs.normal() * 0.3)
             traj.values.append(value)
-            traj.transitions.append(
-                engine.Transition(
-                    action=int(item), reward=reward,
-                    track_reward=float(rngs.random()), parts=None,
-                    done=i == 2, done_reason="max_length" if i == 2 else None,
-                )
-            )
+            traj.steps.append({"item": int(item), "reward": reward, "r_hat": float(rngs.random())})
 
         def loss():
             a, c = engine.losses(agent, [traj], 0.97, accumulate=False)
@@ -282,12 +276,7 @@ def test_criterion_6_policy_gradient_sanity():
                 items, _ = sample_rows(z, [rng])
                 item = int(items[0])
                 r = 1.0 if item == target else 0.0
-                traj.transitions.append(
-                    engine.Transition(
-                        action=item, reward=r, track_reward=r, parts=None, done=True,
-                        done_reason="max_length",
-                    )
-                )
+                traj.steps.append({"item": item, "reward": r, "r_hat": r})
                 return items, agent.token_inputs([0], items, [r]), [True]
 
             play_episodes(agent, agent.token_inputs([0]), np.ones((1, arms), dtype=bool), pull)

@@ -186,7 +186,7 @@ class TestEnvStep:
 def reference_advantages(traj, gamma):
     """Each step's discounted return, summed term by term, minus its
     recorded critic value."""
-    rewards = [tr.reward for tr in traj.transitions]
+    rewards = traj.rewards
     returns = [sum(gamma**k * r for k, r in enumerate(rewards[t:])) for t in range(len(rewards))]
     return np.array(returns) - np.array(traj.values)
 
@@ -226,7 +226,7 @@ def critic_loss(traj, gamma):
     """Reference critic loss: the mean squared one-step TD error of the
     recorded values; the last step bootstraps zero."""
     values = np.array(traj.values)
-    rewards = np.array([tr.reward for tr in traj.transitions])
+    rewards = np.array(traj.rewards)
     targets = rewards + gamma * np.append(values[1:], 0.0)
     return float(((values - targets) ** 2).mean())
 
@@ -234,16 +234,8 @@ def critic_loss(traj, gamma):
 class TestAdvantages:
     def traj(self, rewards, values):
         # step i takes action i under uniform logits over len(rewards) + 1 actions
-        t = engine.Trajectory(user=0, values=list(values))
-        for i, r in enumerate(rewards):
-            t.transitions.append(
-                engine.Transition(
-                    action=i, reward=r,
-                    track_reward=r, parts=None, done=i == len(rewards) - 1,
-                    done_reason="max_length" if i == len(rewards) - 1 else None,
-                )
-            )
-        return t
+        steps = [{"item": i, "reward": r, "r_hat": r} for i, r in enumerate(rewards)]
+        return engine.Trajectory(user=0, steps=steps, values=list(values))
 
     def head(self, t, gamma):
         """`_head_grads` on uniform logits and the trajectory's recorded
@@ -251,11 +243,10 @@ class TestAdvantages:
         advantages are read back from the actor gradient: under uniform
         logits step s takes its action with probability 1 / (n + 1 - s)."""
         n = len(t)
-        actions = [tr.action for tr in t.transitions]
-        values = t.values
+        actions, values = t.actions, t.values
         dlogits, _, aloss, closs = engine._head_grads(
             np.zeros((n, n + 1)), np.array(values)[:, None], actions, np.ones(n + 1, dtype=bool),
-            [tr.reward for tr in t.transitions], values, gamma, 1.0,
+            t.rewards, values, gamma, 1.0,
         )
         p = 1.0 / (n + 1 - np.arange(n))
         return -dlogits[np.arange(n), actions] * n / (1.0 - p), aloss, closs
@@ -297,7 +288,7 @@ def reference_rollout(ctx, u):
     """`rollout_trajectory` as the per-step loop over `ReferenceTracker` that
     the lockstep player replaced."""
     st, matrix = ctx.settings, ctx.matrix
-    gains = engine._VARIANT_GAINS[st.variant]
+    gains, kind = engine._VARIANT_GAINS[st.variant]
     item_cats = ctx.dataset.items.primary_category
     state = ReferenceTracker(ctx.rec_agent, u)
     traj, episodes, logprobs = engine.Trajectory(user=u), [], []
@@ -308,7 +299,7 @@ def reference_rollout(ctx, u):
         logprobs.append(logprob)
         if gains is None:
             r_hat = r_prev = float(matrix.current[u, item])
-            p_u, kind, mean_sim, mean_div = float(ctx.static_uncertainty[u, item]), "static", 0.0, 0.0
+            mean_sim, mean_div = 0.0, 0.0
         else:
             ep = sel.run_selection(
                 u, item, state.vec, matrix, ctx.sel_agent, st.k_sel,
@@ -318,27 +309,25 @@ def reference_rollout(ctx, u):
             r_prev = float(matrix.write(u, item, rm.shape_reward(ep.ref_rewards)))
             r_hat = float(matrix.current[u, item])
             mean_sim, mean_div = ep.mean_sim(), ep.mean_div()
-            if st.variant == "pu_static":
-                p_u, kind = float(ctx.static_uncertainty[u, item]), "static"
-            else:
-                p_u = rm.dynamic_uncertainty(r_hat, r_prev, mean_sim, mean_div, st.uncertainty_eps)
-                kind = "dynamic"
+        if kind == "static":
+            p_u = float(ctx.static_uncertainty[u, item])
+        else:
+            p_u = rm.dynamic_uncertainty(r_hat, r_prev, mean_sim, mean_div, st.uncertainty_eps)
         p_e = float(ctx.stats.penalty_vector(recent)[item])
-        parts = engine.RewardParts(r_hat, r_prev, p_u, p_e, mean_sim, mean_div, kind)
-        base_r, done, reason = engine.env_step(
+        base_r, done, _ = engine.env_step(
             u, item, len(traj) + 1, "train", matrix, None, recent, item_cats
         )
         value, _ = ctx.rec_agent.critic.forward(state.vec)
         traj.values.append(float(value[0]))
-        traj.transitions.append(engine.Transition(
-            item, rm.recommender_reward(r_hat, p_u, p_e, st.lambda_u, st.lambda_e),
-            base_r, parts, done, reason,
-        ))
+        traj.steps.append({
+            "user": u, "item": item,
+            "reward": rm.recommender_reward(r_hat, p_u, p_e, st.lambda_u, st.lambda_e),
+            "r_hat": r_hat, "r_prev": r_prev, "p_u": p_u, "p_e": p_e,
+            "mean_sim": mean_sim, "mean_div": mean_div, "kind": kind,
+        })
         mask[item] = False
         recent.append(int(item_cats[item]))
         if done or not mask.any():
-            if not done:
-                traj.transitions[-1].done, traj.transitions[-1].done_reason = True, "max_length"
             return traj, episodes, logprobs
         state.track(item, base_r)
 
@@ -372,53 +361,50 @@ class TestRollout:
         traj, episodes = engine.rollout_trajectory(ctx, 3)
         assert episodes == []
         assert matrix_digest(ctx.matrix) == before
-        assert all(tr.parts.kind == "static" for tr in traj.transitions)
+        assert all(row["kind"] == "static" for row in traj.steps)
 
     def test_full_write_back_semantics(self, tiny_dataset, tiny_wm):
         ctx = self.make_ctx(tiny_dataset, tiny_wm, variant="full")
         pm_mean = ctx.matrix.current.copy()
         traj, episodes = engine.rollout_trajectory(ctx, 3)
-        tr0, ep0 = traj.transitions[0], episodes[0]
-        u, item = 3, tr0.action
+        row0, ep0 = traj.steps[0], episodes[0]
+        u, item = 3, row0["item"]
         # the first write at (u, item): mean of the reference rewards
-        assert tr0.parts.r_hat == pytest.approx(
+        assert row0["r_hat"] == pytest.approx(
             np.clip(np.mean(ep0.ref_rewards), 0.0, 1.0), abs=1e-12
         )
-        assert tr0.parts.r_prev == pm_mean[u, item]
+        assert row0["r_prev"] == pm_mean[u, item]
         # an item is recommended once per trajectory, so this was the only write
-        assert ctx.matrix.current[u, item] == tr0.parts.r_hat
+        assert ctx.matrix.current[u, item] == row0["r_hat"]
 
     def test_composite_reward_recomputable_from_parts(self, tiny_dataset, tiny_wm):
         ctx = self.make_ctx(tiny_dataset, tiny_wm, variant="full")
         traj, _ = engine.rollout_trajectory(ctx, 5)
-        for tr in traj.transitions:
+        for row in traj.steps:
             want = rm.recommender_reward(
-                tr.parts.r_hat, tr.parts.p_u, tr.parts.p_e,
-                ctx.settings.lambda_u, ctx.settings.lambda_e,
+                row["r_hat"], row["p_u"], row["p_e"], ctx.settings.lambda_u, ctx.settings.lambda_e,
             )
-            assert tr.reward == pytest.approx(want, abs=1e-12)
+            assert row["reward"] == pytest.approx(want, abs=1e-12)
 
     def test_dynamic_uncertainty_replay(self, tiny_dataset, tiny_wm):
         ctx = self.make_ctx(tiny_dataset, tiny_wm, variant="full")
         traj, _ = engine.rollout_trajectory(ctx, 7)
-        for tr in traj.transitions:
-            assert tr.parts.kind == "dynamic"
+        for row in traj.steps:
+            assert row["kind"] == "dynamic"
             want = rm.dynamic_uncertainty(
-                tr.parts.r_hat, tr.parts.r_prev, tr.parts.mean_sim, tr.parts.mean_div,
+                row["r_hat"], row["r_prev"], row["mean_sim"], row["mean_div"],
                 ctx.settings.uncertainty_eps,
             )
-            assert tr.parts.p_u == pytest.approx(want, abs=1e-12)
+            assert row["p_u"] == pytest.approx(want, abs=1e-12)
 
     def test_pu_static_uses_static_table(self, tiny_dataset, tiny_wm):
         ctx = self.make_ctx(tiny_dataset, tiny_wm, variant="pu_static")
         before = matrix_digest(ctx.matrix)
         traj, episodes = engine.rollout_trajectory(ctx, 2)
         assert matrix_digest(ctx.matrix) != before  # shaping still runs
-        for tr in traj.transitions:
-            assert tr.parts.kind == "static"
-            assert tr.parts.p_u == pytest.approx(
-                ctx.static_uncertainty[2, tr.action], abs=1e-12
-            )
+        for row in traj.steps:
+            assert row["kind"] == "static"
+            assert row["p_u"] == pytest.approx(ctx.static_uncertainty[2, row["item"]], abs=1e-12)
 
     def test_rhat_variant_rewards_are_prefix_means(self, tiny_dataset, tiny_wm):
         ctx = self.make_ctx(tiny_dataset, tiny_wm, variant="rhat")
@@ -443,15 +429,27 @@ class TestRollout:
             prefix = np.mean(ep.ref_rewards[: t + 1])
             assert ep.rewards[t] == pytest.approx(prefix + cs.lambda_d * ep.divs[t], abs=1e-12)
 
-    def test_no_item_repeats_and_length_cap(self, tiny_dataset, tiny_wm):
-        ctx = self.make_ctx(tiny_dataset, tiny_wm, variant="r_static")
-        for u in range(5):
-            traj, _ = engine.rollout_trajectory(ctx, u)
-            items = [tr.action for tr in traj.transitions]
-            assert len(items) == len(set(items))
-            assert len(traj) <= engine.MAX_EPISODE_LEN
-            assert traj.transitions[-1].done
-            assert traj.transitions[-1].done_reason in ("category_repeat", "max_length")
+    def test_no_item_repeats_and_length_cap(self, tiny_dataset, tiny_wm, own_category_catalog):
+        # a trajectory ends at the first step env_step marks done, or where
+        # it has spent the catalog; the second catalog only ends the second way
+        for (d, wm), spent in (((tiny_dataset, tiny_wm), False), (own_category_catalog, True)):
+            ctx = self.make_ctx(d, wm, variant="r_static")
+            item_cats = d.items.primary_category
+            for u in range(5):
+                traj, _ = engine.rollout_trajectory(ctx, u)
+                items = traj.actions
+                assert len(items) == len(set(items))
+                assert len(traj) <= engine.MAX_EPISODE_LEN
+                done = [
+                    engine.env_step(
+                        u, item, t, "train", ctx.matrix, None, item_cats[items[: t - 1]].tolist(), item_cats
+                    )[1]
+                    for t, item in enumerate(items, 1)
+                ]
+                assert not any(done[:-1])
+                assert done[-1] or len(traj) == d.n_items
+                if spent:
+                    assert not done[-1] and len(traj) == d.n_items
 
     @pytest.mark.parametrize("variant,catalog", [
         ("full", False), ("r_static", False), ("pu_static", False), ("full", True),
@@ -475,8 +473,8 @@ class TestRollout:
             engine.update(ctx.rec_agent, [traj], gamma, lr=1.0)
             engine.update(ctx.sel_agent, episodes, gamma, lr=1.0)
             # actions, log-probabilities, values (those the per-step loop's
-            # critic gave), rewards, track rewards, parts and done reasons, all exact
-            assert traj.transitions == ref.transitions
+            # critic gave) and every step's row, all exact
+            assert traj.steps == ref.steps
             assert traj.values == ref.values
             assert logprobs == ref_logprobs
             for ep in episodes:
@@ -484,7 +482,6 @@ class TestRollout:
             assert (len(episodes) == 0) == (variant == "r_static")
             if catalog:
                 assert len(traj) == d.n_items
-                assert traj.transitions[-1].done_reason == "max_length"
         assert np.array_equal(ctx.matrix.current, ref_ctx.matrix.current)
         assert ctx.rng.random() == ref_ctx.rng.random()
 
@@ -507,11 +504,8 @@ def trajectory_batch():
     trajectories = []
     for u, items in ((1, [2, 5, 0]), (3, [4]), (1, [7, 2, 6, 1])):
         traj = engine.Trajectory(user=u)
-        for i, item in enumerate(items):
-            last = i == len(items) - 1
-            traj.transitions.append(engine.Transition(
-                item, float(rng.normal()), float(rng.random()), None, last, "max_length" if last else None,
-            ))
+        for item in items:
+            traj.steps.append({"item": item, "reward": float(rng.normal()), "r_hat": float(rng.random())})
         trajectories.append(traj)
     return agent, trajectories
 
@@ -547,14 +541,9 @@ class TestLosses:
         # fixed fake trajectory
         traj = engine.Trajectory(user=1)
         rngs = rng_stream(0, "fake")
-        for i, (item, r) in enumerate([(2, 0.5), (0, 0.9), (4, 0.2)]):
+        for item, r in [(2, 0.5), (0, 0.9), (4, 0.2)]:
             traj.values.append(float(rngs.normal()))
-            traj.transitions.append(
-                engine.Transition(
-                    action=item, reward=r, track_reward=r, parts=None,
-                    done=i == 2, done_reason="max_length" if i == 2 else None,
-                )
-            )
+            traj.steps.append({"item": item, "reward": r, "r_hat": r})
 
         def loss():
             a, c = engine.losses(agent, [traj], settings.gamma, accumulate=False)
@@ -634,13 +623,7 @@ class TestLosses:
         agent, _ = engine.build_agents(d, settings)
         target = 2
         before = start_probs(agent, 0)[target]
-        traj = engine.Trajectory(user=0)
-        traj.transitions.append(
-            engine.Transition(
-                action=target, reward=1.0, track_reward=1.0, parts=None, done=True,
-                done_reason="max_length",
-            )
-        )
+        traj = engine.Trajectory(user=0, steps=[{"item": target, "reward": 1.0, "r_hat": 1.0}])
         engine.update(agent, [traj], 0.99, lr=1e-3)
         # the value the update filled in from its replay left a positive advantage
         assert engine.discounted_returns([1.0], 0.99)[0] > traj.values[0]
@@ -786,10 +769,27 @@ class TestTrain:
         )
         assert result.steps_total < 20 + engine.MAX_EPISODE_LEN
 
-    def test_parts_log_covers_every_step(self, smoke_run):
-        assert len(smoke_run.parts_log) == smoke_run.steps_total
-        for entry in smoke_run.parts_log:
-            assert {"r_hat", "r_prev", "p_u", "p_e", "mean_sim", "mean_div", "kind"} <= set(entry)
+    def test_parts_log_covers_every_step(self, tiny_dataset, tiny_wm):
+        # the training digest hashes the log's repr: its keys, their order
+        # and their value types are part of the output bits on any host
+        columns = {
+            "epoch": int, "trajectory": int, "step": int, "user": int, "item": int,
+            "reward": float, "r_hat": float, "r_prev": float, "p_u": float, "p_e": float,
+            "mean_sim": float, "mean_div": float, "kind": str,
+        }
+        kinds = {v: "static" if v in ("r_static", "pu_static") else "dynamic" for v in engine.VARIANTS}
+        for variant in engine.VARIANTS:
+            assert engine._VARIANT_GAINS[variant][1] == kinds[variant]
+            run = engine.train(tiny_dataset, tiny_wm, smoke_settings(variant=variant, epochs=2, eval_every=0))
+            assert len(run.parts_log) == run.steps_total > 0
+            for entry in run.parts_log:
+                assert list(entry) == list(columns)
+                assert {k: type(v) for k, v in entry.items()} == columns, variant
+                assert entry["kind"] == kinds[variant]
+            # each trajectory's steps count up from 0
+            starts = [i for i, e in enumerate(run.parts_log) if e["step"] == 0] + [len(run.parts_log)]
+            for lo, hi in zip(starts, starts[1:]):
+                assert [e["step"] for e in run.parts_log[lo:hi]] == list(range(hi - lo))
 
     def test_unknown_settings_key_rejected(self):
         with pytest.raises(ValueError, match="unknown keys: variance"):

@@ -30,10 +30,8 @@ def played(a, user, items, rewards):
 
 def trajectory(user, items, rewards):
     """A trajectory of `items` for `user`, `rewards[t]` entering the token after step t."""
-    traj = engine.Trajectory(user=user)
-    for item, r in zip(items, rewards):
-        traj.transitions.append(engine.Transition(item, r, r, None, False, None))
-    return traj
+    steps = [{"item": item, "reward": r, "r_hat": r} for item, r in zip(items, rewards)]
+    return engine.Trajectory(user=user, steps=steps)
 
 
 def first_logits(a, users):

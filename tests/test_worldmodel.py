@@ -273,7 +273,7 @@ class TestMultiColumnCatalogs:
         assert shapes["wm0/emb/user_feat0"] == (int(d.users.features[:, 0].max()) + 1, 3)
         assert shapes["wm0/emb/user_feat1"] == (6, 3)
         assert shapes["wm0/emb/item_id"] == (8, 3)
-        assert shapes["wm0/emb/item_cat"] == (d.items.n_categories, 3)
+        assert shapes["wm0/emb/item_cat"] == (int(d.items.primary_category.max()) + 1, 3)
         assert shapes["wm0/emb/item_feat0"] == (int(d.items.features[:, 0].max()) + 1, 3)
         assert shapes["wm0/emb/item_feat1"] == (7, 3)
         assert shapes["wm0/head/L0/W"] == (7 * 3, 4)
