@@ -4,8 +4,9 @@ Subcommands: gen-data, train-wm, train-policy, eval, ablate. Config files
 are JSON objects read by one typed loader (`config.config_from_dict`),
 which rejects unknown keys and values of the wrong type or range before
 any data is read. Every output lands under the directory given by --out.
-Errors are single machine-parsable lines on stderr with a nonzero exit
-code.
+Errors are single machine-parsable lines on stderr. The exit code is 2
+for a bad flag, a bad CLI config file or a bad dataset file, a world model
+of another dataset included; it is 1 for any other error.
 """
 
 from __future__ import annotations
@@ -19,31 +20,28 @@ from . import dataset as ds
 from . import engine
 from . import worldmodel as wmod
 from .config import ConfigError, config_from_dict, read_json_object
-from .nncore import atomic_open
 
 ABLATION_ORDER = ("r_static", "pu_static", "rhat", "rhat_rs", "rhat_rd", "full")
 
 
 class CliError(Exception):
-    def __init__(self, message, code=1):
-        super().__init__(message)
-        self.code = code
+    """A bad flag or CLI config file: exit code 2, as for a DatasetError."""
 
 
 def _load_json(path):
     if not Path(path).exists():
-        raise CliError(f"no such file: {path}", code=2)
+        raise CliError(f"no such file: {path}")
     try:
         return read_json_object(path)
     except ConfigError as exc:
-        raise CliError(str(exc), code=2)
+        raise CliError(str(exc))
 
 
 def _config(cls, data, what):
     try:
         return config_from_dict(cls, data, what)
     except ConfigError as exc:
-        raise CliError(str(exc), code=2)
+        raise CliError(str(exc))
 
 
 def cmd_gen_data(args):
@@ -57,20 +55,15 @@ def cmd_gen_data(args):
 
 def cmd_train_wm(args):
     cfg = _config(wmod.WorldModelConfig, _load_json(args.config), "world-model config")
-    try:
-        d = ds.load_dataset(args.data)
-    except ds.DatasetError as exc:
-        raise CliError(str(exc), code=2)
+    d = ds.load_dataset(args.data)
     wm = wmod.train_world_model(d, cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     wmod.save_world_model(wm, out)
     loss_path = out.with_suffix(".loss.csv")
-    with atomic_open(loss_path) as fh:
-        fh.write("member,epoch,nll\n")
-        for k, history in enumerate(wm.nll_history):
-            for e, v in enumerate(history):
-                fh.write(f"{k},{e},{float(v)!r}\n")
+    rows = [{"member": k, "epoch": e, "nll": v}
+            for k, history in enumerate(wm.nll_history) for e, v in enumerate(history)]
+    engine.write_metrics_csv(rows, loss_path, ["member", "epoch", "nll"])
     print(f"wrote world model ({wm.K} members) to {out}; losses in {loss_path}")
     return 0
 
@@ -79,7 +72,7 @@ def _seed_list(seeds, what):
     """A run directory per seed: seeds must be distinct integers, at least one."""
     if not (isinstance(seeds, list) and seeds and all(type(s) is int for s in seeds)
             and len(set(seeds)) == len(seeds)):
-        raise CliError(f"{what} must be a non-empty list of distinct integers, got {seeds!r}", code=2)
+        raise CliError(f"{what} must be a non-empty list of distinct integers, got {seeds!r}")
     return seeds
 
 
@@ -91,25 +84,20 @@ def _policy_config(args):
         try:
             seeds = [int(s) for s in args.seed.split(",")]
         except ValueError:
-            raise CliError(f"bad --seed list: {args.seed}", code=2)
+            raise CliError(f"bad --seed list: {args.seed}")
         _seed_list(seeds, "--seed")
     settings = _config(engine.TrainSettings, raw, "config")
     variant = getattr(args, "variant", None)
     if variant is not None:
         if variant not in engine.VARIANTS:
-            raise CliError(
-                f"unknown variant '{variant}'; valid: {', '.join(engine.VARIANTS)}", code=2
-            )
+            raise CliError(f"unknown variant '{variant}'; valid: {', '.join(engine.VARIANTS)}")
         settings = dataclasses.replace(settings, variant=variant)
     return settings, seeds
 
 
 def _policy_inputs(args):
-    try:
-        d = ds.load_dataset(args.data)
-        return d, wmod.load_world_model(args.wm, d)
-    except ds.DatasetError as exc:
-        raise CliError(str(exc), code=2)
+    d = ds.load_dataset(args.data)
+    return d, wmod.load_world_model(args.wm, d)
 
 
 def _run_one(d, wm, settings, seed, run_dir):
@@ -135,11 +123,8 @@ def cmd_train_policy(args):
 
 def cmd_eval(args):
     if args.episodes < 1:
-        raise CliError(f"--episodes must be >= 1, got {args.episodes}", code=2)
-    try:
-        d = ds.load_dataset(args.data)
-    except ds.DatasetError as exc:
-        raise CliError(str(exc), code=2)
+        raise CliError(f"--episodes must be >= 1, got {args.episodes}")
+    d = ds.load_dataset(args.data)
     bundle = engine.load_policy(args.bundle, d)
     report = engine.evaluate(
         bundle["rec_agent"], d, bundle["matrix"], args.episodes, args.seed,
@@ -161,7 +146,7 @@ def cmd_ablate(args):
     # each run's last evaluation row is its row of ablation.csv
     if settings.epochs < 1 or settings.eval_every < 1:
         raise CliError("config: ablate needs an evaluation row: 'epochs' and 'eval_every' "
-                       "must be >= 1", code=2)
+                       "must be >= 1")
     d, wm = _policy_inputs(args)
     out = Path(args.out)
     rows = []
@@ -221,9 +206,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except (CliError, ds.DatasetError) as exc:  # a DatasetError is a ValueError: first
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
     except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,6 @@ manifest.json declaring the feedback range.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import hashlib
@@ -233,38 +232,6 @@ def save_dataset(d: Dataset, dir_path):
         fh.write("\n")
 
 
-@contextlib.contextmanager
-def _open_table(path, expect_prefix):
-    """The open CSV file, just below its checked header, and the header's fields.
-
-    A byte that is not UTF-8, met while the file is read, raises a
-    DatasetError naming its line.
-    """
-    if not path.exists():
-        raise DatasetError(f"missing file: {path.name}")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            line = fh.readline()
-            if not line:
-                raise DatasetError(f"{path.name}: missing header row")
-            header = next(csv.reader([line]))
-            if header[: len(expect_prefix)] != expect_prefix:
-                raise DatasetError(f"{path.name}: header must start with {expect_prefix}")
-            yield fh, header
-    except UnicodeDecodeError:
-        # the decoder reads ahead of the parser: find the line in the bytes
-        with open(path, "rb") as fh:
-            for number, raw in enumerate(fh, 1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DatasetError(
-                        f"{path.name}: line {number}: byte {raw[exc.start]:#04x} is not UTF-8 "
-                        f"({exc.reason})"
-                    ) from None
-        raise
-
-
 def _parse_rows(name, fh, dtype):
     """The CSV lines of an open file, just below its header, as an array; a
     fault is a DatasetError naming the file and the line.
@@ -285,7 +252,7 @@ def _parse_rows(name, fh, dtype):
         try:
             return read(fh)
         except UnicodeDecodeError:
-            raise  # a fault of the bytes, not of one row: `_open_table` names it
+            raise  # a fault of the bytes, not of one row: `_read_table` names it
         except ValueError as exc:
             # numpy counts rows in two ways and skips blank lines: parse the
             # lines again one at a time to find the first bad one
@@ -304,9 +271,29 @@ def _parse_rows(name, fh, dtype):
 
 def _read_table(path, expect_prefix, dtype):
     """The rows below a CSV header, read at once; rows of a plain dtype must
-    be as wide as the header."""
-    with _open_table(path, expect_prefix) as (fh, header):
-        rows = _parse_rows(path.name, fh, dtype)
+    be as wide as the header. A byte that is not UTF-8 raises a DatasetError
+    naming its line."""
+    if not path.exists():
+        raise DatasetError(f"missing file: {path.name}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            line = fh.readline()
+            if not line:
+                raise DatasetError(f"{path.name}: missing header row")
+            header = next(csv.reader([line]))
+            if header[: len(expect_prefix)] != expect_prefix:
+                raise DatasetError(f"{path.name}: header must start with {expect_prefix}")
+            rows = _parse_rows(path.name, fh, dtype)
+    except UnicodeDecodeError:
+        # the decoder reads ahead of the parser: find the byte in the file's bytes
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            number = data.count(b"\n", 0, exc.start) + 1
+            raise DatasetError(f"{path.name}: line {number}: byte {data[exc.start]:#04x} "
+                               f"is not UTF-8 ({exc.reason})") from None
+        raise
     if not np.dtype(dtype).names and len(rows) and rows.shape[1] != len(header):
         raise DatasetError(f"{path.name}: {rows.shape[1]} fields in a row, {len(header)} in the header")
     return rows

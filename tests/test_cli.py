@@ -122,6 +122,12 @@ class TestTrainWm:
         lines = loss_csv.read_text().strip().splitlines()
         assert lines[0] == "member,epoch,nll"
         assert len(lines) == 1 + WM_CFG["members"] * WM_CFG["epochs"]
+        # each loss reads back bit for bit
+        wm = wmod.train_world_model(ds.load_dataset(workspace["data"]),
+                                    wmod.WorldModelConfig(**WM_CFG))
+        for line in lines[1:]:
+            k, e, nll = line.split(",")
+            assert float(nll) == wm.nll_history[int(k)][int(e)]
 
     def test_seed_determinism_and_reload(self, workspace, tmp_path):
         wm_cfg = write_json(tmp_path / "wm.json", WM_CFG)
@@ -448,6 +454,19 @@ class TestEval:
         full = capsys.readouterr().out
         assert cli.main(["eval", "--bundle", str(bundle), *args]) == 0
         assert capsys.readouterr().out == full
+
+    def test_other_dataset_exits_1(self, workspace, trained_bundle, tmp_path, capsys):
+        # a bundle of another dataset fails in engine.load_policy, with exit
+        # code 1; a world model of another dataset gets 2 (TestTrainPolicy)
+        spec = write_json(tmp_path / "spec.json", {**SPEC, "seed": 77})
+        assert cli.main(["gen-data", "--spec", spec, "--out", str(tmp_path / "other")]) == 0
+        capsys.readouterr()
+        rc = cli.main(["eval", "--bundle", trained_bundle, "--data", str(tmp_path / "other"),
+                       "--episodes", "5", "--seed", "3"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bundle was trained on a different dataset (hash mismatch)"
+        ]
 
     def test_edited_config_rejected(self, workspace, trained_bundle, tmp_path, capsys):
         bundle = tmp_path / "edited"

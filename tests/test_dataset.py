@@ -201,6 +201,22 @@ class TestMalformedCsv:
         ]
         assert not (tmp_path / "wm.ckpt").exists()
 
+    # csv.writer ends each line with \r\n, the case above; here the lines end
+    # with `ending`, and a bad byte in the header is on line 1
+    @pytest.mark.parametrize("row, ending", [(0, b"\n"), (0, b"\r\n"), (-1, b"\n")],
+                             ids=["header-lf", "header-crlf", "last-row-lf"])
+    @pytest.mark.parametrize("name", CSV_FILES)
+    def test_non_utf8_byte_line_in_header_and_lf_files(self, tmp_path, name, row, ending):
+        write_valid_layout(tmp_path)
+        path = tmp_path / name
+        lines = path.read_bytes().splitlines()
+        lines[row] = lines[row][:1] + b"\xff" + lines[row][1:]
+        path.write_bytes(b"".join(line + ending for line in lines))
+        number = 1 if row == 0 else len(lines)
+        message = f"{name}: line {number}: byte 0xff is not UTF-8 (invalid start byte)"
+        with pytest.raises(ds.DatasetError, match=f"^{re.escape(message)}$"):
+            ds.load_dataset(tmp_path)
+
     def test_quoted_numbers_load(self, tmp_path):
         write_valid_layout(tmp_path)
         plain = ds.load_dataset(tmp_path)

@@ -104,7 +104,8 @@ def readme_code_references():
 
 def test_readme_code_references_resolve():
     refs = readme_code_references()
-    assert ("darlr.engine", ("load_bundle",)) in refs  # the scan finds what README names
+    # the scan finds what README names, a dataclass field too
+    assert {("darlr.engine", ("load_bundle",)), ("darlr.engine", ("Trajectory", "steps"))} <= set(refs)
     stale = []
     for module, path in refs:
         try:
@@ -113,8 +114,10 @@ def test_readme_code_references_resolve():
             stale.append(module)
             continue
         for i, name in enumerate(path):
-            if not hasattr(obj, name):
+            # a dataclass field with no class default is no class attribute
+            fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else ()
+            if not (hasattr(obj, name) or name in fields):
                 stale.append(".".join([module[len("darlr.") :], *path[: i + 1]]))
                 break
-            obj = getattr(obj, name)
+            obj = getattr(obj, name, None)
     assert stale == [], f"README names code that does not exist: {stale}"
