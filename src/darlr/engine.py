@@ -286,7 +286,7 @@ def rollout_trajectory(run: TrainRun, u):
             r_prev = float(matrix.write(u, item, rm.shape_reward(episode.ref_rewards)))
             mean_sim, mean_div = episode.mean_sim(), episode.mean_div()
         # read after the write: the train reward is the shaped estimate
-        r_hat, done, _ = env_step(u, item, t, "train", matrix, None, cats, item_cats)
+        r_hat, done, _ = env_step(u, item, int(t[0]), "train", matrix, None, cats, item_cats)
         if gains is None:  # frozen-matrix variant: no selection, no write-back
             r_prev = r_hat
         if kind == "static":
@@ -396,23 +396,35 @@ def majority_category_ratio(categories) -> float:
     return float(counts.max() / len(categories))
 
 
-# Evaluation episodes played together in lockstep. Results do not depend on
-# it. It bounds a block's memory: one block of all 1000 episodes of a 1000x500
-# evaluation raises the peak RSS of `darlr eval` by about 30%.
+# Evaluation episodes live at once in lockstep. Results do not depend on it.
+# It bounds their memory: all 1000 episodes of a 1000x500 evaluation live at
+# once raise the peak RSS of `darlr eval` from 52 to 81 MB (256: 57 MB).
 _EVAL_BLOCK = 64
 
 
 def _eval_block(agent, d: ds.Dataset, seed, indices, greedy):
-    """Play the evaluation episodes `indices` in lockstep; one result each.
+    """Play the evaluation episodes `indices`, at most `_EVAL_BLOCK` at once
+    in lockstep, the next episode taking the row of one that ends; one
+    result each.
 
     Episode `idx` draws its user and its actions from its own
-    rng_stream(seed, "eval-episode", idx), so its result does not depend
-    on the other episodes of the block.
+    rng_stream(seed, "eval-episode", idx), made when the episode starts and
+    dropped when it ends, so its result does not depend on the others.
     """
-    rngs = [rng_stream(seed, "eval-episode", idx) for idx in indices]
-    users = np.array([int(rng.integers(d.n_users)) for rng in rngs])
+    users, rngs = np.zeros(len(indices), dtype=np.int64), {}  # rngs: the live episodes', by row
     item_cats = d.items.primary_category
     totals, visited, cats = [0.0] * len(users), [[] for _ in users], [[] for _ in users]
+    started = 0
+
+    def start(k):
+        """The first inputs and the masks of the next k episodes."""
+        nonlocal started
+        lo, started = started, min(started + k, len(indices))
+        for r in range(lo, started):
+            rngs[r] = rng_stream(seed, "eval-episode", indices[r])
+            users[r] = rngs[r].integers(d.n_users)
+        new = users[lo:started]
+        return agent.token_inputs(new), np.ones((len(new), agent.n_items), dtype=bool)
 
     def step(rows, states, z, t):
         if greedy:
@@ -420,19 +432,20 @@ def _eval_block(agent, d: ds.Dataset, seed, indices, greedy):
         else:
             items, _ = sample_rows(z, [rngs[r] for r in rows])
         rewards, done = [], []
-        for r, u, item, cat in zip(
-            rows.tolist(), users[rows].tolist(), items.tolist(), item_cats[items].tolist()
+        for r, u, item, cat, n in zip(
+            rows.tolist(), users[rows].tolist(), items.tolist(), item_cats[items].tolist(), t.tolist()
         ):
-            reward, end, _ = env_step(u, item, t, "eval", None, d.truth_matrix, cats[r], item_cats)
+            reward, end, _ = env_step(u, item, n, "eval", None, d.truth_matrix, cats[r], item_cats)
             totals[r] += reward
             visited[r].append((u, item))
             cats[r].append(cat)
             rewards.append(reward)
             done.append(end)
+            if end or n == agent.n_items:  # the episode ends: done, or no item left
+                del rngs[r]
         return items, agent.token_inputs(users[rows], items, rewards), done
 
-    masks = np.ones((len(users), agent.n_items), dtype=bool)
-    play_episodes(agent, agent.token_inputs(users), masks, step)
+    play_episodes(agent, *start(_EVAL_BLOCK), step, supply=start)
     return [
         {
             "r_tra": total, "length": len(c), "r_each": total / len(c),
@@ -445,17 +458,15 @@ def _eval_block(agent, d: ds.Dataset, seed, indices, greedy):
 def evaluate(agent, d: ds.Dataset, matrix, episodes, seed, greedy=False) -> EvalReport:
     """Roll out evaluation episodes against the ground-truth environment.
 
-    Each episode owns an RNG stream derived from (seed, index); episodes
-    advance in lockstep blocks of `_EVAL_BLOCK`.
+    Each episode owns an RNG stream derived from (seed, index); all are
+    played through one `_eval_block` call, at most `_EVAL_BLOCK` live at
+    once, a finished episode's row taken by the next.
     """
     if episodes < 1:
         raise ValueError(f"evaluation needs at least one episode, got {episodes}")
     if d.truth_matrix is None:
         raise ValueError("evaluation requires a ground-truth matrix")
-    results = []
-    for lo in range(0, episodes, _EVAL_BLOCK):
-        block = range(lo, min(lo + _EVAL_BLOCK, episodes))
-        results += _eval_block(agent, d, seed, block, greedy)
+    results = _eval_block(agent, d, seed, range(episodes), greedy)
 
     arrays = {
         key: np.array([r[key] for r in results])

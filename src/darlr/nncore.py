@@ -324,22 +324,40 @@ class SeqEncoder:
             out.extend(p.values())
         return out
 
+    def _matmul(self, x, w):
+        """x @ w for x (B, window, n) or (B, 1, n), one BLAS product of `window` rows per window.
+        BLAS sums a row in an order set by the product's row count and, on Haswell kernels, by
+        the row's place in it, so a one-slot row goes in at the bottom of a window of zeros, the
+        place it has in its full window's product."""
+        if x.shape[1] == self.window:
+            return x @ w
+        buf = np.zeros((len(x), self.window, x.shape[2]))
+        buf[:, -1:] = x
+        return (buf @ w)[:, -1:]
+
     def forward(self, windows, pad):
         """Encode B left-padded windows (B, window, width) in one pass; `pad`
-        (B, window) marks the start-token slots. Returns (states, tape)."""
+        (B, window) marks the start-token slots. Returns (states, tape).
+
+        Only the last slot is read, so the top layer computes keys and values
+        for every slot, and the query, attention and feed-forward for the
+        last slot alone; its tape holds those with one slot."""
         x = np.where(pad[..., None], self.start.values, windows) + self.pos.values
         scale = 1.0 / math.sqrt(self.width)
         layer_tapes = []
         for p in self.layer_params:
             n1, ln1_cache = _layer_norm_forward(x, p["ln1_g"], p["ln1_b"])
-            q, k, v = (n1 @ p[f"w{c}"].values + p[f"b{c}"].values for c in "qkv")
+            k, v = (n1 @ p[f"w{c}"].values + p[f"b{c}"].values for c in "kv")
+            if p is self.layer_params[-1]:  # the top layer: the last slot alone from here
+                x = x[:, -1:]
+            q = self._matmul(n1[:, -x.shape[1] :], p["wq"].values) + p["bq"].values
             # einsum, not @: BLAS would sum the products in another order
             attn = softmax(np.einsum("bid,bjd->bij", q, k) * scale, axis=-1)
             ctx = np.einsum("bij,bjd->bid", attn, v)
-            x_mid = x + (ctx @ p["wo"].values + p["bo"].values)
+            x_mid = x + (self._matmul(ctx, p["wo"].values) + p["bo"].values)
             n2, ln2_cache = _layer_norm_forward(x_mid, p["ln2_g"], p["ln2_b"])
-            a1 = np.tanh(n2 @ p["w1"].values + p["b1"].values)
-            x = x_mid + (a1 @ p["w2"].values + p["b2"].values)
+            a1 = np.tanh(self._matmul(n2, p["w1"].values) + p["b1"].values)
+            x = x_mid + (self._matmul(a1, p["w2"].values) + p["b2"].values)
             layer_tapes.append(
                 {
                     "n1": n1, "ln1": ln1_cache, "q": q, "k": k, "v": v, "attn": attn,
@@ -351,36 +369,40 @@ class SeqEncoder:
     def backward_batch(self, tape, ds):
         """Push gradients at the B states (B, width) back to every window slot.
 
-        Accumulates parameter gradients window by window in batch order.
+        Accumulates parameter gradients window by window in batch order. A
+        layer's gradient takes the window's width only at its keys, values
+        and first LayerNorm; the rest spans the slots its tape holds.
         """
         scale = 1.0 / math.sqrt(self.width)
         dx = np.zeros(tape["pad"].shape + (self.width,))
         dx[:, -1] = ds
         for p, lt in zip(reversed(self.layer_params), reversed(tape["layers"])):
-            # in the top layer only the last slot carries gradient into w2, w1, wo and wq
-            top = slice(-1, None) if p is self.layer_params[-1] else slice(None)
+            n1, dout = lt["n1"], dx[:, -lt["q"].shape[1] :]  # the slots this layer computed
             # feed-forward branch
-            dh1 = (dx @ p["w2"].values.T) * (1.0 - lt["a1"] ** 2)
-            for c, x_in, dy in (("2", lt["a1"], dx), ("1", lt["n2"], dh1)):
-                _add_products_in_order(p[f"w{c}"].grad, x_in[:, top], dy[:, top])
+            dh1 = self._matmul(dout, p["w2"].values.T) * (1.0 - lt["a1"] ** 2)
+            for c, x_in, dy in (("2", lt["a1"], dout), ("1", lt["n2"], dh1)):
+                _add_products_in_order(p[f"w{c}"].grad, x_in, dy)
                 add_in_order(p[f"b{c}"].grad, dy.sum(axis=1))
-            dn2 = dh1 @ p["w1"].values.T
-            dx_mid = dx + _layer_norm_backward(lt["ln2"], p["ln2_g"], p["ln2_b"], dn2)
+            dn2 = self._matmul(dh1, p["w1"].values.T)
+            dx_mid = dout + _layer_norm_backward(lt["ln2"], p["ln2_g"], p["ln2_b"], dn2)
             # attention branch
-            _add_products_in_order(p["wo"].grad, lt["ctx"][:, top], dx_mid[:, top])
+            _add_products_in_order(p["wo"].grad, lt["ctx"], dx_mid)
             add_in_order(p["bo"].grad, dx_mid.sum(axis=1))
-            dctx = dx_mid @ p["wo"].values.T
+            dctx = self._matmul(dx_mid, p["wo"].values.T)
             attn = lt["attn"]
             dattn = np.einsum("bid,bjd->bij", dctx, lt["v"])
             dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
             dq = np.einsum("bij,bjd->bid", dscores, lt["k"]) * scale
             dk = np.einsum("bij,bid->bjd", dscores, lt["q"]) * scale
             dv = np.einsum("bij,bid->bjd", attn, dctx)
-            dn1 = dq @ p["wq"].values.T + dk @ p["wk"].values.T + dv @ p["wv"].values.T
-            for c, dy, rows in (("q", dq, top), ("k", dk, slice(None)), ("v", dv, slice(None))):
-                _add_products_in_order(p[f"w{c}"].grad, lt["n1"][:, rows], dy[:, rows])
+            dn1 = dk @ p["wk"].values.T
+            dn1[:, -dq.shape[1] :] += self._matmul(dq, p["wq"].values.T)
+            dn1 += dv @ p["wv"].values.T
+            for c, dy in (("q", dq), ("k", dk), ("v", dv)):
+                _add_products_in_order(p[f"w{c}"].grad, n1[:, -dy.shape[1] :], dy)
                 add_in_order(p[f"b{c}"].grad, dy.sum(axis=1))
-            dx = dx_mid + _layer_norm_backward(lt["ln1"], p["ln1_g"], p["ln1_b"], dn1)
+            dx = _layer_norm_backward(lt["ln1"], p["ln1_g"], p["ln1_b"], dn1)
+            dx[:, -dx_mid.shape[1] :] += dx_mid
         add_in_order(self.pos.grad, dx.copy())
         add_in_order(self.start.grad, np.where(tape["pad"][..., None], dx, 0.0).sum(axis=1))
         return dx
@@ -426,7 +448,7 @@ class WindowedActorCritic:
         return self.proj.backward(fwd["tok_tape"], dtokens[:, None])[:, 0]
 
 
-def play_episodes(agent, inputs, masks, step):
+def play_episodes(agent, inputs, masks, step, supply=None):
     """Play one episode per row of `inputs`, each its first projection input,
     in lockstep; `masks` (N, n_actions) marks the actions each may take.
 
@@ -436,27 +458,31 @@ def play_episodes(agent, inputs, masks, step):
     `replay_forward` (as there, where the agent's `encode_first` is False an
     episode's first state is its bare first token). Then
     `step(rows, states, z, t)` gets the live episodes' rows, states and
-    logits with their spent actions at -inf, and the 1-based step number;
-    it returns one action, one next projection input (an array row) and
-    one done flag (a bool) per live episode; an action out of range or
-    spent raises ValueError. An episode ends when done or when no action
-    is left.
+    logits with their spent actions at -inf, and their 1-based step numbers
+    (an int array); it returns one action, one next projection input (an
+    array row) and one done flag (a bool) per live episode; an action out
+    of range or spent raises ValueError. An episode ends when done or when
+    no action is left. When k episodes end, `supply(k)`, if given, returns
+    the first inputs and the masks of up to k more, which take the freed
+    rows: at most N are live at once. Rows number the episodes in the
+    order they started.
     """
     masks = np.array(masks, dtype=bool)
     n_actions, window, allowed = masks.shape[1], agent.window, masks.sum(axis=1)
     rows = pos = np.arange(len(masks))  # pos: the live episodes' positions in the arrays below
-    # at step t every live window holds min(t, window) tokens
+    # at step t an episode's window holds min(t, window) tokens
     windows = np.zeros((len(rows), window, agent.encoder.width))
-    slots = np.arange(window)[None]
-    t = 0
+    slots, t, started = np.arange(window), np.zeros(len(rows), dtype=np.int64), len(rows)
     while len(rows):
         t += 1
         tokens, _ = agent.proj.forward(inputs[:, None])
         windows = np.concatenate([windows[:, 1:], tokens], axis=1)
-        if t == 1 and not agent.encode_first:
-            states = tokens[:, 0]
-        else:
-            states, _ = agent.encoder.forward(windows, slots < window - t)
+        if agent.encode_first or t.min() > 1:
+            states, _ = agent.encoder.forward(windows, slots < window - t[:, None])
+        else:  # an episode's first state is its bare first token
+            states, enc = tokens[:, 0].copy(), t > 1
+            if enc.any():
+                states[enc], _ = agent.encoder.forward(windows[enc], slots < window - t[enc, None])
         logits, _ = agent.actor.forward(states[:, None])
         z = np.where(masks, logits[:, 0], -np.inf)
         actions, inputs, done = step(rows, states, z, t)
@@ -467,8 +493,18 @@ def play_episodes(agent, inputs, masks, step):
         live = allowed > t  # each live episode has spent t distinct actions
         live[done] = False
         if not live.all():
-            rows, windows, masks, inputs = rows[live], windows[live], masks[live], inputs[live]
-            pos, allowed = np.arange(len(rows)), allowed[live]
+            rows, windows, masks, inputs, t, allowed = (
+                a[live] for a in (rows, windows, masks, inputs, t, allowed)
+            )
+            new_inputs, new = supply(len(live) - len(rows)) if supply else (None, ())
+            if len(new):
+                new, n = np.array(new, dtype=bool), len(new)
+                rows = np.concatenate([rows, np.arange(started, started + n)])
+                windows = np.concatenate([windows, np.zeros((n,) + windows.shape[1:])])
+                masks, inputs = np.concatenate([masks, new]), np.concatenate([inputs, new_inputs])
+                t = np.concatenate([t, np.zeros(n, dtype=np.int64)])
+                allowed, started = np.concatenate([allowed, new.sum(axis=1)]), started + n
+            pos = np.arange(len(rows))
 
 
 def replay_forward(agent, inputs, lengths):

@@ -117,6 +117,7 @@ def run_selection(
     # the token of step t holds s_rec and the newest row: p_u's, then the last pick's
     def step(rows, states, z, t):
         nonlocal running_sum
+        t = int(t[0])  # the one episode's step
         slot = int(sample_rows(z, [rng])[0][0])
         cand = int(pool[slot])
         p_row = matrix.current[cand].copy()

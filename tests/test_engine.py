@@ -961,6 +961,9 @@ LOCKSTEP_CASES = {
 }
 
 
+ALONE = {}  # (case, greedy): the reference episodes of TestLockstepEvaluation, each played alone
+
+
 def lockstep_case(name, smoke_run, tiny_dataset):
     spec, length = LOCKSTEP_CASES[name]
     if spec is None:
@@ -1000,6 +1003,44 @@ class TestLockstepEvaluation:
         default = engine.evaluate(*args)
         monkeypatch.setattr(engine, "_EVAL_BLOCK", 7)
         assert reports_equal(engine.evaluate(*args), default)
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize("case", ["tiny", "catalog_runs_out"])
+    @pytest.mark.parametrize("block", [1, 5, 64, 131])
+    def test_refilled_rows_keep_every_bit(self, block, case, greedy, smoke_run, tiny_dataset, monkeypatch):
+        # a finished episode's row goes to the next one: no live count changes a bit
+        agent, d, matrix, _ = lockstep_case(case, smoke_run, tiny_dataset)
+        key = (case, greedy)
+        if key not in ALONE:
+            ALONE[key] = [reference_episode(agent, d, 5, i, greedy) for i in range(self.EPISODES)]
+        ref = ALONE[key]
+        monkeypatch.setattr(engine, "_EVAL_BLOCK", block)
+        report = engine.evaluate(agent, d, matrix, self.EPISODES, 5, greedy=greedy)
+        for name in ("r_tra", "length", "r_each", "mcd"):
+            assert np.array_equal(report.per_episode[name], np.array([r[name] for r in ref])), name
+        assert report.reward_error == reference_reward_error(ref, matrix, d)
+
+    def test_passes_stay_full_until_the_episodes_run_out(self, smoke_run, tiny_dataset, monkeypatch):
+        agent, made, passes = smoke_run.rec_agent, [], []
+        monkeypatch.setattr(engine, "_EVAL_BLOCK", 8)
+        monkeypatch.setattr(engine, "rng_stream", lambda *a: made.append(a) or rng_stream(*a))
+        forward = agent.actor.forward
+        monkeypatch.setattr(agent.actor, "forward", lambda x: passes.append((len(x), len(made))) or forward(x))
+        engine.evaluate(agent, tiny_dataset, smoke_run.matrix, 40, 3)
+        assert len(made) == 40
+        for rows, started in passes:
+            assert rows == 8 if started < 40 else 1 <= rows <= 8
+
+    def test_streams_are_made_as_episodes_start(self, smoke_run, tiny_dataset, monkeypatch):
+        made, at_first_step = [], []
+        monkeypatch.setattr(engine, "rng_stream", lambda *a: made.append(a) or rng_stream(*a))
+        env_step = engine.env_step
+        monkeypatch.setattr(
+            engine, "env_step", lambda *a: at_first_step.append(len(made)) or env_step(*a)
+        )
+        engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, self.EPISODES, 5)
+        assert at_first_step[0] == engine._EVAL_BLOCK
+        assert made == [(5, "eval-episode", i) for i in range(self.EPISODES)]
 
     @pytest.mark.parametrize("episodes", [0, -3])
     def test_episode_count_below_one_rejected(self, episodes, smoke_run, tiny_dataset):

@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,13 +154,16 @@ class TestSeqEncoder:
         assert np.allclose(s3, s1, atol=1e-12)
 
     def test_attention_rows_are_probabilities(self):
-        e = nn.SeqEncoder("e", 6, window=4, seed=8)
+        # the top layer attends from the output slot alone; a lower layer from every slot
         toks = nn.rng_stream(1, "t").normal(size=(3, 6))
-        _, tape = encode(e, list(toks))
-        attn = tape["layers"][0]["attn"]
-        assert attn.shape == (1, 4, 4)
-        assert np.all(attn >= 0)
-        assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
+        for layers, shapes in ((1, [(1, 1, 4)]), (2, [(1, 4, 4), (1, 1, 4)])):
+            e = nn.SeqEncoder("e", 6, window=4, seed=8, layers=layers)
+            _, tape = encode(e, list(toks))
+            for lt, shape in zip(tape["layers"], shapes):
+                attn = lt["attn"]
+                assert attn.shape == shape
+                assert np.all(attn >= 0)
+                assert np.allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_forward_deterministic(self):
         e = nn.SeqEncoder("e", 4, window=3, seed=2)
@@ -335,6 +342,86 @@ class TestBatchedEncoder:
                 loop += part
             nn.add_in_order(grad, parts)
             assert np.array_equal(grad, loop), n
+
+
+def test_batched_encoder_holds_on_haswell_kernels():
+    """TestBatchedEncoder again, in a process whose OpenBLAS runs its Haswell
+    kernels, where a row's bits depend on its place in a product: the top
+    layer's one-slot products must match the per-window reference there too."""
+    tests = Path(__file__).resolve().parent
+    script = (
+        "import sys, pytest\n"
+        "from conftest import openblas_core\n"
+        "if openblas_core() != 'Haswell':\n"
+        "    sys.exit(f'core {openblas_core()}')\n"
+        f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {str(Path(__file__).resolve())!r} + '::TestBatchedEncoder']))\n"
+    )
+    src = str(Path(nn.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, cwd=tests,
+        env={**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+             "PYTHONPATH": os.pathsep.join(filter(None, [str(tests), src, os.environ.get("PYTHONPATH")]))},
+    )
+    if proc.returncode == 1 and proc.stderr.startswith("core "):
+        pytest.skip(f"OpenBLAS did not take the Haswell kernels ({proc.stderr.strip()})")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+class TestSupply:
+    """`play_episodes` with a supply hook: episodes take the rows of those that
+    ended, and each gets the bits of being played alone."""
+
+    LENGTHS = [1, 5, 2, 7, 3, 1, 4, 6, 2]  # shorter and longer than the window of 3
+
+    def agent(self, kind, layers):
+        if kind == "recommender":  # encode_first: every state is encoded
+            return RecommenderAgent(4, 9, 3, 5, 3, seed=6, layers=layers, hidden=(6,))
+        return SelectorAgent(5, 4, 3, 8, 3, seed=6, layers=layers, hidden=(6,))  # bare first tokens
+
+    def play(self, agent, episodes, capacity):
+        """Play `episodes` with at most `capacity` live; per episode, the state
+        and masked logits of each step, and the step numbers of each pass."""
+        rng = nn.rng_stream(4, "inputs")
+        inputs = [rng.normal(size=(n, agent.proj.n_in)) for n in self.LENGTHS]
+        n_actions = agent.actor.layers[-1].n_out
+        queue, ids, seen, passes = list(episodes), [], {}, []
+
+        def take(k):
+            ids.extend(queue[:k])
+            new, queue[:k] = queue[:k], []
+            first = np.array([inputs[e][0] for e in new]).reshape(len(new), agent.proj.n_in)
+            return first, np.ones((len(new), n_actions), dtype=bool)
+
+        def step(rows, states, z, t):
+            passes.append(t.tolist())
+            actions, nxt, done = [], [], []
+            for r, s, zz, n in zip(rows.tolist(), states, z, t.tolist()):
+                e = ids[r]
+                seen.setdefault(e, []).append((s.copy(), zz.copy()))
+                actions.append(int(np.argmax(zz)))
+                nxt.append(inputs[e][min(n, self.LENGTHS[e] - 1)])
+                done.append(n == self.LENGTHS[e])
+            return actions, np.array(nxt), done
+
+        nn.play_episodes(agent, *take(capacity), step, supply=take if len(queue) else None)
+        return seen, passes
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("kind", ["recommender", "selector"])
+    def test_every_episode_keeps_the_bits_of_being_played_alone(self, kind, layers):
+        agent = self.agent(kind, layers)
+        alone = {}
+        for e in range(len(self.LENGTHS)):
+            alone.update(self.play(agent, [e], 1)[0])
+        for capacity in (2, 3):
+            together, passes = self.play(agent, range(len(self.LENGTHS)), capacity)
+            assert max(map(len, passes)) == capacity
+            assert any(1 in t and max(t) > 1 for t in passes)  # first steps beside later ones
+            assert sorted(together) == sorted(alone)
+            for e, steps in alone.items():
+                assert len(together[e]) == len(steps) == self.LENGTHS[e]
+                for (s, z), (s_ref, z_ref) in zip(together[e], steps):
+                    assert np.array_equal(s, s_ref) and np.array_equal(z, z_ref), e
 
 
 class TestOneCallSums:

@@ -19,6 +19,7 @@ def played(a, user, items, rewards):
     def step(rows, s, z, t):
         states.append(s[0].copy())
         zs.append(z[0].copy())
+        t = t[0]
         done = t == len(items)
         # no token follows the last step, so a bad last item meets the player's range check
         nxt = a.token_inputs([user]) if done else a.token_inputs([user], [items[t - 1]], [rewards[t - 1]])
