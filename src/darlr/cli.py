@@ -126,19 +126,16 @@ def cmd_eval(args):
         raise CliError(f"--episodes must be >= 1, got {args.episodes}")
     d = ds.load_dataset(args.data)
     bundle = engine.load_policy(args.bundle, d)
-    report = engine.evaluate(
+    row, _ = engine.evaluate(
         bundle["rec_agent"], d, bundle["matrix"], args.episodes, args.seed,
         greedy=bundle["settings"].eval_greedy,
     )
-    print("R_tra,R_tra_std,R_each,Length,MCD,reward_error")
-    print(
-        f"{report.r_tra!r},{report.r_tra_std!r},{report.r_each!r},"
-        f"{report.length!r},{report.mcd!r},{report.reward_error!r}"
-    )
+    print(",".join(row))
+    print(",".join(map(repr, row.values())))
     return 0
 
 
-ABLATION_COLUMNS = ["variant", "seed", "R_tra", "R_tra_std", "R_each", "Length", "MCD", "reward_error"]
+ABLATION_COLUMNS = ["variant", "seed", *engine.EVAL_COLUMNS]
 
 
 def cmd_ablate(args):

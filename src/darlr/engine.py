@@ -111,17 +111,6 @@ class Trajectory:
 
 
 @dataclass
-class EvalReport:
-    r_tra: float
-    r_tra_std: float
-    r_each: float
-    length: float
-    mcd: float
-    reward_error: float
-    per_episode: dict = field(default_factory=dict, repr=False)
-
-
-@dataclass
 class TrainSettings:
     """Single-seed run configuration covering both agents and the loop."""
 
@@ -455,36 +444,35 @@ def _eval_block(agent, d: ds.Dataset, seed, indices, greedy):
     ]
 
 
-def evaluate(agent, d: ds.Dataset, matrix, episodes, seed, greedy=False) -> EvalReport:
+# evaluate's row, in the order of every table that reports it (README defines each)
+EVAL_COLUMNS = ["R_tra", "R_tra_std", "R_each", "Length", "MCD", "reward_error"]
+
+
+def evaluate(agent, d: ds.Dataset, matrix, episodes, seed, greedy=False):
     """Roll out evaluation episodes against the ground-truth environment.
 
     Each episode owns an RNG stream derived from (seed, index); all are
     played through one `_eval_block` call, at most `_EVAL_BLOCK` live at
-    once, a finished episode's row taken by the next.
+    once, a finished episode's row taken by the next. Returns `(row,
+    per_episode)`: `row` maps `EVAL_COLUMNS` to floats, `per_episode` maps
+    r_tra, length, r_each and mcd to one value per episode.
     """
     if episodes < 1:
         raise ValueError(f"evaluation needs at least one episode, got {episodes}")
     if d.truth_matrix is None:
         raise ValueError("evaluation requires a ground-truth matrix")
     results = _eval_block(agent, d, seed, range(episodes), greedy)
-
-    arrays = {
-        key: np.array([r[key] for r in results])
-        for key in ("r_tra", "length", "r_each", "mcd")
-    }
-    if matrix is not None:
-        pairs = np.array([pair for r in results for pair in r["visited"]])
-        # sorted distinct pairs; np.unique would import numpy.ma on its first call
-        keys = np.sort(pairs[:, 0] * d.n_items + pairs[:, 1])
-        uu, ii = np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], d.n_items)
-        reward_error = float(np.abs(matrix.current[uu, ii] - d.truth_matrix[uu, ii]).mean())
-    else:
-        reward_error = float("nan")
-    return EvalReport(
-        r_tra=float(arrays["r_tra"].mean()), r_tra_std=float(arrays["r_tra"].std()),
-        r_each=float(arrays["r_each"].mean()), length=float(arrays["length"].mean()),
-        mcd=float(arrays["mcd"].mean()), reward_error=reward_error, per_episode=arrays,
+    per_episode = {k: np.array([r[k] for r in results]) for k in ("r_tra", "length", "r_each", "mcd")}
+    pairs = np.array([pair for r in results for pair in r["visited"]])
+    # sorted distinct pairs; np.unique would import numpy.ma on its first call
+    keys = np.sort(pairs[:, 0] * d.n_items + pairs[:, 1])
+    uu, ii = np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], d.n_items)
+    r_tra = per_episode["r_tra"]
+    values = (
+        r_tra.mean(), r_tra.std(), per_episode["r_each"].mean(), per_episode["length"].mean(),
+        per_episode["mcd"].mean(), np.abs(matrix.current[uu, ii] - d.truth_matrix[uu, ii]).mean(),
     )
+    return dict(zip(EVAL_COLUMNS, map(float, values))), per_episode
 
 
 # --- training loop -----------------------------------------------------------
@@ -532,13 +520,8 @@ def play_epoch(run: TrainRun) -> bool:
         (epoch + 1) % st.eval_every == 0 or epoch == st.epochs - 1 or budget_hit
     ):
         eval_seed = int(rng_stream(st.seed, "eval-seed", epoch).integers(2**63))
-        report = evaluate(run.rec_agent, d, run.matrix, st.eval_episodes, eval_seed, st.eval_greedy)
-        run.metrics_rows.append({
-            "epoch": epoch, "steps": run.steps_total,
-            "R_tra": report.r_tra, "R_tra_std": report.r_tra_std,
-            "R_each": report.r_each, "Length": report.length,
-            "MCD": report.mcd, "reward_error": report.reward_error,
-        })
+        row, _ = evaluate(run.rec_agent, d, run.matrix, st.eval_episodes, eval_seed, st.eval_greedy)
+        run.metrics_rows.append({"epoch": epoch, "steps": run.steps_total, **row})
     run.epoch += 1
     return budget_hit
 
@@ -553,7 +536,7 @@ def train(d: ds.Dataset, wm: wmod.WorldModelEnsemble, settings: TrainSettings) -
     return run
 
 
-METRICS_COLUMNS = ["epoch", "steps", "R_tra", "R_tra_std", "R_each", "Length", "MCD", "reward_error"]
+METRICS_COLUMNS = ["epoch", "steps", *EVAL_COLUMNS]
 
 
 def write_metrics_csv(rows, path, columns=METRICS_COLUMNS):

@@ -586,27 +586,31 @@ def load_block_state(sets, state, where):
     """Restore parameter sets in place from a state mapping.
 
     A missing record, one whose shape differs from the block's, an array
-    record that is not finite floats, or blocks of one set whose step
-    counts disagree raise ValueError naming `where`.
+    record that is not finite floats, a step count that is not an integer
+    in [0, 2**63), or blocks of one set whose step counts disagree raise
+    ValueError naming `where`.
     """
     for params in sets:
         steps = []
         for b in params.blocks:
-            step = np.zeros((), dtype=np.int64)
             for suffix, target in (
-                ("values", b.values), ("adam_m", b.adam_m), ("adam_v", b.adam_v), ("step_count", step)
+                ("values", b.values), ("adam_m", b.adam_m), ("adam_v", b.adam_v), ("step_count", None)
             ):
                 key = f"{b.name}:{suffix}"
                 if key not in state:
                     raise ValueError(f"{where}: missing record {key}")
-                if np.shape(state[key]) != target.shape:
+                value, shape = np.asarray(state[key]), () if target is None else target.shape
+                if value.shape != shape:
+                    raise ValueError(f"{where}: {key} has shape {value.shape}, expected {shape}")
+                if target is not None:
+                    check_finite_floats(where, key, value)
+                    target[...] = value
+                elif value.dtype.kind not in "iu" or not 0 <= value <= np.iinfo(np.int64).max:
                     raise ValueError(
-                        f"{where}: {key} has shape {np.shape(state[key])}, expected {target.shape}"
+                        f"{where}: {key} is {value.item()!r} of dtype {value.dtype}, "
+                        "expected an integer in [0, 2**63)"
                     )
-                if target is not step:
-                    check_finite_floats(where, key, state[key])
-                target[...] = state[key]
-            steps.append(int(step))
+            steps.append(int(value))  # the block's step_count, its last record
             if steps[-1] != steps[0]:
                 raise ValueError(
                     f"{where}: blocks of one set disagree on step_count: "

@@ -330,11 +330,11 @@ def test_criterion_8_determinism_and_persistence(tiny_dataset, tiny_wm, tmp_path
         ok &= bool(np.array_equal(x.adam_m, y.adam_m))
     ok &= bool(np.array_equal(a.matrix.current, loaded["matrix"].current))
 
-    direct = engine.evaluate(a.rec_agent, tiny_dataset, a.matrix, 10, 99)
-    resumed = engine.evaluate(loaded["rec_agent"], tiny_dataset, loaded["matrix"], 10, 99)
-    ok &= direct.r_tra == resumed.r_tra
-    ok &= direct.reward_error == resumed.reward_error
-    ok &= bool(np.array_equal(direct.per_episode["r_tra"], resumed.per_episode["r_tra"]))
+    direct, direct_eps = engine.evaluate(a.rec_agent, tiny_dataset, a.matrix, 10, 99)
+    resumed, resumed_eps = engine.evaluate(loaded["rec_agent"], tiny_dataset, loaded["matrix"], 10, 99)
+    ok &= direct["R_tra"] == resumed["R_tra"]
+    ok &= direct["reward_error"] == resumed["reward_error"]
+    ok &= bool(np.array_equal(direct_eps["r_tra"], resumed_eps["r_tra"]))
     verdict(8, "determinism and persistence", ok)
 
 

@@ -602,6 +602,7 @@ class TestEval:
         ("rec/emb_user:adam_m", INF, "holds a value that is not finite"),
         ("rec/enc/pos:adam_v", "x", "has dtype <U1, expected float"),
         ("rec/proj/b:values", 1, "has dtype int64, expected float"),
+        ("rec/enc/pos:step_count", -3, "is -3 of dtype int64, expected an integer in [0, 2**63)"),
     ])
     def test_bad_recommender_record_names_the_file(self, workspace, trained_bundle, tmp_path,
                                                    capsys, record, value, message):
@@ -719,3 +720,62 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 2
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+# Runs in its own interpreter: importing perfbench's run.py puts perfbench/
+# on sys.path and stops bytecode writes, and its StageProbe wraps darlr's
+# module globals for good.
+PERFBENCH_CHECKS = """
+import contextlib, io, json, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import run, tracing
+from darlr import cli
+
+work, episodes = Path(sys.argv[2]), 20
+probe = tracing.StageProbe()
+probe.install()
+
+def stage(*argv):
+    for log in (probe.trajectories, probe.evaluations, probe.episodes):
+        log.clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([str(a) for a in argv]) == 0, argv
+    return {"probe": probe.to_dict()}, out.getvalue()
+
+stage("gen-data", "--spec", work / "spec.json", "--out", work / "data")
+stage("train-wm", "--config", work / "wm.json", "--data", work / "data", "--out", work / "wm.ckpt")
+record, stdout = stage("train-policy", "--config", work / "policy.json", "--data", work / "data",
+                       "--wm", work / "wm.ckpt", "--out", work / "runs", "--variant", "full",
+                       "--seed", "3")
+train = {}
+train_fails, train_digest = run.check_train(train, work / "runs", 3, record, stdout)
+record, stdout = stage("eval", "--bundle", work / "runs" / "seed_3", "--data", work / "data",
+                       "--episodes", episodes, "--seed", 7)
+evaluation = {}
+eval_fails, eval_digest = run.check_eval(evaluation, episodes, record, stdout)
+print(json.dumps({"fails": train_fails + eval_fails, "digests": [train_digest, eval_digest],
+                  "steps": [train.get("steps"), evaluation.get("steps")]}))
+"""
+
+
+def test_perfbench_checks_accept_what_the_cli_writes(tmp_path):
+    # the benchmark refuses a stage whose output its checks reject: the
+    # train-policy line, the bundle's files and metrics.csv, the eval header and row
+    write_json(tmp_path / "spec.json", SPEC)
+    write_json(tmp_path / "wm.json", WM_CFG)
+    write_json(tmp_path / "policy.json", {**POLICY_CFG, "epochs": 2})
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    src = str(Path(darlr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", PERFBENCH_CHECKS, str(bench), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["fails"] == []
+    assert all(result["digests"])
+    train_steps, eval_steps = result["steps"]
+    assert train_steps > 0 and eval_steps >= 20

@@ -26,10 +26,11 @@ from darlr.nncore import (
 
 
 def reports_equal(a, b):
-    scalars = ("r_tra", "r_tra_std", "r_each", "length", "mcd", "reward_error")
-    if any(getattr(a, f) != getattr(b, f) for f in scalars):
+    """Two `evaluate` results: equal rows, key order included, and equal per-episode arrays."""
+    (row_a, per_a), (row_b, per_b) = a, b
+    if list(row_a.items()) != list(row_b.items()):
         return False
-    return all(np.array_equal(a.per_episode[k], b.per_episode[k]) for k in a.per_episode)
+    return list(per_a) == list(per_b) and all(np.array_equal(per_a[k], per_b[k]) for k in per_a)
 
 
 def dir_bytes(root):
@@ -844,13 +845,15 @@ class TestEvaluate:
         d = ones_truth_dataset()
         settings = smoke_settings()
         agent, _ = engine.build_agents(d, settings)
-        report = engine.evaluate(agent, d, None, episodes=10, seed=3)
-        assert report.r_each == pytest.approx(1.0, abs=1e-12)
-        assert report.r_tra == pytest.approx(report.length, abs=1e-12)
+        matrix = engine.ShapedRewardMatrix(d.truth_matrix.copy(), d.r_min, d.r_max)
+        row, _ = engine.evaluate(agent, d, matrix, episodes=10, seed=3)
+        assert list(row) == engine.EVAL_COLUMNS
+        assert row["R_each"] == pytest.approx(1.0, abs=1e-12)
+        assert row["R_tra"] == pytest.approx(row["Length"], abs=1e-12)
+        assert row["reward_error"] == 0.0
 
     def test_per_episode_identity_exact(self, tiny_dataset, smoke_run):
-        report = engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, 20, 7)
-        pe = report.per_episode
+        _, pe = engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, 20, 7)
         assert np.array_equal(pe["r_each"], pe["r_tra"] / pe["length"])
         assert np.allclose(pe["r_tra"], pe["r_each"] * pe["length"], rtol=1e-15)
 
@@ -861,9 +864,10 @@ class TestEvaluate:
         d = ds.generate_synthetic(ds.SyntheticSpec(users=5, items=8, categories=1, log_density=0.5, seed=9))
         settings = smoke_settings()
         agent, _ = engine.build_agents(d, settings)
-        report = engine.evaluate(agent, d, None, episodes=8, seed=1)
-        assert report.length == pytest.approx(2.0, abs=0)
-        assert report.mcd == pytest.approx(1.0, abs=0)
+        matrix = engine.ShapedRewardMatrix(d.truth_matrix.copy(), d.r_min, d.r_max)
+        row, _ = engine.evaluate(agent, d, matrix, episodes=8, seed=1)
+        assert row["Length"] == pytest.approx(2.0, abs=0)
+        assert row["MCD"] == pytest.approx(1.0, abs=0)
 
     def test_seed_deterministic(self, tiny_dataset, smoke_run):
         a = engine.evaluate(smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, 10, 11)
@@ -885,12 +889,12 @@ class TestEvaluate:
 
         monkeypatch.setattr(engine, "_eval_block", recording_eval_block)
         d, matrix = tiny_dataset, smoke_run.matrix
-        report = engine.evaluate(smoke_run.rec_agent, d, matrix, 80, 7)
+        row, _ = engine.evaluate(smoke_run.rec_agent, d, matrix, 80, 7)
         pairs = np.array([pair for r in played for pair in r["visited"]])
         keys = np.unique(pairs[:, 0] * d.n_items + pairs[:, 1])
         assert len(keys) < len(pairs)  # some episodes visit the same pair
         uu, ii = np.divmod(keys, d.n_items)
-        assert report.reward_error == float(np.abs(matrix.current[uu, ii] - d.truth_matrix[uu, ii]).mean())
+        assert row["reward_error"] == float(np.abs(matrix.current[uu, ii] - d.truth_matrix[uu, ii]).mean())
 
     def test_evaluation_does_not_import_numpy_ma(self):
         # np.unique imports numpy.ma on its first call: 1.3 MB in a fresh process
@@ -900,7 +904,7 @@ class TestEvaluate:
             "d = ds.generate_synthetic(ds.SyntheticSpec(users=6, items=8, categories=3, seed=1))\n"
             "agent, _ = engine.build_agents(d, engine.TrainSettings(d_model=4, d_emb=2, hidden=(4,)))\n"
             "matrix = engine.ShapedRewardMatrix(d.truth_matrix.copy(), d.r_min, d.r_max)\n"
-            "print(engine.evaluate(agent, d, matrix, 5, 1).reward_error)\n"
+            "print(engine.evaluate(agent, d, matrix, 5, 1)[0]['reward_error'])\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         src = str(Path(engine.__file__).resolve().parents[1])
@@ -981,22 +985,22 @@ class TestLockstepEvaluation:
     @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
     def test_matches_episodes_played_alone(self, case, greedy, smoke_run, tiny_dataset):
         agent, d, matrix, length = lockstep_case(case, smoke_run, tiny_dataset)
-        report = engine.evaluate(agent, d, matrix, self.EPISODES, 5, greedy=greedy)
+        row, per_episode = engine.evaluate(agent, d, matrix, self.EPISODES, 5, greedy=greedy)
         ref = [reference_episode(agent, d, 5, i, greedy) for i in range(self.EPISODES)]
         for key in ("r_tra", "length", "r_each", "mcd"):
-            assert np.array_equal(report.per_episode[key], np.array([r[key] for r in ref])), key
-        assert report.reward_error == reference_reward_error(ref, matrix, d)
+            assert np.array_equal(per_episode[key], np.array([r[key] for r in ref])), key
+        assert row["reward_error"] == reference_reward_error(ref, matrix, d)
         if length is not None:
-            assert np.all(report.per_episode["length"] == length)
+            assert np.all(per_episode["length"] == length)
 
     def test_eval_episode_is_its_row(self, smoke_run, tiny_dataset):
         agent, d, matrix = smoke_run.rec_agent, tiny_dataset, smoke_run.matrix
-        report = engine.evaluate(agent, d, matrix, self.EPISODES, 5)
+        _, per_episode = engine.evaluate(agent, d, matrix, self.EPISODES, 5)
         for idx in (0, 63, 64, 129):
             episode = engine._eval_block(agent, d, 5, [idx], False)[0]
             assert episode == reference_episode(agent, d, 5, idx, False)
             for key in ("r_tra", "length", "r_each", "mcd"):
-                assert episode[key] == report.per_episode[key][idx], key
+                assert episode[key] == per_episode[key][idx], key
 
     def test_block_size_does_not_change_results(self, smoke_run, tiny_dataset, monkeypatch):
         args = (smoke_run.rec_agent, tiny_dataset, smoke_run.matrix, 30, 8)
@@ -1015,10 +1019,10 @@ class TestLockstepEvaluation:
             ALONE[key] = [reference_episode(agent, d, 5, i, greedy) for i in range(self.EPISODES)]
         ref = ALONE[key]
         monkeypatch.setattr(engine, "_EVAL_BLOCK", block)
-        report = engine.evaluate(agent, d, matrix, self.EPISODES, 5, greedy=greedy)
+        row, per_episode = engine.evaluate(agent, d, matrix, self.EPISODES, 5, greedy=greedy)
         for name in ("r_tra", "length", "r_each", "mcd"):
-            assert np.array_equal(report.per_episode[name], np.array([r[name] for r in ref])), name
-        assert report.reward_error == reference_reward_error(ref, matrix, d)
+            assert np.array_equal(per_episode[name], np.array([r[name] for r in ref])), name
+        assert row["reward_error"] == reference_reward_error(ref, matrix, d)
 
     def test_passes_stay_full_until_the_episodes_run_out(self, smoke_run, tiny_dataset, monkeypatch):
         agent, made, passes = smoke_run.rec_agent, [], []

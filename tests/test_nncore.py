@@ -711,6 +711,9 @@ def test_flat_adam_equals_per_block_reference(kind, tiny_dataset):
     assert np.all(owner.params.grad == 0.0)
 
 
+STEP_RANGE = "expected an integer in [0, 2**63)"
+
+
 class TestFragments:
     def test_round_trip_bit_exact(self):
         rng = nn.rng_stream(0, "frag")
@@ -804,6 +807,12 @@ class TestFragments:
          "m/L0/W:values holds a value that is not finite"),
         ("m/L0/b:adam_v", np.array([0.0, -np.inf]), "m/L0/b:adam_v holds a value that is not finite"),
         ("m/L0/b:adam_m", np.array(["0.5", "1"]), "m/L0/b:adam_m has dtype <U3, expected float"),
+        # a cast would load 2.5 as 2, and NaN or 1e30 as -2**63 with a RuntimeWarning
+        ("m/L0/b:step_count", 2.5, f"m/L0/b:step_count is 2.5 of dtype float64, {STEP_RANGE}"),
+        ("m/L0/b:step_count", -3, f"m/L0/b:step_count is -3 of dtype int64, {STEP_RANGE}"),
+        ("m/L0/b:step_count", np.nan, f"m/L0/b:step_count is nan of dtype float64, {STEP_RANGE}"),
+        ("m/L0/b:step_count", 1e30, f"m/L0/b:step_count is 1e+30 of dtype float64, {STEP_RANGE}"),
+        ("m/L0/b:step_count", "x", f"m/L0/b:step_count is 'x' of dtype <U1, {STEP_RANGE}"),
     ])
     def test_bad_record_names_the_source(self, key, value, message):
         params = nn.ParamSet(nn.Mlp("m", [2, 2], seed=0).blocks())
@@ -815,3 +824,11 @@ class TestFragments:
         with pytest.raises(ValueError) as info:
             nn.load_block_state([params], state, "ckpt")
         assert str(info.value) == f"ckpt: {message}"
+
+    def test_step_count_of_any_integer_dtype_loads(self):
+        params = nn.ParamSet(nn.Mlp("m", [2, 2], seed=0).blocks())
+        state = nn.block_state(params)
+        for b, value in zip(params.blocks, (np.int32(7), np.uint64(7))):
+            state[f"{b.name}:step_count"] = value
+        nn.load_block_state([params], state, "ckpt")
+        assert params.step_count == 7
